@@ -2,6 +2,7 @@
 //! three-axis frontier point a priority policy lands on.
 
 use ce_cluster::dominates_point3;
+use ce_serve::engine::Verdicts;
 use serde::{Deserialize, Serialize};
 
 /// One tenant's lifecycle, tallied over the whole run.
@@ -117,6 +118,26 @@ pub struct LifecycleReport {
     pub p95_ms: f64,
     /// 99th-percentile request latency, milliseconds.
     pub p99_ms: f64,
+}
+
+impl TenantOutcome {
+    /// The counts the engine's verdict-partition check runs over.
+    pub fn verdicts(&self) -> Verdicts {
+        Verdicts {
+            requests: self.requests,
+            completed: self.completed,
+            failed: self.failed,
+            timed_out: self.timed_out,
+            shed_throttled: self.shed_throttled,
+            shed_overload: self.shed_overload,
+            shed_outage: self.shed_outage,
+            shed_breaker: self.shed_breaker,
+            truncated: self.truncated,
+            cold_starts: self.cold_starts,
+            warm_starts: self.warm_starts,
+            attempts: self.attempts,
+        }
+    }
 }
 
 impl LifecycleReport {

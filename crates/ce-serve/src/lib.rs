@@ -24,7 +24,10 @@
 //! * Keep-alive economics come from `ce_faas::keepalive` — fixed TTL,
 //!   cost-aware adaptive TTL, and histogram-of-gaps prediction — and
 //!   every warm-idle GB-second is billed.
-//! * [`sim`] — the event loop: admission, queueing, cold starts,
+//! * [`engine`] — the request pipeline shared with `ce-lifecycle`:
+//!   admission, queueing, cold starts, resilience, verdicts, and billing
+//!   over arrival schedules and execution lanes.
+//! * [`sim`] — the serving event loop: placement across topology pools,
 //!   per-request latency accounting into `ce-obs` quantile histograms,
 //!   and `ce-chaos` fault injection with typed shed outcomes.
 //! * [`report`] — the aggregate [`ServeReport`] with its
@@ -51,6 +54,7 @@
 
 pub mod arrival;
 pub mod autoscale;
+pub mod engine;
 pub mod qscale;
 pub mod report;
 pub mod sim;

@@ -2,6 +2,7 @@
 //! quantiles, the cost decomposition, and the QoS-vs-cost frontier point
 //! the (autoscaler, keep-alive) policy pair lands on.
 
+use crate::engine::Verdicts;
 use serde::{Deserialize, Serialize};
 
 /// Aggregate outcome of one serving run.
@@ -115,6 +116,24 @@ pub struct PoolOutcome {
 }
 
 impl ServeReport {
+    /// The counts the engine's verdict-partition check runs over.
+    pub fn verdicts(&self) -> Verdicts {
+        Verdicts {
+            requests: self.requests,
+            completed: self.completed,
+            failed: self.failed,
+            timed_out: self.timed_out,
+            shed_throttled: self.shed_throttled,
+            shed_overload: self.shed_overload,
+            shed_outage: self.shed_outage,
+            shed_breaker: self.shed_breaker,
+            truncated: self.truncated,
+            cold_starts: self.cold_starts,
+            warm_starts: self.warm_starts,
+            attempts: self.attempts,
+        }
+    }
+
     /// Fraction of arrivals that did not get SLO-compliant service:
     /// over-SLO completions plus every failed or shed request. The
     /// y-axis of the QoS-violation-vs-cost frontier.
