@@ -85,10 +85,11 @@ pub enum Decision {
 
 /// Work counters for the Fig. 21b/21c overhead analysis.
 ///
-/// A read-only snapshot: the live counts are `ce-obs` counters owned by
-/// the scheduler (`scheduler.evaluations` / `scheduler.adjustments` /
-/// `scheduler.triggers`), so a shared registry sees them without any
-/// side-channel bookkeeping.
+/// The scheduler's own counts. The `ce-obs` counters
+/// `scheduler.evaluations` / `scheduler.adjustments` /
+/// `scheduler.triggers` only mirror them: a registry shared with other
+/// schedulers aggregates everyone's work, so nothing simulated is ever
+/// read back from it.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Serialize, Deserialize)]
 pub struct SchedulerStats {
     /// Allocation candidates evaluated across all selections.
@@ -133,8 +134,10 @@ pub struct AdaptiveScheduler {
     /// *work requested*, and the derived scheduling overhead must not
     /// change with the cache.
     select_cache: HashMap<(u64, u64), Option<AllocPoint>>,
+    /// This scheduler's work counts (the source of truth).
+    stats: SchedulerStats,
     /// Observability sink; private by default, shareable via
-    /// [`Self::bind_registry`].
+    /// [`Self::bind_registry`]. Its counters mirror `stats`.
     obs: Registry,
     evaluations: Counter,
     adjustments: Counter,
@@ -142,15 +145,12 @@ pub struct AdaptiveScheduler {
 }
 
 impl Clone for AdaptiveScheduler {
-    /// Clones into an *independent* scheduler: the work counters are
-    /// copied by value into a fresh registry, so the clone's stats do not
-    /// feed back into the original's sink.
+    /// Clones into an *independent* scheduler: the work counts are
+    /// mirrored into a fresh registry, so the clone's work does not feed
+    /// back into the original's sink.
     fn clone(&self) -> Self {
         let obs = Registry::new();
-        let (evaluations, adjustments, triggers) = Self::handles(&obs);
-        evaluations.add(self.evaluations.get());
-        adjustments.add(self.adjustments.get());
-        triggers.add(self.triggers.get());
+        let (evaluations, adjustments, triggers) = Self::handles(&obs, &self.stats);
         AdaptiveScheduler {
             candidates: self.candidates.clone(),
             objective: self.objective,
@@ -165,6 +165,7 @@ impl Clone for AdaptiveScheduler {
             epochs_done: self.epochs_done,
             current: self.current,
             select_cache: self.select_cache.clone(),
+            stats: self.stats,
             obs,
             evaluations,
             adjustments,
@@ -191,7 +192,8 @@ impl AdaptiveScheduler {
             profile.points().to_vec()
         };
         let obs = Registry::new();
-        let (evaluations, adjustments, triggers) = Self::handles(&obs);
+        let stats = SchedulerStats::default();
+        let (evaluations, adjustments, triggers) = Self::handles(&obs, &stats);
         AdaptiveScheduler {
             candidates,
             objective,
@@ -206,6 +208,7 @@ impl AdaptiveScheduler {
             epochs_done: 0,
             current: None,
             select_cache: HashMap::new(),
+            stats,
             obs,
             evaluations,
             adjustments,
@@ -213,29 +216,24 @@ impl AdaptiveScheduler {
         }
     }
 
-    fn handles(registry: &Registry) -> (Counter, Counter, Counter) {
-        (
-            registry.counter("scheduler.evaluations"),
-            registry.counter("scheduler.adjustments"),
-            registry.counter("scheduler.triggers"),
-        )
+    /// The mirror counters in `registry`, credited with `stats`.
+    fn handles(registry: &Registry, stats: &SchedulerStats) -> (Counter, Counter, Counter) {
+        let evaluations = registry.counter("scheduler.evaluations");
+        let adjustments = registry.counter("scheduler.adjustments");
+        let triggers = registry.counter("scheduler.triggers");
+        evaluations.add(stats.evaluations);
+        adjustments.add(u64::from(stats.adjustments));
+        triggers.add(u64::from(stats.triggers));
+        (evaluations, adjustments, triggers)
     }
 
-    /// Re-homes the work counters into `registry` (e.g. a job-wide or the
-    /// process-global sink), carrying the counts accumulated so far.
-    /// Counter names are shared, so schedulers bound to the same registry
-    /// aggregate; [`Self::stats`] then reports the aggregate.
+    /// Re-homes the mirror counters into `registry` (e.g. a job-wide or
+    /// the process-global sink), crediting the counts accumulated so far.
+    /// Counter names are shared, so the registry aggregates every
+    /// scheduler bound to it; [`Self::stats`] stays this scheduler's own.
     pub fn bind_registry(&mut self, registry: &Registry) {
-        let carried = (
-            self.evaluations.get(),
-            self.adjustments.get(),
-            self.triggers.get(),
-        );
         self.obs = registry.clone();
-        let (evaluations, adjustments, triggers) = Self::handles(registry);
-        evaluations.add(carried.0);
-        adjustments.add(carried.1);
-        triggers.add(carried.2);
+        let (evaluations, adjustments, triggers) = Self::handles(registry, &self.stats);
         self.evaluations = evaluations;
         self.adjustments = adjustments;
         self.triggers = triggers;
@@ -251,13 +249,9 @@ impl AdaptiveScheduler {
         self.target_loss
     }
 
-    /// Snapshot of the work counters.
+    /// This scheduler's work counts.
     pub fn stats(&self) -> SchedulerStats {
-        SchedulerStats {
-            evaluations: self.evaluations.get(),
-            adjustments: u32::try_from(self.adjustments.get()).unwrap_or(u32::MAX),
-            triggers: u32::try_from(self.triggers.get()).unwrap_or(u32::MAX),
-        }
+        self.stats
     }
 
     /// Latest accepted total-epoch prediction.
@@ -334,6 +328,7 @@ impl AdaptiveScheduler {
             return Decision::Keep;
         }
         self.accepted_prediction = predicted_total;
+        self.stats.triggers = self.stats.triggers.saturating_add(1);
         self.triggers.inc();
         let remaining = (predicted_total - f64::from(self.epochs_done)).max(1.0);
         let Some(point) = self.select_best(remaining) else {
@@ -344,6 +339,7 @@ impl AdaptiveScheduler {
             return Decision::Keep;
         }
         self.current = Some(alloc);
+        self.stats.adjustments = self.stats.adjustments.saturating_add(1);
         self.adjustments.inc();
         Decision::Switch { to: alloc }
     }
@@ -382,7 +378,9 @@ impl AdaptiveScheduler {
         // Charged before the memo lookup: the modeled decision cost is
         // per candidate *requested*, so `sched_overhead_s` downstream is
         // byte-identical with and without the cache.
-        self.evaluations.add(self.candidates.len() as u64);
+        let requested = self.candidates.len() as u64;
+        self.stats.evaluations += requested;
+        self.evaluations.add(requested);
         // Scalarized selection: minimize the predicted remaining value of
         // the *objective* metric, multiplied by a steep soft penalty on
         // the projected overrun of the *constrained* metric (measured

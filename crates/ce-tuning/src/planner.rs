@@ -83,9 +83,10 @@ impl Default for PlannerConfig {
 
 /// Work counters, used by the Fig. 21a overhead comparison.
 ///
-/// A per-call snapshot; the live counts are `ce-obs` counters
-/// (`planner.evaluations` / `planner.iterations`) in the planner's
-/// registry, which accumulate across calls when the registry is shared.
+/// One `plan()` call's own counts. The `ce-obs` counters
+/// `planner.evaluations` / `planner.iterations` in the planner's registry
+/// only mirror them and accumulate across every call sharing the
+/// registry, so nothing simulated is ever read back from them.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Serialize, Deserialize)]
 pub struct PlannerStats {
     /// Candidate plans whose objectives were evaluated.
@@ -94,6 +95,26 @@ pub struct PlannerStats {
     pub iterations: u32,
     /// Size of the per-stage candidate set searched.
     pub candidate_count: usize,
+}
+
+/// One `plan()` call's work: its own counts, mirrored into the
+/// registry's counters.
+struct Work {
+    stats: PlannerStats,
+    evals: Counter,
+    iters: Counter,
+}
+
+impl Work {
+    fn evaluate(&mut self) {
+        self.stats.evaluations += 1;
+        self.evals.inc();
+    }
+
+    fn iterate(&mut self) {
+        self.stats.iterations = self.stats.iterations.saturating_add(1);
+        self.iters.inc();
+    }
 }
 
 /// Planning failure.
@@ -180,12 +201,14 @@ impl<'p> GreedyPlanner<'p> {
         if candidates.is_empty() {
             return Err(PlanError::EmptyProfile);
         }
-        let evals = self.obs.counter("planner.evaluations");
-        let iters = self.obs.counter("planner.iterations");
-        // The registry may be shared across plan() calls; this call's
-        // stats are the deltas from here.
-        let (evals_before, iters_before) = (evals.get(), iters.get());
-        let candidate_count = candidates.len();
+        let mut work = Work {
+            stats: PlannerStats {
+                candidate_count: candidates.len(),
+                ..PlannerStats::default()
+            },
+            evals: self.obs.counter("planner.evaluations"),
+            iters: self.obs.counter("planner.iterations"),
+        };
         let d = self.sha.num_stages();
 
         // --- Warm start: enumerate static plans over the *full* profiled
@@ -199,7 +222,7 @@ impl<'p> GreedyPlanner<'p> {
         let mut best_resource = f64::INFINITY;
         for point in self.profile.points() {
             let plan = PartitionPlan::uniform(*point, self.sha);
-            evals.inc();
+            work.evaluate();
             let res = self.resource(&plan, objective);
             best_resource = best_resource.min(res);
             if !self.feasible(&plan, objective) {
@@ -232,7 +255,7 @@ impl<'p> GreedyPlanner<'p> {
         let mut best = static_assign.clone();
         let mut best_value = self.value(&self.materialize(&best, &candidates), objective);
         while let Some((recycled_stage, recycled)) =
-            self.best_recycle(&best, &candidates, objective, &evals)
+            self.best_recycle(&best, &candidates, objective, &mut work)
         {
             // Reallocate the freed resource to *later* stages only (the
             // paper moves resources from early stages to later ones;
@@ -249,7 +272,7 @@ impl<'p> GreedyPlanner<'p> {
                     objective,
                     None,
                     Some(recycled_stage + 1),
-                    &evals,
+                    &mut work,
                 ) {
                     Some(next) => {
                         let next_plan = self.materialize(&next, &candidates);
@@ -270,15 +293,20 @@ impl<'p> GreedyPlanner<'p> {
             }
             best = trial;
             best_value = trial_value;
-            iters.inc();
+            work.iterate();
         }
 
         // --- Phase 2 (Lines 15–25): spend the remaining constraint slack
         // on the best upgrades, excluding ones that violate it.
         let mut excluded: HashSet<(usize, usize)> = HashSet::new();
-        while let Some(next) =
-            self.best_realloc(&best, &candidates, objective, Some(&excluded), None, &evals)
-        {
+        while let Some(next) = self.best_realloc(
+            &best,
+            &candidates,
+            objective,
+            Some(&excluded),
+            None,
+            &mut work,
+        ) {
             let next_plan = self.materialize(&next, &candidates);
             let next_value = self.value(&next_plan, objective);
             let reduction = best_value - next_value;
@@ -293,7 +321,7 @@ impl<'p> GreedyPlanner<'p> {
             }
             best = next;
             best_value = next_value;
-            iters.inc();
+            work.iterate();
         }
 
         let final_plan = self.materialize(&best, &candidates);
@@ -302,12 +330,7 @@ impl<'p> GreedyPlanner<'p> {
             self.value(&final_plan, objective) <= self.value(&static_plan, objective) + 1e-9,
             "planner must never be worse than static"
         );
-        let stats = PlannerStats {
-            evaluations: evals.get() - evals_before,
-            iterations: u32::try_from(iters.get() - iters_before).unwrap_or(u32::MAX),
-            candidate_count,
-        };
-        Ok((final_plan, static_plan, stats))
+        Ok((final_plan, static_plan, work.stats))
     }
 
     fn materialize(&self, assign: &[usize], candidates: &[AllocPoint]) -> PartitionPlan {
@@ -351,7 +374,7 @@ impl<'p> GreedyPlanner<'p> {
         assign: &[usize],
         candidates: &[AllocPoint],
         objective: Objective,
-        evals: &Counter,
+        work: &mut Work,
     ) -> Option<(usize, Vec<usize>)> {
         let base = self.materialize(assign, candidates);
         let base_value = self.value(&base, objective);
@@ -367,7 +390,7 @@ impl<'p> GreedyPlanner<'p> {
                 let mut next = assign.to_vec();
                 next[stage] = cand;
                 let plan = self.materialize(&next, candidates);
-                evals.inc();
+                work.evaluate();
                 let freed = base_resource - self.resource(&plan, objective);
                 if freed <= 0.0 {
                     continue;
@@ -393,7 +416,7 @@ impl<'p> GreedyPlanner<'p> {
         objective: Objective,
         excluded: Option<&HashSet<(usize, usize)>>,
         min_stage: Option<usize>,
-        evals: &Counter,
+        work: &mut Work,
     ) -> Option<Vec<usize>> {
         let base = self.materialize(assign, candidates);
         let base_value = self.value(&base, objective);
@@ -410,7 +433,7 @@ impl<'p> GreedyPlanner<'p> {
                 let mut next = assign.to_vec();
                 next[stage] = cand;
                 let plan = self.materialize(&next, candidates);
-                evals.inc();
+                work.evaluate();
                 let gain = base_value - self.value(&plan, objective);
                 if gain <= 0.0 {
                     continue;

@@ -82,6 +82,62 @@ fn training_reports_are_bit_identical_across_runs() {
     assert_eq!(a, b, "same seed must reproduce the identical report");
 }
 
+/// Scheduler and planner work counts are their own, not deltas of the
+/// process-global `ce-obs` counters: another thread hammering those
+/// counters mid-run must not move a single bit of either report.
+#[test]
+fn reports_ignore_concurrent_writes_to_the_global_registry() {
+    use std::sync::atomic::{AtomicBool, Ordering};
+    use std::sync::Barrier;
+    let w = Workload::mobilenet_cifar10();
+    let train = TrainingJob::new(
+        w.clone(),
+        ce_scaling::workflow::Constraint::Budget(training_budget(&w, 2.0)),
+    )
+    .with_seed(11);
+    let sha = ShaSpec::new(512, 2, 2);
+    let tune = TuningJob::new(
+        Workload::lr_higgs(),
+        sha,
+        ce_scaling::workflow::Constraint::Budget(tuning_budget(&Workload::lr_higgs(), sha, 2.5)),
+    )
+    .with_seed(100);
+    let quiet = (
+        train.run(Method::CeScaling).unwrap(),
+        tune.run(Method::CeScaling).unwrap(),
+    );
+    let stop = AtomicBool::new(false);
+    let writing = Barrier::new(2);
+    let noisy = std::thread::scope(|scope| {
+        scope.spawn(|| {
+            let global = ce_scaling::obs::global();
+            let mut started = false;
+            while !stop.load(Ordering::Relaxed) {
+                global.counter("scheduler.evaluations").add(7);
+                global.counter("planner.evaluations").add(7);
+                if !started {
+                    // The jobs start only once the writer is live.
+                    writing.wait();
+                    started = true;
+                }
+                std::thread::yield_now();
+            }
+        });
+        writing.wait();
+        let noisy = (
+            train.run(Method::CeScaling).unwrap(),
+            tune.run(Method::CeScaling).unwrap(),
+        );
+        stop.store(true, Ordering::Relaxed);
+        noisy
+    });
+    assert_eq!(
+        quiet.0, noisy.0,
+        "training report moved under registry noise"
+    );
+    assert_eq!(quiet.1, noisy.1, "tuning report moved under registry noise");
+}
+
 #[test]
 fn different_seeds_give_different_stochastic_outcomes() {
     let w = Workload::mobilenet_cifar10();
