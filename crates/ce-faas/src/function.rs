@@ -147,6 +147,12 @@ impl InstancePool {
     /// (`idle_since + ttl`), so callers can bill keep-warm time exactly.
     pub fn reap_detailed(&mut self, now: SimTime) -> Vec<ReapedInstance> {
         let timeout = self.keep_alive.ttl_s(now);
+        let expired = |i: &FunctionInstance| !i.executing && now - i.idle_since > timeout;
+        if !self.instances.iter().any(expired) {
+            // The common case on a serving loop's every event: keep the
+            // pool as it is rather than rebuild it.
+            return Vec::new();
+        }
         let mut reaped = Vec::new();
         let mut kept = Vec::with_capacity(self.instances.len());
         for inst in self.instances.drain(..) {
