@@ -823,23 +823,9 @@ fn resilient_chaos_partitions_arrivals_and_bills_every_attempt() {
         )
         .run();
         let label = format!("chaos=`{chaos}` res={res:?}");
-        assert_eq!(
-            r.completed
-                + r.failed
-                + r.timed_out
-                + r.shed_throttled
-                + r.shed_overload
-                + r.shed_outage
-                + r.shed_breaker
-                + r.truncated,
-            r.requests,
-            "verdicts must partition arrivals: {label}\n{r:?}"
-        );
-        assert_eq!(
-            r.cold_starts + r.warm_starts,
-            r.attempts,
-            "every attempt cold- or warm-starts: {label}"
-        );
+        if let Err(e) = r.verdicts().check() {
+            panic!("{e}: {label}");
+        }
         assert!(
             r.attempts >= r.completed + r.failed + r.timed_out,
             "settled requests each took at least one attempt: {label}"
