@@ -1,120 +1,91 @@
-//! Fleet-scale benchmark: times [`ce_cluster::ClusterSim`] across fleet
-//! sizes, dispatch policies, chaos on/off, and both fleet engines, and
-//! emits a machine-readable `BENCH_fleet.json`.
+//! `ce-bench`: the wall-clock benchmark harness. Six suites share one
+//! arm schema, one seed-batch timer and one `--baseline` gate; a suite
+//! only supplies its constants, spec builder, arm matrix, outcome fields
+//! and claim.
 //!
-//! The **heap** arms run the shipping configuration: indexed ready-set
-//! dispatch plus the pruned (branch-and-bound) loss-curve sweep. The
-//! **naive** arms reconstruct the pre-optimization implementation
-//! faithfully: linear-scan dispatch ([`FleetEngine::Naive`]) plus the
-//! exhaustive sweep ([`SweepMode::Exhaustive`]). Both pipelines are
-//! bit-identical in outcome (differential- and property-tested; this
-//! binary re-asserts report equality on matching configs), so the arms
-//! measure the same simulation and differ only in wall-clock.
+//! | suite | simulator | arm matrix (`--quick` subset) | reference arm | claim (exit 1 if false) |
+//! |---|---|---|---|---|
+//! | `fleet` | `ClusterSim` | {500, 2k, 10k} jobs × {fifo, edf, cost-greedy} × {clean, chaos} on the heap engine, plus naive-engine fifo twins at 500 and 2k (no 10k; naive 2k clean only) | `fleet/2000/fifo/clean/heap` | every naive arm equals its heap twin |
+//! | `serve` | `ServeSim`, diurnal | {10k, 100k, 1M} requests × {target/adaptive, fixed:64/fixed:600, prewarm/histogram} (no 1M) | `serve/100000/target/adaptive` | — |
+//! | `lifecycle` | `LifecycleSim` | {4, 8} tenants × every priority policy (4 only) | `lifecycle/4/serve-first` | — |
+//! | `resilience` | `ServeSim` under crash + coldspike chaos | {10k, 100k} requests × {off, timeout, retry, hedge, breaker, full} (100k only) | `resilience/100000/full` | attempts cover settled requests |
+//! | `keepwarm` | `ServeSim` on zoo traces | 5 families × {fixed:18, target, prewarm, qlearn} × {fixed:600, adaptive, histogram} (mixed, diurnal) | `keepwarm/mixed/qlearn/adaptive` | a (qlearn, adaptive\|histogram) arm dominates (fixed:18, fixed:600) on (violation rate, $/1M) |
+//! | `topo` | `ServeSim` on zoo:diurnal | cloud-only, edge-only, edge-cloud × every placement (no edge-only; edge-first and workload-aware) | `topo/edge-cloud/workload-aware` | workload-aware edge+cloud dominates cloud-only on (p95 ms, $/1M) |
 //!
-//! A second suite (`--suite serve`) times [`ce_serve::ServeSim`] at
-//! request scale — 10k/100k/1M requests through the event heap — and
-//! emits `BENCH_serve.json` with the same 2x `--baseline` regression
-//! gate on the 100k-request reference arm.
+//! Every suite also times one **seed batch**: a representative arm run
+//! over a batch of seeds, once at 1 thread and once at the resolved
+//! thread count (`--threads` / `CE_THREADS`). The per-seed report JSON
+//! and metric export must be byte-equal between the two batches before
+//! the speedup is recorded.
 //!
-//! Both suites end with a **scaling arm**: the largest configuration
-//! re-run as a multi-seed batch, once at 1 thread and once at the
-//! resolved thread count (`--threads` / `CE_THREADS`), with the outcome
-//! checksums asserted byte-equal between the two runs before the
-//! speedup and parallel efficiency are reported. The `--baseline` gate
-//! also fails when the fresh speedup collapses to less than half the
-//! committed one at the same thread count.
+//! The report (`BENCH_<suite>.json`, schema `ce-bench/v3`) is
+//! `{schema, suite, config, threads, nproc, arms, wins, scaling, speedup}`,
+//! each arm `{name, wall_ms, items, items_per_s, outcome, pareto}`:
+//! `items` counts requests (jobs for the fleet suite), `outcome` holds the
+//! simulated results, `pareto` is null outside the suites with a Pareto
+//! claim, and `speedup` (heap vs naive engine) is null outside the fleet
+//! suite.
 //!
-//! Usage:
+//! With `--baseline`, the gate fails (exit 1) when the reference arm is
+//! more than 2× slower than the baseline's, when the batch speedup falls
+//! below half the baseline's at the same thread count (more than one),
+//! or when an arm present in both runs differs in any outcome field. A
+//! baseline from another suite is a usage error (exit 2) before any arm
+//! runs.
 //!
 //! ```text
-//! cargo run --release -p ce-bench                 # full matrix -> BENCH_fleet.json
-//! cargo run --release -p ce-bench -- --quick      # skip the 10k arms (CI smoke)
-//! cargo run --release -p ce-bench -- --out F      # write somewhere else
-//! cargo run --release -p ce-bench -- --threads 8  # thread count for the scaling arm
-//! cargo run --release -p ce-bench -- --quick --baseline BENCH_fleet.json
-//!     # additionally fail (exit 1) if the 2k-job heap benchmark regressed
-//!     # more than 2x against the committed baseline
-//! cargo run --release -p ce-bench -- --suite serve
-//!     # serving suite: 10k/100k/1M requests -> BENCH_serve.json
-//! cargo run --release -p ce-bench -- --suite serve --quick --baseline BENCH_serve.json
-//!     # CI smoke: 10k/100k arms plus the 2x gate on serve/100000/target/adaptive
-//! cargo run --release -p ce-bench -- --suite lifecycle
-//!     # co-located train+serve fleets across priority policies -> BENCH_lifecycle.json
-//! cargo run --release -p ce-bench -- --suite lifecycle --quick --baseline BENCH_lifecycle.json
-//!     # CI smoke: 4-tenant arms plus the 2x gate on lifecycle/4/serve-first
-//! cargo run --release -p ce-bench -- --suite resilience
-//!     # per-mechanism resilience arms under chaos -> BENCH_resilience.json
-//! cargo run --release -p ce-bench -- --suite resilience --quick --baseline BENCH_resilience.json
-//!     # CI smoke: 100k-request arms plus the 2x gate on resilience/100000/full
-//! cargo run --release -p ce-bench -- --suite keepwarm
-//!     # autoscaler x keep-alive x zoo-trace-family sweep -> BENCH_keepwarm.json,
-//!     # with per-family Pareto frontiers on (violation %, $/1M) and a hard
-//!     # check that a (qlearn, adaptive|histogram) arm dominates (fixed, fixed-TTL)
-//! cargo run --release -p ce-bench -- --suite keepwarm --quick --baseline BENCH_keepwarm.json
-//!     # CI smoke: mixed+diurnal families plus the 2x gate on keepwarm/mixed/qlearn/adaptive
-//! cargo run --release -p ce-bench -- --suite topo
-//!     # edge-cloud substrate x placement-policy sweep on zoo:diurnal -> BENCH_topo.json,
-//!     # with a (p95 ms, $/1M) Pareto frontier and a hard check that the
-//!     # workload-aware edge+cloud arm dominates the cloud-only arm
-//! cargo run --release -p ce-bench -- --suite topo --quick --baseline BENCH_topo.json
-//!     # CI smoke: cloud-only + two edge-cloud placements plus the 2x gate
-//!     # on topo/edge-cloud/workload-aware
+//! cargo run --release -p ce-bench -- --suite <suite>   # full matrix -> BENCH_<suite>.json
+//! cargo run --release -p ce-bench -- --suite topo --quick --out BENCH_topo_ci.json \
+//!     --baseline BENCH_topo.json                       # CI smoke plus the gate
+//! cargo run --release -p ce-bench -- --threads 8       # seed-batch thread count
 //! ```
 //!
-//! `--autoscaler`, `--keepalive`, and `--priority` override the
-//! registry names the serve and lifecycle arms use. Override names are
-//! validated against the registries before any arm runs; an unknown
-//! name is a usage error (exit 2) listing the valid names.
+//! `--suite` defaults to `fleet` and `--out` to `BENCH_<suite>.json`.
 
 use ce_chaos::FaultSchedule;
 use ce_cluster::{
-    policy_by_name, run_fleet_seeds, ClusterSim, ClusterSpec, FleetEngine, FleetSpec,
+    dominates_point, policy_by_name, ClusterSim, ClusterSpec, FleetEngine, FleetSpec,
 };
 use ce_obs::Registry;
+use ce_serve::{ServeReport, ServeSim, ServeSpec};
 use ce_training::{set_sweep_mode, SweepMode};
 use ce_workflow::RecoveryPolicy;
-use serde::{Deserialize, Serialize};
+use rayon::prelude::*;
+use serde::Serialize;
+use serde_json::{json, Value};
 use std::time::Instant;
 
-/// Arrival rate for every arm (jobs per minute).
-const RATE_PER_MIN: f64 = 120.0;
-/// Shared account concurrency quota.
-const QUOTA: u32 = 400;
-/// Per-job worker cap.
-const JOB_CAP: u32 = 8;
-/// Seed for every arm (outcomes are deterministic per seed).
+/// Seed for every arm; seed batches run `SEED`, `SEED + 1`, ….
 const SEED: u64 = 42;
-/// Chaos spec used by the `chaos` arms.
-const CHAOS_SPEC: &str = "crash:0.05@0..inf;outage:s3@1800..3600";
-/// The reference arm pair for the speedup figure and the CI threshold.
-const REFERENCE: &str = "fleet/2000/fifo/clean";
-/// A fresh run slower than `baseline * REGRESSION_FACTOR` fails `--baseline`.
+/// A fresh reference arm slower than `baseline * REGRESSION_FACTOR`
+/// fails `--baseline`, as does a batch speedup below
+/// `baseline / REGRESSION_FACTOR`.
 const REGRESSION_FACTOR: f64 = 2.0;
-/// Seeds per scaling-arm batch (independent runs sharded across threads).
-const SCALING_SEEDS: u64 = 4;
+/// Seeds per batch for the long-running suites.
+const BATCH_SEEDS: u64 = 4;
+/// Seeds per batch for the zoo suites: their arms cover only 600
+/// sim-seconds, so the batch needs more seeds to amortize pool spin-up.
+const ZOO_BATCH_SEEDS: u64 = 16;
+/// A suite's arms, claim and seed batch, given `--quick` and the thread
+/// count.
+type SuiteFn = fn(bool, usize) -> Result<Report, BenchError>;
+/// Every suite with the reference arm its gate times.
+const SUITES: [(&str, &str, SuiteFn); 6] = [
+    ("fleet", "fleet/2000/fifo/clean/heap", fleet),
+    ("serve", "serve/100000/target/adaptive", serve),
+    ("lifecycle", "lifecycle/4/serve-first", lifecycle),
+    ("resilience", "resilience/100000/full", resilience),
+    ("keepwarm", "keepwarm/mixed/qlearn/adaptive", keepwarm),
+    ("topo", TOPO_REFERENCE, topo),
+];
 
-/// Everything that can abort a benchmark run, with the exit code the
-/// process should die with. User mistakes (bad flags, unreadable or
-/// malformed baseline, unwritable output) must land here as messages,
-/// never as panics.
+/// Everything that can abort a run, never as a panic. User mistakes
+/// (bad flags; an unreadable, malformed or other-suite baseline; an
+/// unwritable output; a report lacking the reference arm) exit 2; a
+/// tripped gate or suite claim exits 1.
 #[derive(Debug)]
 enum BenchError {
-    /// Bad command line; exit 2.
     Usage(String),
-    /// Filesystem trouble on a user-supplied path; exit 2.
-    Io {
-        what: &'static str,
-        path: String,
-        source: std::io::Error,
-    },
-    /// The baseline file is not a benchmark report; exit 2.
-    BaselineParse {
-        path: String,
-        source: serde_json::Error,
-    },
-    /// A report lacks the arm the gate needs; exit 2.
-    MissingReferenceArm { which: &'static str, arm: String },
-    /// The gate tripped; exit 1.
     Regression(String),
 }
 
@@ -122,13 +93,6 @@ impl std::fmt::Display for BenchError {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         match self {
             BenchError::Usage(msg) => write!(f, "{msg}"),
-            BenchError::Io { what, path, source } => write!(f, "cannot {what} {path}: {source}"),
-            BenchError::BaselineParse { path, source } => {
-                write!(f, "cannot parse baseline {path}: {source}")
-            }
-            BenchError::MissingReferenceArm { which, arm } => {
-                write!(f, "{which} report lacks the {arm} arm")
-            }
             BenchError::Regression(msg) => write!(f, "REGRESSION: {msg}"),
         }
     }
@@ -137,46 +101,68 @@ impl std::fmt::Display for BenchError {
 impl BenchError {
     fn exit_code(&self) -> i32 {
         match self {
+            BenchError::Usage(_) => 2,
             BenchError::Regression(_) => 1,
-            _ => 2,
         }
     }
 }
 
-#[derive(Debug, Clone, Serialize, Deserialize)]
-struct ArmResult {
-    /// `fleet/<jobs>/<policy>/<clean|chaos>/<engine>`.
+/// One timed arm of any suite.
+#[derive(Debug, Serialize)]
+struct Arm {
+    /// `<suite>/<matrix coordinates>`.
     name: String,
-    jobs: usize,
-    policy: String,
-    chaos: bool,
-    /// `heap` (indexed dispatch + pruned sweep) or `naive` (linear-scan
-    /// dispatch + exhaustive sweep: the faithful pre-optimization core).
-    engine: String,
     wall_ms: f64,
-    /// Jobs that reached their target loss.
-    completed: usize,
-    /// Total fleet spend in dollars (an outcome checksum: equal-config
-    /// arms must agree exactly).
-    fleet_dollars: f64,
+    /// Simulated requests (jobs for the fleet suite).
+    items: u64,
+    /// `items` per wall-clock second.
+    items_per_s: f64,
+    /// Simulated results: deterministic per seed, so an arm of the same
+    /// name must agree exactly with the baseline's.
+    outcome: Value,
+    /// On its group's Pareto frontier; set by [`mark_pareto`].
+    pareto: Option<bool>,
 }
 
-#[derive(Debug, Serialize, Deserialize)]
-struct Speedup {
-    reference: String,
-    heap_wall_ms: f64,
-    naive_wall_ms: f64,
-    ratio: f64,
+impl Arm {
+    fn new(name: String, wall_ms: f64, items: u64, outcome: Value) -> Arm {
+        let arm = Arm {
+            name,
+            wall_ms,
+            items,
+            items_per_s: items as f64 / (wall_ms / 1e3).max(1e-9),
+            outcome,
+            pareto: None,
+        };
+        eprintln!(
+            "{:<44} {:>9.1} ms {:>10.0} items/s  {}",
+            arm.name, arm.wall_ms, arm.items_per_s, arm.outcome
+        );
+        arm
+    }
+
+    /// The arm's position on two numeric outcome axes.
+    fn point(&self, (x, y): (&str, &str)) -> (f64, f64) {
+        let axis = |field: &str| self.outcome[field].as_f64().expect("numeric outcome axis");
+        (axis(x), axis(y))
+    }
 }
 
-/// The multi-seed scaling arm: the same batch of independent runs timed
-/// sequentially and at the resolved thread count, with outcomes asserted
-/// byte-equal before the ratio is reported.
-#[derive(Debug, Serialize, Deserialize)]
-struct ScalingResult {
-    /// `<suite>-batch/<size>x<seed count>`.
+/// `winner` Pareto-dominates `loser` on the suite's outcome axes, both
+/// arms serving trace `family`.
+#[derive(Debug, Serialize)]
+struct Win {
+    family: String,
+    winner: String,
+    loser: String,
+}
+
+/// The seed batch: one arm's runs over `seeds`, timed at 1 thread and
+/// at `threads`.
+#[derive(Debug, Serialize)]
+struct Scaling {
+    /// `<suite>-batch/<arm>x<seed count>`.
     name: String,
-    /// Worker threads used by the parallel run.
     threads: usize,
     seeds: Vec<u64>,
     wall_ms_1t: f64,
@@ -187,366 +173,197 @@ struct ScalingResult {
     scaling_efficiency: f64,
 }
 
-impl ScalingResult {
-    fn from_walls(name: String, threads: usize, seeds: Vec<u64>, ms_1t: f64, ms_nt: f64) -> Self {
-        let speedup = ms_1t / ms_nt.max(1e-9);
-        ScalingResult {
-            name,
+/// Heap-vs-naive fleet engine wall-clock on the reference arm pair.
+#[derive(Debug, Serialize)]
+struct Speedup {
+    reference: String,
+    heap_wall_ms: f64,
+    naive_wall_ms: f64,
+    ratio: f64,
+}
+
+/// One suite run: what `--out` writes and `--baseline` reads back.
+#[derive(Debug, Serialize)]
+struct Report {
+    schema: String,
+    suite: String,
+    /// The suite's constants.
+    config: Value,
+    /// Resolved worker thread count for the seed batch.
+    threads: usize,
+    /// Cores available to this process.
+    nproc: usize,
+    arms: Vec<Arm>,
+    /// Witnesses of the suite's Pareto claim (keepwarm and topo).
+    wins: Vec<Win>,
+    scaling: Scaling,
+    speedup: Option<Speedup>,
+}
+
+impl Report {
+    fn new(suite: &str, config: Value, threads: usize, arms: Vec<Arm>, scaling: Scaling) -> Self {
+        Report {
+            schema: "ce-bench/v3".to_string(),
+            suite: suite.to_string(),
+            config,
             threads,
-            seeds,
-            wall_ms_1t: ms_1t,
-            wall_ms_nt: ms_nt,
-            speedup_vs_1t: speedup,
-            scaling_efficiency: speedup / threads as f64,
+            nproc: std::thread::available_parallelism().map_or(1, |n| n.get()),
+            arms,
+            wins: Vec::new(),
+            scaling,
+            speedup: None,
+        }
+    }
+}
+
+/// Runs `f`, returning its result and wall-clock milliseconds.
+fn timed<T>(f: impl FnOnce() -> T) -> (T, f64) {
+    let start = Instant::now();
+    let out = f();
+    (out, start.elapsed().as_secs_f64() * 1e3)
+}
+
+/// One seed's run as text: its report JSON followed by its metric
+/// export, recorded into a private registry.
+fn seed_text<R: Serialize>(run: impl FnOnce(&Registry) -> R) -> String {
+    let obs = Registry::new();
+    let report = run(&obs);
+    serde_json::to_string(&report).expect("report serializes") + &obs.export_jsonl()
+}
+
+/// The seed-batch timer: runs `run` for `n` seeds once at 1 thread and
+/// once at `threads`, and fails unless the two batches are byte-equal.
+fn time_seed_batch(
+    name: String,
+    n: u64,
+    threads: usize,
+    run: impl Fn(u64) -> String + Send + Sync,
+) -> Result<Scaling, BenchError> {
+    let seeds: Vec<u64> = (SEED..SEED + n).collect();
+    let batch = || seeds.par_iter().map(|&seed| run(seed)).collect::<Vec<_>>();
+    let (seq, wall_ms_1t) = timed(|| rayon::with_threads(1, batch));
+    let (par, wall_ms_nt) = timed(|| rayon::with_threads(threads, batch));
+    if seq != par {
+        return Err(BenchError::Regression(format!(
+            "the {threads}-thread batch of {name} diverged from the 1-thread batch"
+        )));
+    }
+    let speedup = wall_ms_1t / wall_ms_nt.max(1e-9);
+    eprintln!(
+        "{name:<44} {wall_ms_1t:>9.1} ms @1t vs {wall_ms_nt:>9.1} ms @{threads}t  \
+         ({speedup:.2}x, {:.0}% efficiency)",
+        speedup / threads as f64 * 100.0
+    );
+    Ok(Scaling {
+        name,
+        threads,
+        seeds,
+        wall_ms_1t,
+        wall_ms_nt,
+        speedup_vs_1t: speedup,
+        scaling_efficiency: speedup / threads as f64,
+    })
+}
+
+/// The Pareto marker: flags each arm that no arm of the same `group`
+/// dominates on the outcome `axes` (lower is better on both).
+fn mark_pareto(arms: &mut [Arm], group: impl Fn(&Arm) -> String, axes: (&str, &str)) {
+    let flags: Vec<bool> = arms
+        .iter()
+        .map(|a| {
+            !arms
+                .iter()
+                .any(|o| group(o) == group(a) && dominates_point(o.point(axes), a.point(axes)))
+        })
+        .collect();
+    for (arm, flag) in arms.iter_mut().zip(flags) {
+        arm.pareto = Some(flag);
+    }
+}
+
+/// The `winners` arms, in order, that dominate the `loser` arm on `axes`.
+fn pareto_wins(
+    arms: &[Arm],
+    family: &str,
+    loser: &str,
+    winners: &[String],
+    axes: (&str, &str),
+) -> Vec<Win> {
+    let arm = |name: &str| {
+        arms.iter()
+            .find(|a| a.name == name)
+            .expect("claim arms always run")
+    };
+    let loser_point = arm(loser).point(axes);
+    let wins: Vec<Win> = winners
+        .iter()
+        .filter(|w| dominates_point(arm(w).point(axes), loser_point))
+        .map(|w| Win {
+            family: family.to_string(),
+            winner: w.clone(),
+            loser: loser.to_string(),
+        })
+        .collect();
+    for win in &wins {
+        eprintln!("pareto win: {} dominates {}", win.winner, win.loser);
+    }
+    wins
+}
+
+/// The arms of a report read back as JSON.
+fn arms_of(report: &Value) -> impl Iterator<Item = &Value> {
+    report["arms"].as_array().into_iter().flatten()
+}
+
+/// The first outcome field on which two arms disagree.
+fn drifted_field(old: &Value, new: &Value) -> Option<String> {
+    let keys = |v: &Value| -> Vec<String> {
+        v.as_object()
+            .map(|m| m.keys().cloned().collect())
+            .unwrap_or_default()
+    };
+    keys(old)
+        .into_iter()
+        .chain(keys(new))
+        .find(|k| !same_bits(&old[k.as_str()], &new[k.as_str()]))
+}
+
+/// Exact equality of two outcome values, compared as JSON text: floats
+/// print in shortest round-trip form, so equal text means equal bits.
+/// (`Value`'s `==` compares numbers by value, so `1` equals `1.0`.)
+fn same_bits(a: &Value, b: &Value) -> bool {
+    let (a, b) = (a.to_string(), b.to_string());
+    a == b
+}
+
+/// The `--baseline` gate. The `reference` arm must be no more than
+/// [`REGRESSION_FACTOR`] times slower than the baseline's; when both
+/// batches ran at the same thread count above one, the fresh speedup
+/// must be at least the baseline's over [`REGRESSION_FACTOR`]; and every
+/// arm present in both reports must agree on every outcome field.
+fn gate(reference: &str, base: &Value, fresh: &Value) -> Result<(), BenchError> {
+    let wall_ms = |which: &'static str, report: &Value| {
+        arms_of(report)
+            .find(|a| a["name"] == reference)
+            .and_then(|a| a["wall_ms"].as_f64())
+            .ok_or_else(|| BenchError::Usage(format!("{which} report lacks the {reference} arm")))
+    };
+    let (base_ms, fresh_ms) = (wall_ms("baseline", base)?, wall_ms("fresh", fresh)?);
+
+    for arm in arms_of(fresh) {
+        let Some(old) = arms_of(base).find(|a| a["name"] == arm["name"]) else {
+            continue;
+        };
+        if let Some(field) = drifted_field(&old["outcome"], &arm["outcome"]) {
+            return Err(BenchError::Regression(format!(
+                "outcome drift on {}: {field} is {} but the baseline has {}",
+                arm["name"].as_str().unwrap_or_default(),
+                arm["outcome"][field.as_str()],
+                old["outcome"][field.as_str()]
+            )));
         }
     }
 
-    fn log(&self) {
-        eprintln!(
-            "{:<38} {:>9.1} ms @1t vs {:>9.1} ms @{}t  ({:.2}x, {:.0}% efficiency)",
-            self.name,
-            self.wall_ms_1t,
-            self.wall_ms_nt,
-            self.threads,
-            self.speedup_vs_1t,
-            self.scaling_efficiency * 100.0
-        );
-    }
-}
-
-#[derive(Debug, Serialize, Deserialize)]
-struct BenchReport {
-    schema: String,
-    rate_per_min: f64,
-    quota: u32,
-    job_cap: u32,
-    seed: u64,
-    chaos_spec: String,
-    /// Resolved worker thread count for this run.
-    #[serde(default)]
-    threads: usize,
-    arms: Vec<ArmResult>,
-    /// Heap-vs-naive wall-clock ratio on the reference arm pair.
-    speedup_2k: Option<Speedup>,
-    /// Multi-seed thread-scaling measurement (absent in v1 baselines).
-    #[serde(default)]
-    scaling: Option<ScalingResult>,
-}
-
-fn run_arm(jobs: usize, policy: &str, chaos: bool, engine: FleetEngine) -> ArmResult {
-    let sweep = match engine {
-        FleetEngine::Heap => SweepMode::Pruned,
-        FleetEngine::Naive => SweepMode::Exhaustive,
-    };
-    set_sweep_mode(sweep);
-    let mut spec = ClusterSpec::new(FleetSpec::poisson(jobs, RATE_PER_MIN, SEED), QUOTA)
-        .with_job_cap(JOB_CAP)
-        .with_recovery(RecoveryPolicy::CheckpointResume)
-        .with_checkpoint_every(5)
-        .with_engine(engine);
-    if chaos {
-        spec = spec.with_chaos(FaultSchedule::parse(CHAOS_SPEC).expect("chaos spec parses"));
-    }
-    let registry = Registry::new();
-    let sim =
-        ClusterSim::new(spec, policy_by_name(policy).expect("known policy")).with_obs(&registry);
-    let start = Instant::now();
-    let report = sim.run();
-    let wall_ms = start.elapsed().as_secs_f64() * 1e3;
-    set_sweep_mode(SweepMode::Pruned);
-
-    let engine_name = match engine {
-        FleetEngine::Heap => "heap",
-        FleetEngine::Naive => "naive",
-    };
-    let variant = if chaos { "chaos" } else { "clean" };
-    let completed = report
-        .jobs
-        .iter()
-        .filter(|j| j.status == ce_cluster::JobStatus::Completed)
-        .count();
-    let arm = ArmResult {
-        name: format!("fleet/{jobs}/{policy}/{variant}/{engine_name}"),
-        jobs,
-        policy: policy.to_string(),
-        chaos,
-        engine: engine_name.to_string(),
-        wall_ms,
-        completed,
-        fleet_dollars: report.fleet_dollars,
-    };
-    eprintln!(
-        "{:<38} {:>9.1} ms  ({} completed, ${:.2})",
-        arm.name, arm.wall_ms, arm.completed, arm.fleet_dollars
-    );
-    arm
-}
-
-/// Times the `jobs`-job fifo/clean fleet as a batch of independent
-/// seeds, sequentially and at `threads` workers, asserting the reports
-/// and metric exports byte-equal before reporting the ratio.
-fn run_fleet_scaling(jobs: usize, threads: usize) -> ScalingResult {
-    let seeds: Vec<u64> = (0..SCALING_SEEDS).map(|i| SEED + i).collect();
-    let batch = || {
-        run_fleet_seeds(&seeds, |seed| {
-            ClusterSim::new(
-                ClusterSpec::new(FleetSpec::poisson(jobs, RATE_PER_MIN, seed), QUOTA)
-                    .with_job_cap(JOB_CAP)
-                    .with_recovery(RecoveryPolicy::CheckpointResume)
-                    .with_checkpoint_every(5)
-                    .with_engine(FleetEngine::Heap),
-                policy_by_name("fifo").expect("known policy"),
-            )
-        })
-    };
-    let start = Instant::now();
-    let seq = rayon::with_threads(1, batch);
-    let wall_ms_1t = start.elapsed().as_secs_f64() * 1e3;
-    let start = Instant::now();
-    let par = rayon::with_threads(threads, batch);
-    let wall_ms_nt = start.elapsed().as_secs_f64() * 1e3;
-    for ((r1, o1), (r2, o2)) in seq.iter().zip(&par) {
-        assert_eq!(
-            (r1.fleet_dollars.to_bits(), &r1.jobs),
-            (r2.fleet_dollars.to_bits(), &r2.jobs),
-            "parallel batch diverged from sequential on fleet/{jobs}"
-        );
-        assert_eq!(
-            o1.export_jsonl(),
-            o2.export_jsonl(),
-            "metric export diverged on fleet/{jobs}"
-        );
-    }
-    let result = ScalingResult::from_walls(
-        format!("fleet-batch/{jobs}x{SCALING_SEEDS}"),
-        threads,
-        seeds,
-        wall_ms_1t,
-        wall_ms_nt,
-    );
-    result.log();
-    result
-}
-
-/// Requests per second for every serving arm (diurnal base rate).
-const SERVE_RPS: f64 = 200.0;
-/// Latency SLO for the serving arms (milliseconds).
-const SERVE_SLO_MS: f64 = 800.0;
-/// The serving reference arm for the CI threshold.
-const SERVE_REFERENCE: &str = "serve/100000/target/adaptive";
-
-#[derive(Debug, Clone, Serialize, Deserialize)]
-struct ServeArmResult {
-    /// `serve/<requests>/<autoscaler>/<keep-alive>`.
-    name: String,
-    requests: u64,
-    autoscaler: String,
-    keep_alive: String,
-    wall_ms: f64,
-    /// Simulated requests processed per wall-clock second.
-    reqs_per_sec: f64,
-    /// Outcome checksums: equal-config arms must agree exactly.
-    completed: u64,
-    violation_rate: f64,
-    dollars: f64,
-}
-
-#[derive(Debug, Serialize, Deserialize)]
-struct ServeBenchReport {
-    schema: String,
-    rps: f64,
-    slo_ms: f64,
-    seed: u64,
-    /// Resolved worker thread count for this run.
-    #[serde(default)]
-    threads: usize,
-    arms: Vec<ServeArmResult>,
-    /// Multi-seed thread-scaling measurement (absent in v1 baselines).
-    #[serde(default)]
-    scaling: Option<ScalingResult>,
-}
-
-fn serve_spec(target_requests: u64, seed: u64) -> ce_serve::ServeSpec {
-    use ce_serve::{ArrivalModel, ServeSpec};
-    // Open-loop rate is fixed; scale comes from the arrival window. One
-    // day/night cycle per 500 s keeps the diurnal shape at every size.
-    let duration_s = target_requests as f64 / SERVE_RPS;
-    ServeSpec::new(
-        ArrivalModel::Diurnal {
-            base_rps: SERVE_RPS,
-            amplitude: 0.8,
-            period_s: 500.0,
-        },
-        duration_s,
-        seed,
-    )
-    .with_slo_ms(SERVE_SLO_MS)
-}
-
-/// Resolves an autoscaler name to a typed usage error (exit 2) instead
-/// of a panic — override flags make these names user input.
-fn resolve_autoscaler(name: &str) -> Result<Box<dyn ce_serve::Autoscaler>, BenchError> {
-    ce_serve::autoscaler_by_name(name).ok_or_else(|| {
-        BenchError::Usage(ce_sim_core::unknown_name_msg(
-            "autoscaler",
-            name,
-            ce_serve::autoscaler_names(),
-        ))
-    })
-}
-
-/// Resolves a keep-alive name, forwarding the parser's own message
-/// (which lists the valid policies) as a usage error.
-fn resolve_keep_alive(name: &str) -> Result<Box<dyn ce_faas::KeepAlive>, BenchError> {
-    ce_faas::parse_keep_alive(name).map_err(|e| BenchError::Usage(e.to_string()))
-}
-
-/// Resolves a lifecycle priority-policy name the same way.
-fn resolve_priority(name: &str) -> Result<Box<dyn ce_lifecycle::PriorityPolicy>, BenchError> {
-    ce_lifecycle::priority_by_name(name).ok_or_else(|| {
-        BenchError::Usage(ce_sim_core::unknown_name_msg(
-            "priority policy",
-            name,
-            ce_lifecycle::priority_names(),
-        ))
-    })
-}
-
-fn run_serve_arm(
-    target_requests: u64,
-    autoscaler: &str,
-    keep_alive: &str,
-) -> Result<ServeArmResult, BenchError> {
-    use ce_serve::ServeSim;
-    let sim = ServeSim::new(
-        serve_spec(target_requests, SEED),
-        resolve_autoscaler(autoscaler)?,
-        resolve_keep_alive(keep_alive)?,
-    );
-    let start = Instant::now();
-    let report = sim.run();
-    let wall_ms = start.elapsed().as_secs_f64() * 1e3;
-    let arm = ServeArmResult {
-        name: format!("serve/{target_requests}/{autoscaler}/{keep_alive}"),
-        requests: report.requests,
-        autoscaler: autoscaler.to_string(),
-        keep_alive: keep_alive.to_string(),
-        wall_ms,
-        reqs_per_sec: report.requests as f64 / (wall_ms / 1e3).max(1e-9),
-        completed: report.completed,
-        violation_rate: report.violation_rate(),
-        dollars: report.dollars,
-    };
-    eprintln!(
-        "{:<38} {:>9.1} ms  ({:.0} req/s, {:.2}% viol, ${:.4})",
-        arm.name,
-        arm.wall_ms,
-        arm.reqs_per_sec,
-        arm.violation_rate * 100.0,
-        arm.dollars
-    );
-    Ok(arm)
-}
-
-/// Times the `requests`-request target/adaptive serve arm as a batch of
-/// independent seeds, sequentially and at `threads` workers, asserting
-/// metric exports byte-equal before reporting the ratio.
-fn run_serve_scaling(
-    requests: u64,
-    threads: usize,
-    autoscaler: &str,
-    keep_alive: &str,
-) -> Result<ScalingResult, BenchError> {
-    use ce_serve::ServeSim;
-    use rayon::prelude::*;
-    // Resolve once, eagerly: a bad override name must fail as a usage
-    // error before any timing starts.
-    resolve_autoscaler(autoscaler)?;
-    resolve_keep_alive(keep_alive)?;
-    let seeds: Vec<u64> = (0..SCALING_SEEDS).map(|i| SEED + i).collect();
-    let batch = || -> Vec<(u64, u64, u64, String)> {
-        seeds
-            .par_iter()
-            .map(|&seed| {
-                let obs = Registry::new();
-                let sim = ServeSim::new(
-                    serve_spec(requests, seed),
-                    resolve_autoscaler(autoscaler).expect("resolved above"),
-                    resolve_keep_alive(keep_alive).expect("resolved above"),
-                )
-                .with_obs(&obs);
-                let r = sim.run();
-                (
-                    r.requests,
-                    r.completed,
-                    r.dollars.to_bits(),
-                    obs.export_jsonl(),
-                )
-            })
-            .collect()
-    };
-    let start = Instant::now();
-    let seq = rayon::with_threads(1, batch);
-    let wall_ms_1t = start.elapsed().as_secs_f64() * 1e3;
-    let start = Instant::now();
-    let par = rayon::with_threads(threads, batch);
-    let wall_ms_nt = start.elapsed().as_secs_f64() * 1e3;
-    assert_eq!(
-        seq, par,
-        "parallel serve batch diverged from sequential on serve/{requests}"
-    );
-    let result = ScalingResult::from_walls(
-        format!("serve-batch/{requests}x{SCALING_SEEDS}"),
-        threads,
-        seeds,
-        wall_ms_1t,
-        wall_ms_nt,
-    );
-    result.log();
-    Ok(result)
-}
-
-fn write_report(out: &str, json: String) -> Result<(), BenchError> {
-    std::fs::write(out, json + "\n").map_err(|source| BenchError::Io {
-        what: "write report to",
-        path: out.to_string(),
-        source,
-    })?;
-    eprintln!("wrote {out}");
-    Ok(())
-}
-
-fn read_baseline<T: serde::Deserialize>(path: &str) -> Result<T, BenchError> {
-    let text = std::fs::read_to_string(path).map_err(|source| BenchError::Io {
-        what: "read baseline",
-        path: path.to_string(),
-        source,
-    })?;
-    serde_json::from_str(&text).map_err(|source| BenchError::BaselineParse {
-        path: path.to_string(),
-        source,
-    })
-}
-
-/// The shared `--baseline` gate: wall-clock on the reference arm within
-/// `REGRESSION_FACTOR` of the committed run, and — when both runs
-/// measured scaling at the same thread count — fresh parallel speedup
-/// no worse than half the committed one.
-fn check_gate(
-    reference: &str,
-    base_ms: Option<f64>,
-    fresh_ms: Option<f64>,
-    base_scaling: Option<&ScalingResult>,
-    fresh_scaling: Option<&ScalingResult>,
-) -> Result<(), BenchError> {
-    let base_ms = base_ms.ok_or(BenchError::MissingReferenceArm {
-        which: "baseline",
-        arm: reference.to_string(),
-    })?;
-    let fresh_ms = fresh_ms.ok_or(BenchError::MissingReferenceArm {
-        which: "fresh",
-        arm: reference.to_string(),
-    })?;
     eprintln!(
         "threshold check: fresh {fresh_ms:.1} ms vs baseline {base_ms:.1} ms \
          (limit {:.1} ms)",
@@ -558,217 +375,311 @@ fn check_gate(
              than the committed baseline"
         )));
     }
-    if let (Some(base), Some(fresh)) = (base_scaling, fresh_scaling) {
-        if base.threads == fresh.threads && base.threads > 1 {
-            eprintln!(
-                "scaling check: fresh {:.2}x vs baseline {:.2}x at {} threads",
-                fresh.speedup_vs_1t, base.speedup_vs_1t, fresh.threads
-            );
-            if fresh.speedup_vs_1t < base.speedup_vs_1t / REGRESSION_FACTOR {
-                return Err(BenchError::Regression(format!(
-                    "parallel speedup on {} collapsed: fresh {:.2}x vs committed {:.2}x \
-                     at {} threads",
-                    fresh.name, fresh.speedup_vs_1t, base.speedup_vs_1t, fresh.threads
-                )));
-            }
+
+    let (base, fresh) = (&base["scaling"], &fresh["scaling"]);
+    let threads = fresh["threads"].as_u64().unwrap_or(0);
+    if threads > 1 && base["threads"].as_u64() == Some(threads) {
+        let speedup = |s: &Value| s["speedup_vs_1t"].as_f64().unwrap_or(0.0);
+        let (base_x, fresh_x) = (speedup(base), speedup(fresh));
+        eprintln!(
+            "scaling check: fresh {fresh_x:.2}x vs baseline {base_x:.2}x at {threads} threads"
+        );
+        if fresh_x < base_x / REGRESSION_FACTOR {
+            return Err(BenchError::Regression(format!(
+                "parallel speedup on {} collapsed: fresh {fresh_x:.2}x vs committed \
+                 {base_x:.2}x at {threads} threads",
+                fresh["name"]
+            )));
         }
     }
     Ok(())
 }
 
-fn run_serve_suite(
-    quick: bool,
-    out: &str,
-    baseline: Option<&str>,
-    threads: usize,
-    overrides: &Overrides,
-) -> Result<(), BenchError> {
-    // Load the baseline up front: a missing or malformed file should
-    // fail in milliseconds, not after minutes of benchmarking.
-    let base: Option<ServeBenchReport> = baseline.map(read_baseline).transpose()?;
-    let scales: &[u64] = if quick {
-        &[10_000, 100_000]
-    } else {
-        &[10_000, 100_000, 1_000_000]
-    };
-    // An --autoscaler/--keepalive override narrows the matrix to that
-    // single pair (either half defaults to the reference pair's).
-    let pairs: Vec<(&str, &str)> =
-        if overrides.autoscaler.is_some() || overrides.keep_alive.is_some() {
-            vec![(
-                overrides.autoscaler.as_deref().unwrap_or("target"),
-                overrides.keep_alive.as_deref().unwrap_or("adaptive"),
-            )]
-        } else {
-            vec![
-                ("target", "adaptive"),
-                ("fixed:64", "fixed:600"),
-                ("prewarm", "histogram"),
-            ]
-        };
-    let mut arms = Vec::new();
-    for &requests in scales {
-        for &(autoscaler, keep_alive) in &pairs {
-            arms.push(run_serve_arm(requests, autoscaler, keep_alive)?);
-        }
-    }
-    let (scale_as, scale_ka) = pairs[0];
-    let scaling = Some(run_serve_scaling(
-        *scales.last().unwrap(),
-        threads,
-        scale_as,
-        scale_ka,
-    )?);
-    let report = ServeBenchReport {
-        schema: "ce-bench/serve/v2".to_string(),
-        rps: SERVE_RPS,
-        slo_ms: SERVE_SLO_MS,
-        seed: SEED,
-        threads,
-        arms,
-        scaling,
-    };
-    let json = serde_json::to_string_pretty(&report).expect("report serializes");
-    write_report(out, json)?;
+/// Fleet suite: arrival rate (jobs per minute), shared account quota,
+/// per-job worker cap, and the chaos arms' fault schedule.
+const RATE_PER_MIN: f64 = 120.0;
+const QUOTA: u32 = 400;
+const JOB_CAP: u32 = 8;
+const CHAOS_SPEC: &str = "crash:0.05@0..inf;outage:s3@1800..3600";
+/// The heap/naive arm pair behind the engine speedup figure.
+const FLEET_PAIR: &str = "fleet/2000/fifo/clean";
 
-    if let Some(base) = base {
-        let arm_ms = |r: &ServeBenchReport| {
-            r.arms
-                .iter()
-                .find(|a| a.name == SERVE_REFERENCE)
-                .map(|a| a.wall_ms)
-        };
-        check_gate(
-            SERVE_REFERENCE,
-            arm_ms(&base),
-            arm_ms(&report),
-            base.scaling.as_ref(),
-            report.scaling.as_ref(),
-        )?;
+fn fleet_sim(jobs: usize, seed: u64, policy: &str, chaos: bool, engine: FleetEngine) -> ClusterSim {
+    let mut spec = ClusterSpec::new(FleetSpec::poisson(jobs, RATE_PER_MIN, seed), QUOTA)
+        .with_job_cap(JOB_CAP)
+        .with_recovery(RecoveryPolicy::CheckpointResume)
+        .with_checkpoint_every(5)
+        .with_engine(engine);
+    if chaos {
+        spec = spec.with_chaos(FaultSchedule::parse(CHAOS_SPEC).expect("chaos spec parses"));
     }
-    Ok(())
+    ClusterSim::new(spec, policy_by_name(policy).expect("known policy"))
 }
 
-fn run_fleet_suite(
-    quick: bool,
-    out: &str,
-    baseline: Option<&str>,
-    threads: usize,
-) -> Result<(), BenchError> {
-    // Load the baseline up front: a missing or malformed file should
-    // fail in milliseconds, not after minutes of benchmarking.
-    let base: Option<BenchReport> = baseline.map(read_baseline).transpose()?;
+/// One fleet arm. The **heap** engine runs the shipping configuration
+/// (indexed ready-set dispatch, pruned loss-curve sweep); the **naive**
+/// engine is the pre-optimization differential oracle (linear-scan
+/// dispatch, exhaustive sweep). Both give bit-identical outcomes.
+fn fleet_arm(jobs: usize, policy: &str, chaos: bool, engine: FleetEngine) -> Arm {
+    let (engine_name, sweep) = match engine {
+        FleetEngine::Heap => ("heap", SweepMode::Pruned),
+        FleetEngine::Naive => ("naive", SweepMode::Exhaustive),
+    };
+    set_sweep_mode(sweep);
+    let registry = Registry::new();
+    let sim = fleet_sim(jobs, SEED, policy, chaos, engine).with_obs(&registry);
+    let (report, wall_ms) = timed(|| sim.run());
+    set_sweep_mode(SweepMode::Pruned);
+    let variant = if chaos { "chaos" } else { "clean" };
+    Arm::new(
+        format!("fleet/{jobs}/{policy}/{variant}/{engine_name}"),
+        wall_ms,
+        jobs as u64,
+        json!({
+            "jobs": jobs,
+            "policy": policy,
+            "chaos": chaos,
+            "engine": engine_name,
+            "completed": report.count(ce_cluster::JobStatus::Completed),
+            "fleet_dollars": report.fleet_dollars,
+        }),
+    )
+}
+
+fn fleet(quick: bool, threads: usize) -> Result<Report, BenchError> {
     let sizes: &[usize] = if quick {
         &[500, 2000]
     } else {
         &[500, 2000, 10_000]
     };
-    let policies = ["fifo", "edf", "cost-greedy"];
-
     let mut arms = Vec::new();
-    // Heap arms: the full matrix.
     for &jobs in sizes {
-        for policy in policies {
+        for policy in ["fifo", "edf", "cost-greedy"] {
             for chaos in [false, true] {
-                arms.push(run_arm(jobs, policy, chaos, FleetEngine::Heap));
+                arms.push(fleet_arm(jobs, policy, chaos, FleetEngine::Heap));
             }
         }
     }
-    // Naive (pre-optimization) baseline arms: fifo at the small and
-    // reference sizes. The 10k naive arm is omitted — the quadratic scan
-    // plus exhaustive sweep make it minutes of wall-clock for no extra
-    // information.
-    for &jobs in &[500usize, 2000] {
+    // No 10k naive arm: the quadratic scan plus exhaustive sweep make it
+    // minutes of wall-clock for no extra information.
+    for jobs in [500, 2000] {
         for chaos in [false, true] {
             if quick && (jobs != 2000 || chaos) {
                 continue; // CI smoke only needs the reference pair
             }
-            arms.push(run_arm(jobs, "fifo", chaos, FleetEngine::Naive));
+            arms.push(fleet_arm(jobs, "fifo", chaos, FleetEngine::Naive));
         }
     }
 
-    // Differential re-assertion: equal-config arm pairs must agree on
-    // outcomes exactly (the engines are bit-identical by contract).
-    for naive in arms.iter().filter(|a| a.engine == "naive") {
-        let twin = arms
-            .iter()
-            .find(|a| {
-                a.engine == "heap"
-                    && a.jobs == naive.jobs
-                    && a.policy == naive.policy
-                    && a.chaos == naive.chaos
-            })
-            .expect("every naive arm has a heap twin");
-        assert_eq!(
-            (naive.completed, naive.fleet_dollars.to_bits()),
-            (twin.completed, twin.fleet_dollars.to_bits()),
-            "engines diverged on {}",
-            naive.name
-        );
+    // The claim: each naive arm reproduces its heap twin exactly.
+    for naive in arms.iter().filter(|a| a.name.ends_with("/naive")) {
+        let twin_name = naive.name.replace("/naive", "/heap");
+        let twin = arms.iter().find(|a| a.name == twin_name);
+        let twin = twin.expect("every naive arm has a heap twin");
+        for field in ["completed", "fleet_dollars"] {
+            if !same_bits(&naive.outcome[field], &twin.outcome[field]) {
+                return Err(BenchError::Regression(format!(
+                    "engines diverged on {}: {field} is {} but {twin_name} has {}",
+                    naive.name, naive.outcome[field], twin.outcome[field]
+                )));
+            }
+        }
     }
-
-    let find = |engine: &str| {
-        arms.iter()
-            .find(|a| a.name == format!("{REFERENCE}/{engine}"))
-            .map(|a| a.wall_ms)
+    let wall_ms = |engine: &str| {
+        let name = format!("{FLEET_PAIR}/{engine}");
+        let arm = arms.iter().find(|a| a.name == name);
+        arm.expect("the reference pair always runs").wall_ms
     };
-    let speedup_2k = match (find("heap"), find("naive")) {
-        (Some(heap_wall_ms), Some(naive_wall_ms)) => Some(Speedup {
-            reference: REFERENCE.to_string(),
-            heap_wall_ms,
-            naive_wall_ms,
-            ratio: naive_wall_ms / heap_wall_ms,
-        }),
-        _ => None,
-    };
-    if let Some(s) = &speedup_2k {
-        eprintln!(
-            "speedup at {}: {:.2}x (heap {:.1} ms vs naive {:.1} ms)",
-            s.reference, s.ratio, s.heap_wall_ms, s.naive_wall_ms
-        );
-    }
+    let (heap_wall_ms, naive_wall_ms) = (wall_ms("heap"), wall_ms("naive"));
+    let ratio = naive_wall_ms / heap_wall_ms;
+    eprintln!(
+        "speedup at {FLEET_PAIR}: {ratio:.2}x (heap {heap_wall_ms:.1} ms vs naive \
+         {naive_wall_ms:.1} ms)"
+    );
+    let speedup = Some(Speedup {
+        reference: FLEET_PAIR.to_string(),
+        heap_wall_ms,
+        naive_wall_ms,
+        ratio,
+    });
 
-    let scaling = Some(run_fleet_scaling(*sizes.last().unwrap(), threads));
-    let report = BenchReport {
-        schema: "ce-bench/fleet/v2".to_string(),
-        rate_per_min: RATE_PER_MIN,
-        quota: QUOTA,
-        job_cap: JOB_CAP,
-        seed: SEED,
-        chaos_spec: CHAOS_SPEC.to_string(),
+    let jobs = *sizes.last().expect("the matrix has a largest size");
+    let scaling = time_seed_batch(
+        format!("fleet-batch/{jobs}x{BATCH_SEEDS}"),
+        BATCH_SEEDS,
         threads,
-        arms,
-        speedup_2k,
-        scaling,
-    };
-    let json = serde_json::to_string_pretty(&report).expect("report serializes");
-    write_report(out, json)?;
-
-    if let Some(base) = base {
-        let arm_ms = |r: &BenchReport| {
-            r.arms
-                .iter()
-                .find(|a| a.name == format!("{REFERENCE}/heap"))
-                .map(|a| a.wall_ms)
-        };
-        check_gate(
-            &format!("{REFERENCE}/heap"),
-            arm_ms(&base),
-            arm_ms(&report),
-            base.scaling.as_ref(),
-            report.scaling.as_ref(),
-        )?;
-    }
-    Ok(())
+        |seed| {
+            seed_text(|obs| {
+                fleet_sim(jobs, seed, "fifo", false, FleetEngine::Heap)
+                    .with_obs(obs)
+                    .run()
+            })
+        },
+    )?;
+    let config = json!({
+        "rate_per_min": RATE_PER_MIN,
+        "quota": QUOTA,
+        "job_cap": JOB_CAP,
+        "seed": SEED,
+        "chaos_spec": CHAOS_SPEC,
+    });
+    Ok(Report {
+        speedup,
+        ..Report::new("fleet", config, threads, arms, scaling)
+    })
 }
 
-/// Chaos schedule for the resilience arms: steady crashes plus cold
-/// spikes so retries, hedges, timeouts, and the breaker all exercise.
+/// Serve suite: diurnal base rate (requests per second) and latency SLO
+/// (milliseconds), shared by the resilience suite; the SLO also by the
+/// zoo suites.
+const SERVE_RPS: f64 = 200.0;
+const SERVE_SLO_MS: f64 = 800.0;
+
+fn serve_spec(target_requests: u64, seed: u64) -> ServeSpec {
+    // Open-loop rate is fixed; scale comes from the arrival window. One
+    // day/night cycle per 500 s keeps the diurnal shape at every size.
+    let duration_s = target_requests as f64 / SERVE_RPS;
+    ServeSpec::new(
+        ce_serve::ArrivalModel::Diurnal {
+            base_rps: SERVE_RPS,
+            amplitude: 0.8,
+            period_s: 500.0,
+        },
+        duration_s,
+        seed,
+    )
+    .with_slo_ms(SERVE_SLO_MS)
+}
+
+fn serve_sim(spec: ServeSpec, autoscaler: &str, keep_alive: &str) -> ServeSim {
+    ServeSim::new(
+        spec,
+        ce_serve::autoscaler_by_name(autoscaler).expect("known autoscaler"),
+        ce_faas::parse_keep_alive(keep_alive).expect("known keep-alive"),
+    )
+}
+
+/// Times one serving arm, reading its outcome off the report.
+fn serve_arm(name: String, sim: ServeSim, outcome: impl FnOnce(&ServeReport) -> Value) -> Arm {
+    let (report, wall_ms) = timed(|| sim.run());
+    Arm::new(name, wall_ms, report.requests, outcome(&report))
+}
+
+fn serve(quick: bool, threads: usize) -> Result<Report, BenchError> {
+    let scales: &[u64] = if quick {
+        &[10_000, 100_000]
+    } else {
+        &[10_000, 100_000, 1_000_000]
+    };
+    let mut arms = Vec::new();
+    for &requests in scales {
+        for (autoscaler, keep_alive) in [
+            ("target", "adaptive"),
+            ("fixed:64", "fixed:600"),
+            ("prewarm", "histogram"),
+        ] {
+            let sim = serve_sim(serve_spec(requests, SEED), autoscaler, keep_alive);
+            arms.push(serve_arm(
+                format!("serve/{requests}/{autoscaler}/{keep_alive}"),
+                sim,
+                |r| {
+                    json!({
+                        "requests": r.requests,
+                        "autoscaler": autoscaler,
+                        "keep_alive": keep_alive,
+                        "completed": r.completed,
+                        "violation_rate": r.violation_rate(),
+                        "dollars": r.dollars,
+                    })
+                },
+            ));
+        }
+    }
+    let requests = *scales.last().expect("the matrix has a largest scale");
+    let scaling = time_seed_batch(
+        format!("serve-batch/{requests}x{BATCH_SEEDS}"),
+        BATCH_SEEDS,
+        threads,
+        |seed| {
+            seed_text(|obs| {
+                serve_sim(serve_spec(requests, seed), "target", "adaptive")
+                    .with_obs(obs)
+                    .run()
+            })
+        },
+    )?;
+    let config = json!({"rps": SERVE_RPS, "slo_ms": SERVE_SLO_MS, "seed": SEED});
+    Ok(Report::new("serve", config, threads, arms, scaling))
+}
+
+/// Lifecycle suite: per-tenant request rate, serve-arrival window
+/// (seconds), shared quota, training wave-width cap, and mean drift
+/// interval (seconds).
+const LIFECYCLE_RPS: f64 = 4.0;
+const LIFECYCLE_DURATION_S: f64 = 300.0;
+const LIFECYCLE_QUOTA: u32 = 32;
+const LIFECYCLE_JOB_CAP: u32 = 8;
+const LIFECYCLE_DRIFT_S: f64 = 150.0;
+
+fn lifecycle_sim(tenants: u32, seed: u64, priority: &str) -> ce_lifecycle::LifecycleSim {
+    let spec = ce_lifecycle::LifecycleSpec::new(tenants, LIFECYCLE_DURATION_S, seed)
+        .with_quota(LIFECYCLE_QUOTA)
+        .with_job_cap(LIFECYCLE_JOB_CAP)
+        .with_rps(LIFECYCLE_RPS)
+        .with_drift_mean_s(LIFECYCLE_DRIFT_S);
+    let policy = ce_lifecycle::priority_by_name(priority).expect("known priority policy");
+    ce_lifecycle::LifecycleSim::new(spec, policy)
+}
+
+fn lifecycle(quick: bool, threads: usize) -> Result<Report, BenchError> {
+    let sizes: &[u32] = if quick { &[4] } else { &[4, 8] };
+    let mut arms = Vec::new();
+    for &tenants in sizes {
+        for &priority in ce_lifecycle::priority_names() {
+            let sim = lifecycle_sim(tenants, SEED, priority);
+            let (r, wall_ms) = timed(|| sim.run());
+            arms.push(Arm::new(
+                format!("lifecycle/{tenants}/{priority}"),
+                wall_ms,
+                r.requests(),
+                json!({
+                    "tenants": tenants,
+                    "priority": priority,
+                    "requests": r.requests(),
+                    "serve_violation_rate": r.serve_violation_rate(),
+                    "train_miss_rate": r.train_miss_rate(),
+                    "preemptions": r.preemptions(),
+                    "dollars": r.total_dollars(),
+                }),
+            ));
+        }
+    }
+    let tenants = *sizes.last().expect("the matrix has a largest size");
+    let scaling = time_seed_batch(
+        format!("lifecycle-batch/{tenants}x{BATCH_SEEDS}"),
+        BATCH_SEEDS,
+        threads,
+        |seed| {
+            seed_text(|obs| {
+                lifecycle_sim(tenants, seed, "serve-first")
+                    .with_obs(obs)
+                    .run()
+            })
+        },
+    )?;
+    let config = json!({
+        "rps": LIFECYCLE_RPS,
+        "duration_s": LIFECYCLE_DURATION_S,
+        "quota": LIFECYCLE_QUOTA,
+        "job_cap": LIFECYCLE_JOB_CAP,
+        "seed": SEED,
+    });
+    Ok(Report::new("lifecycle", config, threads, arms, scaling))
+}
+
+/// Resilience suite: steady crashes plus cold spikes, so retries, hedges,
+/// timeouts and the breaker all exercise.
 const RESILIENCE_CHAOS: &str = "crash:0.2@0..inf;coldspike:x4@0..inf";
-/// The resilience reference arm for the CI threshold.
-const RESILIENCE_REFERENCE: &str = "resilience/100000/full";
-/// Per-mechanism configurations benchmarked at every scale.
-const RESILIENCE_CONFIGS: [&str; 6] = ["off", "timeout", "retry", "hedge", "breaker", "full"];
 
 /// The breaker the bench arms run. Under coldspike chaos, crashes
 /// resolve long before cold successes, so the first outcome window is
@@ -785,172 +696,37 @@ fn bench_breaker() -> ce_resilience::BreakerSpec {
     }
 }
 
-fn resilience_config(name: &str) -> ce_resilience::ResilienceSpec {
+/// The standard diurnal load under [`RESILIENCE_CHAOS`], with `config`'s
+/// mechanisms switched on. Prewarm absorbs bursts into cold starts,
+/// which is exactly the variance hedges and timeouts act on.
+fn resilience_sim(target_requests: u64, seed: u64, config: &str) -> ServeSim {
     use ce_resilience::{BrownoutSpec, HedgePolicy, ResilienceSpec, RetryPolicy};
-    let mut spec = ResilienceSpec::disabled();
-    match name {
-        "off" => {}
-        "timeout" => spec.timeout_ms = Some(2000.0),
-        "retry" => {
-            spec.retry = Some(RetryPolicy::new(2));
-            spec.retry_budget = Some(0.5);
-        }
-        "hedge" => spec.hedge = Some(HedgePolicy::P95),
-        "breaker" => spec.breaker = Some(bench_breaker()),
-        "full" => {
-            spec.timeout_ms = Some(2000.0);
-            spec.retry = Some(RetryPolicy::new(2));
-            spec.retry_budget = Some(0.5);
-            spec.hedge = Some(HedgePolicy::P95);
-            spec.breaker = Some(bench_breaker());
-            spec.brownout = Some(BrownoutSpec::new(0.6));
-        }
-        other => unreachable!("internal config name: {other}"),
+    let mut res = ResilienceSpec::disabled();
+    if matches!(config, "timeout" | "full") {
+        res.timeout_ms = Some(2000.0);
     }
-    spec
-}
-
-/// The serve spec for one resilience arm: the standard diurnal load
-/// under [`RESILIENCE_CHAOS`], with `config`'s mechanisms switched on.
-fn resilient_spec(target_requests: u64, seed: u64, config: &str) -> ce_serve::ServeSpec {
+    if matches!(config, "retry" | "full") {
+        res.retry = Some(RetryPolicy::new(2));
+        res.retry_budget = Some(0.5);
+    }
+    if matches!(config, "hedge" | "full") {
+        res.hedge = Some(HedgePolicy::P95);
+    }
+    if matches!(config, "breaker" | "full") {
+        res.breaker = Some(bench_breaker());
+    }
+    if config == "full" {
+        res.brownout = Some(BrownoutSpec::new(0.6));
+    }
     let mut spec = serve_spec(target_requests, seed)
         .with_chaos(FaultSchedule::parse(RESILIENCE_CHAOS).expect("chaos spec parses"));
-    let res = resilience_config(config);
     if res.enabled() {
         spec = spec.with_resilience(res);
     }
-    spec
+    serve_sim(spec, "prewarm", "fixed:60")
 }
 
-#[derive(Debug, Clone, Serialize, Deserialize)]
-struct ResilienceArmResult {
-    /// `resilience/<requests>/<config>`.
-    name: String,
-    requests: u64,
-    config: String,
-    wall_ms: f64,
-    /// Simulated requests processed per wall-clock second.
-    reqs_per_sec: f64,
-    /// Outcome checksums: equal-config arms must agree exactly.
-    completed: u64,
-    failed: u64,
-    attempts: u64,
-    violation_rate: f64,
-    dollars: f64,
-}
-
-#[derive(Debug, Serialize, Deserialize)]
-struct ResilienceBenchReport {
-    schema: String,
-    rps: f64,
-    slo_ms: f64,
-    chaos_spec: String,
-    seed: u64,
-    /// Resolved worker thread count for this run.
-    #[serde(default)]
-    threads: usize,
-    arms: Vec<ResilienceArmResult>,
-    #[serde(default)]
-    scaling: Option<ScalingResult>,
-}
-
-fn run_resilience_arm(
-    target_requests: u64,
-    config: &str,
-) -> Result<ResilienceArmResult, BenchError> {
-    use ce_serve::ServeSim;
-    // Prewarm absorbs bursts into cold starts, which is exactly the
-    // variance hedges and timeouts act on — the interesting regime.
-    let sim = ServeSim::new(
-        resilient_spec(target_requests, SEED, config),
-        resolve_autoscaler("prewarm")?,
-        resolve_keep_alive("fixed:60")?,
-    );
-    let start = Instant::now();
-    let report = sim.run();
-    let wall_ms = start.elapsed().as_secs_f64() * 1e3;
-    let arm = ResilienceArmResult {
-        name: format!("resilience/{target_requests}/{config}"),
-        requests: report.requests,
-        config: config.to_string(),
-        wall_ms,
-        reqs_per_sec: report.requests as f64 / (wall_ms / 1e3).max(1e-9),
-        completed: report.completed,
-        failed: report.failed,
-        attempts: report.attempts,
-        violation_rate: report.violation_rate(),
-        dollars: report.dollars,
-    };
-    eprintln!(
-        "{:<38} {:>9.1} ms  ({:.0} req/s, {} attempts, {:.2}% viol, ${:.4})",
-        arm.name,
-        arm.wall_ms,
-        arm.reqs_per_sec,
-        arm.attempts,
-        arm.violation_rate * 100.0,
-        arm.dollars
-    );
-    Ok(arm)
-}
-
-/// Times the full-pipeline resilience arm as a batch of independent
-/// seeds, sequentially and at `threads` workers, asserting metric
-/// exports byte-equal before reporting the ratio.
-fn run_resilience_scaling(requests: u64, threads: usize) -> Result<ScalingResult, BenchError> {
-    use ce_serve::ServeSim;
-    use rayon::prelude::*;
-    let seeds: Vec<u64> = (0..SCALING_SEEDS).map(|i| SEED + i).collect();
-    let batch = || -> Vec<(u64, u64, u64, String)> {
-        seeds
-            .par_iter()
-            .map(|&seed| {
-                let obs = Registry::new();
-                let sim = ServeSim::new(
-                    resilient_spec(requests, seed, "full"),
-                    resolve_autoscaler("prewarm").expect("known autoscaler"),
-                    resolve_keep_alive("fixed:60").expect("known keep-alive"),
-                )
-                .with_obs(&obs);
-                let r = sim.run();
-                (
-                    r.requests,
-                    r.attempts,
-                    r.dollars.to_bits(),
-                    obs.export_jsonl(),
-                )
-            })
-            .collect()
-    };
-    let start = Instant::now();
-    let seq = rayon::with_threads(1, batch);
-    let wall_ms_1t = start.elapsed().as_secs_f64() * 1e3;
-    let start = Instant::now();
-    let par = rayon::with_threads(threads, batch);
-    let wall_ms_nt = start.elapsed().as_secs_f64() * 1e3;
-    assert_eq!(
-        seq, par,
-        "parallel resilience batch diverged from sequential on resilience/{requests}"
-    );
-    let result = ScalingResult::from_walls(
-        format!("resilience-batch/{requests}x{SCALING_SEEDS}"),
-        threads,
-        seeds,
-        wall_ms_1t,
-        wall_ms_nt,
-    );
-    result.log();
-    Ok(result)
-}
-
-fn run_resilience_suite(
-    quick: bool,
-    out: &str,
-    baseline: Option<&str>,
-    threads: usize,
-) -> Result<(), BenchError> {
-    // Load the baseline up front: a missing or malformed file should
-    // fail in milliseconds, not after minutes of benchmarking.
-    let base: Option<ResilienceBenchReport> = baseline.map(read_baseline).transpose()?;
+fn resilience(quick: bool, threads: usize) -> Result<Report, BenchError> {
     let scales: &[u64] = if quick {
         &[100_000]
     } else {
@@ -958,362 +734,151 @@ fn run_resilience_suite(
     };
     let mut arms = Vec::new();
     for &requests in scales {
-        for config in RESILIENCE_CONFIGS {
-            arms.push(run_resilience_arm(requests, config)?);
+        for config in ["off", "timeout", "retry", "hedge", "breaker", "full"] {
+            let sim = resilience_sim(requests, SEED, config);
+            arms.push(serve_arm(
+                format!("resilience/{requests}/{config}"),
+                sim,
+                |r| {
+                    json!({
+                        "requests": r.requests,
+                        "config": config,
+                        "completed": r.completed,
+                        "failed": r.failed,
+                        "attempts": r.attempts,
+                        "violation_rate": r.violation_rate(),
+                        "dollars": r.dollars,
+                    })
+                },
+            ));
         }
     }
-    // Cheap sanity check that the pipeline actually ran: every settled
+    // The claim, a cheap check that the pipeline ran: every settled
     // request took at least one billed attempt.
     for arm in &arms {
-        assert!(
-            arm.attempts >= arm.completed + arm.failed,
-            "attempts undercount settled requests on {}",
-            arm.name
-        );
-    }
-    let scaling = Some(run_resilience_scaling(*scales.last().unwrap(), threads)?);
-    let report = ResilienceBenchReport {
-        schema: "ce-bench/resilience/v1".to_string(),
-        rps: SERVE_RPS,
-        slo_ms: SERVE_SLO_MS,
-        chaos_spec: RESILIENCE_CHAOS.to_string(),
-        seed: SEED,
-        threads,
-        arms,
-        scaling,
-    };
-    let json = serde_json::to_string_pretty(&report).expect("report serializes");
-    write_report(out, json)?;
-
-    if let Some(base) = base {
-        let arm_ms = |r: &ResilienceBenchReport| {
-            r.arms
-                .iter()
-                .find(|a| a.name == RESILIENCE_REFERENCE)
-                .map(|a| a.wall_ms)
-        };
-        check_gate(
-            RESILIENCE_REFERENCE,
-            arm_ms(&base),
-            arm_ms(&report),
-            base.scaling.as_ref(),
-            report.scaling.as_ref(),
-        )?;
-    }
-    Ok(())
-}
-
-/// Zoo trace families swept by the keepwarm suite (full mode).
-const KEEPWARM_FAMILIES_FULL: [&str; 5] = ["mixed", "steady", "diurnal", "bursty", "coldtail"];
-/// The reduced family set for CI smoke (`--quick`).
-const KEEPWARM_FAMILIES_QUICK: [&str; 2] = ["mixed", "diurnal"];
-/// Arrival window for each keepwarm arm (one diurnal period).
-const KEEPWARM_DURATION_S: f64 = 600.0;
-/// The autoscaler axis. `fixed:18` is the peak-provisioned static pool
-/// for the flagship presets: mean concurrency (40 rps × 0.25 s = 10)
-/// times the diurnal crest factor (1 + amplitude 0.8). It pays warm
-/// idle through every trough yet still queues through bursts — the
-/// policy the learned scaler should dominate.
-const KEEPWARM_AUTOSCALERS: [&str; 4] = ["fixed:18", "target", "prewarm", "qlearn"];
-/// The keep-alive axis.
-const KEEPWARM_KEEPALIVES: [&str; 3] = ["fixed:600", "adaptive", "histogram"];
-/// The keepwarm reference arm for the CI threshold.
-const KEEPWARM_REFERENCE: &str = "keepwarm/mixed/qlearn/adaptive";
-
-#[derive(Debug, Clone, Serialize, Deserialize)]
-struct KeepwarmArmResult {
-    /// `keepwarm/<family>/<autoscaler>/<keep-alive>`.
-    name: String,
-    family: String,
-    autoscaler: String,
-    keep_alive: String,
-    wall_ms: f64,
-    /// Outcome checksums: equal-config arms must agree exactly.
-    requests: u64,
-    reqs_per_sec: f64,
-    completed: u64,
-    cold_starts: u64,
-    violation_rate: f64,
-    cost_per_million: f64,
-    idle_gb_s: f64,
-    dollars: f64,
-    /// On the family's (violation rate, $/1M) Pareto frontier.
-    pareto: bool,
-}
-
-/// One Pareto-domination witness: `winner` dominates `loser` on
-/// (violation rate, $/1M requests) within `family`.
-#[derive(Debug, Clone, Serialize, Deserialize)]
-struct KeepwarmWin {
-    family: String,
-    winner: String,
-    loser: String,
-}
-
-#[derive(Debug, Serialize, Deserialize)]
-struct KeepwarmBenchReport {
-    schema: String,
-    duration_s: f64,
-    slo_ms: f64,
-    seed: u64,
-    /// Resolved worker thread count for this run.
-    #[serde(default)]
-    threads: usize,
-    arms: Vec<KeepwarmArmResult>,
-    /// (qlearn, adaptive|histogram) arms dominating the (fixed,
-    /// fixed-TTL) arm of their family. CI requires at least one.
-    #[serde(default)]
-    qlearn_wins: Vec<KeepwarmWin>,
-    #[serde(default)]
-    scaling: Option<ScalingResult>,
-}
-
-/// The serve spec for one keepwarm arm: a zoo trace family under the
-/// standard SLO.
-fn keepwarm_spec(family: &str, seed: u64) -> Result<ce_serve::ServeSpec, BenchError> {
-    let zoo = ce_serve::parse_zoo(family).map_err(BenchError::Usage)?;
-    Ok(ce_serve::ServeSpec::new(
-        ce_serve::ArrivalModel::Zoo { spec: zoo },
-        KEEPWARM_DURATION_S,
-        seed,
-    )
-    .with_slo_ms(SERVE_SLO_MS))
-}
-
-fn run_keepwarm_arm(
-    family: &str,
-    autoscaler: &str,
-    keep_alive: &str,
-) -> Result<KeepwarmArmResult, BenchError> {
-    let sim = ce_serve::ServeSim::new(
-        keepwarm_spec(family, SEED)?,
-        resolve_autoscaler(autoscaler)?,
-        resolve_keep_alive(keep_alive)?,
-    );
-    let start = Instant::now();
-    let report = sim.run();
-    let wall_ms = start.elapsed().as_secs_f64() * 1e3;
-    let arm = KeepwarmArmResult {
-        name: format!("keepwarm/{family}/{autoscaler}/{keep_alive}"),
-        family: family.to_string(),
-        autoscaler: autoscaler.to_string(),
-        keep_alive: keep_alive.to_string(),
-        wall_ms,
-        requests: report.requests,
-        reqs_per_sec: report.requests as f64 / (wall_ms / 1e3).max(1e-9),
-        completed: report.completed,
-        cold_starts: report.cold_starts,
-        violation_rate: report.violation_rate(),
-        cost_per_million: report.cost_per_million(),
-        idle_gb_s: report.idle_gb_s,
-        dollars: report.dollars,
-        pareto: false, // filled in once the family is complete
-    };
-    eprintln!(
-        "{:<44} {:>8.1} ms  ({:.2}% viol, ${:.2}/1M, {} cold)",
-        arm.name,
-        arm.wall_ms,
-        arm.violation_rate * 100.0,
-        arm.cost_per_million,
-        arm.cold_starts
-    );
-    Ok(arm)
-}
-
-/// Times the mixed-zoo qlearn/adaptive arm as a batch of independent
-/// seeds, sequentially and at `threads` workers, asserting metric
-/// exports byte-equal before reporting the ratio. The frozen Q-policy
-/// is retrained per run from its fixed config seed, so both batches
-/// serve the exact same policy.
-fn run_keepwarm_scaling(
-    family: &str,
-    threads: usize,
-    autoscaler: &str,
-    keep_alive: &str,
-) -> Result<ScalingResult, BenchError> {
-    use rayon::prelude::*;
-    resolve_autoscaler(autoscaler)?;
-    resolve_keep_alive(keep_alive)?;
-    keepwarm_spec(family, SEED)?;
-    // Keepwarm arms are short (~600 sim-seconds), so the batch needs
-    // more seeds than the serve suite to amortize pool spin-up.
-    const KEEPWARM_SCALING_SEEDS: u64 = 16;
-    let seeds: Vec<u64> = (0..KEEPWARM_SCALING_SEEDS).map(|i| SEED + i).collect();
-    let batch = || -> Vec<(u64, u64, u64, String)> {
-        seeds
-            .par_iter()
-            .map(|&seed| {
-                let obs = Registry::new();
-                let sim = ce_serve::ServeSim::new(
-                    keepwarm_spec(family, seed).expect("validated above"),
-                    resolve_autoscaler(autoscaler).expect("resolved above"),
-                    resolve_keep_alive(keep_alive).expect("resolved above"),
-                )
-                .with_obs(&obs);
-                let r = sim.run();
-                (
-                    r.requests,
-                    r.completed,
-                    r.dollars.to_bits(),
-                    obs.export_jsonl(),
-                )
-            })
-            .collect()
-    };
-    let start = Instant::now();
-    let seq = rayon::with_threads(1, batch);
-    let wall_ms_1t = start.elapsed().as_secs_f64() * 1e3;
-    let start = Instant::now();
-    let par = rayon::with_threads(threads, batch);
-    let wall_ms_nt = start.elapsed().as_secs_f64() * 1e3;
-    assert_eq!(
-        seq, par,
-        "parallel keepwarm batch diverged from sequential on keepwarm/{family}"
-    );
-    let result = ScalingResult::from_walls(
-        format!("keepwarm-batch/{family}x{KEEPWARM_SCALING_SEEDS}"),
-        threads,
-        seeds,
-        wall_ms_1t,
-        wall_ms_nt,
-    );
-    result.log();
-    Ok(result)
-}
-
-fn run_keepwarm_suite(
-    quick: bool,
-    out: &str,
-    baseline: Option<&str>,
-    threads: usize,
-    overrides: &Overrides,
-) -> Result<(), BenchError> {
-    // Load the baseline up front: a missing or malformed file should
-    // fail in milliseconds, not after minutes of benchmarking.
-    let base: Option<KeepwarmBenchReport> = baseline.map(read_baseline).transpose()?;
-    let families: &[&str] = if quick {
-        &KEEPWARM_FAMILIES_QUICK
-    } else {
-        &KEEPWARM_FAMILIES_FULL
-    };
-    // An --autoscaler/--keepalive override narrows the grid to that
-    // single pair (either half defaults to the reference pair's); the
-    // Pareto-domination assertion needs the full grid, so it only runs
-    // without overrides.
-    let overridden = overrides.autoscaler.is_some() || overrides.keep_alive.is_some();
-    let pairs: Vec<(String, String)> = if overridden {
-        vec![(
-            overrides.autoscaler.clone().unwrap_or("qlearn".into()),
-            overrides.keep_alive.clone().unwrap_or("adaptive".into()),
-        )]
-    } else {
-        KEEPWARM_AUTOSCALERS
-            .iter()
-            .flat_map(|a| {
-                KEEPWARM_KEEPALIVES
-                    .iter()
-                    .map(|k| (a.to_string(), k.to_string()))
-            })
-            .collect()
-    };
-    let mut arms = Vec::new();
-    for family in families {
-        for (autoscaler, keep_alive) in &pairs {
-            arms.push(run_keepwarm_arm(family, autoscaler, keep_alive)?);
+        let count = |field: &str| arm.outcome[field].as_u64().unwrap_or(0);
+        if count("attempts") < count("completed") + count("failed") {
+            return Err(BenchError::Regression(format!(
+                "attempts undercount settled requests on {}",
+                arm.name
+            )));
         }
     }
-    // Per-family Pareto frontier on (violation rate, $/1M).
-    let point = |a: &KeepwarmArmResult| (a.violation_rate, a.cost_per_million);
-    for i in 0..arms.len() {
-        let dominated = arms.iter().any(|other| {
-            other.family == arms[i].family
-                && ce_cluster::dominates_point(point(other), point(&arms[i]))
-        });
-        arms[i].pareto = !dominated;
-    }
-    // The headline claim: the learned scaler with an adaptive keep-alive
-    // beats the static pool with a fixed TTL outright somewhere.
-    let mut qlearn_wins = Vec::new();
-    for family in families {
-        let Some(loser) = arms.iter().find(|a| {
-            a.family == *family && a.autoscaler == "fixed:18" && a.keep_alive == "fixed:600"
-        }) else {
-            continue;
-        };
-        for winner in arms.iter().filter(|a| {
-            a.family == *family
-                && a.autoscaler == "qlearn"
-                && (a.keep_alive == "adaptive" || a.keep_alive == "histogram")
-        }) {
-            if ce_cluster::dominates_point(point(winner), point(loser)) {
-                qlearn_wins.push(KeepwarmWin {
-                    family: family.to_string(),
-                    winner: winner.name.clone(),
-                    loser: loser.name.clone(),
-                });
+    let requests = *scales.last().expect("the matrix has a largest scale");
+    let scaling = time_seed_batch(
+        format!("resilience-batch/{requests}x{BATCH_SEEDS}"),
+        BATCH_SEEDS,
+        threads,
+        |seed| seed_text(|obs| resilience_sim(requests, seed, "full").with_obs(obs).run()),
+    )?;
+    let config = json!({
+        "rps": SERVE_RPS,
+        "slo_ms": SERVE_SLO_MS,
+        "chaos_spec": RESILIENCE_CHAOS,
+        "seed": SEED,
+    });
+    Ok(Report::new("resilience", config, threads, arms, scaling))
+}
+
+/// Serve spec for the zoo suites: one trace family over one diurnal
+/// period (600 s) under the standard SLO.
+const ZOO_DURATION_S: f64 = 600.0;
+
+fn zoo_spec(family: &str, seed: u64) -> ServeSpec {
+    let zoo = ce_serve::parse_zoo(family).expect("known zoo family");
+    ServeSpec::new(
+        ce_serve::ArrivalModel::Zoo { spec: zoo },
+        ZOO_DURATION_S,
+        seed,
+    )
+    .with_slo_ms(SERVE_SLO_MS)
+}
+
+/// Keepwarm suite axes. `fixed:18` is the peak-provisioned static pool
+/// for the flagship presets: mean concurrency (40 rps × 0.25 s = 10)
+/// times the diurnal crest factor (1 + amplitude 0.8). It pays warm idle
+/// through every trough yet still queues through bursts — the policy the
+/// learned scaler should dominate.
+const KEEPWARM_AUTOSCALERS: [&str; 4] = ["fixed:18", "target", "prewarm", "qlearn"];
+const KEEPWARM_KEEPALIVES: [&str; 3] = ["fixed:600", "adaptive", "histogram"];
+
+fn keepwarm(quick: bool, threads: usize) -> Result<Report, BenchError> {
+    let families: &[&str] = if quick {
+        &["mixed", "diurnal"]
+    } else {
+        &["mixed", "steady", "diurnal", "bursty", "coldtail"]
+    };
+    let mut arms = Vec::new();
+    for &family in families {
+        for autoscaler in KEEPWARM_AUTOSCALERS {
+            for keep_alive in KEEPWARM_KEEPALIVES {
+                let sim = serve_sim(zoo_spec(family, SEED), autoscaler, keep_alive);
+                let name = format!("keepwarm/{family}/{autoscaler}/{keep_alive}");
+                arms.push(serve_arm(name, sim, |r| {
+                    json!({
+                        "family": family,
+                        "autoscaler": autoscaler,
+                        "keep_alive": keep_alive,
+                        "requests": r.requests,
+                        "completed": r.completed,
+                        "cold_starts": r.cold_starts,
+                        "violation_rate": r.violation_rate(),
+                        "cost_per_million": r.cost_per_million(),
+                        "idle_gb_s": r.idle_gb_s,
+                        "dollars": r.dollars,
+                    })
+                }));
             }
         }
     }
-    if !overridden && qlearn_wins.is_empty() {
+    let axes = ("violation_rate", "cost_per_million");
+    mark_pareto(&mut arms, |a| a.outcome["family"].to_string(), axes);
+    // The claim: the learned scaler with an adaptive keep-alive beats the
+    // static pool with a fixed TTL outright in some family.
+    let wins: Vec<Win> = families
+        .iter()
+        .flat_map(|family| {
+            let winners =
+                ["adaptive", "histogram"].map(|k| format!("keepwarm/{family}/qlearn/{k}"));
+            let loser = format!("keepwarm/{family}/fixed:18/fixed:600");
+            pareto_wins(&arms, family, &loser, &winners, axes)
+        })
+        .collect();
+    if wins.is_empty() {
         return Err(BenchError::Regression(
             "no (qlearn, adaptive|histogram) arm Pareto-dominates the (fixed, fixed-TTL) arm \
              on (violation %, $/1M) in any trace family"
                 .to_string(),
         ));
     }
-    for win in &qlearn_wins {
-        eprintln!("pareto win: {} dominates {}", win.winner, win.loser);
-    }
-    let (scale_as, scale_ka) = pairs
-        .first()
-        .map(|(a, k)| (a.clone(), k.clone()))
-        .expect("at least one pair");
-    let scaling = Some(run_keepwarm_scaling(
-        families[0],
+    // The batch times the first family's static-pool arm.
+    let family = families[0];
+    let scaling = time_seed_batch(
+        format!("keepwarm-batch/{family}x{ZOO_BATCH_SEEDS}"),
+        ZOO_BATCH_SEEDS,
         threads,
-        &scale_as,
-        &scale_ka,
-    )?);
-    let report = KeepwarmBenchReport {
-        schema: "ce-bench/keepwarm/v1".to_string(),
-        duration_s: KEEPWARM_DURATION_S,
-        slo_ms: SERVE_SLO_MS,
-        seed: SEED,
-        threads,
-        arms,
-        qlearn_wins,
-        scaling,
-    };
-    let json = serde_json::to_string_pretty(&report).expect("report serializes");
-    write_report(out, json)?;
-
-    if let Some(base) = base {
-        let arm_ms = |r: &KeepwarmBenchReport| {
-            r.arms
-                .iter()
-                .find(|a| a.name == KEEPWARM_REFERENCE)
-                .map(|a| a.wall_ms)
-        };
-        check_gate(
-            KEEPWARM_REFERENCE,
-            arm_ms(&base),
-            arm_ms(&report),
-            base.scaling.as_ref(),
-            report.scaling.as_ref(),
-        )?;
-    }
-    Ok(())
+        |seed| {
+            seed_text(|obs| {
+                serve_sim(zoo_spec(family, seed), "fixed:18", "fixed:600")
+                    .with_obs(obs)
+                    .run()
+            })
+        },
+    )?;
+    let config = json!({"duration_s": ZOO_DURATION_S, "slo_ms": SERVE_SLO_MS, "seed": SEED});
+    Ok(Report {
+        wins,
+        ..Report::new("keepwarm", config, threads, arms, scaling)
+    })
 }
 
-/// Arrival window for the topo arms (seconds).
-const TOPO_DURATION_S: f64 = 600.0;
-/// The zoo trace family driving every topo arm.
+/// Topo suite: every arm serves this zoo family with the same
+/// autoscaler/keep-alive pair, so arms vary only in substrate and
+/// placement. The slack-provisioned autoscaler keeps capacity ahead of
+/// the diurnal ramp on every substrate, so tail latency reflects the
+/// topology (RTT, cold class, queue spill) rather than per-pool
+/// autoscaler lag.
 const TOPO_FAMILY: &str = "diurnal";
-/// Autoscaler/keep-alive pair held fixed so the arms vary only in
-/// substrate and placement. The slack-provisioned autoscaler keeps
-/// capacity ahead of the diurnal ramp on every substrate, so tail
-/// latency reflects the topology (RTT, cold class, queue spill) rather
-/// than per-pool autoscaler lag.
 const TOPO_AUTOSCALER: &str = "prewarm";
 const TOPO_KEEPALIVE: &str = "adaptive";
 /// Cloud-only baseline: one deep pool behind a WAN round trip. This is
@@ -1322,473 +887,107 @@ const TOPO_CLOUD_ONLY: &str = "pool:cloud,rtt=40";
 /// Edge-only stress arm: close and cheap, but shallow — the quota bites
 /// under the diurnal peak.
 const TOPO_EDGE_ONLY: &str = "pool:edge,quota=8,rtt=5,price=0.6,compute=1.25,cold=0.5";
-/// The topo reference arm for the CI threshold.
 const TOPO_REFERENCE: &str = "topo/edge-cloud/workload-aware";
 
-#[derive(Debug, Clone, Serialize, Deserialize)]
-struct TopoArmResult {
-    /// `topo/<substrate>/<placement>`.
-    name: String,
-    substrate: String,
-    placement: String,
-    wall_ms: f64,
-    requests: u64,
-    /// Simulated requests processed per wall-clock second.
-    reqs_per_sec: f64,
-    /// Outcome checksums: equal-config arms must agree exactly.
-    completed: u64,
-    cold_starts: u64,
-    p95_ms: f64,
-    violation_rate: f64,
-    cost_per_million: f64,
-    dollars: f64,
-    /// Fraction of requests the placement routed to the edge pool
-    /// (0 when the substrate has no pool named `edge`).
-    edge_share: f64,
-    /// On the suite-wide (p95 ms, $/1M) Pareto frontier.
-    pareto: bool,
+fn topo_sim(topology: &str, placement: &str, seed: u64) -> ServeSim {
+    let topology = ce_topo::parse_topology(topology).expect("topology spec parses");
+    let spec = zoo_spec(TOPO_FAMILY, seed)
+        .with_topology(topology)
+        .with_placement(placement);
+    serve_sim(spec, TOPO_AUTOSCALER, TOPO_KEEPALIVE)
 }
 
-/// One Pareto-domination witness: an edge+cloud `winner` arm dominates
-/// the cloud-only `loser` arm on (p95 ms, $/1M requests).
-#[derive(Debug, Clone, Serialize, Deserialize)]
-struct TopoWin {
-    winner: String,
-    loser: String,
-}
-
-#[derive(Debug, Serialize, Deserialize)]
-struct TopoBenchReport {
-    schema: String,
-    duration_s: f64,
-    slo_ms: f64,
-    seed: u64,
-    /// Resolved worker thread count for this run.
-    #[serde(default)]
-    threads: usize,
-    arms: Vec<TopoArmResult>,
-    /// Edge+cloud arms dominating the cloud-only arm. CI requires the
-    /// workload-aware arm to appear here.
-    #[serde(default)]
-    edge_wins: Vec<TopoWin>,
-    #[serde(default)]
-    scaling: Option<ScalingResult>,
-}
-
-/// The serve spec for one topo arm: the diurnal zoo family on the given
-/// substrate under the standard SLO.
-fn topo_spec(
-    topology: &str,
-    placement: &str,
-    seed: u64,
-) -> Result<ce_serve::ServeSpec, BenchError> {
-    let zoo = ce_serve::parse_zoo(TOPO_FAMILY).map_err(BenchError::Usage)?;
-    let topology = ce_topo::parse_topology(topology).map_err(BenchError::Usage)?;
-    Ok(ce_serve::ServeSpec::new(
-        ce_serve::ArrivalModel::Zoo { spec: zoo },
-        TOPO_DURATION_S,
-        seed,
-    )
-    .with_slo_ms(SERVE_SLO_MS)
-    .with_topology(topology)
-    .with_placement(placement))
-}
-
-fn run_topo_arm(
-    substrate: &str,
-    topology: &str,
-    placement: &str,
-) -> Result<TopoArmResult, BenchError> {
-    let sim = ce_serve::ServeSim::new(
-        topo_spec(topology, placement, SEED)?,
-        resolve_autoscaler(TOPO_AUTOSCALER)?,
-        resolve_keep_alive(TOPO_KEEPALIVE)?,
-    );
-    let start = Instant::now();
-    let report = sim.run();
-    let wall_ms = start.elapsed().as_secs_f64() * 1e3;
-    let edge_share = report
-        .pools
-        .iter()
-        .find(|p| p.name == "edge")
-        .map(|p| p.requests as f64 / report.requests.max(1) as f64)
-        .unwrap_or(0.0);
-    let arm = TopoArmResult {
-        name: format!("topo/{substrate}/{placement}"),
-        substrate: substrate.to_string(),
-        placement: placement.to_string(),
-        wall_ms,
-        requests: report.requests,
-        reqs_per_sec: report.requests as f64 / (wall_ms / 1e3).max(1e-9),
-        completed: report.completed,
-        cold_starts: report.cold_starts,
-        p95_ms: report.p95_ms,
-        violation_rate: report.violation_rate(),
-        cost_per_million: report.cost_per_million(),
-        dollars: report.dollars,
-        edge_share,
-        pareto: false, // filled in once every arm has run
-    };
-    eprintln!(
-        "{:<44} {:>8.1} ms  (p95 {:.1} ms, ${:.2}/1M, {:.0}% edge)",
-        arm.name,
-        arm.wall_ms,
-        arm.p95_ms,
-        arm.cost_per_million,
-        arm.edge_share * 100.0
-    );
-    Ok(arm)
-}
-
-/// Times the reference edge+cloud arm as a batch of independent seeds,
-/// sequentially and at `threads` workers, asserting outcome checksums
-/// and metric exports byte-equal before reporting the ratio. Placement
-/// draws come from the forked "topo" stream, so the seq/par agreement
-/// here also covers the placement path.
-fn run_topo_scaling(threads: usize) -> Result<ScalingResult, BenchError> {
-    use rayon::prelude::*;
-    topo_spec("edge-cloud", "workload-aware", SEED)?;
-    // Topo arms are short (~600 sim-seconds), so the batch needs more
-    // seeds than the serve suite to amortize pool spin-up.
-    const TOPO_SCALING_SEEDS: u64 = 16;
-    let seeds: Vec<u64> = (0..TOPO_SCALING_SEEDS).map(|i| SEED + i).collect();
-    let batch = || -> Vec<(u64, u64, u64, String)> {
-        seeds
-            .par_iter()
-            .map(|&seed| {
-                let obs = Registry::new();
-                let sim = ce_serve::ServeSim::new(
-                    topo_spec("edge-cloud", "workload-aware", seed).expect("validated above"),
-                    resolve_autoscaler(TOPO_AUTOSCALER).expect("known autoscaler"),
-                    resolve_keep_alive(TOPO_KEEPALIVE).expect("known keep-alive"),
-                )
-                .with_obs(&obs);
-                let r = sim.run();
-                (
-                    r.requests,
-                    r.completed,
-                    r.dollars.to_bits(),
-                    obs.export_jsonl(),
-                )
-            })
-            .collect()
-    };
-    let start = Instant::now();
-    let seq = rayon::with_threads(1, batch);
-    let wall_ms_1t = start.elapsed().as_secs_f64() * 1e3;
-    let start = Instant::now();
-    let par = rayon::with_threads(threads, batch);
-    let wall_ms_nt = start.elapsed().as_secs_f64() * 1e3;
-    assert_eq!(
-        seq, par,
-        "parallel topo batch diverged from sequential on {TOPO_REFERENCE}"
-    );
-    let result = ScalingResult::from_walls(
-        format!("topo-batch/edge-cloud x{TOPO_SCALING_SEEDS}"),
-        threads,
-        seeds,
-        wall_ms_1t,
-        wall_ms_nt,
-    );
-    result.log();
-    Ok(result)
-}
-
-fn run_topo_suite(
-    quick: bool,
-    out: &str,
-    baseline: Option<&str>,
-    threads: usize,
-) -> Result<(), BenchError> {
-    // Load the baseline up front: a missing or malformed file should
-    // fail in milliseconds, not after minutes of benchmarking.
-    let base: Option<TopoBenchReport> = baseline.map(read_baseline).transpose()?;
-    let placements: Vec<&str> = if quick {
-        vec!["edge-first", "workload-aware"]
+fn topo(quick: bool, threads: usize) -> Result<Report, BenchError> {
+    let placements: &[&str] = if quick {
+        &["edge-first", "workload-aware"]
     } else {
-        ce_topo::placement_names().to_vec()
+        ce_topo::placement_names()
     };
-    let mut arms = Vec::new();
-    arms.push(run_topo_arm("cloud-only", TOPO_CLOUD_ONLY, "edge-first")?);
+    let mut substrates = vec![("cloud-only", TOPO_CLOUD_ONLY, "edge-first")];
     if !quick {
-        arms.push(run_topo_arm("edge-only", TOPO_EDGE_ONLY, "edge-first")?);
+        substrates.push(("edge-only", TOPO_EDGE_ONLY, "edge-first"));
     }
-    for placement in &placements {
-        arms.push(run_topo_arm("edge-cloud", "edge-cloud", placement)?);
+    substrates.extend(placements.iter().map(|&p| ("edge-cloud", "edge-cloud", p)));
+    let mut arms = Vec::new();
+    for (substrate, topology, placement) in substrates {
+        let sim = topo_sim(topology, placement, SEED);
+        arms.push(serve_arm(
+            format!("topo/{substrate}/{placement}"),
+            sim,
+            |r| {
+                // Fraction of requests routed to the edge pool (0 when the
+                // substrate has no pool named `edge`).
+                let edge_share = r
+                    .pools
+                    .iter()
+                    .find(|p| p.name == "edge")
+                    .map_or(0.0, |p| p.requests as f64 / r.requests.max(1) as f64);
+                json!({
+                    "substrate": substrate,
+                    "placement": placement,
+                    "requests": r.requests,
+                    "completed": r.completed,
+                    "cold_starts": r.cold_starts,
+                    "p95_ms": r.p95_ms,
+                    "violation_rate": r.violation_rate(),
+                    "cost_per_million": r.cost_per_million(),
+                    "dollars": r.dollars,
+                    "edge_share": edge_share,
+                })
+            },
+        ));
     }
-    // Suite-wide Pareto frontier on (p95 ms, $/1M): every arm answers
-    // the same diurnal trace, so the frontier is comparable across
-    // substrates.
-    let point = |a: &TopoArmResult| (a.p95_ms, a.cost_per_million);
-    for i in 0..arms.len() {
-        let dominated = arms
-            .iter()
-            .any(|other| ce_cluster::dominates_point(point(other), point(&arms[i])));
-        arms[i].pareto = !dominated;
-    }
-    // The headline claim: splitting the fleet across a shallow edge and
-    // a deep cloud — with workload-aware placement — beats renting the
-    // cloud alone on latency AND dollars, not as a trade.
-    let loser = arms
+    // One suite-wide frontier: every arm answers the same trace.
+    let axes = ("p95_ms", "cost_per_million");
+    mark_pareto(&mut arms, |_| String::new(), axes);
+    // The claim: splitting the fleet across a shallow edge and a deep
+    // cloud, with workload-aware placement, beats renting the cloud alone
+    // on latency AND dollars.
+    let winners: Vec<String> = placements
         .iter()
-        .find(|a| a.substrate == "cloud-only")
-        .expect("cloud-only arm always runs")
-        .clone();
-    let edge_wins: Vec<TopoWin> = arms
-        .iter()
-        .filter(|a| a.substrate == "edge-cloud")
-        .filter(|a| ce_cluster::dominates_point(point(a), point(&loser)))
-        .map(|a| TopoWin {
-            winner: a.name.clone(),
-            loser: loser.name.clone(),
-        })
+        .map(|p| format!("topo/edge-cloud/{p}"))
         .collect();
-    if !edge_wins.iter().any(|w| w.winner == TOPO_REFERENCE) {
+    let loser = "topo/cloud-only/edge-first";
+    let wins = pareto_wins(&arms, TOPO_FAMILY, loser, &winners, axes);
+    if !wins.iter().any(|w| w.winner == TOPO_REFERENCE) {
         return Err(BenchError::Regression(format!(
-            "{TOPO_REFERENCE} does not Pareto-dominate {} on (p95 ms, $/1M)",
-            loser.name
+            "{TOPO_REFERENCE} does not Pareto-dominate {loser} on (p95 ms, $/1M)"
         )));
     }
-    for win in &edge_wins {
-        eprintln!("pareto win: {} dominates {}", win.winner, win.loser);
-    }
-    let scaling = Some(run_topo_scaling(threads)?);
-    let report = TopoBenchReport {
-        schema: "ce-bench/topo/v1".to_string(),
-        duration_s: TOPO_DURATION_S,
-        slo_ms: SERVE_SLO_MS,
-        seed: SEED,
+    // Placement draws come from the forked "topo" stream, so the batch's
+    // byte-equality also covers the placement path.
+    let scaling = time_seed_batch(
+        format!("topo-batch/edge-cloud x{ZOO_BATCH_SEEDS}"),
+        ZOO_BATCH_SEEDS,
         threads,
-        arms,
-        edge_wins,
-        scaling,
-    };
-    let json = serde_json::to_string_pretty(&report).expect("report serializes");
-    write_report(out, json)?;
+        |seed| {
+            seed_text(|obs| {
+                topo_sim("edge-cloud", "workload-aware", seed)
+                    .with_obs(obs)
+                    .run()
+            })
+        },
+    )?;
+    let config = json!({"duration_s": ZOO_DURATION_S, "slo_ms": SERVE_SLO_MS, "seed": SEED});
+    Ok(Report {
+        wins,
+        ..Report::new("topo", config, threads, arms, scaling)
+    })
+}
 
-    if let Some(base) = base {
-        let arm_ms = |r: &TopoBenchReport| {
-            r.arms
-                .iter()
-                .find(|a| a.name == TOPO_REFERENCE)
-                .map(|a| a.wall_ms)
-        };
-        check_gate(
-            TOPO_REFERENCE,
-            arm_ms(&base),
-            arm_ms(&report),
-            base.scaling.as_ref(),
-            report.scaling.as_ref(),
-        )?;
+/// Loads a `--baseline` report and checks it belongs to `suite`.
+fn read_baseline(path: &str, suite: &str) -> Result<Value, BenchError> {
+    let text = std::fs::read_to_string(path)
+        .map_err(|e| BenchError::Usage(format!("cannot read baseline {path}: {e}")))?;
+    let base: Value = serde_json::from_str(&text)
+        .map_err(|e| BenchError::Usage(format!("cannot parse baseline {path}: {e}")))?;
+    if base["suite"] != suite {
+        return Err(BenchError::Usage(format!(
+            "baseline {path} is not a {suite} report (its suite is {})",
+            base["suite"]
+        )));
     }
-    Ok(())
-}
-
-/// Per-tenant mean request rate for the lifecycle arms.
-const LIFECYCLE_RPS: f64 = 4.0;
-/// Serve-arrival window for the lifecycle arms (seconds).
-const LIFECYCLE_DURATION_S: f64 = 300.0;
-/// Shared account quota for the lifecycle arms.
-const LIFECYCLE_QUOTA: u32 = 32;
-/// Training wave-width cap for the lifecycle arms.
-const LIFECYCLE_JOB_CAP: u32 = 8;
-/// Mean drift interval for the lifecycle arms (seconds).
-const LIFECYCLE_DRIFT_S: f64 = 150.0;
-/// The lifecycle reference arm for the CI threshold.
-const LIFECYCLE_REFERENCE: &str = "lifecycle/4/serve-first";
-
-#[derive(Debug, Clone, Serialize, Deserialize)]
-struct LifecycleArmResult {
-    /// `lifecycle/<tenants>/<priority>`.
-    name: String,
-    tenants: u32,
-    priority: String,
-    wall_ms: f64,
-    /// Outcome checksums: equal-config arms must agree exactly.
-    requests: u64,
-    serve_violation_rate: f64,
-    train_miss_rate: f64,
-    preemptions: u64,
-    dollars: f64,
-}
-
-#[derive(Debug, Serialize, Deserialize)]
-struct LifecycleBenchReport {
-    schema: String,
-    rps: f64,
-    duration_s: f64,
-    quota: u32,
-    job_cap: u32,
-    seed: u64,
-    /// Resolved worker thread count for this run.
-    #[serde(default)]
-    threads: usize,
-    arms: Vec<LifecycleArmResult>,
-    #[serde(default)]
-    scaling: Option<ScalingResult>,
-}
-
-fn lifecycle_spec(tenants: u32, seed: u64, overrides: &Overrides) -> ce_lifecycle::LifecycleSpec {
-    let mut spec = ce_lifecycle::LifecycleSpec::new(tenants, LIFECYCLE_DURATION_S, seed)
-        .with_quota(LIFECYCLE_QUOTA)
-        .with_job_cap(LIFECYCLE_JOB_CAP)
-        .with_rps(LIFECYCLE_RPS)
-        .with_drift_mean_s(LIFECYCLE_DRIFT_S);
-    if let Some(name) = &overrides.autoscaler {
-        spec = spec.with_autoscaler(name);
-    }
-    if let Some(name) = &overrides.keep_alive {
-        spec = spec.with_keep_alive(name);
-    }
-    spec
-}
-
-fn run_lifecycle_arm(
-    tenants: u32,
-    priority: &str,
-    overrides: &Overrides,
-) -> Result<LifecycleArmResult, BenchError> {
-    let policy = resolve_priority(priority)?;
-    let sim = ce_lifecycle::LifecycleSim::new(lifecycle_spec(tenants, SEED, overrides), policy);
-    let start = Instant::now();
-    let report = sim.run();
-    let wall_ms = start.elapsed().as_secs_f64() * 1e3;
-    let arm = LifecycleArmResult {
-        name: format!("lifecycle/{tenants}/{priority}"),
-        tenants,
-        priority: priority.to_string(),
-        wall_ms,
-        requests: report.requests(),
-        serve_violation_rate: report.serve_violation_rate(),
-        train_miss_rate: report.train_miss_rate(),
-        preemptions: report.preemptions(),
-        dollars: report.total_dollars(),
-    };
-    eprintln!(
-        "{:<38} {:>9.1} ms  ({:.2}% viol, {:.0}% miss, {} preempt, ${:.4})",
-        arm.name,
-        arm.wall_ms,
-        arm.serve_violation_rate * 100.0,
-        arm.train_miss_rate * 100.0,
-        arm.preemptions,
-        arm.dollars
-    );
-    Ok(arm)
-}
-
-/// Times the `tenants`-tenant lifecycle as a batch of independent
-/// seeds, sequentially and at `threads` workers, asserting reports and
-/// metric exports byte-equal before reporting the ratio.
-fn run_lifecycle_scaling(
-    tenants: u32,
-    priority: &str,
-    threads: usize,
-    overrides: &Overrides,
-) -> Result<ScalingResult, BenchError> {
-    resolve_priority(priority)?;
-    let seeds: Vec<u64> = (0..SCALING_SEEDS).map(|i| SEED + i).collect();
-    let batch = || {
-        ce_lifecycle::run_lifecycle_seeds(&seeds, |seed| {
-            ce_lifecycle::LifecycleSim::new(
-                lifecycle_spec(tenants, seed, overrides),
-                resolve_priority(priority).expect("resolved above"),
-            )
-        })
-    };
-    let start = Instant::now();
-    let seq = rayon::with_threads(1, batch);
-    let wall_ms_1t = start.elapsed().as_secs_f64() * 1e3;
-    let start = Instant::now();
-    let par = rayon::with_threads(threads, batch);
-    let wall_ms_nt = start.elapsed().as_secs_f64() * 1e3;
-    for ((r1, o1), (r2, o2)) in seq.iter().zip(&par) {
-        assert_eq!(
-            r1, r2,
-            "parallel lifecycle batch diverged from sequential on lifecycle/{tenants}"
-        );
-        assert_eq!(
-            o1.export_jsonl(),
-            o2.export_jsonl(),
-            "metric export diverged on lifecycle/{tenants}"
-        );
-    }
-    let result = ScalingResult::from_walls(
-        format!("lifecycle-batch/{tenants}x{SCALING_SEEDS}"),
-        threads,
-        seeds,
-        wall_ms_1t,
-        wall_ms_nt,
-    );
-    result.log();
-    Ok(result)
-}
-
-fn run_lifecycle_suite(
-    quick: bool,
-    out: &str,
-    baseline: Option<&str>,
-    threads: usize,
-    overrides: &Overrides,
-) -> Result<(), BenchError> {
-    // Load the baseline up front: a missing or malformed file should
-    // fail in milliseconds, not after minutes of benchmarking.
-    let base: Option<LifecycleBenchReport> = baseline.map(read_baseline).transpose()?;
-    let sizes: &[u32] = if quick { &[4] } else { &[4, 8] };
-    let priorities: Vec<&str> = match &overrides.priority {
-        Some(name) => vec![name.as_str()],
-        None => ce_lifecycle::priority_names().to_vec(),
-    };
-    let mut arms = Vec::new();
-    for &tenants in sizes {
-        for &priority in &priorities {
-            arms.push(run_lifecycle_arm(tenants, priority, overrides)?);
-        }
-    }
-    let scaling = Some(run_lifecycle_scaling(
-        *sizes.last().unwrap(),
-        priorities[0],
-        threads,
-        overrides,
-    )?);
-    let report = LifecycleBenchReport {
-        schema: "ce-bench/lifecycle/v1".to_string(),
-        rps: LIFECYCLE_RPS,
-        duration_s: LIFECYCLE_DURATION_S,
-        quota: LIFECYCLE_QUOTA,
-        job_cap: LIFECYCLE_JOB_CAP,
-        seed: SEED,
-        threads,
-        arms,
-        scaling,
-    };
-    let json = serde_json::to_string_pretty(&report).expect("report serializes");
-    write_report(out, json)?;
-
-    if let Some(base) = base {
-        let arm_ms = |r: &LifecycleBenchReport| {
-            r.arms
-                .iter()
-                .find(|a| a.name == LIFECYCLE_REFERENCE)
-                .map(|a| a.wall_ms)
-        };
-        check_gate(
-            LIFECYCLE_REFERENCE,
-            arm_ms(&base),
-            arm_ms(&report),
-            base.scaling.as_ref(),
-            report.scaling.as_ref(),
-        )?;
-    }
-    Ok(())
-}
-
-/// User-selected registry-name overrides, validated eagerly in
-/// `real_main` so a typo fails before any arm runs.
-#[derive(Debug, Default)]
-struct Overrides {
-    autoscaler: Option<String>,
-    keep_alive: Option<String>,
-    priority: Option<String>,
+    Ok(base)
 }
 
 fn real_main() -> Result<(), BenchError> {
@@ -1797,7 +996,6 @@ fn real_main() -> Result<(), BenchError> {
     let mut suite = String::from("fleet");
     let mut baseline: Option<String> = None;
     let mut threads: Option<usize> = None;
-    let mut overrides = Overrides::default();
     let mut args = std::env::args().skip(1);
     let need = |flag: &str, value: Option<String>| -> Result<String, BenchError> {
         value.ok_or_else(|| BenchError::Usage(format!("{flag} needs a value")))
@@ -1821,31 +1019,25 @@ fn real_main() -> Result<(), BenchError> {
                     })?;
                 threads = Some(n);
             }
-            // Registry-name overrides are validated right here, before
-            // any suite starts: a typo must fail in milliseconds.
-            "--autoscaler" => {
-                let name = need("--autoscaler", args.next())?;
-                resolve_autoscaler(&name)?;
-                overrides.autoscaler = Some(name);
-            }
-            "--keepalive" => {
-                let name = need("--keepalive", args.next())?;
-                resolve_keep_alive(&name)?;
-                overrides.keep_alive = Some(name);
-            }
-            "--priority" => {
-                let name = need("--priority", args.next())?;
-                resolve_priority(&name)?;
-                overrides.priority = Some(name);
-            }
             other => {
                 return Err(BenchError::Usage(format!(
                     "unknown flag: {other} (expected --quick, --out, --suite, --baseline, \
-                     --threads, --autoscaler, --keepalive, --priority)"
+                     --threads)"
                 )));
             }
         }
     }
+    let Some(&(_, reference, run)) = SUITES.iter().find(|(name, ..)| *name == suite) else {
+        return Err(BenchError::Usage(format!(
+            "unknown suite: {suite} (expected fleet, serve, lifecycle, resilience, keepwarm, \
+             or topo)"
+        )));
+    };
+    // Load the baseline up front: a missing, malformed or mismatched file
+    // should fail in milliseconds, not after minutes of benchmarking.
+    let base = baseline
+        .map(|path| read_baseline(&path, &suite))
+        .transpose()?;
     let threads = match threads {
         Some(n) => {
             rayon::set_threads(n);
@@ -1854,35 +1046,15 @@ fn real_main() -> Result<(), BenchError> {
         None => rayon::current_threads(),
     };
     eprintln!("worker threads: {threads}");
-    match suite.as_str() {
-        "fleet" => {
-            let out = out.unwrap_or_else(|| "BENCH_fleet.json".into());
-            run_fleet_suite(quick, &out, baseline.as_deref(), threads)
-        }
-        "serve" => {
-            let out = out.unwrap_or_else(|| "BENCH_serve.json".into());
-            run_serve_suite(quick, &out, baseline.as_deref(), threads, &overrides)
-        }
-        "lifecycle" => {
-            let out = out.unwrap_or_else(|| "BENCH_lifecycle.json".into());
-            run_lifecycle_suite(quick, &out, baseline.as_deref(), threads, &overrides)
-        }
-        "resilience" => {
-            let out = out.unwrap_or_else(|| "BENCH_resilience.json".into());
-            run_resilience_suite(quick, &out, baseline.as_deref(), threads)
-        }
-        "keepwarm" => {
-            let out = out.unwrap_or_else(|| "BENCH_keepwarm.json".into());
-            run_keepwarm_suite(quick, &out, baseline.as_deref(), threads, &overrides)
-        }
-        "topo" => {
-            let out = out.unwrap_or_else(|| "BENCH_topo.json".into());
-            run_topo_suite(quick, &out, baseline.as_deref(), threads)
-        }
-        other => Err(BenchError::Usage(format!(
-            "unknown suite: {other} (expected fleet, serve, lifecycle, resilience, keepwarm, \
-             or topo)"
-        ))),
+    let report = run(quick, threads)?;
+    let out = out.unwrap_or_else(|| format!("BENCH_{suite}.json"));
+    let json = serde_json::to_string_pretty(&report).expect("report serializes");
+    std::fs::write(&out, json + "\n")
+        .map_err(|e| BenchError::Usage(format!("cannot write report to {out}: {e}")))?;
+    eprintln!("wrote {out}");
+    match base {
+        Some(base) => gate(reference, &base, &serde_json::to_value(&report)),
+        None => Ok(()),
     }
 }
 
@@ -1890,5 +1062,117 @@ fn main() {
     if let Err(e) = real_main() {
         eprintln!("ce-bench: {e}");
         std::process::exit(e.exit_code());
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    /// A one-arm report: the reference arm's wall time and outcome, and
+    /// the seed batch's thread count and speedup.
+    fn report(wall_ms: f64, outcome: Value, threads: u64, speedup: f64) -> Value {
+        json!({
+            "arms": [{"name": "ref", "wall_ms": wall_ms, "outcome": outcome}],
+            "scaling": {"name": "batch", "threads": threads, "speedup_vs_1t": speedup},
+        })
+    }
+
+    fn outcome() -> Value {
+        json!({"completed": 10, "dollars": 0.1})
+    }
+
+    fn exit_code(base: &Value, fresh: &Value) -> i32 {
+        gate("ref", base, fresh).map_or_else(|e| e.exit_code(), |()| 0)
+    }
+
+    #[test]
+    fn wall_clock_within_2x_passes_and_beyond_fails() {
+        let base = report(100.0, outcome(), 2, 1.8);
+        assert_eq!(exit_code(&base, &report(50.0, outcome(), 2, 1.8)), 0);
+        assert_eq!(exit_code(&base, &report(200.0, outcome(), 2, 1.8)), 0);
+        assert_eq!(exit_code(&base, &report(200.1, outcome(), 2, 1.8)), 1);
+    }
+
+    #[test]
+    fn scaling_collapse_is_checked_only_at_equal_thread_counts_above_one() {
+        let base = report(100.0, outcome(), 2, 1.8);
+        assert_eq!(exit_code(&base, &report(100.0, outcome(), 2, 0.9)), 0);
+        assert_eq!(exit_code(&base, &report(100.0, outcome(), 2, 0.89)), 1);
+        // A different thread count is a different measurement.
+        assert_eq!(exit_code(&base, &report(100.0, outcome(), 4, 0.5)), 0);
+        // At one thread the speedup is noise around 1.0.
+        let single = report(100.0, outcome(), 1, 1.8);
+        assert_eq!(exit_code(&single, &report(100.0, outcome(), 1, 0.5)), 0);
+    }
+
+    #[test]
+    fn missing_reference_arm_exits_2() {
+        let good = report(100.0, outcome(), 2, 1.8);
+        let mut renamed = report(100.0, outcome(), 2, 1.8);
+        renamed["arms"].as_array_mut().unwrap()[0]["name"] = json!("other");
+        for (base, fresh) in [(&renamed, &good), (&good, &renamed)] {
+            let err = gate("ref", base, fresh).unwrap_err();
+            assert_eq!(err.exit_code(), 2);
+            assert!(err.to_string().contains("lacks the ref arm"), "{err}");
+        }
+    }
+
+    #[test]
+    fn outcome_drift_exits_1_naming_the_arm_and_field() {
+        let base = report(100.0, outcome(), 2, 1.8);
+        let nudged = json!({"completed": 10, "dollars": 0.1f64.next_up()});
+        let added = json!({"completed": 10, "dollars": 0.1, "failed": 0});
+        let retyped = json!({"completed": 10.0, "dollars": 0.1});
+        for (fresh, field) in [
+            (nudged, "dollars"),
+            (added, "failed"),
+            (retyped, "completed"),
+        ] {
+            let err = gate("ref", &base, &report(100.0, fresh, 2, 1.8)).unwrap_err();
+            assert_eq!(err.exit_code(), 1);
+            let msg = err.to_string();
+            assert!(msg.contains(&format!("on ref: {field} ")), "{msg}");
+        }
+    }
+
+    #[test]
+    fn seed_batches_of_small_sims_are_byte_equal_at_any_thread_count() {
+        let fleet = |seed| {
+            let spec = ClusterSpec::new(FleetSpec::poisson(12, 8.0, seed), 40);
+            let sim = ClusterSim::new(spec, policy_by_name("edf").unwrap());
+            seed_text(|obs| sim.with_obs(obs).run())
+        };
+        let lifecycle = |seed| {
+            let spec = ce_lifecycle::LifecycleSpec::new(3, 120.0, seed)
+                .with_quota(12)
+                .with_job_cap(8)
+                .with_rps(6.0)
+                .with_drift_mean_s(60.0);
+            let policy = ce_lifecycle::priority_by_name("serve-first").unwrap();
+            let sim = ce_lifecycle::LifecycleSim::new(spec, policy);
+            seed_text(|obs| sim.with_obs(obs).run())
+        };
+        for threads in [2, 4] {
+            time_seed_batch("fleet".into(), 5, threads, fleet).unwrap();
+            time_seed_batch("lifecycle".into(), 4, threads, lifecycle).unwrap();
+        }
+    }
+
+    #[test]
+    fn a_batch_whose_text_depends_on_the_thread_diverges() {
+        let thread = |_| format!("{:?}", std::thread::current().id());
+        let err = time_seed_batch("ids".into(), 4, 2, thread).unwrap_err();
+        assert_eq!(err.exit_code(), 1);
+        assert!(err.to_string().contains("ids diverged"), "{err}");
+    }
+
+    #[test]
+    fn arms_missing_from_the_baseline_are_not_drift() {
+        let base = report(100.0, outcome(), 2, 1.8);
+        let mut fresh = report(100.0, outcome(), 2, 1.8);
+        let extra = json!({"name": "new", "wall_ms": 1.0, "outcome": {"completed": 99}});
+        fresh["arms"].as_array_mut().unwrap().push(extra);
+        assert_eq!(exit_code(&base, &fresh), 0);
     }
 }

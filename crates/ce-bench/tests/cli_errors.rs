@@ -35,30 +35,6 @@ fn flag_errors_exit_2_without_panicking() {
 }
 
 #[test]
-fn unknown_override_names_exit_2_listing_the_registry() {
-    // Overrides are validated at parse time, so the error lands before
-    // any suite runs — and it names every valid alternative.
-    assert_graceful(
-        &["--autoscaler", "psychic"],
-        "unknown autoscaler: psychic (fixed:<n>|target|prewarm|qlearn[:<episodes>:<epsilon>:<alpha>])",
-    );
-    assert_graceful(
-        &["--keepalive", "lru"],
-        "unknown keep-alive policy: lru (fixed[:<ttl-s>]|adaptive|histogram)",
-    );
-    assert_graceful(
-        &["--priority", "yolo"],
-        "unknown priority policy: yolo (serve-first|train-first|fair-share|deadline)",
-    );
-    assert_graceful(&["--autoscaler"], "--autoscaler needs a value");
-    assert_graceful(&["--keepalive"], "--keepalive needs a value");
-    assert_graceful(&["--priority"], "--priority needs a value");
-    // A malformed fixed-pool TTL is the typed keep-alive error, not a
-    // panic inside an arm.
-    assert_graceful(&["--keepalive", "fixed:NaN"], "NaN");
-}
-
-#[test]
 fn missing_baseline_fails_fast() {
     // The baseline loads before any arm runs, so this returns in
     // milliseconds even though it names the full fleet suite.
@@ -83,4 +59,15 @@ fn malformed_baseline_fails_fast() {
         "cannot parse baseline",
     );
     std::fs::remove_file(&path).ok();
+}
+
+#[test]
+fn baseline_from_another_suite_fails_fast() {
+    // The suite check runs before any arm, so this returns in
+    // milliseconds even though it names the topo suite.
+    let serve = concat!(env!("CARGO_MANIFEST_DIR"), "/../../BENCH_serve.json");
+    assert_graceful(
+        &["--suite", "topo", "--baseline", serve],
+        "is not a topo report",
+    );
 }

@@ -51,7 +51,6 @@ use ce_sim_core::time::SimTime;
 use ce_storage::StorageKind;
 use ce_topo::{PlacementRequest, PoolView, Topology};
 use ce_workflow::{RecoveryPolicy, TrainingExecution};
-use rayon::prelude::*;
 use serde_json::json;
 
 /// Queue wait beyond which a job's warm pool has idle-expired (mirrors
@@ -876,30 +875,6 @@ impl ClusterSim {
     }
 }
 
-/// Runs one independent fleet per seed and returns `(report, registry)`
-/// pairs **in seed order**.
-///
-/// Each seed gets a freshly built simulation (so `build` can construct a
-/// new policy instance — `Box<dyn AdmissionPolicy>` need not be `Send`;
-/// the sim never crosses a thread) and its own private [`Registry`], so
-/// concurrent runs cannot interleave events in the process-global
-/// registry. Seeds shard across the parallel engine's worker pool; the
-/// shard-ordered merge makes the returned vector — reports and metric
-/// registries both — bit-identical at any thread count.
-pub fn run_fleet_seeds<F>(seeds: &[u64], build: F) -> Vec<(FleetReport, Registry)>
-where
-    F: Fn(u64) -> ClusterSim + Send + Sync,
-{
-    seeds
-        .par_iter()
-        .map(|&seed| {
-            let obs = Registry::new();
-            let report = build(seed).with_obs(&obs).run();
-            (report, obs)
-        })
-        .collect()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -927,29 +902,6 @@ mod tests {
         assert!(report.makespan_s > 0.0);
         assert!(report.quota_peak > 0);
         assert!(report.quota_utilization > 0.0 && report.quota_utilization <= 1.0);
-    }
-
-    #[test]
-    fn multi_seed_batch_bit_identical_across_thread_counts() {
-        let seeds = [3u64, 5, 8, 13, 21];
-        let batch = || {
-            run_fleet_seeds(&seeds, |seed| {
-                ClusterSim::new(
-                    ClusterSpec::new(small_fleet(seed), 40),
-                    Box::new(DeadlineEdf),
-                )
-            })
-        };
-        let seq = rayon::with_threads(1, batch);
-        let par = rayon::with_threads(4, batch);
-        assert_eq!(seq.len(), seeds.len());
-        for ((r1, o1), (r2, o2)) in seq.iter().zip(&par) {
-            assert_eq!(
-                serde_json::to_string(r1).unwrap(),
-                serde_json::to_string(r2).unwrap()
-            );
-            assert_eq!(o1.export_jsonl(), o2.export_jsonl());
-        }
     }
 
     #[test]

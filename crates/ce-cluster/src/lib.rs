@@ -48,7 +48,7 @@ pub mod report;
 
 pub use arrival::{ArrivalProcess, FleetSpec, JobSpec};
 pub use contention::ContentionModel;
-pub use fleet::{run_fleet_seeds, ClusterSim, ClusterSpec, FleetEngine};
+pub use fleet::{ClusterSim, ClusterSpec, FleetEngine};
 pub use policy::{
     all_policies, policy_by_name, policy_names, Admission, AdmissionPolicy, ClusterView, ReadyJob,
 };

@@ -41,5 +41,5 @@ pub use priority::{
     all_priorities, priority_by_name, priority_names, PriorityPolicy, QuotaView, VictimView,
 };
 pub use report::{LifecycleReport, TenantOutcome};
-pub use sim::{run_lifecycle_seeds, LifecycleSim};
+pub use sim::LifecycleSim;
 pub use spec::{LifecycleSpec, TenantSpec};

@@ -62,7 +62,6 @@ use ce_sim_core::time::SimTime;
 use ce_storage::StorageKind;
 use ce_topo::{NodePool, PlacementRequest, PoolView};
 use ce_workflow::{Method, RecoveryPolicy, TrainingExecution, TrainingJob};
-use rayon::prelude::*;
 use serde_json::json;
 use std::collections::VecDeque;
 
@@ -1151,24 +1150,6 @@ impl Fleet {
     }
 }
 
-/// Runs one lifecycle per seed, fanned out across the deterministic
-/// thread pool; results return in `seeds` order with each run's own
-/// registry. Each run owns its seed's whole event loop, so parallel
-/// execution is bit-identical to sequential.
-pub fn run_lifecycle_seeds<F>(seeds: &[u64], build: F) -> Vec<(LifecycleReport, Registry)>
-where
-    F: Fn(u64) -> LifecycleSim + Send + Sync,
-{
-    seeds
-        .par_iter()
-        .map(|&seed| {
-            let obs = Registry::new();
-            let report = build(seed).with_obs(&obs).run();
-            (report, obs)
-        })
-        .collect()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -1311,22 +1292,6 @@ mod tests {
                     points[i].0, points[j].0
                 );
             }
-        }
-    }
-
-    #[test]
-    fn multi_seed_runner_matches_sequential_runs() {
-        let seeds = [1u64, 2, 3, 4];
-        let par = run_lifecycle_seeds(&seeds, |s| {
-            LifecycleSim::new(
-                tight_spec(s),
-                priority_by_name("serve-first").expect("known"),
-            )
-        });
-        for (i, &seed) in seeds.iter().enumerate() {
-            let (seq, m) = run_with(tight_spec(seed), "serve-first");
-            assert_eq!(par[i].0, seq);
-            assert_eq!(par[i].1.export_jsonl(), m);
         }
     }
 
