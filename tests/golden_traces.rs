@@ -120,6 +120,33 @@ fn serve_args(seed: u64) -> Vec<String> {
     .collect()
 }
 
+/// The Serverless-in-the-Wild keep-alive: a diurnal trace under the
+/// prewarm autoscaler and the gap-histogram TTL. The rate is low enough
+/// that the p99 gap clears the policy's 10 s floor; at the serve
+/// fixture's 25 req/s the TTL sits on that floor and the run matches
+/// `--keepalive adaptive` byte for byte.
+fn serve_histogram_args(seed: u64) -> Vec<String> {
+    [
+        "serve",
+        "--arrivals",
+        "diurnal",
+        "--rps",
+        "0.5",
+        "--duration",
+        "600",
+        "--autoscaler",
+        "prewarm",
+        "--keepalive",
+        "histogram",
+        "--slo-ms",
+        "800",
+    ]
+    .into_iter()
+    .map(String::from)
+    .chain(["--seed".into(), seed.to_string()])
+    .collect()
+}
+
 /// The trace-zoo + learned-autoscaler pipeline: a mixed Zipf/diurnal/
 /// bursty/cold-tail trace served by the frozen Q-learning policy.
 fn serve_zoo_args(seed: u64) -> Vec<String> {
@@ -324,6 +351,22 @@ fn serve_traces_match_golden_fixtures() {
             "serve metrics must include the latency quantile summary"
         );
         check_golden("serve", seed, &bytes);
+    }
+}
+
+/// The histogram keep-alive fixture: one seed, byte-compared at 1 and 8
+/// workers, so the percentile TTL's exact answers are pinned.
+#[test]
+fn histogram_serve_traces_match_golden_fixtures() {
+    const SEED: u64 = 42;
+    for threads in [1, 8] {
+        let bytes = run_metrics_with_threads(
+            &serve_histogram_args(SEED),
+            &format!("serve_histogram_{SEED}_t{threads}"),
+            Some(threads),
+        );
+        assert!(!bytes.is_empty());
+        check_golden("serve_histogram", SEED, &bytes);
     }
 }
 
