@@ -179,22 +179,35 @@ impl KeepAlive for AdaptiveTtl {
 /// style): log-bucket tallies of observed gaps; the TTL is a high
 /// percentile of that distribution, so the pool keeps instances warm
 /// long enough to catch all but the rarest stragglers.
+///
+/// The percentile is kept up to date as gaps arrive rather than found
+/// by walking the histogram on every query: a cursor sits on the bucket
+/// holding the nearest-rank gap, and each arrival moves it at most one
+/// occupied bucket, so an arrival costs one map insert plus at most one
+/// neighbour lookup and [`KeepAlive::ttl_s`] reads a stored value.
 #[derive(Debug, Clone)]
 pub struct HistogramTtl {
     /// Which gap percentile to keep instances warm for.
-    pub percentile: f64,
+    percentile: f64,
     /// Safety margin multiplying the percentile gap.
-    pub margin: f64,
-    /// TTL bounds in seconds.
-    pub min_ttl_s: f64,
+    margin: f64,
+    /// TTL floor in seconds.
+    min_ttl_s: f64,
     /// TTL ceiling in seconds.
-    pub max_ttl_s: f64,
+    max_ttl_s: f64,
     /// Gap observations needed before trusting the histogram; below this
     /// the policy falls back to [`DEFAULT_TTL_S`] (clamped).
-    pub warmup: u64,
+    warmup: u64,
     gaps: BTreeMap<i32, u64>,
     zero_gaps: u64,
     total: u64,
+    /// Bucket holding the nearest-rank gap; `None` while that rank falls
+    /// in the run of zero gaps (duplicate timestamps).
+    cursor: Option<i32>,
+    /// Gaps at or below the cursor, zero gaps included.
+    through: u64,
+    /// The nearest-rank percentile gap: the cursor bucket's value.
+    gap_s: f64,
     last_arrival: Option<SimTime>,
 }
 
@@ -213,6 +226,9 @@ impl HistogramTtl {
             gaps: BTreeMap::new(),
             zero_gaps: 0,
             total: 0,
+            cursor: None,
+            through: 0,
+            gap_s: 0.0,
             last_arrival: None,
         }
     }
@@ -222,24 +238,39 @@ impl HistogramTtl {
         self.total
     }
 
-    /// The `percentile` gap by nearest rank over the log buckets, or
-    /// `None` before any gap was observed.
-    fn percentile_gap_s(&self) -> Option<f64> {
-        if self.total == 0 {
-            return None;
-        }
-        let rank = ((self.percentile * self.total as f64).ceil() as u64).max(1);
-        if self.zero_gaps >= rank {
-            return Some(0.0);
-        }
-        let mut seen = self.zero_gaps;
-        for (&idx, &n) in self.gaps.iter() {
-            seen += n;
-            if seen >= rank {
-                return Some(ce_obs::log_bucket_value(idx));
+    /// Records one gap and moves the cursor to the bucket holding rank
+    /// `max(ceil(percentile * total), 1)`.
+    fn record_gap(&mut self, gap: f64) {
+        if gap > 0.0 {
+            let idx = ce_obs::log_bucket_index(gap);
+            *self.gaps.entry(idx).or_insert(0) += 1;
+            if self.cursor.is_some_and(|c| idx <= c) {
+                self.through += 1;
             }
+        } else {
+            self.zero_gaps += 1;
+            self.through += 1;
         }
-        None
+        self.total += 1;
+        let rank = ((self.percentile * self.total as f64).ceil() as u64).max(1);
+        // The rank exceeds the gaps at or below the cursor: step up to
+        // the next occupied bucket (one exists, as rank <= total).
+        while self.through < rank {
+            let lo = self.cursor.map_or(i32::MIN, |c| c + 1);
+            let (&idx, &n) = self.gaps.range(lo..).next().expect("rank <= total");
+            self.cursor = Some(idx);
+            self.through += n;
+        }
+        // The buckets below the cursor already cover the rank: step down.
+        while let Some(c) = self.cursor {
+            let below = self.through - self.gaps[&c];
+            if below < rank {
+                break;
+            }
+            self.through = below;
+            self.cursor = self.gaps.range(..c).next_back().map(|(&idx, _)| idx);
+        }
+        self.gap_s = self.cursor.map_or(0.0, ce_obs::log_bucket_value);
     }
 }
 
@@ -255,24 +286,18 @@ impl KeepAlive for HistogramTtl {
     }
 
     fn ttl_s(&self, _now: SimTime) -> f64 {
-        if self.total < self.warmup {
-            return DEFAULT_TTL_S.clamp(self.min_ttl_s, self.max_ttl_s);
-        }
-        match self.percentile_gap_s() {
-            None => DEFAULT_TTL_S.clamp(self.min_ttl_s, self.max_ttl_s),
-            Some(gap) => (gap * self.margin).clamp(self.min_ttl_s, self.max_ttl_s),
-        }
+        // Past the warmup at least one gap exists, so `gap_s` is live.
+        let gap = if self.total < self.warmup {
+            DEFAULT_TTL_S
+        } else {
+            self.gap_s * self.margin
+        };
+        gap.clamp(self.min_ttl_s, self.max_ttl_s)
     }
 
     fn observe_arrival(&mut self, now: SimTime) {
         if let Some(last) = self.last_arrival {
-            let gap = (now - last).max(0.0);
-            if gap > 0.0 {
-                *self.gaps.entry(ce_obs::log_bucket_index(gap)).or_insert(0) += 1;
-            } else {
-                self.zero_gaps += 1;
-            }
-            self.total += 1;
+            self.record_gap((now - last).max(0.0));
         }
         self.last_arrival = Some(now);
     }
@@ -363,6 +388,7 @@ pub fn keep_alive_by_name(name: &str) -> Option<Box<dyn KeepAlive>> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use ce_sim_core::rng::SimRng;
 
     fn t(secs: f64) -> SimTime {
         SimTime::from_secs(secs)
@@ -419,6 +445,71 @@ mod tests {
             (50.0..=75.0).contains(&ttl),
             "p99 gap ~50 s x margin: ttl {ttl}"
         );
+    }
+
+    /// The reference answer: [`HistogramTtl::ttl_s`] as a full walk of
+    /// the gap histogram up to the nearest-rank percentile.
+    fn walked_ttl_s(p: &HistogramTtl) -> f64 {
+        if p.total < p.warmup {
+            return DEFAULT_TTL_S.clamp(p.min_ttl_s, p.max_ttl_s);
+        }
+        let rank = ((p.percentile * p.total as f64).ceil() as u64).max(1);
+        let mut seen = p.zero_gaps;
+        let gap = if seen >= rank {
+            0.0
+        } else {
+            p.gaps
+                .iter()
+                .find_map(|(&idx, &n)| {
+                    seen += n;
+                    (seen >= rank).then(|| ce_obs::log_bucket_value(idx))
+                })
+                .expect("rank <= total")
+        };
+        (gap * p.margin).clamp(p.min_ttl_s, p.max_ttl_s)
+    }
+
+    /// One seeded gap sequence: log-uniform gaps over 1e-6..1e4 s, runs
+    /// of zero gaps (duplicate timestamps), and bursts of sub-millisecond
+    /// gaps that pull the rank back into lower buckets.
+    fn gap_sequence(rng: &mut SimRng, len: usize) -> Vec<f64> {
+        let mut gaps = Vec::with_capacity(len);
+        while gaps.len() < len {
+            let run = 1 + rng.gen_index(40);
+            match rng.gen_index(4) {
+                0 => gaps.extend(std::iter::repeat_n(0.0, run)),
+                1 => gaps.extend((0..run).map(|_| 10f64.powf(rng.uniform_range(-6.0, -3.0)))),
+                2 => gaps.extend((0..run).map(|_| 10f64.powf(rng.uniform_range(2.0, 4.0)))),
+                _ => gaps.extend((0..run).map(|_| 10f64.powf(rng.uniform_range(-6.0, 4.0)))),
+            }
+        }
+        gaps.truncate(len);
+        gaps
+    }
+
+    #[test]
+    fn histogram_ttl_matches_the_reference_walk_after_every_arrival() {
+        let root = SimRng::new(0x4b45_4550);
+        for percentile in [0.0, 0.5, 0.99, 1.0] {
+            for case in 0..40 {
+                let mut rng = root.derive_idx("keepalive-gaps", case);
+                // Unclamped, so every percentile move shows in the TTL.
+                let mut p = HistogramTtl::new(percentile, 0.0, f64::INFINITY);
+                let mut now = 0.0;
+                p.observe_arrival(t(now));
+                for (i, gap) in gap_sequence(&mut rng, 600).into_iter().enumerate() {
+                    now += gap;
+                    p.observe_arrival(t(now));
+                    let (fast, walked) = (p.ttl_s(t(now)), walked_ttl_s(&p));
+                    assert_eq!(
+                        fast.to_bits(),
+                        walked.to_bits(),
+                        "p{percentile} case {case} arrival {i}: {fast} vs {walked}"
+                    );
+                }
+                assert!(p.samples() > p.warmup, "sequence crosses the warmup");
+            }
+        }
     }
 
     #[test]

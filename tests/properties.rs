@@ -974,3 +974,71 @@ fn zoo_schedules_roundtrip_the_arrival_log_for_every_preset() {
         assert_eq!(replayed, arrivals, "{preset} log round trip must be exact");
     }
 }
+
+/// The keep-alive spec grammar never panics. Random `fixed:` bodies
+/// (signs, numbers, exponents, `inf`, `NaN`, junk, empty) and random
+/// policy names each parse to a policy or to the typed error naming
+/// what is wrong, and a `fixed:` spec parses exactly when its body is a
+/// finite number of seconds `>= 0`.
+#[test]
+fn keep_alive_specs_parse_or_fail_typed() {
+    use ce_scaling::faas::{parse_keep_alive, KeepAliveParseError};
+    use ce_scaling::sim::time::SimTime;
+    const PIECES: [&str; 16] = [
+        "0", "7", "42", ".5", "1e9", "1e400", "e", "inf", "infinity", "NaN", "nan", " ", "x", ":",
+        "_", "",
+    ];
+    const NAMES: [&str; 8] = [
+        "fixed",
+        "adaptive",
+        "histogram",
+        "Fixed",
+        "histogram:",
+        "fixed;1",
+        "lru",
+        "",
+    ];
+    prop("keep-alive-spec", 500, |rng| {
+        let mut body = String::new();
+        if rng.bernoulli(0.3) {
+            body.push_str(["+", "-"][rng.gen_index(2)]);
+        }
+        for _ in 0..rng.gen_index(4) {
+            body.push_str(PIECES[rng.gen_index(PIECES.len())]);
+        }
+        let spec = match rng.gen_index(4) {
+            0 | 1 => format!("fixed:{body}"),
+            2 => NAMES[rng.gen_index(NAMES.len())].to_string(),
+            _ => (0..rng.gen_index(8))
+                .map(|_| char::from(b' ' + rng.gen_index(95) as u8))
+                .collect(),
+        };
+        let outcome = parse_keep_alive(&spec);
+        if let Err(e) = &outcome {
+            assert!(!e.to_string().is_empty(), "{spec:?}: empty message");
+        }
+        match (outcome, spec.strip_prefix("fixed:")) {
+            (Ok(policy), Some(rest)) => {
+                let ttl: f64 = rest.parse().expect("accepted TTL parses");
+                assert!(ttl.is_finite() && ttl >= 0.0, "{spec:?} accepted TTL {ttl}");
+                assert_eq!(policy.ttl_s(SimTime::from_secs(0.0)), ttl, "{spec:?}");
+            }
+            (Err(KeepAliveParseError::InvalidTtl { raw, .. }), Some(rest)) => {
+                assert_eq!(raw, rest, "{spec:?}");
+                assert!(
+                    !rest.parse::<f64>().is_ok_and(|v| v.is_finite() && v >= 0.0),
+                    "{spec:?} rejected a valid TTL"
+                );
+            }
+            (Ok(policy), None) => {
+                assert!(
+                    ["fixed", "adaptive", "histogram"].contains(&spec.as_str()),
+                    "{spec:?} parsed as {}",
+                    policy.name()
+                );
+            }
+            (Err(KeepAliveParseError::UnknownPolicy(name)), None) => assert_eq!(name, spec),
+            (Err(e), _) => panic!("{spec:?}: wrong error kind {e:?}"),
+        }
+    });
+}
