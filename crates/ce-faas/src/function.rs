@@ -80,6 +80,9 @@ pub struct PoolStats {
 /// A pool of function instances for one tenant.
 #[derive(Debug, Clone)]
 pub struct InstancePool {
+    /// Live instances, sorted by id: ids are handed out in increasing
+    /// order, new instances are only ever appended, and every removal
+    /// keeps the survivors' order. [`InstancePool::position`] relies on it.
     instances: Vec<FunctionInstance>,
     next_id: u64,
     /// Idle-expiry policy (default: the provider's fixed 600 s window).
@@ -209,11 +212,7 @@ impl InstancePool {
     pub fn retire(&mut self, ids: &[FunctionId]) -> Vec<FunctionInstance> {
         let mut out = Vec::with_capacity(ids.len());
         for id in ids {
-            let idx = self
-                .instances
-                .iter()
-                .position(|i| i.id == *id)
-                .expect("retired instance exists");
+            let idx = self.position(*id).expect("retired instance exists");
             assert!(
                 self.instances[idx].executing,
                 "retire of idle instance {id:?}"
@@ -310,11 +309,8 @@ impl InstancePool {
             self.stats.limit_breaches += ids.len() as u64;
         }
         for id in ids {
-            let inst = self
-                .instances
-                .iter_mut()
-                .find(|i| i.id == *id)
-                .expect("released instance exists");
+            let idx = self.position(*id).expect("released instance exists");
+            let inst = &mut self.instances[idx];
             assert!(inst.executing, "double release of {id:?}");
             inst.executing = false;
             inst.invocations += 1;
@@ -348,6 +344,12 @@ impl InstancePool {
         let before = self.instances.len();
         self.instances.retain(|i| i.executing);
         self.stats.expired += (before - self.instances.len()) as u64;
+    }
+
+    /// Index of the live instance `id`, by binary search over the
+    /// id-sorted pool.
+    fn position(&self, id: FunctionId) -> Option<usize> {
+        self.instances.binary_search_by_key(&id.0, |i| i.id.0).ok()
     }
 
     /// Number of live (warm or executing) instances.
@@ -579,5 +581,42 @@ mod tests {
         pool.clear_idle();
         assert_eq!(pool.len(), 1);
         assert!(!pool.is_empty());
+    }
+
+    #[test]
+    fn every_mutation_keeps_the_pool_sorted_by_id() {
+        // `release` and `retire` find instances by binary search, which
+        // needs the id order to survive any mix of mutations.
+        let mut rng = ce_sim_core::rng::SimRng::new(11);
+        let mut pool = InstancePool::new();
+        let mut executing: Vec<FunctionId> = Vec::new();
+        let mut now = 0.0;
+        for _ in 0..2_000 {
+            now += rng.uniform_range(0.0, 200.0);
+            let memory_mb = [512, 1769][rng.gen_index(2)];
+            match rng.gen_index(7) {
+                0 => executing.extend(pool.acquire(rng.gen_index(6) as u32, memory_mb, t(now)).0),
+                1 => executing.push(pool.acquire_one(memory_mb, t(now)).0),
+                2 => pool.prewarm(rng.gen_index(4) as u32, memory_mb, t(now)),
+                3 if !executing.is_empty() => {
+                    let id = executing.swap_remove(rng.gen_index(executing.len()));
+                    assert_eq!(pool.retire(&[id])[0].id, id);
+                }
+                4 => {
+                    pool.reap_detailed(t(now));
+                }
+                5 if rng.bernoulli(0.1) => pool.clear_idle(),
+                _ => {
+                    rng.shuffle(&mut executing);
+                    let n = rng.gen_index(executing.len() + 1);
+                    pool.release(&executing.split_off(n), 1.0, t(now));
+                }
+            }
+            assert!(
+                pool.instances.windows(2).all(|w| w[0].id.0 < w[1].id.0),
+                "pool out of id order"
+            );
+            assert!(executing.iter().all(|&id| pool.position(id).is_some()));
+        }
     }
 }

@@ -4,8 +4,16 @@
 //! `σ(e) = floor + (initial − floor) / (1 + rate·e)` with a *known*
 //! initial loss (the loss of the untrained model, observable before
 //! training starts) and fits `(floor, rate)` to the noisy per-epoch
-//! history by coordinate grid search with local refinement — robust,
+//! history by a 33 × 49 grid search with local refinement — robust,
 //! derivative-free, and fast enough to run after every epoch.
+//!
+//! The default sweep ([`LossCurveFitter::fit_pruned`]) returns the
+//! exhaustive sweep's exact bits at a fraction of its cost: a warm-start
+//! bound from the previous fit ([`LossCurveFitter::fit_hinted`]) and a
+//! four-lane grid kernel let it abandon most candidates after a few
+//! terms. Both shortcuts only skip candidates whose SSE provably cannot
+//! win the strict-`<` first-argmin, and every SSE that is compared is
+//! summed term by term in [`FittedCurve::sse`]'s order.
 
 use serde::{Deserialize, Serialize};
 use std::sync::atomic::{AtomicU8, Ordering};
@@ -13,15 +21,18 @@ use std::sync::OnceLock;
 
 /// Which candidate sweep [`LossCurveFitter::fit`] runs.
 ///
-/// Both sweeps return bit-identical fits for every input
-/// (property-tested in this module); they differ only in wall-clock
-/// cost. The exhaustive sweep is the pre-optimization implementation,
-/// kept as the pruned sweep's oracle and as the faithful baseline for
-/// the fleet benchmarks (`ce-bench`).
+/// Both sweeps return bit-identical fits for every input and every
+/// warm-start hint (property-tested here and in the workspace's
+/// `tests/properties.rs`); they differ only in wall-clock cost. The
+/// exhaustive sweep is the pre-optimization implementation, kept as the
+/// pruned sweep's oracle and as the faithful baseline for the fleet
+/// benchmarks (`ce-bench`).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum SweepMode {
-    /// Branch-and-bound SSE pruning over the same candidate sequence
-    /// (the default).
+    /// The default: the same candidates in the same order, with the
+    /// grid bounded by the hint cell's SSE and swept by the four-lane
+    /// kernel, and the refinement pruned against the incumbent
+    /// ([`LossCurveFitter::fit_pruned`]).
     #[default]
     Pruned,
     /// The original full sweep: every candidate's SSE evaluated over the
@@ -115,6 +126,38 @@ fn rate_grid() -> &'static [f64; 49] {
     })
 }
 
+/// The SSEs of the four candidates `(floor, rates[k])`, or `None` once
+/// every lane's partial sum exceeds `cut`. Each lane accumulates its
+/// terms in [`FittedCurve::sse`]'s order with its expression (no fused
+/// multiply-add, no reassociation), so a returned sum is bit-identical to
+/// `sse`. Partial sums of non-negative terms only grow under rounding, so
+/// a lane past `cut` ends past it: `None` drops no candidate that could
+/// be accepted under `cut`.
+fn sse4_within(
+    initial: f64,
+    floor: f64,
+    rates: &[f64; 4],
+    history: &[f64],
+    cut: f64,
+) -> Option<[f64; 4]> {
+    let lanes = rates.map(|rate| FittedCurve {
+        initial,
+        floor,
+        rate,
+    });
+    let mut sums = [0.0; 4];
+    for (i, &l) in history.iter().enumerate() {
+        let e = (i + 1) as f64;
+        for (sum, lane) in sums.iter_mut().zip(&lanes) {
+            *sum += (lane.loss_at(e) - l).powi(2);
+        }
+        if sums.iter().all(|&s| s > cut) {
+            return None;
+        }
+    }
+    Some(sums)
+}
+
 /// The online fitter.
 #[derive(Debug, Clone)]
 pub struct LossCurveFitter {
@@ -137,46 +180,79 @@ impl LossCurveFitter {
     /// than [`Self::MIN_POINTS`] observations. Runs the sweep selected by
     /// [`set_sweep_mode`]; both sweeps are bit-identical.
     pub fn fit(&self, history: &[f64]) -> Option<FittedCurve> {
+        self.fit_hinted(history, None)
+    }
+
+    /// [`Self::fit`] warm-started from `hint`, typically the previous fit
+    /// of a history this one extends. The hint only bounds the pruned
+    /// sweep's work; the fit is the same bits for every hint, including
+    /// `None` and nonsense values. The exhaustive sweep ignores it.
+    pub fn fit_hinted(&self, history: &[f64], hint: Option<FittedCurve>) -> Option<FittedCurve> {
         match sweep_mode() {
-            SweepMode::Pruned => self.fit_pruned(history),
+            SweepMode::Pruned => self.fit_pruned(history, hint),
             SweepMode::Exhaustive => self.fit_exhaustive(history),
         }
     }
 
-    /// The branch-and-bound sweep: same candidate sequence as
-    /// [`Self::fit_exhaustive`], but each candidate's SSE accumulation
-    /// aborts once it exceeds the incumbent best ([`FittedCurve::sse_within`]),
-    /// which cannot change the strict-`<` argmin.
-    pub fn fit_pruned(&self, history: &[f64]) -> Option<FittedCurve> {
+    /// The branch-and-bound sweep: same candidates, same order and same
+    /// strict-`<` first-argmin as [`Self::fit_exhaustive`], with two
+    /// exact shortcuts in the grid.
+    ///
+    /// * *Warm-start bound.* Before the grid, the exact SSE of the grid
+    ///   cell nearest `hint` becomes an upper bound on the grid minimum;
+    ///   a candidate is accepted only if `sse < best_sse && sse <= bound`.
+    /// * *Four-lane kernel.* Each floor's rates are evaluated four at a
+    ///   time, stopping once every lane's partial sum is past the cut.
+    ///
+    /// The local refinement is the exhaustive sweep's, with
+    /// [`FittedCurve::sse_within`] pruning against the incumbent.
+    pub fn fit_pruned(&self, history: &[f64], hint: Option<FittedCurve>) -> Option<FittedCurve> {
         if history.len() < Self::MIN_POINTS {
             return None;
         }
         let min_loss = history.iter().cloned().fold(f64::INFINITY, f64::min);
+        let bound = self.hint_bound(history, min_loss, hint);
         // Coarse grid over floor ∈ [0, min_loss], rate log-spaced.
-        let mut best = FittedCurve {
-            initial: self.initial,
-            floor: 0.0,
-            rate: 1.0,
+        let mut grid_best = (
+            FittedCurve {
+                initial: self.initial,
+                floor: 0.0,
+                rate: 1.0,
+            },
+            f64::INFINITY,
+        );
+        let offer = |best: &mut (FittedCurve, f64), cand: FittedCurve, sse: f64| {
+            if sse < best.1 && sse <= bound {
+                *best = (cand, sse);
+            }
         };
-        let mut best_sse = f64::INFINITY;
+        // 49 rates: twelve four-lane passes and one scalar tail per floor.
+        let (quads, tail) = rate_grid().as_chunks::<4>();
         for fi in 0..=32 {
             let floor = min_loss * f64::from(fi) / 32.0;
-            // rate from 1e-3 to 1e3, log-spaced.
-            for &rate in rate_grid() {
-                let cand = FittedCurve {
-                    initial: self.initial,
-                    floor,
-                    rate,
-                };
-                let sse = cand.sse_within(history, best_sse);
-                if sse < best_sse {
-                    best_sse = sse;
-                    best = cand;
+            let cand = |rate| FittedCurve {
+                initial: self.initial,
+                floor,
+                rate,
+            };
+            for rates in quads {
+                let cut = grid_best.1.min(bound);
+                if let Some(sums) = sse4_within(self.initial, floor, rates, history, cut) {
+                    for (&rate, sse) in rates.iter().zip(sums) {
+                        offer(&mut grid_best, cand(rate), sse);
+                    }
                 }
             }
+            for &rate in tail {
+                let c = cand(rate);
+                let sse = c.sse_within(history, grid_best.1.min(bound));
+                offer(&mut grid_best, c, sse);
+            }
         }
+        let (mut best, mut best_sse) = grid_best;
         // Local refinement: shrinking coordinate search around the best
-        // grid cell.
+        // grid cell. It stays scalar: each step's four probes depend on
+        // the step before, and batching them measured no gain.
         let mut floor_step = min_loss / 32.0;
         let mut rate_factor = 10f64.powf(6.0 / 48.0);
         for _ in 0..24 {
@@ -205,6 +281,34 @@ impl LossCurveFitter {
             }
         }
         Some(best)
+    }
+
+    /// The exact SSE of the grid cell nearest `hint`, or infinity (no
+    /// bound) for a missing or non-finite hint or a NaN SSE. The cell is
+    /// built with the grid's own floor and rate expressions, so its SSE
+    /// is one the grid sweep also computes: never below the grid minimum.
+    fn hint_bound(&self, history: &[f64], min_loss: f64, hint: Option<FittedCurve>) -> f64 {
+        let Some(hint) = hint else {
+            return f64::INFINITY;
+        };
+        if !(hint.floor.is_finite() && hint.rate.is_finite() && hint.rate > 0.0) {
+            return f64::INFINITY;
+        }
+        // Float-to-int casts saturate (NaN → 0), so any ratio lands on a
+        // real cell.
+        let fi = ((hint.floor / min_loss * 32.0).round() as i32).clamp(0, 32);
+        let ri = (((hint.rate.log10() + 3.0) * 8.0).round() as usize).min(48);
+        let cell = FittedCurve {
+            initial: self.initial,
+            floor: min_loss * f64::from(fi) / 32.0,
+            rate: rate_grid()[ri],
+        };
+        let sse = cell.sse(history);
+        if sse.is_nan() {
+            f64::INFINITY
+        } else {
+            sse
+        }
     }
 
     /// The original full sweep: every candidate's SSE evaluated over the
@@ -371,30 +475,37 @@ mod tests {
 
     #[test]
     fn pruned_fit_is_bit_identical_to_exhaustive_sweep() {
-        // The SSE early-exit must never change which candidate wins:
-        // across many noisy realizations and history lengths, the pruned
-        // fit and the exhaustive oracle return the exact same bits.
+        // Neither the warm-start bound nor the lane kernel's early exit
+        // may change which candidate wins: across noisy realizations,
+        // history lengths and hints, the pruned fit and the exhaustive
+        // oracle return the exact same bits.
         for seed in 0..6 {
             let params = CurveParams::for_workload(ModelFamily::MobileNet, "Cifar10");
             let mut run = LossCurve::sample_optimal(&params, SimRng::new(seed));
-            for _ in 0..40 {
+            for _ in 0..70 {
                 run.next_epoch();
             }
             let fitter = LossCurveFitter::new(params.initial);
-            for n in [3, 5, 12, 25, 40] {
+            for n in [3, 5, 12, 25, 40, 70] {
                 let history = &run.history()[..n];
-                let fast = fitter.fit_pruned(history).unwrap();
                 let slow = fitter.fit_exhaustive(history).unwrap();
-                assert_eq!(
-                    fast.floor.to_bits(),
-                    slow.floor.to_bits(),
-                    "seed {seed} n {n}"
-                );
-                assert_eq!(
-                    fast.rate.to_bits(),
-                    slow.rate.to_bits(),
-                    "seed {seed} n {n}"
-                );
+                let hints = [
+                    None,
+                    fitter.fit_exhaustive(&history[..n - 1]),
+                    Some(slow),
+                    Some(FittedCurve {
+                        rate: f64::NAN,
+                        ..slow
+                    }),
+                ];
+                for hint in hints {
+                    let fast = fitter.fit_pruned(history, hint).unwrap();
+                    assert_eq!(
+                        (fast.floor.to_bits(), fast.rate.to_bits()),
+                        (slow.floor.to_bits(), slow.rate.to_bits()),
+                        "seed {seed} n {n} hint {hint:?}"
+                    );
+                }
             }
         }
     }

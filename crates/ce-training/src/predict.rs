@@ -77,10 +77,11 @@ impl OfflinePredictor {
 pub struct OnlinePredictor {
     fitter: LossCurveFitter,
     history: Vec<f64>,
-    /// Memoized refit, keyed by the history length it was computed at.
+    /// The last refit, keyed by the history length it was computed at.
     /// The fit is a pure function of the history, and `observe` (the
     /// only mutation) grows the history, so a matching length means the
-    /// cached curve is bit-identical to a fresh fit.
+    /// cached curve is bit-identical to a fresh fit. A stale entry
+    /// survives `observe` as the next refit's warm-start hint.
     fit_cache: Cell<Option<(usize, Option<FittedCurve>)>>,
 }
 
@@ -94,10 +95,10 @@ impl OnlinePredictor {
         }
     }
 
-    /// Records one observed epoch loss. Invalidates the memoized fit.
+    /// Records one observed epoch loss. The memoized fit goes stale
+    /// (its length no longer matches) and becomes the next refit's hint.
     pub fn observe(&mut self, loss: f64) {
         self.history.push(loss);
-        self.fit_cache.set(None);
     }
 
     /// Epochs observed so far.
@@ -107,14 +108,16 @@ impl OnlinePredictor {
 
     /// Latest fitted curve, if enough history has accumulated. Refits at
     /// most once per observed epoch: callers that consult the curve
-    /// several times between observations hit the memo.
+    /// several times between observations hit the memo. A refit is
+    /// warm-started from the previous fit, which bounds the sweep's work
+    /// but not its result ([`LossCurveFitter::fit_hinted`]).
     pub fn fitted(&self) -> Option<FittedCurve> {
-        if let Some((n, fit)) = self.fit_cache.get() {
-            if n == self.history.len() {
-                return fit;
-            }
-        }
-        let fit = self.fitter.fit(&self.history);
+        let hint = match self.fit_cache.get() {
+            Some((n, fit)) if n == self.history.len() => return fit,
+            Some((_, fit)) => fit,
+            None => None,
+        };
+        let fit = self.fitter.fit_hinted(&self.history, hint);
         self.fit_cache.set(Some((self.history.len(), fit)));
         fit
     }

@@ -1042,3 +1042,228 @@ fn keep_alive_specs_parse_or_fail_typed() {
         }
     });
 }
+
+/// A loss history for the fitter's differential tests: a noisy
+/// inverse-power run of 3–200 epochs, sometimes with rollback replays (a
+/// segment re-observed from an earlier checkpoint, as quota preemption
+/// produces) and sometimes with a zero loss, so `min_loss == 0`.
+fn fit_history(rng: &mut SimRng) -> (f64, Vec<f64>) {
+    use ce_scaling::ml::curve::LossCurve;
+    let initial = rng.uniform_range(0.5, 5.0);
+    let params = CurveParams {
+        initial,
+        floor: initial * rng.uniform_range(0.0, 0.9),
+        rate: 10f64.powf(rng.uniform_range(-2.5, 1.5)),
+        power: 1.0,
+        obs_noise: [0.0, 0.01, 0.05, 0.2][rng.gen_index(4)],
+        rate_var: rng.uniform_range(0.0, 0.3),
+    };
+    let mut run = LossCurve::sample_optimal(&params, SimRng::new(rng.next_u64()));
+    let mut history = Vec::new();
+    let len = 3 + rng.gen_index(198);
+    while history.len() < len {
+        history.push(run.next_epoch());
+        if history.len() > 4 && rng.bernoulli(0.05) {
+            let checkpoint = rng.gen_index(history.len());
+            let replay = history[checkpoint..].to_vec();
+            history.extend(replay);
+        }
+    }
+    history.truncate(len);
+    if rng.bernoulli(0.2) {
+        let at = rng.gen_index(len);
+        history[at] = 0.0;
+    }
+    (initial, history)
+}
+
+fn assert_same_fit(
+    got: Option<ce_scaling::training::FittedCurve>,
+    oracle: Option<ce_scaling::training::FittedCurve>,
+    what: &str,
+) {
+    let bits = |f: Option<ce_scaling::training::FittedCurve>| {
+        f.map(|c| (c.initial.to_bits(), c.floor.to_bits(), c.rate.to_bits()))
+    };
+    assert_eq!(bits(got), bits(oracle), "{what}: {got:?} vs {oracle:?}");
+}
+
+/// The warm-started four-lane sweep returns the exhaustive sweep's exact
+/// bits for every history and every hint: none, the previous fit, the
+/// fit itself, an unrelated curve, and hostile values.
+#[test]
+fn hinted_fit_matches_the_exhaustive_sweep() {
+    use ce_scaling::training::{FittedCurve, LossCurveFitter};
+    prop("hinted_fit_differential", 96, |rng| {
+        let (initial, history) = fit_history(rng);
+        let fitter = LossCurveFitter::new(initial);
+        let oracle = fitter.fit_exhaustive(&history);
+        let min_loss = history.iter().cloned().fold(f64::INFINITY, f64::min);
+        let curve = |floor, rate| {
+            Some(FittedCurve {
+                initial,
+                floor,
+                rate,
+            })
+        };
+        let mut hints = vec![
+            None,
+            fitter.fit_exhaustive(&history[..history.len() - 1]),
+            oracle,
+            curve(
+                rng.uniform_range(0.0, 2.0),
+                10f64.powf(rng.uniform_range(-4.0, 4.0)),
+            ),
+            curve(min_loss * 4.0 + 1.0, 0.5),
+            curve(-1.0, 0.5),
+            curve(f64::NAN, 0.5),
+            curve(f64::INFINITY, 0.5),
+        ];
+        for rate in [
+            0.0,
+            -0.5,
+            f64::NAN,
+            f64::INFINITY,
+            f64::NEG_INFINITY,
+            1e300,
+            1e-300,
+        ] {
+            hints.push(curve(min_loss / 2.0, rate));
+        }
+        for hint in hints {
+            assert_same_fit(
+                fitter.fit_pruned(&history, hint),
+                oracle,
+                &format!("len {} hint {hint:?}", history.len()),
+            );
+        }
+    });
+}
+
+/// An online predictor's warm-started refits equal a fresh exhaustive fit
+/// of the same prefix after every observation.
+#[test]
+fn online_refits_match_fresh_exhaustive_fits() {
+    use ce_scaling::training::{LossCurveFitter, OnlinePredictor};
+    prop("online_refit_differential", 6, |rng| {
+        let (initial, history) = fit_history(rng);
+        let fitter = LossCurveFitter::new(initial);
+        let mut online = OnlinePredictor::new(initial);
+        for (n, &loss) in history.iter().take(120).enumerate() {
+            online.observe(loss);
+            assert_same_fit(
+                online.fitted(),
+                fitter.fit_exhaustive(&history[..=n]),
+                &format!("prefix {}", n + 1),
+            );
+        }
+    });
+}
+
+/// The `--chaos` grammar never panics: random specs built from valid and
+/// broken fault heads, services, severities, windows, bursts and
+/// separators either parse or fail with a non-empty `ChaosSpecError`,
+/// and every accepted spec round-trips through `Display`.
+#[test]
+fn chaos_specs_parse_or_fail_typed() {
+    use ce_scaling::chaos::FaultSchedule;
+    type Piece = (&'static [&'static str], &'static [&'static str]);
+    const HEADS: Piece = (
+        &[
+            "crash",
+            "wave",
+            "throttle",
+            "coldspike",
+            "outage",
+            "degrade",
+        ],
+        &["meteor", "CRASH", "", " "],
+    );
+    const SERVICES: Piece = (
+        &[
+            "s3",
+            "dynamodb",
+            "DYNAMO",
+            "elasticache",
+            "redis",
+            "cache",
+            "vmps",
+            "vm-ps",
+        ],
+        &["floppy", "", "s3 x"],
+    );
+    const RATES: Piece = (
+        &["0", "1", "0.3", "1e-3", "0.000001", "-0", " 0.5 "],
+        &["1.5", "-0.2", "NaN", "inf", "", "x0.5", "0..1"],
+    );
+    const FACTORS: Piece = (
+        &["x4", "x1", "4", "1e3", "x1.5", "x1e300"],
+        &["x0.5", "0", "1e400", "NaN", "", "xx2", "x"],
+    );
+    const STARTS: Piece = (
+        &["0", "10", "0.5", "1e-7", "-0", " 3 "],
+        &["-5", "inf", "", "x", "1e400"],
+    );
+    const ENDS: Piece = (
+        &["inf", "INF", "Inf", "100", "1e6", "3600.5"],
+        &["", "nan", "1e400", "0", "-inf", "..", "5..6"],
+    );
+    const PER_HOUR: Piece = (&["0", "2", "1.5", "1e-2"], &["-1", "inf", "", "NaN"]);
+    const DURATIONS: Piece = (&["60", "0.5", "1e4", " 90"], &["0", "-60", "inf", ""]);
+    const SEPARATORS: Piece = (&[";", "; ", " ;", ";;"], &[":", ",", "@", "~"]);
+    fn pick(rng: &mut SimRng, (valid, broken): Piece) -> &'static str {
+        let options = if rng.bernoulli(0.9) { valid } else { broken };
+        options[rng.gen_index(options.len())]
+    }
+    prop("chaos-spec", 600, |rng| {
+        let mut spec = String::new();
+        for _ in 0..rng.gen_index(4) {
+            if !spec.is_empty() {
+                spec.push_str(pick(rng, SEPARATORS));
+            }
+            let head = pick(rng, HEADS);
+            spec.push_str(head);
+            let params = match head {
+                "outage" => vec![pick(rng, SERVICES)],
+                "degrade" => vec![pick(rng, SERVICES), pick(rng, FACTORS)],
+                "coldspike" => vec![pick(rng, FACTORS)],
+                _ => vec![pick(rng, RATES)],
+            };
+            for param in params {
+                spec.push(':');
+                spec.push_str(param);
+            }
+            if rng.bernoulli(0.05) {
+                spec.push_str(":extra");
+            }
+            match rng.gen_index(20) {
+                0 => {}
+                1..=5 => {
+                    spec.push('~');
+                    spec.push_str(pick(rng, PER_HOUR));
+                    spec.push_str(if rng.bernoulli(0.9) { "/hx" } else { "/h" });
+                    spec.push_str(pick(rng, DURATIONS));
+                }
+                _ => {
+                    spec.push('@');
+                    spec.push_str(pick(rng, STARTS));
+                    spec.push_str(if rng.bernoulli(0.9) { ".." } else { "-" });
+                    spec.push_str(pick(rng, ENDS));
+                }
+            }
+        }
+        match FaultSchedule::parse(&spec) {
+            Ok(schedule) => {
+                let rendered = schedule.to_string();
+                let again = FaultSchedule::parse(&rendered).unwrap_or_else(|e| {
+                    panic!("{spec:?} rendered as unparseable {rendered:?}: {e}")
+                });
+                assert_eq!(schedule, again, "{spec:?} via {rendered:?}");
+            }
+            Err(e) => assert!(
+                !e.message.is_empty() && !e.to_string().is_empty(),
+                "{spec:?}: empty error message"
+            ),
+        }
+    });
+}
