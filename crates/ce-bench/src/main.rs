@@ -5,7 +5,7 @@
 //!
 //! | suite | simulator | arm matrix (`--quick` subset) | reference arm | claim (exit 1 if false) |
 //! |---|---|---|---|---|
-//! | `fleet` | `ClusterSim` | {500, 2k, 10k} jobs × {fifo, edf, cost-greedy} × {clean, chaos} on the heap engine, plus naive-engine fifo twins at 500 and 2k (no 10k; naive 2k clean only) | `fleet/2000/fifo/clean/heap` | every naive arm equals its heap twin |
+//! | `fleet` | `ClusterSim` | {500, 2k, 10k} jobs × {fifo, edf, cost-greedy} × {clean, chaos} on the heap engine, plus naive-dispatch fifo twins at 500 and 2k (no 10k; naive 2k clean only) | `fleet/2000/fifo/clean/heap` | every naive arm equals its heap twin |
 //! | `serve` | `ServeSim`, diurnal | {10k, 100k, 1M} requests × {target/adaptive, fixed:64/fixed:600, prewarm/histogram} (no 1M) | `serve/100000/target/adaptive` | — |
 //! | `lifecycle` | `LifecycleSim` | {4, 8} tenants × every priority policy (4 only) | `lifecycle/4/serve-first` | — |
 //! | `resilience` | `ServeSim` under crash + coldspike chaos | {10k, 100k} requests × {off, timeout, retry, hedge, breaker, full} (100k only) | `resilience/100000/full` | attempts cover settled requests |
@@ -48,7 +48,6 @@ use ce_cluster::{
 };
 use ce_obs::Registry;
 use ce_serve::{ServeReport, ServeSim, ServeSpec};
-use ce_training::{set_sweep_mode, SweepMode};
 use ce_workflow::RecoveryPolicy;
 use rayon::prelude::*;
 use serde::Serialize;
@@ -416,20 +415,17 @@ fn fleet_sim(jobs: usize, seed: u64, policy: &str, chaos: bool, engine: FleetEng
     ClusterSim::new(spec, policy_by_name(policy).expect("known policy"))
 }
 
-/// One fleet arm. The **heap** engine runs the shipping configuration
-/// (indexed ready-set dispatch, pruned loss-curve sweep); the **naive**
-/// engine is the pre-optimization differential oracle (linear-scan
-/// dispatch, exhaustive sweep). Both give bit-identical outcomes.
+/// One fleet arm. The **heap** engine runs the shipping indexed
+/// ready-set dispatch; the **naive** engine is its differential oracle,
+/// linear-scan dispatch. Both give bit-identical outcomes.
 fn fleet_arm(jobs: usize, policy: &str, chaos: bool, engine: FleetEngine) -> Arm {
-    let (engine_name, sweep) = match engine {
-        FleetEngine::Heap => ("heap", SweepMode::Pruned),
-        FleetEngine::Naive => ("naive", SweepMode::Exhaustive),
+    let engine_name = match engine {
+        FleetEngine::Heap => "heap",
+        FleetEngine::Naive => "naive",
     };
-    set_sweep_mode(sweep);
     let registry = Registry::new();
     let sim = fleet_sim(jobs, SEED, policy, chaos, engine).with_obs(&registry);
     let (report, wall_ms) = timed(|| sim.run());
-    set_sweep_mode(SweepMode::Pruned);
     let variant = if chaos { "chaos" } else { "clean" };
     Arm::new(
         format!("fleet/{jobs}/{policy}/{variant}/{engine_name}"),
@@ -460,8 +456,8 @@ fn fleet(quick: bool, threads: usize) -> Result<Report, BenchError> {
             }
         }
     }
-    // No 10k naive arm: the quadratic scan plus exhaustive sweep make it
-    // minutes of wall-clock for no extra information.
+    // No 10k naive arm: the quadratic dispatch scan makes it minutes of
+    // wall-clock for no extra information.
     for jobs in [500, 2000] {
         for chaos in [false, true] {
             if quick && (jobs != 2000 || chaos) {

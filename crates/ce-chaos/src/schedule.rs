@@ -45,16 +45,6 @@ impl FaultSchedule {
         parse::parse(spec)
     }
 
-    pub fn with_window(mut self, window: FaultWindow) -> Self {
-        self.windows.push(window);
-        self
-    }
-
-    pub fn with_burst(mut self, burst: BurstSpec) -> Self {
-        self.bursts.push(burst);
-        self
-    }
-
     pub fn with_horizon(mut self, horizon_s: f64) -> Self {
         self.horizon_s = horizon_s;
         self

@@ -267,8 +267,8 @@ pub struct ClusterSim {
 }
 
 impl ClusterSim {
-    /// Builds a simulation; metrics go to the process-global registry
-    /// unless overridden with [`Self::with_obs`].
+    /// Builds a simulation; metrics go to a private registry unless
+    /// overridden with [`Self::with_obs`].
     pub fn new(spec: ClusterSpec, policy: Box<dyn AdmissionPolicy>) -> Self {
         let pool_count = spec.topology.pools.len();
         assert!(
@@ -298,7 +298,7 @@ impl ClusterSim {
         ClusterSim {
             spec,
             policy,
-            obs: ce_obs::global().clone(),
+            obs: Registry::new(),
             jobs: Vec::new(),
             execs: Vec::new(),
             slots: Vec::new(),

@@ -3,7 +3,7 @@
 use crate::billing::BillingLedger;
 use crate::epoch::{self, ExecutionFidelity, MeasuredEpoch};
 use crate::function::{InstancePool, PoolStats};
-use crate::quota::{AccountQuota, QuotaExceeded};
+use crate::quota::QuotaExceeded;
 use ce_chaos::{CompiledSchedule, FaultSchedule};
 use ce_models::{Allocation, Environment, EpochTimeModel, UnknownStorage, Workload};
 use ce_obs::Registry;
@@ -22,8 +22,8 @@ use std::fmt;
 /// whether to back off, restore a checkpoint, or re-plan.
 #[derive(Debug, Clone, PartialEq)]
 pub enum EpochError {
-    /// Concurrency admission failed (platform limit or shared account
-    /// quota); see [`QuotaExceeded`].
+    /// Concurrency admission failed (platform limit); see
+    /// [`QuotaExceeded`].
     Quota(QuotaExceeded),
     /// The allocation names a storage service missing from the catalog.
     UnknownStorage(UnknownStorage),
@@ -93,12 +93,6 @@ impl fmt::Display for EpochError {
 }
 
 impl std::error::Error for EpochError {}
-
-impl From<QuotaExceeded> for EpochError {
-    fn from(e: QuotaExceeded) -> Self {
-        EpochError::Quota(e)
-    }
-}
 
 impl From<UnknownStorage> for EpochError {
     fn from(e: UnknownStorage) -> Self {
@@ -181,10 +175,6 @@ pub struct FaasPlatform {
     /// adds), so aggregation across forked trial platforms is
     /// order-insensitive.
     obs: Registry,
-    /// Optional account-level concurrency pool shared with other
-    /// platforms (multi-tenant operation). `None` leaves only the
-    /// per-platform `config.max_concurrency` check.
-    shared_quota: Option<AccountQuota>,
     /// Optional fault injection; `None` (the default) is the clean
     /// platform, bit-identical to builds without chaos support.
     chaos: Option<ChaosState>,
@@ -207,7 +197,6 @@ impl FaasPlatform {
             now: SimTime::ZERO,
             epochs_run: 0,
             obs: Registry::new(),
-            shared_quota: None,
             chaos: None,
         }
     }
@@ -245,19 +234,6 @@ impl FaasPlatform {
     /// per-request acquire/release and reaping directly).
     pub fn pool_mut(&mut self) -> &mut InstancePool {
         &mut self.pool
-    }
-
-    /// Draws this platform's concurrency from a shared account-level
-    /// pool: every epoch reserves `alloc.n` functions from `quota` for
-    /// its duration, so concurrent tenants contend for one limit.
-    pub fn with_shared_quota(mut self, quota: &AccountQuota) -> Self {
-        self.shared_quota = Some(quota.clone());
-        self
-    }
-
-    /// The shared account quota, when one is attached.
-    pub fn shared_quota(&self) -> Option<&AccountQuota> {
-        self.shared_quota.as_ref()
     }
 
     /// The registry the platform's metrics live in.
@@ -449,8 +425,7 @@ impl FaasPlatform {
     /// # Errors
     /// Returns [`EpochError::Quota`] — a recoverable admission signal,
     /// never a panic — when `alloc.n` exceeds the platform concurrency
-    /// limit, or when an attached shared [`AccountQuota`] cannot supply
-    /// `alloc.n` functions right now. A rejected epoch runs nothing and
+    /// limit. A rejected epoch runs nothing and
     /// bills nothing; the breach is counted under
     /// `faas.limit_breaches` / `faas.quota_rejections`.
     /// [`EpochError::UnknownStorage`] reports an allocation whose storage
@@ -473,13 +448,6 @@ impl FaasPlatform {
             }));
         }
         let (config, env_override) = self.sample_chaos(w, alloc)?;
-        if let Some(quota) = &self.shared_quota {
-            if let Err(e) = quota.try_acquire(alloc.n) {
-                self.obs.counter("faas.limit_breaches").inc();
-                self.obs.counter("faas.quota_rejections").inc();
-                return Err(e.into());
-            }
-        }
         let breaches_before = self.pool.stats().limit_breaches;
         let (ids, cold) = self.pool.acquire(alloc.n, alloc.memory_mb, self.now);
 
@@ -497,11 +465,8 @@ impl FaasPlatform {
             Ok(m) => m,
             Err(e) => {
                 // Unknown storage: the wave never launched. Return the
-                // instances and the account reservation untouched.
+                // instances untouched.
                 self.pool.release(&ids, 0.0, self.now);
-                if let Some(quota) = &self.shared_quota {
-                    quota.release(alloc.n);
-                }
                 return Err(e.into());
             }
         };
@@ -549,9 +514,6 @@ impl FaasPlatform {
                 .histogram("faas.retry_stall_s")
                 .observe(measured.failure_s);
         }
-        if let Some(quota) = &self.shared_quota {
-            quota.release(alloc.n);
-        }
         Ok(measured)
     }
 
@@ -570,9 +532,6 @@ impl FaasPlatform {
             // Forked trials share the sink: their counter adds commute,
             // so the aggregate is deterministic regardless of trial order.
             obs: self.obs.clone(),
-            // The account quota is account-wide: forks contend with the
-            // parent and each other.
-            shared_quota: self.shared_quota.clone(),
             // Forks run offline trials (profiling, tuning brackets); fault
             // schedules target the online training platform only.
             chaos: None,
@@ -670,35 +629,6 @@ mod tests {
         assert_eq!(p.registry().counter("faas.limit_breaches").get(), 1);
         assert_eq!(p.registry().counter("faas.quota_rejections").get(), 1);
         assert_eq!(p.ledger().invocations, 0, "a rejected epoch bills nothing");
-    }
-
-    #[test]
-    fn shared_quota_contention_rejects_and_recovers() {
-        let quota = AccountQuota::new(8);
-        let mut p = platform().with_shared_quota(&quota);
-        let w = Workload::lr_higgs();
-        // 10 > 8: the account pool cannot supply the wave.
-        let err = p
-            .run_epoch(&w, &lr_alloc(), ExecutionFidelity::Fast)
-            .unwrap_err();
-        assert!(err.as_quota().expect("a quota error").is_structural());
-        assert_eq!(quota.rejections(), 1);
-        assert_eq!(quota.in_use(), 0, "a failed acquire leaks nothing");
-        // Another tenant holding part of the pool blocks an otherwise
-        // feasible wave; releasing it unblocks.
-        let quota = AccountQuota::new(12);
-        let mut p = platform().with_shared_quota(&quota);
-        quota.try_acquire(5).unwrap();
-        assert!(p
-            .run_epoch(&w, &lr_alloc(), ExecutionFidelity::Fast)
-            .is_err());
-        quota.release(5);
-        let m = p
-            .run_epoch(&w, &lr_alloc(), ExecutionFidelity::Fast)
-            .unwrap();
-        assert!(m.wall_s > 0.0);
-        assert_eq!(quota.in_use(), 0, "epoch returned its reservation");
-        assert_eq!(quota.peak(), 10);
     }
 
     #[test]

@@ -891,7 +891,8 @@ impl Fleet {
             .with_seed(st.spec.run_seed(run))
             .with_space(ce_models::AllocationSpace::aws_default().with_max_concurrency(cap))
             .with_recovery(RecoveryPolicy::CheckpointResume)
-            .with_checkpoint_every(self.spec.checkpoint_every);
+            .with_checkpoint_every(self.spec.checkpoint_every)
+            .with_obs(&self.obs);
             job.env = self.spec.env.clone();
             (job, t + st.spec.deadline_span_s)
         };

@@ -11,9 +11,10 @@
 //!    events in append order. Same seed ⇒ byte-identical JSONL.
 //!
 //! Handles are cheap `Arc` clones, so instrumented components keep their
-//! own handle and the registry can be snapshotted at any time. Binaries
-//! use [`global()`]; components that need isolation (e.g. schedulers
-//! compared side by side in tests) take an explicit registry.
+//! own handle and the registry can be snapshotted at any time. Every
+//! library component writes to an injected registry, a private
+//! [`Registry::new`] unless the caller passes one; only binaries (the
+//! CLIs and the figure harness) pass [`global()`].
 //!
 //! # JSONL schema
 //!
@@ -539,9 +540,10 @@ impl Registry {
 
 /// The process-wide registry used by the binaries' `--metrics` flag.
 ///
-/// Library code should prefer an explicit [`Registry`] handle; the global
-/// exists so experiment entry points (plain `fn(bool) -> Value`) can share
-/// one sink without threading a parameter through every signature.
+/// Library code never touches it: components default to a private
+/// [`Registry`], and only binaries hand them this one. The global exists
+/// so experiment entry points (plain `fn(bool) -> Value`) can share one
+/// sink without threading a parameter through every signature.
 pub fn global() -> &'static Registry {
     static GLOBAL: OnceLock<Registry> = OnceLock::new();
     GLOBAL.get_or_init(Registry::new)

@@ -32,7 +32,7 @@ pub mod profile;
 pub mod profiler;
 
 pub use profile::{AllocPoint, Profile};
-pub use profiler::{profile_cache_stats, ParetoProfiler};
+pub use profiler::ParetoProfiler;
 
 /// Strict Pareto dominance in (time, cost): `a` dominates `b` when `a` is
 /// no worse in both dimensions and strictly better in at least one.

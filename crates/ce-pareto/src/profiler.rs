@@ -6,7 +6,6 @@ use ce_ml::{DatasetSpec, ModelSpec};
 use ce_models::{AllocationSpace, CostModel, Environment, EpochTimeModel, Workload};
 use rayon::prelude::*;
 use std::collections::HashMap;
-use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, OnceLock};
 
 /// Process-global memo for [`ParetoProfiler::profile_workload_cached`].
@@ -17,17 +16,6 @@ use std::sync::{Arc, Mutex, OnceLock};
 /// `Debug` covers every field recursively, so equal keys mean equal model
 /// inputs (f64s print their shortest round-trip form, which is injective).
 static PROFILE_CACHE: OnceLock<Mutex<HashMap<String, Arc<Profile>>>> = OnceLock::new();
-static PROFILE_CACHE_HITS: AtomicU64 = AtomicU64::new(0);
-static PROFILE_CACHE_MISSES: AtomicU64 = AtomicU64::new(0);
-
-/// `(hits, misses)` of the process-global profile cache, for overhead
-/// reporting.
-pub fn profile_cache_stats() -> (u64, u64) {
-    (
-        PROFILE_CACHE_HITS.load(Ordering::Relaxed),
-        PROFILE_CACHE_MISSES.load(Ordering::Relaxed),
-    )
-}
 
 /// Profiles workloads over an environment's allocation space.
 ///
@@ -100,7 +88,6 @@ impl<'e> ParetoProfiler<'e> {
         let key = format!("{:?}\u{1}{:?}\u{1}{:?}", self.env, self.space, w);
         let cache = PROFILE_CACHE.get_or_init(|| Mutex::new(HashMap::new()));
         if let Some(hit) = cache.lock().expect("profile cache poisoned").get(&key) {
-            PROFILE_CACHE_HITS.fetch_add(1, Ordering::Relaxed);
             return Arc::clone(hit);
         }
         // Sweep outside the lock: concurrent first-profilers may race and
@@ -109,7 +96,6 @@ impl<'e> ParetoProfiler<'e> {
         let profile = Arc::new(self.profile_workload(w));
         let mut guard = cache.lock().expect("profile cache poisoned");
         let entry = guard.entry(key).or_insert_with(|| Arc::clone(&profile));
-        PROFILE_CACHE_MISSES.fetch_add(1, Ordering::Relaxed);
         Arc::clone(entry)
     }
 }
@@ -241,8 +227,6 @@ mod tests {
         // A different workload misses: distinct profile.
         let c = profiler.profile_workload_cached(&Workload::mobilenet_cifar10());
         assert!(!Arc::ptr_eq(&a, &c));
-        let (hits, misses) = profile_cache_stats();
-        assert!(hits >= 1 && misses >= 2, "hits {hits} misses {misses}");
     }
 
     #[test]

@@ -18,7 +18,7 @@ pub fn run(quick: bool) -> Value {
     let sha = context::bracket(quick);
     let w = ce_models::Workload::lr_higgs();
     let budget = context::tuning_budget(&env, &w, sha);
-    let job = TuningJob::new(w, sha, Constraint::Budget(budget));
+    let job = TuningJob::new(w, sha, Constraint::Budget(budget)).with_obs(ce_obs::global());
 
     let methods = [Method::CeScaling, Method::LambdaMl, Method::Fixed];
     let mut plans = Vec::new();

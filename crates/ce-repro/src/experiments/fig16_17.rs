@@ -37,7 +37,8 @@ pub fn run_fig16(quick: bool) -> Value {
         for method in METHODS {
             let job = TuningJob::new(w.clone(), sha, Constraint::Budget(budget))
                 .with_seed(23)
-                .with_space(space.clone());
+                .with_space(space.clone())
+                .with_obs(ce_obs::global());
             match job.run(method) {
                 Ok(r) => {
                     table.row([method.label().to_string(), secs(r.jct_s), usd(r.cost_usd)]);
@@ -85,7 +86,8 @@ pub fn run_fig17(quick: bool) -> Value {
             for &seed in &seeds {
                 let job = TrainingJob::new(w.clone(), Constraint::Budget(budget))
                     .with_seed(seed)
-                    .with_space(space.clone());
+                    .with_space(space.clone())
+                    .with_obs(ce_obs::global());
                 if let Ok(r) = job.run(method) {
                     jct += r.jct_s;
                     cost += r.cost_usd;

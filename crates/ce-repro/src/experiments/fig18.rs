@@ -49,7 +49,8 @@ pub fn run(quick: bool) -> Value {
             for &seed in &seeds {
                 let job = TrainingJob::new(w.clone(), Constraint::Budget(budget))
                     .with_seed(seed)
-                    .with_space(space.clone());
+                    .with_space(space.clone())
+                    .with_obs(ce_obs::global());
                 if let Ok(r) = job.run(Method::CeScaling) {
                     jct += r.jct_s;
                     cost += r.cost_usd;

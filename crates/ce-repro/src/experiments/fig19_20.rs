@@ -43,8 +43,9 @@ fn validate(allocs: &[Allocation], quick: bool, label: &str) -> Value {
         let mut meas_jct = 0.0;
         let mut meas_cost = 0.0;
         for &seed in &seeds {
-            let job =
-                TrainingJob::new(w.clone(), Constraint::Budget(f64::INFINITY)).with_seed(seed);
+            let job = TrainingJob::new(w.clone(), Constraint::Budget(f64::INFINITY))
+                .with_seed(seed)
+                .with_obs(ce_obs::global());
             let r = job.run_fixed_allocation(alloc, EPOCHS, ExecutionFidelity::Event);
             meas_jct += r.jct_s;
             meas_cost += r.cost_usd;

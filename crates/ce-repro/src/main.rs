@@ -89,7 +89,8 @@ fn main() {
         std::process::exit(2);
     }
     if let Some(path) = &metrics_path {
-        // Every job defaults to the process-global ce-obs registry, so
+        // Every instrumented experiment binds its jobs to (or merges its
+        // cell registries into) the process-global ce-obs registry, so
         // this dump covers all experiments that just ran.
         std::fs::write(path, ce_obs::global().export_jsonl())
             .unwrap_or_else(|err| panic!("write {path}: {err}"));

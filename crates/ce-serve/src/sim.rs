@@ -139,18 +139,6 @@ impl ServeSpec {
         self
     }
 
-    /// Sets the mean request service time in seconds.
-    pub fn with_service_s(mut self, service_s: f64) -> Self {
-        self.service_s = service_s;
-        self
-    }
-
-    /// Sets the mean cold-start latency in seconds.
-    pub fn with_cold_start_s(mut self, cold_start_s: f64) -> Self {
-        self.cold_start_s = cold_start_s;
-        self
-    }
-
     /// Attaches a fault schedule.
     pub fn with_chaos(mut self, chaos: FaultSchedule) -> Self {
         self.chaos = Some(chaos);

@@ -7,56 +7,19 @@
 //! history by a 33 × 49 grid search with local refinement — robust,
 //! derivative-free, and fast enough to run after every epoch.
 //!
-//! The default sweep ([`LossCurveFitter::fit_pruned`]) returns the
-//! exhaustive sweep's exact bits at a fraction of its cost: a warm-start
+//! [`LossCurveFitter::fit`] runs the pruned sweep
+//! ([`LossCurveFitter::fit_pruned`]), which returns the exhaustive
+//! sweep's exact bits at a fraction of its cost: a warm-start
 //! bound from the previous fit ([`LossCurveFitter::fit_hinted`]) and a
 //! four-lane grid kernel let it abandon most candidates after a few
 //! terms. Both shortcuts only skip candidates whose SSE provably cannot
 //! win the strict-`<` first-argmin, and every SSE that is compared is
-//! summed term by term in [`FittedCurve::sse`]'s order.
+//! summed term by term in [`FittedCurve::sse`]'s order. The exhaustive
+//! sweep ([`LossCurveFitter::fit_exhaustive`]) is kept only as the
+//! oracle of the differential tests.
 
 use serde::{Deserialize, Serialize};
-use std::sync::atomic::{AtomicU8, Ordering};
 use std::sync::OnceLock;
-
-/// Which candidate sweep [`LossCurveFitter::fit`] runs.
-///
-/// Both sweeps return bit-identical fits for every input and every
-/// warm-start hint (property-tested here and in the workspace's
-/// `tests/properties.rs`); they differ only in wall-clock cost. The
-/// exhaustive sweep is the pre-optimization implementation, kept as the
-/// pruned sweep's oracle and as the faithful baseline for the fleet
-/// benchmarks (`ce-bench`).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum SweepMode {
-    /// The default: the same candidates in the same order, with the
-    /// grid bounded by the hint cell's SSE and swept by the four-lane
-    /// kernel, and the refinement pruned against the incumbent
-    /// ([`LossCurveFitter::fit_pruned`]).
-    #[default]
-    Pruned,
-    /// The original full sweep: every candidate's SSE evaluated over the
-    /// whole history.
-    Exhaustive,
-}
-
-static SWEEP_MODE: AtomicU8 = AtomicU8::new(0);
-
-/// Selects the process-wide sweep mode. Outcomes are unaffected (the
-/// sweeps are bit-identical); only benchmarking and differential tests
-/// have a reason to switch.
-pub fn set_sweep_mode(mode: SweepMode) {
-    SWEEP_MODE.store(mode as u8, Ordering::Relaxed);
-}
-
-/// The process-wide sweep mode.
-pub fn sweep_mode() -> SweepMode {
-    if SWEEP_MODE.load(Ordering::Relaxed) == SweepMode::Exhaustive as u8 {
-        SweepMode::Exhaustive
-    } else {
-        SweepMode::Pruned
-    }
-}
 
 /// A fitted convergence curve.
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
@@ -177,8 +140,8 @@ impl LossCurveFitter {
     }
 
     /// Fits `(floor, rate)` to the observed history, or `None` with fewer
-    /// than [`Self::MIN_POINTS`] observations. Runs the sweep selected by
-    /// [`set_sweep_mode`]; both sweeps are bit-identical.
+    /// than [`Self::MIN_POINTS`] observations. Runs the pruned sweep,
+    /// which is bit-identical to [`Self::fit_exhaustive`].
     pub fn fit(&self, history: &[f64]) -> Option<FittedCurve> {
         self.fit_hinted(history, None)
     }
@@ -186,12 +149,9 @@ impl LossCurveFitter {
     /// [`Self::fit`] warm-started from `hint`, typically the previous fit
     /// of a history this one extends. The hint only bounds the pruned
     /// sweep's work; the fit is the same bits for every hint, including
-    /// `None` and nonsense values. The exhaustive sweep ignores it.
+    /// `None` and nonsense values.
     pub fn fit_hinted(&self, history: &[f64], hint: Option<FittedCurve>) -> Option<FittedCurve> {
-        match sweep_mode() {
-            SweepMode::Pruned => self.fit_pruned(history, hint),
-            SweepMode::Exhaustive => self.fit_exhaustive(history),
-        }
+        self.fit_pruned(history, hint)
     }
 
     /// The branch-and-bound sweep: same candidates, same order and same
@@ -313,8 +273,7 @@ impl LossCurveFitter {
 
     /// The original full sweep: every candidate's SSE evaluated over the
     /// whole history, `powf` per grid cell. Kept verbatim as the pruned
-    /// sweep's oracle (differential tests) and as the faithful pre-PR
-    /// cost baseline for the fleet benchmarks.
+    /// sweep's oracle in the differential tests.
     pub fn fit_exhaustive(&self, history: &[f64]) -> Option<FittedCurve> {
         if history.len() < Self::MIN_POINTS {
             return None;

@@ -35,6 +35,6 @@ pub mod predict;
 pub mod scheduler;
 
 pub use confidence::{BootstrapPredictor, EpochInterval};
-pub use fitter::{set_sweep_mode, sweep_mode, FittedCurve, LossCurveFitter, SweepMode};
+pub use fitter::{FittedCurve, LossCurveFitter};
 pub use predict::{OfflinePredictor, OnlinePredictor};
 pub use scheduler::{AdaptiveScheduler, Decision, SchedulerConfig, TrainingObjective};

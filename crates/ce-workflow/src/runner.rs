@@ -92,9 +92,8 @@ pub struct TuningJob {
     pub use_pareto: bool,
     /// When `true`, the report carries a full execution timeline.
     pub capture_trace: bool,
-    /// Metrics/event sink. Defaults to the process-global registry so a
-    /// `--metrics` dump sees every job without per-call wiring; override
-    /// with [`Self::with_obs`] for per-experiment isolation.
+    /// Metrics/event sink. Defaults to a private registry; bind a shared
+    /// one with [`Self::with_obs`].
     pub obs: Registry,
 }
 
@@ -111,7 +110,7 @@ impl TuningJob {
             hyper: HyperSpace::default(),
             use_pareto: true,
             capture_trace: false,
-            obs: ce_obs::global().clone(),
+            obs: Registry::new(),
         }
     }
 
@@ -121,8 +120,8 @@ impl TuningJob {
         self
     }
 
-    /// Routes metrics and events into `registry` instead of the global
-    /// sink.
+    /// Routes metrics and events into `registry` instead of the private
+    /// default.
     pub fn with_obs(mut self, registry: &Registry) -> Self {
         self.obs = registry.clone();
         self
@@ -427,8 +426,8 @@ pub struct TrainingJob {
     pub platform: ce_faas::PlatformConfig,
     /// When `true`, the report carries a full execution timeline.
     pub capture_trace: bool,
-    /// Metrics/event sink. Defaults to the process-global registry;
-    /// override with [`Self::with_obs`] for per-experiment isolation.
+    /// Metrics/event sink. Defaults to a private registry; bind a shared
+    /// one with [`Self::with_obs`].
     pub obs: Registry,
     /// Deterministic fault schedule injected into the platform
     /// (see [`ce_chaos`]). `None` runs clean.
@@ -458,7 +457,7 @@ impl TrainingJob {
             delayed_restart: true,
             platform: ce_faas::PlatformConfig::default(),
             capture_trace: false,
-            obs: ce_obs::global().clone(),
+            obs: Registry::new(),
             chaos: None,
             recovery: RecoveryPolicy::Retry,
             checkpoint_every: None,
@@ -490,8 +489,8 @@ impl TrainingJob {
         self
     }
 
-    /// Routes metrics and events into `registry` instead of the global
-    /// sink.
+    /// Routes metrics and events into `registry` instead of the private
+    /// default.
     pub fn with_obs(mut self, registry: &Registry) -> Self {
         self.obs = registry.clone();
         self
@@ -813,8 +812,8 @@ impl TrainingExecution {
     /// until an epoch actually runs.
     ///
     /// # Errors
-    /// [`WorkflowError::Quota`] when the platform (or an attached shared
-    /// quota) refuses the wave. The epoch did not run; the caller may
+    /// [`WorkflowError::Quota`] when the platform's concurrency limit
+    /// refuses the wave. The epoch did not run; the caller may
     /// retry once capacity frees up. [`WorkflowError::Unrecoverable`]
     /// when faults exhaust the recovery-attempt cap.
     ///

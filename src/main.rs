@@ -44,8 +44,9 @@ fn main() {
                 _ => cmd_storage(&opts),
             }
             if let Some(path) = &opts.metrics {
-                // Jobs feed the process-global ce-obs registry; the dump
-                // is the deterministic JSONL metrics stream.
+                // Every command binds its jobs to the process-global ce-obs
+                // registry; the dump is the deterministic JSONL metrics
+                // stream.
                 std::fs::write(path, ce_scaling::obs::global().export_jsonl()).unwrap_or_else(
                     |e| {
                         eprintln!("cannot write {path}: {e}");
@@ -451,7 +452,9 @@ fn cmd_plan_tuning(opts: &Opts) {
     let default_budget =
         PartitionPlan::uniform(*profile.cheapest().expect("nonempty"), sha).cost() * 2.0;
     let constraint = opts.constraint(default_budget);
-    let job = TuningJob::new(w.clone(), sha, constraint).with_seed(opts.seed.unwrap_or(42));
+    let job = TuningJob::new(w.clone(), sha, constraint)
+        .with_seed(opts.seed.unwrap_or(42))
+        .with_obs(ce_scaling::obs::global());
     match job.plan_for(opts.method()) {
         Ok((plan, overhead_s, evals)) => {
             println!(
@@ -501,7 +504,9 @@ fn cmd_train(opts: &Opts) {
     };
     let default_budget = mid.cost_usd() * params.mean_epochs_to(target).expect("reachable") * 2.0;
     let constraint = opts.constraint(default_budget);
-    let mut job = TrainingJob::new(w.clone(), constraint).with_seed(opts.seed.unwrap_or(42));
+    let mut job = TrainingJob::new(w.clone(), constraint)
+        .with_seed(opts.seed.unwrap_or(42))
+        .with_obs(ce_scaling::obs::global());
     if let Some(rate) = opts.failure_rate {
         job = job.with_platform_config(PlatformConfig {
             failure_rate: rate,
@@ -610,7 +615,9 @@ fn cmd_cluster(opts: &Opts) {
     if let Some(k) = opts.checkpoint_every {
         spec = spec.with_checkpoint_every(k);
     }
-    let report = ClusterSim::new(spec, policy).run();
+    let report = ClusterSim::new(spec, policy)
+        .with_obs(ce_scaling::obs::global())
+        .run();
     println!(
         "{} jobs at {rate}/min over a {quota}-function quota, policy {}:\n",
         report.jobs.len(),

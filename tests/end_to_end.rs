@@ -84,7 +84,8 @@ fn training_reports_are_bit_identical_across_runs() {
 
 /// Scheduler and planner work counts are their own, not deltas of the
 /// process-global `ce-obs` counters: another thread hammering those
-/// counters mid-run must not move a single bit of either report.
+/// counters mid-run must not move a single bit of either report. Both
+/// jobs write to that registry too, so they race the writer on it.
 #[test]
 fn reports_ignore_concurrent_writes_to_the_global_registry() {
     use std::sync::atomic::{AtomicBool, Ordering};
@@ -94,14 +95,16 @@ fn reports_ignore_concurrent_writes_to_the_global_registry() {
         w.clone(),
         ce_scaling::workflow::Constraint::Budget(training_budget(&w, 2.0)),
     )
-    .with_seed(11);
+    .with_seed(11)
+    .with_obs(ce_scaling::obs::global());
     let sha = ShaSpec::new(512, 2, 2);
     let tune = TuningJob::new(
         Workload::lr_higgs(),
         sha,
         ce_scaling::workflow::Constraint::Budget(tuning_budget(&Workload::lr_higgs(), sha, 2.5)),
     )
-    .with_seed(100);
+    .with_seed(100)
+    .with_obs(ce_scaling::obs::global());
     let quiet = (
         train.run(Method::CeScaling).unwrap(),
         tune.run(Method::CeScaling).unwrap(),

@@ -1160,6 +1160,93 @@ fn online_refits_match_fresh_exhaustive_fits() {
     });
 }
 
+/// The pruned sweep on real run histories: the per-epoch losses of traced
+/// training jobs, a checkpoint-resume run under crashes included (so
+/// rollback replays appear), fed through an `OnlinePredictor` give the
+/// exhaustive sweep's exact bits at every prefix.
+#[test]
+fn online_refits_of_traced_runs_match_fresh_exhaustive_fits() {
+    use ce_scaling::chaos::FaultSchedule;
+    use ce_scaling::training::{LossCurveFitter, OnlinePredictor};
+    use ce_scaling::workflow::{Constraint, Method, RecoveryPolicy, TraceKind, TrainingJob};
+    let job = |w: Workload, seed| {
+        TrainingJob::new(w, Constraint::Budget(1e4))
+            .with_seed(seed)
+            .with_trace()
+    };
+    let jobs = [
+        job(Workload::mobilenet_cifar10(), 11),
+        job(Workload::lr_higgs(), 23),
+        job(Workload::mobilenet_cifar10(), 42)
+            .with_chaos(FaultSchedule::parse("crash:0.15@0..inf").expect("chaos spec parses"))
+            .with_recovery(RecoveryPolicy::CheckpointResume)
+            .with_checkpoint_every(5),
+    ];
+    let mut rollbacks = 0;
+    for job in jobs {
+        let initial =
+            CurveParams::for_workload(job.workload.model.family, &job.workload.dataset.name)
+                .initial;
+        let report = job.run(Method::CeScaling).expect("the job trains");
+        let trace = report.trace.expect("traced run");
+        let mut losses = Vec::new();
+        for event in trace.events() {
+            match event.kind {
+                TraceKind::Epoch { loss, .. } => losses.push(loss),
+                TraceKind::Fault { lost_epochs, .. } if lost_epochs > 0 => rollbacks += 1,
+                _ => {}
+            }
+        }
+        assert!(losses.len() >= 10, "only {} epochs", losses.len());
+        let fitter = LossCurveFitter::new(initial);
+        let mut online = OnlinePredictor::new(initial);
+        for (n, &loss) in losses.iter().enumerate() {
+            online.observe(loss);
+            assert_same_fit(
+                online.fitted(),
+                fitter.fit_exhaustive(&losses[..=n]),
+                &format!("seed {} prefix {}", job.seed, n + 1),
+            );
+        }
+    }
+    assert!(
+        rollbacks > 0,
+        "the crash run must replay rolled-back epochs"
+    );
+}
+
+/// The process-wide profile memo is pure: two threads profiling two
+/// different workloads, interleaved, each get exactly the profile a fresh
+/// sweep gives.
+#[test]
+fn cached_profiles_match_fresh_sweeps_across_threads() {
+    use std::sync::Barrier;
+    let env = Environment::aws_default();
+    let profiler = ParetoProfiler::new(&env);
+    let workloads = [Workload::lr_higgs(), Workload::mobilenet_cifar10()];
+    let fresh = workloads
+        .each_ref()
+        .map(|w| format!("{:?}", profiler.profile_workload(w)));
+    let start = Barrier::new(2);
+    std::thread::scope(|scope| {
+        for first in 0..2 {
+            let (profiler, workloads, fresh, start) = (&profiler, &workloads, &fresh, &start);
+            scope.spawn(move || {
+                start.wait();
+                for round in 0..8 {
+                    let i = (first + round) % 2;
+                    let cached = profiler.profile_workload_cached(&workloads[i]);
+                    assert_eq!(
+                        format!("{cached:?}"),
+                        fresh[i],
+                        "workload {i} round {round}"
+                    );
+                }
+            });
+        }
+    });
+}
+
 /// The `--chaos` grammar never panics: random specs built from valid and
 /// broken fault heads, services, severities, windows, bursts and
 /// separators either parse or fail with a non-empty `ChaosSpecError`,
