@@ -217,7 +217,7 @@ impl LifecycleSim {
     pub fn new(spec: LifecycleSpec, policy: Box<dyn PriorityPolicy>) -> Self {
         let pool_count = spec.topology.pools.len();
         assert!(
-            (1..=256).contains(&pool_count),
+            (1..=ce_topo::MAX_POOLS).contains(&pool_count),
             "a lifecycle topology needs 1..=256 pools"
         );
         let rng = SimRng::new(spec.seed).derive("lifecycle-sim");

@@ -198,7 +198,7 @@ impl ServeSim {
             .zip(chaos_rng.as_ref())
             .map(|(s, r)| s.compile(r));
         assert!(
-            !spec.topology.pools.is_empty() && spec.topology.pools.len() <= 256,
+            (1..=ce_topo::MAX_POOLS).contains(&spec.topology.pools.len()),
             "a topology needs 1..=256 pools"
         );
         let placement = ce_topo::parse_placement(&spec.placement)

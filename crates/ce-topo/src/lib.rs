@@ -58,5 +58,5 @@ pub use placement::{
 };
 pub use topology::{
     parse_topology, topology_names, NetworkLink, NodePool, Topology, DEFAULT_LINK_BW_MBPS,
-    DEFAULT_LINK_EGRESS_USD_PER_GB, DEFAULT_LINK_RTT_MS,
+    DEFAULT_LINK_EGRESS_USD_PER_GB, DEFAULT_LINK_RTT_MS, MAX_POOLS,
 };

@@ -72,6 +72,9 @@ pub const DEFAULT_LINK_RTT_MS: f64 = 40.0;
 pub const DEFAULT_LINK_BW_MBPS: f64 = 100.0;
 /// Default egress price in $/GB (AWS internet egress class).
 pub const DEFAULT_LINK_EGRESS_USD_PER_GB: f64 = 0.09;
+/// The most pools a topology may hold: the serving simulators tag each
+/// request with its pool in one byte.
+pub const MAX_POOLS: usize = 256;
 
 /// A named substrate: pools plus the links between them.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
@@ -321,6 +324,12 @@ pub fn parse_topology(spec: &str) -> Result<Topology, String> {
     if topo.pools.is_empty() {
         return Err("a topology needs at least one pool".to_string());
     }
+    if topo.pools.len() > MAX_POOLS {
+        return Err(format!(
+            "too many pools: {} (a topology holds at most {MAX_POOLS})",
+            topo.pools.len()
+        ));
+    }
     for link in &topo.links {
         for end in [&link.a, &link.b] {
             if topo.pool_index(end).is_none() {
@@ -418,5 +427,22 @@ mod tests {
         assert!(err("pool:a;link:a-ghost").contains("unknown pool"));
         assert!(err("link:a-b").contains("at least one pool"));
         assert!(err(";").contains("at least one pool"));
+    }
+
+    #[test]
+    fn parser_caps_the_pool_count() {
+        let spec = |n: usize| {
+            (0..n)
+                .map(|i| format!("pool:p{i}"))
+                .collect::<Vec<_>>()
+                .join(";")
+        };
+        assert_eq!(
+            parse_topology(&spec(MAX_POOLS)).unwrap().pools.len(),
+            MAX_POOLS
+        );
+        let err = parse_topology(&spec(MAX_POOLS + 1)).unwrap_err();
+        assert!(err.contains("too many pools: 257"), "{err}");
+        assert!(err.contains("at most 256"), "{err}");
     }
 }

@@ -169,6 +169,17 @@ fn lifecycle_bad_inputs_are_usage_errors() {
 }
 
 #[test]
+fn topologies_over_the_pool_cap_are_usage_errors() {
+    let spec = (0..257)
+        .map(|i| format!("pool:p{i}"))
+        .collect::<Vec<_>>()
+        .join(";");
+    for cmd in ["serve", "lifecycle"] {
+        assert_graceful(&[cmd, "--topology", &spec], 2, "too many pools: 257");
+    }
+}
+
+#[test]
 fn bad_resilience_flags_are_usage_errors() {
     for cmd in ["serve", "lifecycle"] {
         assert_graceful(&[cmd, "--queue-cap", "0"], 2, "at least 1 slot");
