@@ -20,16 +20,16 @@
 //!
 //! # Determinism
 //!
-//! Same spec + same seed ⇒ byte-identical metrics at any thread count.
-//! The event loop itself is sequential; the only parallelism is the
-//! per-request jitter pre-draw, whose streams are keyed by tenant and
-//! request *index*, so sharding them across threads cannot reorder
-//! draws. Request chaos draws fork the `"lifecycle-chaos"` stream per
-//! tenant, training crash draws fork it per dispatch attempt, and both
-//! happen only in non-quiet instants with a non-zero rate, so a
-//! zero-fault schedule is bit-identical to no schedule. Model-version
-//! profiles are keyed by version index on the tenant's `model_seed`, so
-//! *when* a retrain finishes never changes *what* it deploys.
+//! Same spec + same seed ⇒ byte-identical metrics at any thread count:
+//! the whole run is one sequential event loop. Per-request jitter
+//! streams are keyed by tenant and request *index*, so no draw depends
+//! on event order. Request chaos draws fork the `"lifecycle-chaos"`
+//! stream per tenant, training crash draws fork it per dispatch
+//! attempt, and both happen only in non-quiet instants with a non-zero
+//! rate, so a zero-fault schedule is bit-identical to no schedule.
+//! Model-version profiles are keyed by version index on the tenant's
+//! `model_seed`, so *when* a retrain finishes never changes *what* it
+//! deploys.
 //!
 //! # Topology
 //!

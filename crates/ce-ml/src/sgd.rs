@@ -7,12 +7,11 @@
 //! through a real [`ce_storage::SimStore`]), and every worker applies the
 //! same update — which is exactly the synchronization structure of Fig. 5.
 //!
-//! Gradient computation parallelizes over the batch with rayon, the
-//! canonical data-parallel idiom for this workload.
+//! A gradient sums its per-example terms in batch order on the calling
+//! thread, so it has one f32 association order.
 
 use crate::synth::SynthDataset;
 use ce_sim_core::rng::SimRng;
-use rayon::prelude::*;
 use serde::{Deserialize, Serialize};
 
 /// Loss function of the linear model.
@@ -67,15 +66,10 @@ impl SgdTrainer {
     pub fn gradient(&self, data: &SynthDataset, batch: &[usize]) -> Vec<f32> {
         assert!(!batch.is_empty());
         let d = data.features;
-        // The expensive per-example work (dot product + loss derivative)
-        // lives in the map stage so it parallelizes across batch shards;
-        // the elementwise accumulation runs as an ordered reduce on the
-        // calling thread. Each per-example vector starts from zeros and
-        // contributions are added in batch order, so the sum sees the
-        // same f32 operands in the same association order as a single
-        // sequential accumulator — bit-identical at any thread count.
+        // Each per-example vector starts from zeros and the vectors are
+        // added in batch order, so the f32 sum has one association order.
         let mut grad = batch
-            .par_iter()
+            .iter()
             .map(|&i| {
                 let xi = data.row(i);
                 let yi = data.y[i];
@@ -100,15 +94,12 @@ impl SgdTrainer {
                 }
                 g
             })
-            .reduce(
-                || vec![0.0f32; d],
-                |mut a, b| {
-                    for (ai, bi) in a.iter_mut().zip(&b) {
-                        *ai += bi;
-                    }
-                    a
-                },
-            );
+            .fold(vec![0.0f32; d], |mut a, b| {
+                for (ai, bi) in a.iter_mut().zip(&b) {
+                    *ai += bi;
+                }
+                a
+            });
         let inv = 1.0 / batch.len() as f32;
         for (g, w) in grad.iter_mut().zip(&self.weights) {
             *g = *g * inv + self.l2 * w;
@@ -128,7 +119,6 @@ impl SgdTrainer {
     /// Mean loss of the current weights over the whole of `data`.
     pub fn evaluate(&self, data: &SynthDataset) -> f64 {
         let total: f64 = (0..data.len())
-            .into_par_iter()
             .map(|i| {
                 let margin: f32 = data
                     .row(i)
@@ -149,7 +139,6 @@ impl SgdTrainer {
     /// Classification accuracy of the current weights over `data`.
     pub fn accuracy(&self, data: &SynthDataset) -> f64 {
         let correct: usize = (0..data.len())
-            .into_par_iter()
             .filter(|&i| {
                 let margin: f32 = data
                     .row(i)

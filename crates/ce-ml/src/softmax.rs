@@ -9,7 +9,6 @@
 //! error — the strongest correctness evidence a training kernel can have.
 
 use ce_sim_core::rng::SimRng;
-use rayon::prelude::*;
 use serde::{Deserialize, Serialize};
 
 /// A synthetic multiclass dataset: Gaussian blobs, one per class.
@@ -137,12 +136,9 @@ impl SoftmaxTrainer {
         assert!(!batch.is_empty());
         let d = self.features;
         let k = self.classes;
-        // Per-example softmax + outer product in the parallel map stage;
-        // ordered elementwise reduce on the calling thread keeps the f32
-        // accumulation order identical to a single sequential pass, so
-        // the gradient is bit-identical at any thread count.
+        // Per-example softmax + outer product, summed in batch order.
         let grad = batch
-            .par_iter()
+            .iter()
             .map(|&i| {
                 let xi = data.row(i);
                 let p = self.probabilities(xi);
@@ -157,15 +153,12 @@ impl SoftmaxTrainer {
                 }
                 g
             })
-            .reduce(
-                || vec![0.0f32; k * d],
-                |mut a, b| {
-                    for (ai, bi) in a.iter_mut().zip(&b) {
-                        *ai += bi;
-                    }
-                    a
-                },
-            );
+            .fold(vec![0.0f32; k * d], |mut a, b| {
+                for (ai, bi) in a.iter_mut().zip(&b) {
+                    *ai += bi;
+                }
+                a
+            });
         let inv = 1.0 / batch.len() as f32;
         grad.into_iter().map(|g| g * inv).collect()
     }
@@ -182,7 +175,6 @@ impl SoftmaxTrainer {
     /// Mean cross-entropy over the dataset.
     pub fn evaluate(&self, data: &MulticlassDataset) -> f64 {
         let total: f64 = (0..data.len())
-            .into_par_iter()
             .map(|i| {
                 let p = self.probabilities(data.row(i));
                 -(p[data.y[i] as usize].max(1e-12)).ln()
@@ -194,7 +186,6 @@ impl SoftmaxTrainer {
     /// Classification accuracy over the dataset.
     pub fn accuracy(&self, data: &MulticlassDataset) -> f64 {
         let correct: usize = (0..data.len())
-            .into_par_iter()
             .filter(|&i| {
                 let p = self.probabilities(data.row(i));
                 let pred = p

@@ -12,7 +12,7 @@
 //! only that boundary. Fig. 21 measures the resulting overhead reduction
 //! (−69 % for tuning, −64 % for training).
 //!
-//! The sweep is embarrassingly parallel and uses rayon.
+//! The sweep is one sequential pass over the grid.
 //!
 //! ```
 //! use ce_models::{Environment, Workload};

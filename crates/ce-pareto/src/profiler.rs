@@ -1,10 +1,9 @@
 //! The profiler: evaluates the analytical models over the allocation grid
-//! in parallel and extracts the Pareto boundary.
+//! and extracts the Pareto boundary.
 
 use crate::profile::{AllocPoint, Profile};
 use ce_ml::{DatasetSpec, ModelSpec};
 use ce_models::{AllocationSpace, CostModel, Environment, EpochTimeModel, Workload};
-use rayon::prelude::*;
 use std::collections::HashMap;
 use std::sync::{Arc, Mutex, OnceLock};
 
@@ -55,8 +54,8 @@ impl<'e> ParetoProfiler<'e> {
     }
 
     /// Profiles a fully specified workload: evaluates `t'(θ)` and `c'(θ)`
-    /// for every feasible `θ` in the grid (in parallel) and extracts the
-    /// Pareto boundary.
+    /// for every feasible `θ` in the grid and extracts the Pareto
+    /// boundary.
     pub fn profile_workload(&self, w: &Workload) -> Profile {
         let allocs =
             self.space
@@ -64,7 +63,7 @@ impl<'e> ParetoProfiler<'e> {
         let time_model = EpochTimeModel::new(self.env);
         let cost_model = CostModel::new(self.env);
         let points: Vec<AllocPoint> = allocs
-            .par_iter()
+            .iter()
             .filter_map(|alloc| {
                 let time = time_model.epoch_time(w, alloc);
                 // An allocation naming a storage outside the catalog is

@@ -13,9 +13,8 @@
 //! The engine splits its state in two:
 //!
 //! * a [`Schedule`] is one open-loop arrival schedule and everything
-//!   keyed by its request index: the pre-drawn jitter, the per-request
-//!   resilience state, the circuit breaker, the retry budget, and the
-//!   verdict [`Tally`];
+//!   keyed by its request index: the per-request resilience state, the
+//!   circuit breaker, the retry budget, and the verdict [`Tally`];
 //! * a [`Lane`] is one place requests execute: its `InstancePool`, its
 //!   autoscaler, its admission capacity, in-flight count, and queue, and
 //!   its slice of the GB-second bill at its pool's price factor.
@@ -67,7 +66,6 @@ use ce_sim_core::event::EventQueue;
 use ce_sim_core::rng::SimRng;
 use ce_sim_core::time::SimTime;
 use ce_topo::NodePool;
-use rayon::prelude::*;
 use serde_json::json;
 use std::collections::VecDeque;
 
@@ -230,15 +228,13 @@ impl Verdicts {
     }
 }
 
-/// Pre-drawn jitter for one request attempt.
+/// Jitter for one request attempt, drawn when the attempt dispatches.
 ///
-/// `SimRng::derive_idx` is a pure function of the parent stream and the
-/// index, so both the cold-path draw sequence (cold-start jitter, then
-/// service jitter) and the warm-path sequence (service jitter first, on
-/// a fresh copy of the stream) can be drawn ahead of time — in parallel
-/// across request indices — bit-identical to drawing them lazily inside
-/// the event loop.
-#[derive(Clone, Copy)]
+/// Both sequences come from the attempt's own stream: the cold path
+/// (cold-start jitter, then service jitter) and the warm path (service
+/// jitter first, on a fresh copy of the stream). The stream is a pure
+/// function of (request, attempt), so the draw is the same whenever it
+/// happens.
 struct RequestJitter {
     cold: f64,
     service_cold: f64,
@@ -301,7 +297,6 @@ pub struct Schedule {
     home_lane: usize,
     /// Lane per request, written by placement at arrival.
     lane_of: Vec<u8>,
-    jitter: Vec<RequestJitter>,
     rstate: Vec<ReqState>,
     breaker: Option<CircuitBreaker>,
     budget: Option<RetryBudget>,
@@ -331,7 +326,6 @@ impl Schedule {
             drifted: false,
             keys,
             home_lane,
-            jitter: Vec::new(),
             rstate: Vec::new(),
             breaker: resilience.breaker.map(CircuitBreaker::new),
             budget: resilience.budget(),
@@ -438,23 +432,11 @@ impl<E: From<ReqEv>> Engine<E> {
         }
     }
 
-    /// Readies a run: pre-draws every request's attempt-0 jitter off
-    /// the sequential event loop, opens the `{prefix}.latency_ms` and
+    /// Readies a run: opens the `{prefix}.latency_ms` and
     /// `{prefix}.queue_wait_ms` histograms (plus `{prefix}.cold_start_ms`
     /// with `cold_starts`), allocates resilience state when enabled, and
     /// applies every lane autoscaler's initial decision.
     pub fn start(&mut self, prefix: &str, cold_starts: bool) {
-        let cold_sigma = self.spec.cold_start_jitter;
-        let service_sigma = self.spec.service_jitter;
-        for s in &mut self.schedules {
-            let base = &s.keys.jitter;
-            s.jitter = (0..s.arrivals.len() as u64)
-                .into_par_iter()
-                .map(|req| {
-                    RequestJitter::draw(base.derive_idx("request", req), cold_sigma, service_sigma)
-                })
-                .collect();
-        }
         let open = |name: &str| {
             let h = self.obs.histogram(name);
             h.enable_quantiles();
@@ -635,14 +617,18 @@ impl<E: From<ReqEv>> Engine<E> {
         self.outage_end_pending = false;
     }
 
-    /// Jitter for attempt `attempt >= 1` of a request: the attempt-0
-    /// draw shape on a stream forked per (request, attempt).
+    /// Jitter for attempt `attempt` of a request: attempt 0 draws from
+    /// the request's stream, later attempts from a fork of it per attempt.
     fn attempt_jitter(&self, sched: usize, req: u32, attempt: u32) -> RequestJitter {
         let request = self.schedules[sched]
             .keys
             .jitter
             .derive_idx("request", u64::from(req));
-        let key = fork_attempt(&request, u64::from(attempt));
+        let key = if attempt == 0 {
+            request
+        } else {
+            fork_attempt(&request, u64::from(attempt))
+        };
         RequestJitter::draw(key, self.spec.cold_start_jitter, self.spec.service_jitter)
     }
 
@@ -824,9 +810,9 @@ impl<E: From<ReqEv>> Engine<E> {
     }
 
     /// Starts the next attempt of a request executing now (its lease is
-    /// already held) and schedules its resolution. Attempt 0 replays the
-    /// pre-drawn jitter and base crash stream; later attempts fork fresh
-    /// ones.
+    /// already held) and schedules its resolution. Attempt 0 draws from
+    /// the request's base jitter and crash streams; later attempts fork
+    /// fresh ones.
     fn dispatch(&mut self, sched: usize, req: u32, arrival: SimTime) {
         let resilient = self.spec.resilience.enabled();
         let attempt = if resilient {
@@ -837,11 +823,7 @@ impl<E: From<ReqEv>> Engine<E> {
         let li = self.lane_of(sched, req);
         let now = self.events.now();
         let active = self.active_faults();
-        let jit = if attempt == 0 {
-            self.schedules[sched].jitter[req as usize]
-        } else {
-            self.attempt_jitter(sched, req, attempt)
-        };
+        let jit = self.attempt_jitter(sched, req, attempt);
         let spec = &self.spec;
         let s = &mut self.schedules[sched];
         let l = &mut self.lanes[li];

@@ -11,14 +11,12 @@
 //! [`ZooSpec`] generates such traces deterministically: function `i`
 //! gets a Zipf share `(i+1)^-s` of the total rate, a temporal class
 //! drawn from the preset's class mix, and its own arrival schedule from
-//! a per-function forked RNG stream (so generation parallelizes over
-//! functions without changing a single bit). The merged schedule is an
-//! ordinary ascending arrival vector — it round-trips through the
-//! arrival-log format and replays bit-exactly via `--arrivals
-//! trace:<log>`.
+//! a per-function forked RNG stream (so no function's schedule depends
+//! on another's draws). The merged schedule is an ordinary ascending
+//! arrival vector — it round-trips through the arrival-log format and
+//! replays bit-exactly via `--arrivals trace:<log>`.
 
 use ce_sim_core::rng::SimRng;
-use rayon::prelude::*;
 use serde::{Deserialize, Serialize};
 
 use crate::arrival::ArrivalModel;
@@ -192,12 +190,11 @@ impl ZooSpec {
     ///
     /// Each function draws only from its own `derive_idx("zoo-fn", i)`
     /// fork of `rng`, so the result is a pure function of (spec,
-    /// duration, stream) regardless of thread count or call order.
+    /// duration, stream) regardless of call order.
     #[must_use]
     pub fn per_function(&self, duration_s: f64, rng: &SimRng) -> Vec<(FunctionClass, Vec<f64>)> {
         let popularity = self.popularity();
         (0..u64::from(self.functions))
-            .into_par_iter()
             .map(|i| {
                 let class = self.class_of(i as u32, rng);
                 let rate = self.total_rps * popularity[i as usize];

@@ -31,9 +31,6 @@ fn main() {
         "help" | "--help" | "-h" => usage_and_exit(None),
         "profile" | "plan-tuning" | "train" | "storage" | "cluster" | "serve" | "lifecycle" => {
             let opts = Opts::parse(&args[1..]);
-            if let Some(n) = opts.threads {
-                rayon::set_threads(n);
-            }
             match command.as_str() {
                 "profile" => cmd_profile(&opts),
                 "plan-tuning" => cmd_plan_tuning(&opts),
@@ -146,8 +143,7 @@ fn usage_and_exit(unknown: Option<&str>) -> ! {
            --topology T      substrate: single|edge-cloud|pool:<name>,<k>=<v>,..;link:<a>-<b>,..\n  \
                              (cluster/serve/lifecycle; default single)\n  \
            --placement P     edge-first|latency-greedy|cost-greedy|workload-aware\n  \
-                             (multi-pool topologies; default edge-first)\n  \
-           --threads N       fix the deterministic worker-pool width (any subcommand)\n\n\
+                             (multi-pool topologies; default edge-first)\n\n\
          lifecycle reuses --duration, --rps, --quota, --job-cap, --seed, --chaos,\n\
          --autoscaler, --keepalive, --metrics, --topology, --placement, and every\n\
          resilience flag; its --policy is a priority policy:\n\
@@ -188,7 +184,6 @@ struct Opts {
     drift_every: Option<f64>,
     topology: Option<String>,
     placement: Option<String>,
-    threads: Option<usize>,
     queue_cap: Option<usize>,
     timeout_ms: Option<f64>,
     retries: Option<u32>,
@@ -215,14 +210,16 @@ impl Opts {
                 "--model" => opts.model = Some(value()),
                 "--dataset" => opts.dataset = Some(value()),
                 "--trials" => opts.trials = Some(parse_or_exit(&value(), flag)),
-                "--budget" => opts.budget = Some(parse_or_exit(&value(), flag)),
-                "--deadline" => opts.deadline = Some(parse_or_exit(&value(), flag)),
+                "--budget" => opts.budget = Some(parse_f64(&value(), flag, POSITIVE)),
+                "--deadline" => opts.deadline = Some(parse_f64(&value(), flag, POSITIVE)),
                 "--method" => opts.method = Some(value()),
                 "--seed" => opts.seed = Some(parse_or_exit(&value(), flag)),
                 "-n" => opts.n = Some(parse_or_exit(&value(), flag)),
-                "--failure-rate" => opts.failure_rate = Some(parse_or_exit(&value(), flag)),
+                "--failure-rate" => {
+                    opts.failure_rate = Some(parse_f64(&value(), flag, CLOSED_UNIT))
+                }
                 "--jobs" => opts.jobs = Some(parse_or_exit(&value(), flag)),
-                "--rate" => opts.rate = Some(parse_or_exit(&value(), flag)),
+                "--rate" => opts.rate = Some(parse_f64(&value(), flag, POSITIVE)),
                 "--policy" => opts.policy = Some(value()),
                 "--quota" => opts.quota = Some(parse_or_exit(&value(), flag)),
                 "--job-cap" => opts.job_cap = Some(parse_or_exit(&value(), flag)),
@@ -232,14 +229,21 @@ impl Opts {
                 "--checkpoint-every" => opts.checkpoint_every = Some(parse_or_exit(&value(), flag)),
                 "--recovery" => opts.recovery = Some(value()),
                 "--arrivals" => opts.arrivals = Some(value()),
-                "--rps" => opts.rps = Some(parse_or_exit(&value(), flag)),
-                "--duration" => opts.duration = Some(parse_or_exit(&value(), flag)),
+                "--rps" => opts.rps = Some(parse_f64(&value(), flag, NON_NEGATIVE)),
+                "--duration" => opts.duration = Some(parse_f64(&value(), flag, POSITIVE)),
                 "--autoscaler" => opts.autoscaler = Some(value()),
                 "--keepalive" => opts.keepalive = Some(value()),
-                "--slo-ms" => opts.slo_ms = Some(parse_or_exit(&value(), flag)),
+                "--slo-ms" => opts.slo_ms = Some(parse_f64(&value(), flag, POSITIVE_MS)),
                 "--arrival-log" => opts.arrival_log = Some(value()),
-                "--tenants" => opts.tenants = Some(parse_or_exit(&value(), flag)),
-                "--drift-every" => opts.drift_every = Some(parse_or_exit(&value(), flag)),
+                "--tenants" => {
+                    let n: u32 = parse_or_exit(&value(), flag);
+                    if n == 0 {
+                        eprintln!("invalid value for --tenants: lifecycle needs at least 1 tenant");
+                        std::process::exit(2);
+                    }
+                    opts.tenants = Some(n);
+                }
+                "--drift-every" => opts.drift_every = Some(parse_f64(&value(), flag, NON_NEGATIVE)),
                 "--topology" => opts.topology = Some(value()),
                 "--placement" => opts.placement = Some(value()),
                 "--queue-cap" => {
@@ -252,54 +256,12 @@ impl Opts {
                     }
                     opts.queue_cap = Some(n);
                 }
-                "--timeout-ms" => {
-                    let ms: f64 = parse_or_exit(&value(), flag);
-                    if !(ms > 0.0 && ms.is_finite()) {
-                        eprintln!("invalid value for --timeout-ms: the deadline must be a positive number of milliseconds");
-                        std::process::exit(2);
-                    }
-                    opts.timeout_ms = Some(ms);
-                }
+                "--timeout-ms" => opts.timeout_ms = Some(parse_f64(&value(), flag, POSITIVE_MS)),
                 "--retries" => opts.retries = Some(parse_or_exit(&value(), flag)),
-                "--retry-budget" => {
-                    let ratio: f64 = parse_or_exit(&value(), flag);
-                    if !(ratio > 0.0 && ratio.is_finite()) {
-                        eprintln!(
-                            "invalid value for --retry-budget: tokens-per-arrival must be positive"
-                        );
-                        std::process::exit(2);
-                    }
-                    opts.retry_budget = Some(ratio);
-                }
+                "--retry-budget" => opts.retry_budget = Some(parse_f64(&value(), flag, POSITIVE)),
                 "--hedge" => opts.hedge = Some(value()),
-                "--breaker" => {
-                    let threshold: f64 = parse_or_exit(&value(), flag);
-                    if !(threshold > 0.0 && threshold <= 1.0) {
-                        eprintln!(
-                            "invalid value for --breaker: the failure threshold must be in (0, 1]"
-                        );
-                        std::process::exit(2);
-                    }
-                    opts.breaker = Some(threshold);
-                }
-                "--brownout" => {
-                    let factor: f64 = parse_or_exit(&value(), flag);
-                    if !(factor > 0.0 && factor < 1.0) {
-                        eprintln!(
-                            "invalid value for --brownout: the degrade factor must be in (0, 1)"
-                        );
-                        std::process::exit(2);
-                    }
-                    opts.brownout = Some(factor);
-                }
-                "--threads" => {
-                    let n: usize = parse_or_exit(&value(), flag);
-                    if n == 0 {
-                        eprintln!("invalid value for --threads: the pool needs at least 1 thread");
-                        std::process::exit(2);
-                    }
-                    opts.threads = Some(n);
-                }
+                "--breaker" => opts.breaker = Some(parse_f64(&value(), flag, HALF_OPEN_UNIT)),
+                "--brownout" => opts.brownout = Some(parse_f64(&value(), flag, OPEN_UNIT)),
                 other => {
                     eprintln!("unknown option: {other}");
                     std::process::exit(2);
@@ -417,6 +379,27 @@ fn parse_or_exit<T: std::str::FromStr>(s: &str, flag: &str) -> T {
         eprintln!("invalid value for {flag}: {s}");
         std::process::exit(2);
     })
+}
+
+/// The values a float flag accepts: a test on finite numbers, and the
+/// wording the error gives.
+type FloatRange = (fn(f64) -> bool, &'static str);
+
+const POSITIVE: FloatRange = (|x| x > 0.0, "must be positive");
+const POSITIVE_MS: FloatRange = (|x| x > 0.0, "must be a positive number of milliseconds");
+const NON_NEGATIVE: FloatRange = (|x| x >= 0.0, "must be a number >= 0");
+const CLOSED_UNIT: FloatRange = (|x| (0.0..=1.0).contains(&x), "must be in [0, 1]");
+const HALF_OPEN_UNIT: FloatRange = (|x| x > 0.0 && x <= 1.0, "must be in (0, 1]");
+const OPEN_UNIT: FloatRange = (|x| x > 0.0 && x < 1.0, "must be in (0, 1)");
+
+/// Parses a float flag that must be finite and within `range`.
+fn parse_f64(s: &str, flag: &str, (ok, want): FloatRange) -> f64 {
+    let x: f64 = parse_or_exit(s, flag);
+    if !(x.is_finite() && ok(x)) {
+        eprintln!("invalid value for {flag}: {s} {want}");
+        std::process::exit(2);
+    }
+    x
 }
 
 fn cmd_profile(opts: &Opts) {

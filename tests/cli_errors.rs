@@ -162,8 +162,13 @@ fn unknown_registry_names_list_the_valid_ones() {
 #[test]
 fn lifecycle_bad_inputs_are_usage_errors() {
     assert_graceful(&["lifecycle", "--chaos", "gremlins"], 2, "invalid --chaos");
-    assert_graceful(&["lifecycle", "--threads", "0"], 2, "at least 1 thread");
-    assert_graceful(&["lifecycle", "--threads", "many"], 2, "--threads");
+    // Simulations run on one thread, so the pool width is no option.
+    assert_graceful(
+        &["lifecycle", "--threads", "2"],
+        2,
+        "unknown option: --threads",
+    );
+    assert_graceful(&["lifecycle", "--tenants", "0"], 2, "at least 1 tenant");
     assert_graceful(&["lifecycle", "--quota", "0"], 2, "at least 1 worker");
     assert_graceful(&["lifecycle", "--job-cap", "0"], 2, "at least 1 worker");
 }
@@ -195,6 +200,35 @@ fn bad_resilience_flags_are_usage_errors() {
         assert_graceful(&[cmd, "--breaker", "1.5"], 2, "(0, 1]");
         assert_graceful(&[cmd, "--brownout", "1"], 2, "(0, 1)");
         assert_graceful(&[cmd, "--brownout", "0"], 2, "(0, 1)");
+    }
+}
+
+#[test]
+fn float_flags_must_be_finite_and_in_range() {
+    for (cmd, flag, bad, needle) in [
+        ("serve", "--rps", "inf", "must be a number >= 0"),
+        ("serve", "--rps", "-1", "must be a number >= 0"),
+        ("serve", "--duration", "0", "must be positive"),
+        ("lifecycle", "--duration", "nan", "must be positive"),
+        ("serve", "--slo-ms", "-1", "must be a positive"),
+        ("lifecycle", "--slo-ms", "inf", "must be a positive"),
+        ("cluster", "--rate", "nan", "must be positive"),
+        ("cluster", "--rate", "0", "must be positive"),
+        ("train", "--budget", "nan", "must be positive"),
+        ("train", "--budget", "-5", "must be positive"),
+        ("train", "--deadline", "inf", "must be positive"),
+        ("lifecycle", "--drift-every", "nan", "must be a number >= 0"),
+        ("lifecycle", "--drift-every", "-60", "must be a number >= 0"),
+        ("train", "--failure-rate", "1.5", "must be in [0, 1]"),
+        ("train", "--failure-rate", "-0.1", "must be in [0, 1]"),
+        ("train", "--failure-rate", "nan", "must be in [0, 1]"),
+        ("serve", "--timeout-ms", "inf", "must be a positive"),
+        ("serve", "--retry-budget", "nan", "must be positive"),
+        ("serve", "--breaker", "nan", "must be in (0, 1]"),
+        ("serve", "--brownout", "nan", "must be in (0, 1)"),
+    ] {
+        let message = format!("invalid value for {flag}: {bad} {needle}");
+        assert_graceful(&[cmd, flag, bad], 2, &message);
     }
 }
 

@@ -31,6 +31,30 @@ fn prop(label: &'static str, iters: u64, body: impl Fn(&mut SimRng)) {
     }
 }
 
+/// Spellings a grammar fuzzer draws from: mostly valid ones, and a
+/// tenth of the time a broken one.
+type Piece = (&'static [&'static str], &'static [&'static str]);
+
+fn pick(rng: &mut SimRng, (valid, broken): Piece) -> &'static str {
+    let options = if rng.bernoulli(0.9) { valid } else { broken };
+    options[rng.gen_index(options.len())]
+}
+
+/// A fuzzed spelling of a registry name: one of `names`, a near miss, or
+/// printable noise.
+fn fuzzed_name(rng: &mut SimRng, names: &[&str]) -> String {
+    let name = names[rng.gen_index(names.len())];
+    match rng.gen_index(6) {
+        0 | 1 => name.to_string(),
+        2 => name.to_uppercase(),
+        3 => format!("{name}{}", [" ", ":", "x", "-"][rng.gen_index(4)]),
+        4 => name[..rng.gen_index(name.len() + 1)].to_string(),
+        _ => (0..rng.gen_index(10))
+            .map(|_| char::from(b' ' + rng.gen_index(95) as u8))
+            .collect(),
+    }
+}
+
 fn any_storage(rng: &mut SimRng) -> StorageKind {
     [
         StorageKind::S3,
@@ -1254,7 +1278,6 @@ fn cached_profiles_match_fresh_sweeps_across_threads() {
 #[test]
 fn chaos_specs_parse_or_fail_typed() {
     use ce_scaling::chaos::FaultSchedule;
-    type Piece = (&'static [&'static str], &'static [&'static str]);
     const HEADS: Piece = (
         &[
             "crash",
@@ -1298,10 +1321,6 @@ fn chaos_specs_parse_or_fail_typed() {
     const PER_HOUR: Piece = (&["0", "2", "1.5", "1e-2"], &["-1", "inf", "", "NaN"]);
     const DURATIONS: Piece = (&["60", "0.5", "1e4", " 90"], &["0", "-60", "inf", ""]);
     const SEPARATORS: Piece = (&[";", "; ", " ;", ";;"], &[":", ",", "@", "~"]);
-    fn pick(rng: &mut SimRng, (valid, broken): Piece) -> &'static str {
-        let options = if rng.bernoulli(0.9) { valid } else { broken };
-        options[rng.gen_index(options.len())]
-    }
     prop("chaos-spec", 600, |rng| {
         let mut spec = String::new();
         for _ in 0..rng.gen_index(4) {
@@ -1351,6 +1370,204 @@ fn chaos_specs_parse_or_fail_typed() {
                 !e.message.is_empty() && !e.to_string().is_empty(),
                 "{spec:?}: empty error message"
             ),
+        }
+    });
+}
+
+#[test]
+fn topology_specs_parse_or_fail_typed() {
+    use ce_scaling::topo::{parse_topology, MAX_POOLS};
+    const NAMES: Piece = (&["edge", "cloud", "a", "b", "eu"], &["", " ", "e-w"]);
+    const POOL_KEYS: Piece = (
+        &["quota", "rtt", "price", "compute", "cold"],
+        &["bw", "", "Rtt"],
+    );
+    const LINK_KEYS: Piece = (&["rtt", "bw", "egress"], &["quota", "", "price"]);
+    const QUOTAS: Piece = (&["1", "4", "60"], &["0", "-1", "1.5", "", "x"]);
+    // Valid for every key: factors and bandwidth must be > 0, the rest >= 0.
+    const VALUES: Piece = (
+        &["1", "0.5", "40", "1e3"],
+        &["0", "-1", "nan", "inf", "1e400", "", " 2", "x"],
+    );
+    const SEPARATORS: Piece = (&[";", "; ", ";;"], &[",", ":", "|"]);
+    prop("topology-spec", 600, |rng| {
+        let spec = match rng.gen_index(20) {
+            0 => ["single", "edge-cloud", "Single", "", ";"][rng.gen_index(5)].to_string(),
+            // Around the pool cap.
+            1 => (0..MAX_POOLS - 1 + rng.gen_index(4))
+                .map(|i| format!("pool:p{i}"))
+                .collect::<Vec<_>>()
+                .join(";"),
+            _ => {
+                // Half the specs draw only valid pieces and give each pool
+                // a fresh name, so most of those parse.
+                let strict = rng.bernoulli(0.5);
+                let mut pools = 0;
+                let pick = |rng: &mut SimRng, piece: Piece| {
+                    if strict {
+                        piece.0[rng.gen_index(piece.0.len())]
+                    } else {
+                        pick(rng, piece)
+                    }
+                };
+                let mut spec = String::new();
+                for _ in 0..rng.gen_index(6) {
+                    if !spec.is_empty() {
+                        spec.push_str(pick(rng, SEPARATORS));
+                    }
+                    let link = rng.bernoulli(0.3);
+                    if link {
+                        spec.push_str("link:");
+                        spec.push_str(pick(rng, NAMES));
+                        spec.push_str(if strict || rng.bernoulli(0.9) {
+                            "-"
+                        } else {
+                            "~"
+                        });
+                        spec.push_str(pick(rng, NAMES));
+                    } else {
+                        spec.push_str(if strict || rng.bernoulli(0.95) {
+                            "pool:"
+                        } else {
+                            "node:"
+                        });
+                        spec.push_str(if strict {
+                            NAMES.0[pools]
+                        } else {
+                            pick(rng, NAMES)
+                        });
+                        pools += 1;
+                    }
+                    for _ in 0..rng.gen_index(4) {
+                        let key = pick(rng, if link { LINK_KEYS } else { POOL_KEYS });
+                        let value = pick(rng, if key == "quota" { QUOTAS } else { VALUES });
+                        spec.push(',');
+                        spec.push_str(key);
+                        spec.push_str(if strict || rng.bernoulli(0.95) {
+                            "="
+                        } else {
+                            ":"
+                        });
+                        spec.push_str(value);
+                    }
+                }
+                spec
+            }
+        };
+        match parse_topology(&spec) {
+            Ok(topo) => {
+                let n = topo.pools.len();
+                assert!((1..=MAX_POOLS).contains(&n), "{spec:?}: {n} pools");
+                for (i, pool) in topo.pools.iter().enumerate() {
+                    assert!(
+                        topo.pools[..i].iter().all(|p| p.name != pool.name),
+                        "{spec:?}: duplicate pool {:?}",
+                        pool.name
+                    );
+                    for factor in [pool.price_factor, pool.compute_factor, pool.cold_factor] {
+                        assert!(factor.is_finite() && factor > 0.0, "{spec:?}: {pool:?}");
+                    }
+                    assert!(pool.rtt_ms.is_finite() && pool.rtt_ms >= 0.0, "{spec:?}");
+                }
+                for link in &topo.links {
+                    for end in [&link.a, &link.b] {
+                        assert!(topo.pool_index(end).is_some(), "{spec:?}: {link:?}");
+                    }
+                    assert!(
+                        link.bandwidth_mbps.is_finite() && link.bandwidth_mbps > 0.0,
+                        "{spec:?}: {link:?}"
+                    );
+                }
+            }
+            Err(e) => assert!(!e.is_empty(), "{spec:?}: empty error message"),
+        }
+    });
+}
+
+#[test]
+fn placement_names_parse_or_fail_typed() {
+    use ce_scaling::topo::{parse_placement, placement_names};
+    prop("placement-name", 300, |rng| {
+        let name = fuzzed_name(rng, placement_names());
+        match parse_placement(&name) {
+            Ok(policy) => assert_eq!(policy.name(), name),
+            Err(e) => {
+                assert!(
+                    !placement_names().contains(&name.as_str()),
+                    "{name:?} rejected"
+                );
+                assert!(e.contains("edge-first|latency-greedy"), "{name:?}: {e}");
+            }
+        }
+    });
+}
+
+#[test]
+fn autoscaler_specs_parse_or_fail_typed() {
+    use ce_scaling::serve::{autoscaler_names, parse_autoscaler};
+    // Valid episode counts stay tiny: an accepted spec trains a policy.
+    const EPISODES: Piece = (
+        &["1", "2", "+1"],
+        &["0", "-1", "1.5", "4294967296", "", "x"],
+    );
+    const EPSILONS: Piece = (
+        &["0", "0.2", "1", "1e-3"],
+        &["1.5", "-0.1", "nan", "inf", ""],
+    );
+    const ALPHAS: Piece = (&["0.1", "1", "0.5"], &["0", "1.01", "-1", "NaN", "", "x"]);
+    prop("autoscaler-spec", 300, |rng| {
+        let spec = if rng.bernoulli(0.7) {
+            let mut parts = vec![pick(rng, EPISODES), pick(rng, EPSILONS), pick(rng, ALPHAS)];
+            match rng.gen_index(10) {
+                0 => parts.truncate(2),
+                1 => parts.push(pick(rng, ALPHAS)),
+                _ => {}
+            }
+            format!("qlearn:{}", parts.join(":"))
+        } else {
+            // No `qlearn` here: a truncation could yield plain `qlearn`,
+            // which trains for the default 300 episodes.
+            fuzzed_name(rng, &["fixed:4", "target", "prewarm"])
+        };
+        let well_formed = spec.strip_prefix("qlearn:").map(|body| {
+            let parts: Vec<&str> = body.split(':').collect();
+            parts.len() == 3
+                && parts[0].parse::<u32>().is_ok_and(|e| e >= 1)
+                && parts[1]
+                    .parse::<f64>()
+                    .is_ok_and(|e| (0.0..=1.0).contains(&e))
+                && parts[2].parse::<f64>().is_ok_and(|a| a > 0.0 && a <= 1.0)
+        });
+        match parse_autoscaler(&spec) {
+            Ok(scaler) => {
+                assert_ne!(well_formed, Some(false), "{spec:?} accepted");
+                assert!(!scaler.name().is_empty(), "{spec:?}");
+            }
+            Err(e) => {
+                assert_ne!(well_formed, Some(true), "{spec:?} rejected: {e}");
+                let typed = ["qlearn", autoscaler_names()[0]]
+                    .iter()
+                    .any(|n| e.contains(n));
+                assert!(typed, "{spec:?}: untyped error {e}");
+            }
+        }
+    });
+}
+
+#[test]
+fn zoo_specs_parse_or_fail_typed() {
+    use ce_scaling::serve::{parse_zoo, zoo_preset_names};
+    prop("zoo-spec", 300, |rng| {
+        let rest = fuzzed_name(rng, zoo_preset_names());
+        match parse_zoo(&rest) {
+            Ok(spec) => assert_eq!(spec.preset, rest),
+            Err(e) => {
+                assert!(
+                    !zoo_preset_names().contains(&rest.as_str()),
+                    "{rest:?} rejected"
+                );
+                assert!(e.contains("mixed|steady"), "{rest:?}: {e}");
+            }
         }
     });
 }
