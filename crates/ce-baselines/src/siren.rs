@@ -26,7 +26,6 @@ use ce_sim_core::qlearn::{EpsilonSchedule, QEnv, QLearner, QStep};
 use ce_sim_core::rng::SimRng;
 use ce_training::TrainingObjective;
 use ce_tuning::{Objective, PartitionPlan, ShaSpec};
-use serde::{Deserialize, Serialize};
 
 /// The Siren scheduler.
 #[derive(Debug, Clone)]
@@ -47,7 +46,7 @@ impl Default for SirenScheduler {
 }
 
 /// A trained per-progress-bucket allocation policy.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct SirenPolicy {
     candidates: Vec<AllocPoint>,
     /// Greedy action per progress bucket.

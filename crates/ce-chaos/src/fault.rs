@@ -1,7 +1,6 @@
 //! The typed fault taxonomy: what can break, and with what severity.
 
 use ce_storage::StorageKind;
-use serde::{Deserialize, Serialize};
 use std::fmt;
 
 /// Canonical spec-grammar token for a storage service (the primary names
@@ -16,7 +15,7 @@ pub(crate) fn service_token(service: StorageKind) -> &'static str {
 }
 
 /// One kind of injected fault, with its severity parameter.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub enum FaultKind {
     /// Each epoch attempt inside the window loses a worker fatally with
     /// probability `rate` (the whole BSP wave's progress for that epoch is
@@ -89,7 +88,7 @@ impl fmt::Display for FaultKind {
 
 /// A fault active over the half-open simulated-time window
 /// `[start_s, end_s)`.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct FaultWindow {
     pub start_s: f64,
     pub end_s: f64,
@@ -117,7 +116,7 @@ impl fmt::Display for FaultWindow {
 
 /// A Poisson burst process: windows of `fault`, each `duration_s` long, with
 /// arrival times drawn at compile time at a mean rate of `per_hour`.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct BurstSpec {
     pub fault: FaultKind,
     pub per_hour: f64,

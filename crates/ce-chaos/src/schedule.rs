@@ -5,7 +5,6 @@ use crate::fault::{BurstSpec, FaultKind, FaultWindow};
 use crate::parse::{self, ChaosSpecError};
 use ce_sim_core::SimRng;
 use ce_storage::StorageKind;
-use serde::{Deserialize, Serialize};
 use std::fmt;
 
 /// Default horizon for materialising Poisson bursts: one simulated week.
@@ -14,7 +13,7 @@ pub const DEFAULT_HORIZON_S: f64 = 7.0 * 24.0 * 3600.0;
 /// A declarative fault schedule. Scripted windows are taken verbatim; burst
 /// processes are materialised into windows deterministically at
 /// [`FaultSchedule::compile`] time from a caller-supplied RNG stream.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct FaultSchedule {
     pub windows: Vec<FaultWindow>,
     pub bursts: Vec<BurstSpec>,

@@ -12,10 +12,9 @@ use ce_models::{AllocationSpace, Environment, Workload};
 use ce_pareto::ParetoProfiler;
 use ce_sim_core::rng::SimRng;
 use ce_workflow::Method;
-use serde::{Deserialize, Serialize};
 
 /// How jobs arrive at the cluster.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub enum ArrivalProcess {
     /// Open-loop Poisson arrivals at `rate_per_min` jobs per minute.
     Poisson {
@@ -66,7 +65,7 @@ impl ArrivalProcess {
 }
 
 /// One tenant job: a workload plus its QoS contract.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct JobSpec {
     /// Fleet-unique job id (also the arrival order).
     pub id: u64,

@@ -12,10 +12,9 @@
 //! need.
 
 use ce_storage::StorageKind;
-use serde::{Deserialize, Serialize};
 
 /// Per-service contention parameters.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 struct ServiceLoad {
     /// Jobs that can synchronize concurrently at full speed.
     capacity: u32,
@@ -25,7 +24,7 @@ struct ServiceLoad {
 }
 
 /// Maps concurrent per-service load to a sync-time inflation factor.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct ContentionModel {
     s3: ServiceLoad,
     dynamo: ServiceLoad,

@@ -1,7 +1,7 @@
 //! Fleet-level outcomes: per-job verdicts and the aggregate frontier
 //! point (QoS-violation rate vs fleet dollars) a policy lands on.
 
-use serde::{Deserialize, Serialize};
+use serde::Serialize;
 
 /// Pareto dominance on a (violation-rate, cost) frontier point: `a`
 /// dominates `b` when it is no worse on both axes and strictly better on
@@ -21,7 +21,7 @@ pub fn dominates_point3(a: (f64, f64, f64), b: (f64, f64, f64)) -> bool {
 }
 
 /// How a job's stay at the cluster ended.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize)]
 pub enum JobStatus {
     /// Trained to target loss.
     Completed,
@@ -33,7 +33,7 @@ pub enum JobStatus {
 }
 
 /// One job's fleet-level verdict.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Serialize)]
 pub struct JobOutcome {
     /// Fleet job id.
     pub id: u64,
@@ -62,15 +62,13 @@ pub struct JobOutcome {
 }
 
 /// The fleet run's aggregate: one point on the policy frontier.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Serialize)]
 pub struct FleetReport {
     /// The admission policy that produced this run.
     pub policy: String,
     /// Topology display name (`single` when no substrate was modeled).
-    #[serde(default)]
     pub topology: String,
     /// Placement-policy registry name (only consulted multi-pool).
-    #[serde(default)]
     pub placement: String,
     /// Per-job verdicts, in job-id order.
     pub jobs: Vec<JobOutcome>,

@@ -1,10 +1,8 @@
 //! Billing ledger: every simulated dollar is accounted here, and the
 //! conservation tests assert that totals equal the sum of their parts.
 
-use serde::{Deserialize, Serialize};
-
 /// Accumulated platform charges.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, Default, PartialEq)]
 pub struct BillingLedger {
     /// Function invocations recorded.
     pub invocations: u64,

@@ -25,10 +25,9 @@ use ce_sim_core::event::EventQueue;
 use ce_sim_core::rng::SimRng;
 use ce_sim_core::time::SimTime;
 use ce_storage::{sync, StorageSpec};
-use serde::{Deserialize, Serialize};
 
 /// How faithfully to simulate an epoch.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum ExecutionFidelity {
     /// Full event-driven simulation (per-worker, per-iteration events).
     Event,
@@ -37,7 +36,7 @@ pub enum ExecutionFidelity {
 }
 
 /// One measured (simulated) epoch.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct MeasuredEpoch {
     /// Measured time components (jittered counterparts of Eq. 2).
     pub time: TimeBreakdown,

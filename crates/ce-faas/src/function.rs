@@ -13,16 +13,15 @@
 
 use crate::keepalive::{FixedTtl, KeepAlive};
 use ce_sim_core::time::SimTime;
-use serde::{Deserialize, Serialize};
 use std::cmp::Reverse;
 use std::collections::VecDeque;
 
 /// Identifier of one function instance.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct FunctionId(pub u64);
 
 /// One warm (or executing) function instance.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct FunctionInstance {
     /// Stable identifier.
     pub id: FunctionId,
@@ -62,7 +61,7 @@ impl ReapedInstance {
 }
 
 /// Aggregate pool counters.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, Default, PartialEq)]
 pub struct PoolStats {
     /// Instances ever created (== cold starts).
     pub created: u64,

@@ -10,7 +10,6 @@ use ce_obs::Registry;
 use ce_sim_core::rng::SimRng;
 use ce_sim_core::time::SimTime;
 use ce_storage::{StorageCatalog, StorageKind};
-use serde::{Deserialize, Serialize};
 use serde_json::json;
 use std::fmt;
 
@@ -124,7 +123,7 @@ struct ChaosState {
 /// `ce-models` predict the simulator within the relative-error bands the
 /// paper reports against CloudWatch (0.56–4.9 % JCT, 0.2–7.6 % cost;
 /// Figs. 19–20).
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct PlatformConfig {
     /// Lognormal sigma of per-worker compute-duration jitter.
     pub compute_jitter: f64,
@@ -228,12 +227,6 @@ impl FaasPlatform {
     pub fn with_keep_alive(mut self, policy: Box<dyn crate::keepalive::KeepAlive>) -> Self {
         self.pool.set_keep_alive(policy);
         self
-    }
-
-    /// Mutable access to the instance pool (the serving simulator drives
-    /// per-request acquire/release and reaping directly).
-    pub fn pool_mut(&mut self) -> &mut InstancePool {
-        &mut self.pool
     }
 
     /// The registry the platform's metrics live in.

@@ -11,7 +11,6 @@
 //!
 //! [`FaasPlatform`]: crate::platform::FaasPlatform
 
-use serde::{Deserialize, Serialize};
 use std::sync::{Arc, Mutex};
 
 /// A concurrency request the shared quota could not satisfy.
@@ -19,7 +18,7 @@ use std::sync::{Arc, Mutex};
 /// Carries enough context for an admission controller to decide between
 /// queueing (transient contention: `in_use` is high) and rejecting
 /// (structural overload: `requested > limit` can never succeed).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct QuotaExceeded {
     /// Concurrent functions the caller asked for.
     pub requested: u32,

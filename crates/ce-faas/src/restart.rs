@@ -12,10 +12,9 @@
 //! remains exposed.
 
 use ce_models::{Allocation, Environment, EpochTimeModel, UnknownStorage, Workload};
-use serde::{Deserialize, Serialize};
 
 /// Timing of one resource adjustment.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct RestartPlan {
     /// Seconds of preparation the new wave needs: cold start + dataset
     /// load + model pull.

@@ -14,10 +14,9 @@ use ce_models::{Allocation, CostModel, Environment, EpochTimeModel, Workload};
 use ce_sim_core::event::EventQueue;
 use ce_sim_core::rng::SimRng;
 use ce_sim_core::time::SimTime;
-use serde::{Deserialize, Serialize};
 
 /// Measured execution of one stage.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct MeasuredStage {
     /// Stage wall-clock seconds (last trial completion).
     pub wall_s: f64,

@@ -3,10 +3,10 @@
 
 use ce_cluster::dominates_point3;
 use ce_serve::engine::Verdicts;
-use serde::{Deserialize, Serialize};
+use serde::Serialize;
 
 /// One tenant's lifecycle, tallied over the whole run.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Serialize)]
 pub struct TenantOutcome {
     /// The tenant id.
     pub tenant: u32,
@@ -20,7 +20,6 @@ pub struct TenantOutcome {
     /// Requests whose instance crashed mid-flight.
     pub failed: u64,
     /// Requests whose every attempt was killed at the request timeout.
-    #[serde(default)]
     pub timed_out: u64,
     /// Requests shed by a chaos throttle storm.
     pub shed_throttled: u64,
@@ -29,10 +28,8 @@ pub struct TenantOutcome {
     /// Requests shed by a backing-store outage.
     pub shed_outage: u64,
     /// Requests fast-shed by an open circuit breaker.
-    #[serde(default)]
     pub shed_breaker: u64,
     /// Requests still parked (no outage in force) when the run ended.
-    #[serde(default)]
     pub truncated: u64,
     /// Dispatches that cold-started an instance.
     pub cold_starts: u64,
@@ -44,20 +41,15 @@ pub struct TenantOutcome {
     pub drifted_served: u64,
     /// Attempts dispatched (requests plus retries and hedges; every
     /// one leases a quota worker and pays the invocation fee).
-    #[serde(default)]
     pub attempts: u64,
     /// Retry attempts scheduled by the resilience layer.
-    #[serde(default)]
     pub retries: u64,
     /// Hedge attempts launched (on spare quota only — a hedge never
     /// preempts training).
-    #[serde(default)]
     pub hedges: u64,
     /// Requests settled by their hedge attempt finishing first.
-    #[serde(default)]
     pub hedge_wins: u64,
     /// Attempts dispatched on the degraded (brownout) profile.
-    #[serde(default)]
     pub degraded: u64,
     /// Serving bill: invocations + busy GB-s + keep-warm GB-s.
     pub serve_dollars: f64,
@@ -92,15 +84,13 @@ pub struct TenantOutcome {
 }
 
 /// Aggregate outcome of one lifecycle run under one priority policy.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Serialize)]
 pub struct LifecycleReport {
     /// The priority policy that arbitrated the quota.
     pub policy: String,
     /// Topology display name (`single` when no substrate was modeled).
-    #[serde(default)]
     pub topology: String,
     /// Placement-policy registry name (only consulted multi-pool).
-    #[serde(default)]
     pub placement: String,
     /// Per-tenant verdicts, in tenant-id order.
     pub tenants: Vec<TenantOutcome>,

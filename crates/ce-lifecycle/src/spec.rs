@@ -18,7 +18,6 @@ use ce_resilience::ResilienceSpec;
 use ce_serve::ArrivalModel;
 use ce_sim_core::rng::SimRng;
 use ce_topo::Topology;
-use serde::{Deserialize, Serialize};
 
 /// Configuration of one lifecycle run.
 #[derive(Debug, Clone)]
@@ -258,7 +257,7 @@ fn drift_times(mean_s: f64, duration_s: f64, mut rng: SimRng) -> Vec<f64> {
 /// One tenant's whole lifecycle contract: what it trains, under which
 /// budget and deadline, and the serving traffic it must answer while
 /// doing so.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct TenantSpec {
     /// Fleet-unique tenant id (also the event-loop iteration order).
     pub id: u32,

@@ -24,10 +24,9 @@
 
 use crate::model::ModelFamily;
 use ce_sim_core::rng::SimRng;
-use serde::{Deserialize, Serialize};
 
 /// Parameters of the mean convergence curve plus its noise magnitudes.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct CurveParams {
     /// Loss before training (`σ(0)`).
     pub initial: f64,

@@ -6,10 +6,8 @@
 //! paper counts `k` in batches of instances, so we track both bytes and
 //! instances).
 
-use serde::{Deserialize, Serialize};
-
 /// A training dataset.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct DatasetSpec {
     /// Human-readable name as used in the paper's figures.
     pub name: String,

@@ -91,11 +91,6 @@ impl BspCluster {
         }
     }
 
-    /// Number of workers.
-    pub fn num_workers(&self) -> usize {
-        self.workers.len()
-    }
-
     /// The synchronization store (for counter assertions).
     pub fn store(&self) -> &SimStore {
         &self.store

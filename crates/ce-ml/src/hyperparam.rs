@@ -8,10 +8,10 @@
 //! stochasticity supplied by the loss curve.
 
 use ce_sim_core::rng::SimRng;
-use serde::{Deserialize, Serialize};
+use serde::Serialize;
 
 /// One hyperparameter configuration (the knobs the paper's §II-A names).
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Serialize)]
 pub struct HyperConfig {
     /// Learning rate (log-uniform over the space).
     pub learning_rate: f64,
@@ -34,7 +34,7 @@ impl HyperConfig {
 }
 
 /// The hyperparameter search space from which SHA samples trials.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct HyperSpace {
     /// Learning-rate range (log-uniform sampling), inclusive bounds.
     pub lr_range: (f64, f64),

@@ -6,11 +6,10 @@
 //! full vCPU (1769 MB of Lambda memory) — plus an Amdahl parallel fraction
 //! describing how well gradient computation uses memory beyond one vCPU.
 
-use serde::{Deserialize, Serialize};
 use std::fmt;
 
 /// The five model families evaluated in the paper.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum ModelFamily {
     /// Linear classifier; parameter count equals the input feature count.
     LogisticRegression,
@@ -38,7 +37,7 @@ impl fmt::Display for ModelFamily {
 }
 
 /// A concrete model to train.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct ModelSpec {
     /// Which family this model belongs to.
     pub family: ModelFamily,

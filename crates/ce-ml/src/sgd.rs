@@ -12,10 +12,9 @@
 
 use crate::synth::SynthDataset;
 use ce_sim_core::rng::SimRng;
-use serde::{Deserialize, Serialize};
 
 /// Loss function of the linear model.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum LinearLoss {
     /// Log-loss (logistic regression).
     Logistic,

@@ -9,10 +9,9 @@
 //! error — the strongest correctness evidence a training kernel can have.
 
 use ce_sim_core::rng::SimRng;
-use serde::{Deserialize, Serialize};
 
 /// A synthetic multiclass dataset: Gaussian blobs, one per class.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct MulticlassDataset {
     /// Feature dimensionality.
     pub features: usize,

@@ -9,10 +9,9 @@
 //! schedulers assume.
 
 use ce_sim_core::rng::SimRng;
-use serde::{Deserialize, Serialize};
 
 /// A dense binary-classification dataset with labels in `{-1, +1}`.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct SynthDataset {
     /// Feature dimensionality.
     pub features: usize,

@@ -1,12 +1,12 @@
 //! The resource allocation `θ = (n, m, s)` and the space `Θ` (Eq. 1).
 
 use ce_storage::{StorageCatalog, StorageKind};
-use serde::{Deserialize, Serialize};
+use serde::Serialize;
 use std::fmt;
 
 /// One resource allocation for an epoch: the number of functions `n`, the
 /// per-function memory `m` (MB), and the external storage service `s`.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize)]
 pub struct Allocation {
     /// Number of provisioned functions (`n`).
     pub n: u32,
@@ -42,7 +42,7 @@ impl fmt::Display for Allocation {
 }
 
 /// The allocation search space `Θ = {(n, m, s)}` of Eq. 1.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct AllocationSpace {
     /// Candidate function counts (`N`), ascending.
     pub function_counts: Vec<u32>,

@@ -17,7 +17,6 @@ use crate::environment::Environment;
 use crate::time::{EpochTimeModel, TimeBreakdown};
 use crate::workload::Workload;
 use ce_storage::{sync, StorageKind};
-use serde::{Deserialize, Serialize};
 
 /// Typed cost-model failure: the allocation references a storage service
 /// that is not in the environment's catalog.
@@ -39,7 +38,7 @@ impl std::fmt::Display for UnknownStorage {
 impl std::error::Error for UnknownStorage {}
 
 /// Components of one epoch's monetary cost, in dollars.
-#[derive(Debug, Clone, Copy, PartialEq, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Default)]
 pub struct CostBreakdown {
     /// Invocation fees: `n · p_ivk`.
     pub invocation: f64,

@@ -2,11 +2,10 @@
 
 use crate::pricing::FunctionPricing;
 use ce_storage::StorageCatalog;
-use serde::{Deserialize, Serialize};
 
 /// Platform-wide constants: storage catalog, function pricing, dataset
 /// load bandwidth, and hard limits.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct Environment {
     /// Available external storage services (Table I).
     pub storage: StorageCatalog,

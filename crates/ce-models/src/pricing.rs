@@ -1,9 +1,7 @@
 //! AWS Lambda function pricing (the `p_f` and `p_ivk` of Table III).
 
-use serde::{Deserialize, Serialize};
-
 /// Per-function pricing.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct FunctionPricing {
     /// Dollars per GB-second of execution (`p_f` before memory scaling).
     pub per_gb_second: f64,

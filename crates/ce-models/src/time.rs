@@ -19,7 +19,6 @@ use crate::allocation::Allocation;
 use crate::environment::Environment;
 use crate::workload::Workload;
 use ce_storage::sync;
-use serde::{Deserialize, Serialize};
 
 /// The parameter-synchronization protocol.
 ///
@@ -30,7 +29,7 @@ use serde::{Deserialize, Serialize};
 /// critical path carries only each worker's *own* push/pull per iteration
 /// instead of the Eq. 3 aggregate — but stale gradients slow convergence,
 /// inflating the number of epochs needed (see [`asp_epoch_inflation`]).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum SyncProtocol {
     /// Bulk-synchronous parallel (the paper's setting).
     #[default]
@@ -49,7 +48,7 @@ pub fn asp_epoch_inflation(n: u32) -> f64 {
 }
 
 /// The three components of one epoch's execution time, in seconds.
-#[derive(Debug, Clone, Copy, PartialEq, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Default)]
 pub struct TimeBreakdown {
     /// Dataset load from long-term storage: `D/(n · B_S3)`.
     pub load_s: f64,

@@ -2,10 +2,9 @@
 //! estimate is computed for.
 
 use ce_ml::{DatasetSpec, ModelSpec};
-use serde::{Deserialize, Serialize};
 
 /// One training workload.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Workload {
     /// The model to train.
     pub model: ModelSpec,

@@ -3,10 +3,9 @@
 
 use crate::dominates;
 use ce_models::{Allocation, CostBreakdown, TimeBreakdown};
-use serde::{Deserialize, Serialize};
 
 /// One profiled allocation: `θ` with its predicted epoch time and cost.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct AllocPoint {
     /// The allocation.
     pub alloc: Allocation,
@@ -29,7 +28,7 @@ impl AllocPoint {
 }
 
 /// A profiled allocation space: all points plus the Pareto subset `P`.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct Profile {
     points: Vec<AllocPoint>,
     /// Indices into `points` forming the Pareto boundary, sorted by
@@ -83,11 +82,6 @@ impl Profile {
             .into_iter()
             .filter(|p| p.cost_usd() <= budget_usd)
             .min_by(|a, b| a.time_s().total_cmp(&b.time_s()))
-    }
-
-    /// Position of `alloc` on the boundary, if it is Pareto-optimal.
-    pub fn boundary_rank(&self, alloc: &ce_models::Allocation) -> Option<usize> {
-        self.boundary().iter().position(|p| p.alloc == *alloc)
     }
 }
 

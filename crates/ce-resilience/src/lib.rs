@@ -28,8 +28,6 @@
 //! seed at any thread count — and resilience-off runs byte-identical
 //! to the pre-resilience goldens.
 
-use serde::{Deserialize, Serialize};
-
 /// How one dispatched attempt ended. Fed to the [`CircuitBreaker`] and
 /// used by the simulators to decide whether a retry is warranted.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -50,7 +48,7 @@ impl AttemptOutcome {
 }
 
 /// Exponential-backoff retry policy.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct RetryPolicy {
     /// Additional attempts after the first (0 disables retries).
     pub max_retries: u32,
@@ -82,7 +80,7 @@ impl RetryPolicy {
 /// deposits `ratio` tokens, every retry withdraws one. Under a
 /// correlated failure burst the bucket drains and retries stop, capping
 /// the retry amplification factor at `ratio` in steady state.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct RetryBudget {
     /// Tokens deposited per arrival.
     pub ratio: f64,
@@ -131,7 +129,7 @@ impl RetryBudget {
 }
 
 /// When a hedge attempt launches relative to its primary's dispatch.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub enum HedgePolicy {
     /// Hedge after a fixed delay in milliseconds.
     FixedMs(f64),
@@ -164,7 +162,7 @@ impl HedgePolicy {
 
 /// Circuit-breaker configuration: a sliding outcome window plus a
 /// cooldown.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct BreakerSpec {
     /// Open when the windowed failure rate reaches this fraction.
     pub failure_threshold: f64,
@@ -380,7 +378,7 @@ impl CircuitBreaker {
 /// Brownout / degraded-mode serving: while the admission queue is at or
 /// above `queue_frac` of its capacity, dispatches run a degraded
 /// profile whose service time is scaled by `degrade_factor`.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct BrownoutSpec {
     /// Queue-depth fraction (of queue capacity) that activates brownout.
     pub queue_frac: f64,
@@ -409,7 +407,7 @@ impl BrownoutSpec {
 /// disabled spec is the byte-identity contract: simulators must take
 /// exactly the pre-resilience code paths (zero extra RNG draws, zero
 /// extra events, zero extra metrics) when given one.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize, Default)]
+#[derive(Debug, Clone, PartialEq, Default)]
 pub struct ResilienceSpec {
     /// Per-attempt execution deadline (milliseconds).
     pub timeout_ms: Option<f64>,

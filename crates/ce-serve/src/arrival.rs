@@ -59,6 +59,17 @@ pub enum ArrivalModel {
     },
 }
 
+/// The most arrivals one run may schedule: ten times the largest
+/// committed benchmark arm (1M requests). The CLI rejects a run whose
+/// [`ArrivalModel::expected_arrivals`] exceed it, and no schedule reserves
+/// more slots than this up front.
+pub const MAX_ARRIVALS: usize = 10_000_000;
+
+/// Up-front capacity for a schedule of about `expected` arrivals.
+fn capacity_hint(expected: f64) -> usize {
+    expected.min(MAX_ARRIVALS as f64) as usize + 16
+}
+
 /// Samples an exponential gap at `rate` per second (inverse CDF).
 fn exp_gap(rng: &mut SimRng, rate: f64) -> f64 {
     -(1.0 - rng.uniform()).ln() / rate
@@ -73,7 +84,7 @@ impl ArrivalModel {
                 if *rps <= 0.0 {
                     return Vec::new();
                 }
-                let mut out = Vec::with_capacity((rps * duration_s) as usize + 16);
+                let mut out = Vec::with_capacity(capacity_hint(rps * duration_s));
                 let mut t = exp_gap(rng, *rps);
                 while t < duration_s {
                     out.push(t);
@@ -100,7 +111,7 @@ impl ArrivalModel {
                 let rate = |t: f64| {
                     base_rps * (1.0 + amplitude * (2.0 * std::f64::consts::PI * t / period_s).sin())
                 };
-                let mut out = Vec::with_capacity((base_rps * duration_s) as usize + 16);
+                let mut out = Vec::with_capacity(capacity_hint(base_rps * duration_s));
                 let mut t = exp_gap(rng, rate_max);
                 while t < duration_s {
                     if rng.uniform() < rate(t) / rate_max {
@@ -154,6 +165,21 @@ impl ArrivalModel {
             // than drawing from it, so generation parallelizes over
             // functions while staying a pure function of the stream.
             ArrivalModel::Zoo { spec } => spec.generate(duration_s, rng),
+        }
+    }
+
+    /// Mean number of arrivals over `[0, duration_s)`: the mean rate times
+    /// the window (a bursty process spends equal mean time in each
+    /// state), or a trace's length.
+    pub fn expected_arrivals(&self, duration_s: f64) -> f64 {
+        match self {
+            ArrivalModel::Poisson { rps } => rps * duration_s,
+            ArrivalModel::Diurnal { base_rps, .. } => base_rps * duration_s,
+            ArrivalModel::Bursty {
+                low_rps, high_rps, ..
+            } => 0.5 * (low_rps + high_rps) * duration_s,
+            ArrivalModel::Trace { arrival_s } => arrival_s.len() as f64,
+            ArrivalModel::Zoo { spec } => spec.total_rps * duration_s,
         }
     }
 

@@ -244,6 +244,11 @@ impl Autoscaler for PrewarmAhead {
     }
 }
 
+/// The most training episodes a `qlearn:<episodes>:..` spec may ask
+/// for: parsing the spec trains the policy, and this bounds that to a
+/// few seconds (the default is 300).
+pub const MAX_QLEARN_EPISODES: u32 = 100_000;
+
 /// The spellings [`parse_autoscaler`] accepts, in presentation order.
 /// CLI error messages list these so a typo'd `--autoscaler` shows the
 /// user what would have worked.
@@ -284,10 +289,11 @@ pub fn parse_autoscaler(name: &str) -> Result<Box<dyn Autoscaler>, String> {
             config.episodes = parts[0]
                 .parse::<u32>()
                 .ok()
-                .filter(|&e| e >= 1)
+                .filter(|e| (1..=MAX_QLEARN_EPISODES).contains(e))
                 .ok_or_else(|| {
                     format!(
-                        "invalid qlearn train-episodes {:?}: must be an integer >= 1",
+                        "invalid qlearn train-episodes {:?}: must be an integer in \
+                         [1, {MAX_QLEARN_EPISODES}]",
                         parts[0]
                     )
                 })?;

@@ -261,12 +261,6 @@ impl QLearningAutoscaler {
     pub fn config(&self) -> &QScalerConfig {
         &self.config
     }
-
-    /// The greedy capacity factor per utilization state.
-    #[must_use]
-    pub fn greedy_factors(&self) -> Vec<f64> {
-        self.greedy.iter().map(|&a| FACTORS[a]).collect()
-    }
 }
 
 impl Autoscaler for QLearningAutoscaler {

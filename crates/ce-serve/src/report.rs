@@ -3,7 +3,7 @@
 //! the (autoscaler, keep-alive) policy pair lands on.
 
 use crate::engine::Verdicts;
-use serde::{Deserialize, Serialize};
+use serde::Serialize;
 
 /// Aggregate outcome of one serving run.
 ///
@@ -16,7 +16,7 @@ use serde::{Deserialize, Serialize};
 /// `shed_breaker` (fast-shed by an open circuit breaker), or
 /// `truncated` (still parked when the run ended, with no outage in
 /// force).
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Serialize)]
 pub struct ServeReport {
     /// Autoscaler display name.
     pub autoscaler: String,
@@ -25,13 +25,10 @@ pub struct ServeReport {
     /// Arrival model display name.
     pub arrivals: String,
     /// Topology display name (`single` when no substrate was modeled).
-    #[serde(default)]
     pub topology: String,
     /// Placement-policy registry name (only consulted multi-pool).
-    #[serde(default)]
     pub placement: String,
     /// Per-pool breakdown; empty for single-pool runs.
-    #[serde(default)]
     pub pools: Vec<PoolOutcome>,
     /// Requests that arrived.
     pub requests: u64,
@@ -40,7 +37,6 @@ pub struct ServeReport {
     /// Requests lost to a mid-request instance crash.
     pub failed: u64,
     /// Requests whose every attempt was killed at the request timeout.
-    #[serde(default)]
     pub timed_out: u64,
     /// Requests rejected by an injected throttle storm.
     pub shed_throttled: u64,
@@ -49,10 +45,8 @@ pub struct ServeReport {
     /// Requests dropped because a backing-store outage outlasted the run.
     pub shed_outage: u64,
     /// Requests fast-shed by an open circuit breaker.
-    #[serde(default)]
     pub shed_breaker: u64,
     /// Requests still parked (no outage in force) when the run ended.
-    #[serde(default)]
     pub truncated: u64,
     /// Dispatched attempts that cold-started.
     pub cold_starts: u64,
@@ -66,19 +60,14 @@ pub struct ServeReport {
     pub expired: u64,
     /// Attempts dispatched (requests plus retries and hedges; every
     /// one pays the invocation fee).
-    #[serde(default)]
     pub attempts: u64,
     /// Retry attempts scheduled by the resilience layer.
-    #[serde(default)]
     pub retries: u64,
     /// Hedge attempts launched.
-    #[serde(default)]
     pub hedges: u64,
     /// Requests settled by their hedge attempt finishing first.
-    #[serde(default)]
     pub hedge_wins: u64,
     /// Attempts dispatched on the degraded (brownout) profile.
-    #[serde(default)]
     pub degraded: u64,
     /// End-to-end latency quantiles over completed requests (ms).
     pub p50_ms: f64,
@@ -99,7 +88,7 @@ pub struct ServeReport {
 }
 
 /// One pool's slice of a multi-pool serving run.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Serialize)]
 pub struct PoolOutcome {
     /// Pool display name.
     pub name: String,

@@ -17,12 +17,11 @@
 //! replays bit-exactly via `--arrivals trace:<log>`.
 
 use ce_sim_core::rng::SimRng;
-use serde::{Deserialize, Serialize};
 
 use crate::arrival::ArrivalModel;
 
 /// Temporal class of one function in the zoo.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum FunctionClass {
     /// Homogeneous Poisson at the function's rate.
     Steady,
@@ -49,7 +48,7 @@ impl FunctionClass {
 }
 
 /// A seeded generator of production-style invocation traces.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct ZooSpec {
     /// Preset name, echoed in reports.
     pub preset: String,

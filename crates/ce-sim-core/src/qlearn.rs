@@ -16,8 +16,6 @@
 //! through this loop; `ce-baselines` keeps a verbatim copy of the old
 //! inline loop as a differential oracle.
 
-use serde::{Deserialize, Serialize};
-
 use crate::rng::SimRng;
 
 /// One environment transition, as returned by [`QEnv::step`].
@@ -51,7 +49,7 @@ pub trait QEnv {
 }
 
 /// Exploration-rate schedule for epsilon-greedy action selection.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub enum EpsilonSchedule {
     /// A constant exploration rate.
     Fixed(f64),
@@ -76,7 +74,7 @@ impl EpsilonSchedule {
 
 /// A trained Q-table, serializable so learned policies can be frozen
 /// to JSON and replayed byte-identically.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct QTable {
     /// `q[state][action]` values.
     pub q: Vec<Vec<f64>>,
@@ -104,7 +102,7 @@ impl QTable {
 }
 
 /// Tabular epsilon-greedy Q-learning.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct QLearner {
     /// Learning rate.
     pub alpha: f64,
@@ -225,15 +223,12 @@ mod tests {
     }
 
     #[test]
-    fn qtable_round_trips_through_json() {
+    fn greedy_prefers_the_first_action_on_ties() {
         let table = QTable {
             q: vec![vec![0.5, -1.25], vec![2.0, 2.0]],
         };
-        let json = serde_json::to_string(&table).unwrap();
-        let back: QTable = serde_json::from_str(&json).unwrap();
-        assert_eq!(back, table);
         // Tie in row 1: first index wins.
-        assert_eq!(back.greedy(), vec![0, 0]);
+        assert_eq!(table.greedy(), vec![0, 0]);
     }
 
     #[test]

@@ -7,8 +7,6 @@
 //! perturb each other's sequences when the call order changes — a property
 //! the determinism integration tests rely on.
 
-use serde::{Deserialize, Serialize};
-
 /// SplitMix64 step, used for seeding and stream derivation.
 #[inline]
 fn splitmix64(state: &mut u64) -> u64 {
@@ -23,7 +21,7 @@ fn splitmix64(state: &mut u64) -> u64 {
 ///
 /// Not cryptographically secure; chosen for speed, quality, and exact
 /// reproducibility across platforms.
-#[derive(Debug, Clone, Serialize, Deserialize, PartialEq, Eq)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct SimRng {
     s: [u64; 4],
     /// Immutable identity of this stream; `derive` mixes from this rather
@@ -109,11 +107,6 @@ impl SimRng {
         let u1 = 1.0 - self.uniform();
         let u2 = self.uniform();
         (-2.0 * u1.ln()).sqrt() * (2.0 * std::f64::consts::PI * u2).cos()
-    }
-
-    /// Normal sample with the given mean and standard deviation.
-    pub fn normal_with(&mut self, mean: f64, std_dev: f64) -> f64 {
-        mean + std_dev * self.normal()
     }
 
     /// Multiplicative lognormal jitter with unit median.

@@ -1,10 +1,8 @@
 //! Small statistics helpers used by the measurement and validation
 //! harnesses: running moments (Welford), percentiles, and relative error.
 
-use serde::{Deserialize, Serialize};
-
 /// Running mean/variance accumulator (Welford's algorithm).
-#[derive(Debug, Clone, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default)]
 pub struct Summary {
     n: u64,
     mean: f64,

@@ -8,15 +8,13 @@ use std::cmp::Ordering;
 use std::fmt;
 use std::ops::{Add, AddAssign, Sub};
 
-use serde::{Deserialize, Serialize};
-
 /// A point in simulated time, in seconds since simulation start.
 ///
 /// `SimTime` is totally ordered; constructing one from NaN panics. Negative
 /// times are permitted transiently (e.g. when computing launch offsets for
 /// the delayed-restart optimization) but the event queue rejects scheduling
 /// in the past.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize, Default)]
+#[derive(Debug, Clone, Copy, PartialEq, Default)]
 pub struct SimTime(f64);
 
 impl SimTime {

@@ -16,10 +16,9 @@
 //! (high / medium / low latency; `$`/`$$`/`$$$` cost classes).
 
 use crate::service::{PricingModel, ScalingMode, StorageKind, StorageSpec};
-use serde::{Deserialize, Serialize};
 
 /// A set of available storage services (the `S` dimension of Eq. 1).
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct StorageCatalog {
     services: Vec<StorageSpec>,
 }

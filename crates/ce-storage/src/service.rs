@@ -1,10 +1,10 @@
 //! Storage service descriptions (Table I).
 
-use serde::{Deserialize, Serialize};
+use serde::Serialize;
 use std::fmt;
 
 /// The four external storage services evaluated by the paper.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize)]
 pub enum StorageKind {
     /// Amazon S3: auto-scaling object store, high latency, cheapest.
     S3,
@@ -52,7 +52,7 @@ impl fmt::Display for StorageKind {
 }
 
 /// Whether capacity scales automatically with load (Table I column 1).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum ScalingMode {
     /// The provider scales transparently (S3, DynamoDB).
     Auto,
@@ -61,7 +61,7 @@ pub enum ScalingMode {
 }
 
 /// How a service charges (Table I column 3; Eq. 5).
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub enum PricingModel {
     /// Charged per data request (S3, DynamoDB).
     ///
@@ -121,7 +121,7 @@ impl PricingModel {
 }
 
 /// A complete description of one external storage service.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct StorageSpec {
     /// Which service this is.
     pub kind: StorageKind,

@@ -11,14 +11,13 @@ use std::collections::HashMap;
 
 use bytes::Bytes;
 use ce_obs::{Counter, Gauge, Registry};
-use serde::{Deserialize, Serialize};
 use std::sync::Mutex;
 
 use crate::service::StorageSpec;
 
 /// Outcome of a storage operation: how long it took in simulated time and
 /// what it cost.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct OpReceipt {
     /// Simulated seconds the operation took.
     pub duration_s: f64,
@@ -103,7 +102,7 @@ struct Inner {
 }
 
 /// Aggregate usage counters for assertions and cost accounting.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct StoreStats {
     /// Number of successful PUT operations.
     pub puts: u64,

@@ -17,7 +17,6 @@
 //! arrival, pulls, and bookkeeping metadata operations).
 
 use crate::service::StorageSpec;
-use serde::{Deserialize, Serialize};
 
 /// Number of model-sized transfers one BSP iteration needs on `spec`
 /// with `n` workers (the `(3n − 2)` / `(2n − 2)` constants of Eq. 3).
@@ -73,7 +72,7 @@ pub fn runtime_cost_for_epoch(spec: &StorageSpec, epoch_secs: f64) -> f64 {
 
 /// A breakdown of one epoch's storage bill, for the Fig. 13/17/18 stacked
 /// bars ("the bottom of each bar indicates the cost of storage").
-#[derive(Debug, Clone, Copy, Default, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, Default, PartialEq)]
 pub struct StorageBill {
     /// Dollars charged per request (S3/DynamoDB class).
     pub request_dollars: f64,

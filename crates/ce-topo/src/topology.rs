@@ -14,10 +14,8 @@
 //! results to one that never heard of topologies (`x * 1.0 == x` and
 //! `x + 0.0 == x` for the finite non-negative values involved).
 
-use serde::{Deserialize, Serialize};
-
 /// One serverless region (an "edge site" or "cloud region").
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct NodePool {
     /// Display name, unique within the topology.
     pub name: String,
@@ -51,7 +49,7 @@ impl NodePool {
 }
 
 /// A bidirectional network link between two pools.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct NetworkLink {
     /// One endpoint (a pool name).
     pub a: String,
@@ -77,7 +75,7 @@ pub const DEFAULT_LINK_EGRESS_USD_PER_GB: f64 = 0.09;
 pub const MAX_POOLS: usize = 256;
 
 /// A named substrate: pools plus the links between them.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Topology {
     /// Display name (`single`, `edge-cloud`, or `custom`).
     pub name: String,

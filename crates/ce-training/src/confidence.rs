@@ -10,10 +10,9 @@
 
 use crate::fitter::{FittedCurve, LossCurveFitter};
 use ce_sim_core::rng::SimRng;
-use serde::{Deserialize, Serialize};
 
 /// A bootstrap interval over the predicted total epochs.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct EpochInterval {
     /// Point estimate from the original fit.
     pub point: f64,

@@ -18,11 +18,10 @@
 //! sweep ([`LossCurveFitter::fit_exhaustive`]) is kept only as the
 //! oracle of the differential tests.
 
-use serde::{Deserialize, Serialize};
 use std::sync::OnceLock;
 
 /// A fitted convergence curve.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct FittedCurve {
     /// Loss before training (supplied, not fitted).
     pub initial: f64,

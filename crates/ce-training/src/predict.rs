@@ -15,11 +15,10 @@
 use crate::fitter::{FittedCurve, LossCurveFitter};
 use ce_ml::curve::{CurveParams, LossCurve};
 use ce_sim_core::rng::SimRng;
-use serde::{Deserialize, Serialize};
 use std::cell::Cell;
 
 /// Result of an epoch prediction.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct EpochPrediction {
     /// Predicted *total* epochs from the start of training to the target.
     pub total_epochs: f64,

@@ -16,11 +16,10 @@ use crate::predict::OnlinePredictor;
 use ce_models::Allocation;
 use ce_obs::{Counter, Registry};
 use ce_pareto::{AllocPoint, Profile};
-use serde::{Deserialize, Serialize};
 use std::collections::HashMap;
 
 /// The training objective (Eq. 13–16).
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub enum TrainingObjective {
     /// Minimize JCT subject to a budget (Eq. 13–14).
     MinJctGivenBudget {
@@ -35,7 +34,7 @@ pub enum TrainingObjective {
 }
 
 /// Scheduler tunables.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct SchedulerConfig {
     /// Relative prediction-drift threshold `δ` that triggers resource
     /// adjustment (paper default 0.1).
@@ -90,7 +89,7 @@ pub enum Decision {
 /// `scheduler.triggers` only mirror them: a registry shared with other
 /// schedulers aggregates everyone's work, so nothing simulated is ever
 /// read back from it.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, Default, PartialEq)]
 pub struct SchedulerStats {
     /// Allocation candidates evaluated across all selections.
     pub evaluations: u64,
@@ -257,11 +256,6 @@ impl AdaptiveScheduler {
     /// Latest accepted total-epoch prediction.
     pub fn predicted_total_epochs(&self) -> f64 {
         self.accepted_prediction
-    }
-
-    /// The currently selected allocation, once initialized.
-    pub fn current_allocation(&self) -> Option<Allocation> {
-        self.current
     }
 
     /// Whether the delayed-restart optimization is on.

@@ -16,10 +16,9 @@
 
 use ce_ml::{HyperConfig, HyperSpace};
 use ce_sim_core::rng::SimRng;
-use serde::{Deserialize, Serialize};
 
 /// A TPE sampler over a hyperparameter space.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct TpeSampler {
     space: HyperSpace,
     /// Observations: (configuration, observed loss).

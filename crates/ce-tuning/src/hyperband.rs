@@ -9,10 +9,9 @@
 //! them" claim for SHA-family tuners.
 
 use crate::sha::ShaSpec;
-use serde::{Deserialize, Serialize};
 
 /// A Hyperband configuration.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct HyperbandSpec {
     /// Maximum epochs a single trial may receive across a bracket (`R`).
     pub max_epochs_per_trial: u32,

@@ -11,10 +11,9 @@
 
 use crate::sha::ShaSpec;
 use ce_pareto::AllocPoint;
-use serde::{Deserialize, Serialize};
 
 /// One allocation per SHA stage, with cached per-epoch estimates.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct PartitionPlan {
     /// Per-stage allocation points (`θ_1 … θ_d` with their epoch
     /// time/cost estimates).

@@ -26,11 +26,10 @@ use crate::plan::PartitionPlan;
 use crate::sha::ShaSpec;
 use ce_obs::{Counter, Registry};
 use ce_pareto::{AllocPoint, Profile};
-use serde::{Deserialize, Serialize};
 use std::collections::HashSet;
 
 /// What to optimize, and under which constraint (§III-C1 / §III-C2).
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub enum Objective {
     /// Minimize JCT subject to a budget in dollars (Eq. 7–9); the
     /// optional `qos_s` is the secondary constraint (9).
@@ -51,7 +50,7 @@ pub enum Objective {
 }
 
 /// Which allocations the planner may assign to a stage.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum CandidateSet {
     /// Only the Pareto boundary `P` (CE-scaling).
     ParetoBoundary,
@@ -60,7 +59,7 @@ pub enum CandidateSet {
 }
 
 /// Planner tunables.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct PlannerConfig {
     /// Relative objective-improvement threshold `δ` below which the
     /// greedy loop stops.
@@ -87,7 +86,7 @@ impl Default for PlannerConfig {
 /// `planner.evaluations` / `planner.iterations` in the planner's registry
 /// only mirror them and accumulate across every call sharing the
 /// registry, so nothing simulated is ever read back from them.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, Default, PartialEq)]
 pub struct PlannerStats {
     /// Candidate plans whose objectives were evaluated.
     pub evaluations: u64,

@@ -8,10 +8,8 @@
 //! stages with factor 2; the evaluation uses 16 384 trials over 14
 //! stages).
 
-use serde::{Deserialize, Serialize};
-
 /// An SHA bracket specification.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct ShaSpec {
     /// Trials in the first stage (`q_1`); must be a power of the
     /// reduction factor.
@@ -37,28 +35,45 @@ impl ShaSpec {
     /// Creates a bracket.
     ///
     /// # Panics
-    /// Panics unless `initial_trials` is a power of `reduction_factor`
-    /// (≥ the factor itself) and all fields are positive.
+    /// Panics where [`ShaSpec::try_new`] returns an error.
     pub fn new(initial_trials: u32, reduction_factor: u32, epochs_per_stage: u32) -> Self {
-        assert!(reduction_factor >= 2, "reduction factor must be ≥ 2");
-        assert!(epochs_per_stage >= 1);
-        assert!(
-            initial_trials >= reduction_factor,
-            "need at least one reduction"
-        );
+        Self::try_new(initial_trials, reduction_factor, epochs_per_stage)
+            .unwrap_or_else(|e| panic!("{e}"))
+    }
+
+    /// Creates a bracket, or says why the sizes do not form one.
+    ///
+    /// # Errors
+    /// Unless `initial_trials` is a power of `reduction_factor` (≥ the
+    /// factor itself), the factor is ≥ 2 and `epochs_per_stage` ≥ 1.
+    pub fn try_new(
+        initial_trials: u32,
+        reduction_factor: u32,
+        epochs_per_stage: u32,
+    ) -> Result<Self, String> {
+        if reduction_factor < 2 {
+            return Err(format!(
+                "reduction factor must be ≥ 2, got {reduction_factor}"
+            ));
+        }
+        if epochs_per_stage == 0 {
+            return Err("epochs per stage must be ≥ 1, got 0".into());
+        }
         let mut q = initial_trials;
-        while q > 1 {
-            assert!(
-                q.is_multiple_of(reduction_factor),
-                "initial_trials must be a power of the reduction factor"
-            );
+        while q > 1 && q.is_multiple_of(reduction_factor) {
             q /= reduction_factor;
         }
-        ShaSpec {
+        if initial_trials < reduction_factor || q != 1 {
+            return Err(format!(
+                "initial trials must be a power of the reduction factor {reduction_factor} \
+                 (at least {reduction_factor}), got {initial_trials}"
+            ));
+        }
+        Ok(ShaSpec {
             initial_trials,
             reduction_factor,
             epochs_per_stage,
-        }
+        })
     }
 
     /// Number of stages `d` (the bracket stops after evaluating the stage
@@ -149,6 +164,28 @@ mod tests {
     #[should_panic(expected = "power of the reduction factor")]
     fn non_power_rejected() {
         ShaSpec::new(48, 2, 2);
+    }
+
+    #[test]
+    fn bad_sizes_are_errors() {
+        for (q, rf, epochs) in [
+            (0, 2, 2),
+            (1, 2, 2),
+            (3, 2, 2),
+            (100, 2, 2),
+            (4_000_000_000, 2, 2),
+            (4, 1, 2),
+            (32, 2, 0),
+        ] {
+            assert!(
+                ShaSpec::try_new(q, rf, epochs).is_err(),
+                "{q}/{rf}/{epochs}"
+            );
+        }
+        assert_eq!(
+            ShaSpec::try_new(32, 2, 2),
+            Ok(ShaSpec::motivation_example())
+        );
     }
 
     #[test]

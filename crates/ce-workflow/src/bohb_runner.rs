@@ -11,7 +11,6 @@ use ce_ml::{HyperConfig, HyperSpace};
 use ce_models::{Environment, Workload};
 use ce_sim_core::rng::SimRng;
 use ce_tuning::{HyperbandSpec, TpeSampler};
-use serde::{Deserialize, Serialize};
 
 /// A BOHB tuning job: Hyperband brackets + TPE configuration proposals.
 #[derive(Debug, Clone)]
@@ -36,7 +35,7 @@ pub struct BohbJob {
 }
 
 /// The outcome of a BOHB run.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct BohbReport {
     /// Per-bracket reports, most exploratory bracket first.
     pub brackets: Vec<TuningReport>,

@@ -34,8 +34,6 @@ pub use runner::{EpochStep, TrainingExecution, TrainingJob, TuningJob};
 pub use scenario::{Scenario, ScenarioOutcome};
 pub use trace::{Trace, TraceEvent, TraceKind};
 
-use serde::{Deserialize, Serialize};
-
 /// Simulated seconds of scheduler time per candidate evaluated
 /// (Python-level analytical-model evaluation).
 pub const EVAL_COST_S: f64 = 2.0e-3;
@@ -44,7 +42,7 @@ pub const EVAL_COST_S: f64 = 2.0e-3;
 pub const FIT_COST_S: f64 = 0.05;
 
 /// A user-facing constraint: spend at most this, or finish by then.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub enum Constraint {
     /// Budget in dollars; the objective becomes JCT minimization.
     Budget(f64),
@@ -53,7 +51,7 @@ pub enum Constraint {
 }
 
 /// The scheduling methods compared by the evaluation.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum Method {
     /// CE-scaling (this paper).
     CeScaling,

@@ -2,10 +2,10 @@
 
 use ce_ml::HyperConfig;
 use ce_models::Allocation;
-use serde::{Deserialize, Serialize};
+use serde::Serialize;
 
 /// Per-stage metrics of a tuning run (Figs. 3 and 11).
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Serialize)]
 pub struct StageMetrics {
     /// Stage index (0-based).
     pub stage: usize,
@@ -20,7 +20,7 @@ pub struct StageMetrics {
 }
 
 /// Outcome of one trial in a bracket.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Serialize)]
 pub struct TrialOutcome {
     /// The configuration the trial trained.
     pub config: HyperConfig,
@@ -31,7 +31,7 @@ pub struct TrialOutcome {
 }
 
 /// The outcome of one hyperparameter-tuning bracket.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Serialize)]
 pub struct TuningReport {
     /// Total JCT in seconds, *including* scheduling overhead (the paper
     /// counts "the time from the start until the optimal trial is
@@ -61,7 +61,7 @@ pub struct TuningReport {
 }
 
 /// The outcome of one model-training job.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Serialize)]
 pub struct TrainingReport {
     /// Total JCT in seconds, including scheduling and restart overhead.
     pub jct_s: f64,

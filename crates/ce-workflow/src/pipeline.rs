@@ -15,7 +15,6 @@ use ce_ml::LossCurve;
 use ce_models::{Environment, Workload};
 use ce_sim_core::rng::SimRng;
 use ce_tuning::ShaSpec;
-use serde::{Deserialize, Serialize};
 
 /// A complete workflow: one bracket of tuning, then training the winner.
 #[derive(Debug, Clone)]
@@ -35,7 +34,7 @@ pub struct PipelineJob {
 }
 
 /// The outcome of a full workflow.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct PipelineReport {
     /// The tuning phase.
     pub tuning: TuningReport,

@@ -19,8 +19,6 @@
 //! must not perturb the RNG streams that make clean and chaotic runs
 //! draw-for-draw comparable.
 
-use serde::{Deserialize, Serialize};
-
 /// Base of the deterministic exponential backoff (seconds).
 pub const BACKOFF_BASE_S: f64 = 2.0;
 
@@ -35,7 +33,7 @@ pub const MAX_RECOVERY_ATTEMPTS: u32 = 64;
 pub const DEFAULT_CHECKPOINT_EVERY: u32 = 5;
 
 /// What a job does when the platform loses its workers mid-epoch.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum RecoveryPolicy {
     /// Back off and restart from scratch (epoch 0).
     Retry,

@@ -25,7 +25,7 @@ use ce_tuning::ShaSpec;
 use serde::{Deserialize, Serialize};
 
 /// A scenario as users write it.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone, Deserialize)]
 pub struct Scenario {
     /// `"training"` or `"tuning"`.
     pub kind: ScenarioKind,
@@ -33,32 +33,26 @@ pub struct Scenario {
     pub model: String,
     /// Dataset name: `higgs`, `yfcc`, `cifar10`, `imdb`. Defaults to the
     /// model's paper pairing when omitted.
-    #[serde(default)]
     pub dataset: Option<String>,
     /// Budget or deadline.
     pub constraint: ScenarioConstraint,
     /// Scheduling method (default `ce`).
-    #[serde(default)]
     pub method: Option<String>,
     /// Seeds to run (default `[42]`); results are averaged by the caller.
     #[serde(default)]
     pub seeds: Vec<u64>,
     /// Tuning only: SHA initial trials (default 256).
-    #[serde(default)]
     pub trials: Option<u32>,
     /// Tuning only: epochs per stage (default 2).
-    #[serde(default)]
     pub epochs_per_stage: Option<u32>,
     /// Training only: per-worker-epoch failure rate (default 0).
-    #[serde(default)]
     pub failure_rate: Option<f64>,
     /// Pin every method to one storage service.
-    #[serde(default)]
     pub storage: Option<String>,
 }
 
 /// Scenario type.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Deserialize)]
 #[serde(rename_all = "lowercase")]
 pub enum ScenarioKind {
     /// A model-training job.
@@ -68,18 +62,16 @@ pub enum ScenarioKind {
 }
 
 /// Budget-or-deadline, as users write it.
-#[derive(Debug, Clone, Copy, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, Deserialize)]
 pub struct ScenarioConstraint {
     /// Dollars.
-    #[serde(default)]
     pub budget: Option<f64>,
     /// Seconds.
-    #[serde(default)]
     pub deadline: Option<f64>,
 }
 
 /// Results of running a scenario: one report per seed.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone, Serialize)]
 pub enum ScenarioOutcome {
     /// Training reports per seed.
     Training(Vec<TrainingReport>),
@@ -108,9 +100,20 @@ impl std::fmt::Display for ScenarioError {
 impl std::error::Error for ScenarioError {}
 
 impl Scenario {
-    /// Parses a scenario from JSON.
+    /// Parses a scenario from JSON and checks every field [`Scenario::run`]
+    /// reads, so a scenario that parses is one `run` accepts.
     pub fn from_json(json: &str) -> Result<Scenario, ScenarioError> {
-        serde_json::from_str(json).map_err(|e| ScenarioError::Invalid(e.to_string()))
+        let scenario: Scenario =
+            serde_json::from_str(json).map_err(|e| ScenarioError::Invalid(e.to_string()))?;
+        scenario.workload()?;
+        scenario.method()?;
+        scenario.constraint()?;
+        scenario.storage_space()?;
+        scenario.platform_config()?;
+        if scenario.kind == ScenarioKind::Tuning {
+            scenario.sha()?;
+        }
+        Ok(scenario)
     }
 
     fn workload(&self) -> Result<Workload, ScenarioError> {
@@ -144,10 +147,10 @@ impl Scenario {
 
     fn constraint(&self) -> Result<Constraint, ScenarioError> {
         match (self.constraint.budget, self.constraint.deadline) {
-            (Some(b), None) if b > 0.0 => Ok(Constraint::Budget(b)),
-            (None, Some(t)) if t > 0.0 => Ok(Constraint::Deadline(t)),
+            (Some(b), None) if b.is_finite() && b > 0.0 => Ok(Constraint::Budget(b)),
+            (None, Some(t)) if t.is_finite() && t > 0.0 => Ok(Constraint::Deadline(t)),
             _ => Err(ScenarioError::Invalid(
-                "constraint needs exactly one of a positive budget or deadline".into(),
+                "constraint needs exactly one of a finite positive budget or deadline".into(),
             )),
         }
     }
@@ -166,6 +169,34 @@ impl Scenario {
         Ok(Some(AllocationSpace::aws_default().with_only_storage(kind)))
     }
 
+    /// The platform with the scenario's failure rate, which must lie in
+    /// `[0, 1]`; `None` keeps the default platform.
+    fn platform_config(&self) -> Result<Option<PlatformConfig>, ScenarioError> {
+        let Some(rate) = self.failure_rate else {
+            return Ok(None);
+        };
+        if !(0.0..=1.0).contains(&rate) {
+            return Err(ScenarioError::Invalid(format!(
+                "failure_rate must be in [0, 1], got {rate}"
+            )));
+        }
+        Ok(Some(PlatformConfig {
+            failure_rate: rate,
+            ..PlatformConfig::default()
+        }))
+    }
+
+    /// The tuning bracket: `trials` (default 256) halved by 2 per stage,
+    /// `epochs_per_stage` (default 2) epochs each.
+    fn sha(&self) -> Result<ShaSpec, ScenarioError> {
+        ShaSpec::try_new(
+            self.trials.unwrap_or(256),
+            2,
+            self.epochs_per_stage.unwrap_or(2),
+        )
+        .map_err(|e| ScenarioError::Invalid(format!("SHA bracket: {e}")))
+    }
+
     fn seeds(&self) -> Vec<u64> {
         if self.seeds.is_empty() {
             vec![42]
@@ -180,17 +211,15 @@ impl Scenario {
         let method = self.method()?;
         let constraint = self.constraint()?;
         let space = self.storage_space()?;
+        let platform = self.platform_config()?;
         let map_err = |e: WorkflowError| ScenarioError::Workflow(e.to_string());
         match self.kind {
             ScenarioKind::Training => {
                 let mut reports = Vec::new();
                 for seed in self.seeds() {
                     let mut job = TrainingJob::new(workload.clone(), constraint).with_seed(seed);
-                    if let Some(rate) = self.failure_rate {
-                        job = job.with_platform_config(PlatformConfig {
-                            failure_rate: rate,
-                            ..PlatformConfig::default()
-                        });
+                    if let Some(config) = platform {
+                        job = job.with_platform_config(config);
                     }
                     if let Some(space) = &space {
                         job = job.with_space(space.clone());
@@ -200,9 +229,7 @@ impl Scenario {
                 Ok(ScenarioOutcome::Training(reports))
             }
             ScenarioKind::Tuning => {
-                let trials = self.trials.unwrap_or(256);
-                let epochs = self.epochs_per_stage.unwrap_or(2);
-                let sha = ShaSpec::new(trials, 2, epochs);
+                let sha = self.sha()?;
                 let mut reports = Vec::new();
                 for seed in self.seeds() {
                     let mut job = TuningJob::new(workload.clone(), sha, constraint).with_seed(seed);
@@ -291,50 +318,47 @@ mod tests {
 
     #[test]
     fn invalid_fields_are_reported() {
-        let bad_model = Scenario::from_json(
+        for json in [
             r#"{"kind": "training", "model": "gpt5", "constraint": {"budget": 1.0}}"#,
-        )
-        .unwrap();
-        assert!(matches!(bad_model.run(), Err(ScenarioError::Invalid(_))));
-
-        let bad_constraint =
-            Scenario::from_json(r#"{"kind": "training", "model": "lr", "constraint": {}}"#)
-                .unwrap();
-        assert!(matches!(
-            bad_constraint.run(),
-            Err(ScenarioError::Invalid(_))
-        ));
-
-        let both = Scenario::from_json(
+            r#"{"kind": "training", "model": "lr", "constraint": {}}"#,
             r#"{"kind": "training", "model": "lr",
                 "constraint": {"budget": 1.0, "deadline": 2.0}}"#,
+            "not json",
+        ] {
+            assert!(
+                matches!(Scenario::from_json(json), Err(ScenarioError::Invalid(_))),
+                "{json}"
+            );
+        }
+
+        // `run` applies the same checks to a scenario built in code.
+        let mut scenario = Scenario::from_json(
+            r#"{"kind": "tuning", "model": "lr", "constraint": {"budget": 1.0}}"#,
         )
         .unwrap();
-        assert!(matches!(both.run(), Err(ScenarioError::Invalid(_))));
-
-        assert!(Scenario::from_json("not json").is_err());
+        scenario.trials = Some(100);
+        assert!(matches!(scenario.run(), Err(ScenarioError::Invalid(_))));
     }
 
     #[test]
-    fn scenario_round_trips_through_serde() {
-        let s = Scenario {
-            kind: ScenarioKind::Tuning,
-            model: "lr".into(),
-            dataset: Some("higgs".into()),
-            constraint: ScenarioConstraint {
-                budget: Some(10.0),
-                deadline: None,
-            },
-            method: Some("ce".into()),
-            seeds: vec![1],
-            trials: Some(64),
-            epochs_per_stage: None,
-            failure_rate: None,
-            storage: None,
-        };
-        let json = serde_json::to_string(&s).unwrap();
-        let back = Scenario::from_json(&json).unwrap();
-        assert_eq!(back.model, "lr");
-        assert_eq!(back.trials, Some(64));
+    fn scenario_parses_every_field() {
+        let s = Scenario::from_json(
+            r#"{"kind": "tuning", "model": "lr", "dataset": "higgs",
+                "constraint": {"budget": 10.0}, "method": "ce", "seeds": [1],
+                "trials": 64, "epochs_per_stage": 2, "failure_rate": 0.0,
+                "storage": "s3"}"#,
+        )
+        .unwrap();
+        assert_eq!(s.kind, ScenarioKind::Tuning);
+        assert_eq!(s.model, "lr");
+        assert_eq!(s.dataset.as_deref(), Some("higgs"));
+        assert_eq!(s.constraint.budget, Some(10.0));
+        assert_eq!(s.constraint.deadline, None);
+        assert_eq!(s.method.as_deref(), Some("ce"));
+        assert_eq!(s.seeds, vec![1]);
+        assert_eq!(s.trials, Some(64));
+        assert_eq!(s.epochs_per_stage, Some(2));
+        assert_eq!(s.failure_rate, Some(0.0));
+        assert_eq!(s.storage.as_deref(), Some("s3"));
     }
 }

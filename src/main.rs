@@ -402,6 +402,20 @@ fn parse_f64(s: &str, flag: &str, (ok, want): FloatRange) -> f64 {
     x
 }
 
+/// Exits 2 when a run would schedule more than
+/// [`ce_scaling::serve::MAX_ARRIVALS`] arrivals on average; `flags` names
+/// the flags that set the count.
+fn check_arrival_ceiling(expected: f64, flags: &str) {
+    let max = ce_scaling::serve::MAX_ARRIVALS;
+    if expected > max as f64 {
+        eprintln!(
+            "the run would schedule ~{expected:.3e} arrivals, over the ceiling of {max}; \
+             lower {flags}"
+        );
+        std::process::exit(2);
+    }
+}
+
 fn cmd_profile(opts: &Opts) {
     let env = Environment::aws_default();
     let w = opts.workload();
@@ -430,7 +444,10 @@ fn cmd_plan_tuning(opts: &Opts) {
     let env = Environment::aws_default();
     let w = opts.workload();
     let trials = opts.trials.unwrap_or(256);
-    let sha = ShaSpec::new(trials, 2, 2);
+    let sha = ShaSpec::try_new(trials, 2, 2).unwrap_or_else(|e| {
+        eprintln!("invalid value for --trials: {e}");
+        std::process::exit(2);
+    });
     let profile = ParetoProfiler::new(&env).profile_workload(&w);
     let default_budget =
         PartitionPlan::uniform(*profile.cheapest().expect("nonempty"), sha).cost() * 2.0;
@@ -691,6 +708,7 @@ fn cmd_serve(opts: &Opts) {
             }
         }
     };
+    check_arrival_ceiling(arrivals.expected_arrivals(duration), "--rps or --duration");
     let autoscaler_name = opts.autoscaler.as_deref().unwrap_or("target");
     let autoscaler = match ce_scaling::serve::parse_autoscaler(autoscaler_name) {
         Ok(a) => a,
@@ -823,6 +841,11 @@ fn cmd_lifecycle(opts: &Opts) {
     if let Some(rps) = opts.rps {
         spec = spec.with_rps(rps);
     }
+    // Each tenant's Poisson rate is drawn from [0.6, 1.4] × --rps.
+    check_arrival_ceiling(
+        f64::from(tenants) * 1.4 * spec.rps * duration,
+        "--tenants, --rps or --duration",
+    );
     if let Some(slo) = opts.slo_ms {
         spec = spec.with_slo_ms(slo);
     }

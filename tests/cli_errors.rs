@@ -19,8 +19,8 @@ fn run(args: &[&str]) -> (Option<i32>, String) {
 }
 
 /// Asserts the invocation fails with `code`, prints something
-/// containing `needle`, and does not panic.
-fn assert_graceful(args: &[&str], code: i32, needle: &str) {
+/// containing `needle`, and does not panic; returns its stderr.
+fn assert_graceful(args: &[&str], code: i32, needle: &str) -> String {
     let (status, stderr) = run(args);
     assert_eq!(status, Some(code), "ce-scaling {args:?}:\n{stderr}");
     assert!(
@@ -30,6 +30,17 @@ fn assert_graceful(args: &[&str], code: i32, needle: &str) {
     assert!(
         stderr.contains(needle),
         "ce-scaling {args:?}: stderr lacks {needle:?}:\n{stderr}"
+    );
+    stderr
+}
+
+/// [`assert_graceful`] with exit code 2, and a diagnostic of one line.
+fn assert_one_line_error(args: &[&str], needle: &str) {
+    let stderr = assert_graceful(args, 2, needle);
+    assert_eq!(
+        stderr.trim_end().lines().count(),
+        1,
+        "ce-scaling {args:?}: more than one line:\n{stderr}"
     );
 }
 
@@ -245,6 +256,90 @@ fn run_config_errors_are_clean() {
 }
 
 #[test]
+fn sha_bracket_sizes_are_usage_errors() {
+    for trials in ["0", "3", "100", "4000000000"] {
+        assert_one_line_error(
+            &["plan-tuning", "--trials", trials],
+            "invalid value for --trials: initial trials must be a power of the reduction factor",
+        );
+    }
+}
+
+#[test]
+fn scenario_fields_get_the_cli_ranges() {
+    let path = tmp("out_of_range_scenario.json");
+    let tuning = |extra: &str| {
+        format!(r#"{{"kind": "tuning", "model": "lr", "constraint": {{"budget": 10.0}}, {extra}}}"#)
+    };
+    let training = |extra: &str| {
+        format!(
+            r#"{{"kind": "training", "model": "lr", "constraint": {{"budget": 10.0}}, {extra}}}"#
+        )
+    };
+    for (scenario, needle) in [
+        (tuning(r#""trials": 0"#), "SHA bracket"),
+        (tuning(r#""trials": 100"#), "SHA bracket"),
+        (tuning(r#""trials": 4000000000"#), "SHA bracket"),
+        (tuning(r#""epochs_per_stage": 0"#), "SHA bracket"),
+        (
+            training(r#""failure_rate": 2.0"#),
+            "failure_rate must be in [0, 1]",
+        ),
+        (
+            training(r#""failure_rate": -1.0"#),
+            "failure_rate must be in [0, 1]",
+        ),
+        (training(r#""method": "magic""#), "unknown method"),
+        (training(r#""storage": "floppy""#), "unknown storage"),
+        (
+            training(r#""dataset": "mnist""#),
+            "unsupported model/dataset",
+        ),
+        (
+            r#"{"kind": "training", "model": "lr", "constraint": {"budget": 1e400}}"#.into(),
+            "finite positive budget or deadline",
+        ),
+        (
+            r#"{"kind": "training", "model": "lr", "constraint": {"deadline": -5}}"#.into(),
+            "finite positive budget or deadline",
+        ),
+    ] {
+        std::fs::write(&path, &scenario).unwrap();
+        assert_one_line_error(&["run-config", path.to_str().unwrap()], needle);
+    }
+    std::fs::remove_file(&path).ok();
+}
+
+#[test]
+fn arrival_counts_over_the_ceiling_are_usage_errors() {
+    for args in [
+        &["serve", "--rps", "1e9", "--duration", "1e9"][..],
+        &[
+            "serve",
+            "--arrivals",
+            "bursty",
+            "--rps",
+            "1e6",
+            "--duration",
+            "1e3",
+        ],
+        &["serve", "--arrivals", "zoo:mixed", "--duration", "1e12"],
+        &["lifecycle", "--duration", "1e12"],
+        &[
+            "lifecycle",
+            "--tenants",
+            "1000",
+            "--rps",
+            "100",
+            "--duration",
+            "1000",
+        ],
+    ] {
+        assert_one_line_error(args, "over the ceiling of 10000000");
+    }
+}
+
+#[test]
 fn unknown_zoo_preset_is_a_usage_error() {
     assert_graceful(
         &["serve", "--arrivals", "zoo:azure2019"],
@@ -277,6 +372,14 @@ fn invalid_qlearn_hyperparameters_are_usage_errors() {
         2,
         "invalid qlearn train-episodes",
     );
+    // Parsing the spec trains the policy, so episodes are capped.
+    for episodes in ["100001", "4294967295"] {
+        let spec = format!("qlearn:{episodes}:0.2:0.1");
+        assert_one_line_error(
+            &["serve", "--autoscaler", &spec],
+            "invalid qlearn train-episodes",
+        );
+    }
     assert_graceful(
         &["serve", "--autoscaler", "qlearn:50:1.5:0.1"],
         2,

@@ -1375,6 +1375,141 @@ fn chaos_specs_parse_or_fail_typed() {
 }
 
 #[test]
+fn scenarios_parse_or_fail_typed() {
+    use ce_scaling::workflow::scenario::{Scenario, ScenarioError, ScenarioKind};
+    const KINDS: Piece = (
+        &["\"training\"", "\"tuning\""],
+        &["\"Training\"", "1", "null", "{}"],
+    );
+    const MODELS: Piece = (
+        &["\"lr\"", "\"svm\"", "\"mobilenet\"", "\"bert\""],
+        &["\"gpt\"", "\"\"", "3", "[\"lr\"]"],
+    );
+    const DATASETS: Piece = (
+        &["\"higgs\"", "\"yfcc\"", "\"cifar10\"", "null"],
+        &["\"mnist\"", "0", "true"],
+    );
+    const AMOUNTS: Piece = (
+        &["10", "1.5", "1e3", "300.0"],
+        &[
+            "0",
+            "-1",
+            "1e400",
+            "-1e400",
+            "\"10\"",
+            "null",
+            "18446744073709551616",
+        ],
+    );
+    const METHODS: Piece = (
+        &[
+            "\"ce\"",
+            "\"lambdaml\"",
+            "\"siren\"",
+            "\"cirrus\"",
+            "\"fixed\"",
+        ],
+        &["\"CE\"", "\"magic\"", "7"],
+    );
+    const SEEDS: Piece = (
+        &["[]", "[1]", "[1, 2]", "[18446744073709551615]"],
+        &["[-1]", "[1.5]", "1", "[18446744073709551616]", "[\"1\"]"],
+    );
+    const TRIALS: Piece = (
+        &["2", "64", "256", "2147483648"],
+        &[
+            "0",
+            "1",
+            "3",
+            "100",
+            "4000000000",
+            "4294967296",
+            "-2",
+            "1e3",
+            "99999999999999999999",
+        ],
+    );
+    const EPOCHS: Piece = (&["1", "2", "5"], &["0", "-1", "2.5", "4294967296"]);
+    const RATES: Piece = (
+        &["0", "0.0", "0.3", "1", "1e-9"],
+        &["2.0", "-1.0", "1e400", "-0.5", "\"0.1\""],
+    );
+    const STORAGES: Piece = (
+        &["\"s3\"", "\"dynamodb\"", "\"elasticache\"", "\"vmps\""],
+        &["\"floppy\"", "\"S3\"", "0"],
+    );
+    let accepted = std::cell::Cell::new(0);
+    prop("scenario-json", 600, |rng| {
+        let mut fields = Vec::new();
+        let mut field = |rng: &mut SimRng, name: &str, piece: Piece, keep: f64| {
+            if rng.bernoulli(keep) {
+                fields.push(format!("\"{name}\": {}", pick(rng, piece)));
+            }
+        };
+        field(rng, "kind", KINDS, 0.95);
+        field(rng, "model", MODELS, 0.95);
+        field(rng, "dataset", DATASETS, 0.3);
+        field(rng, "method", METHODS, 0.3);
+        field(rng, "seeds", SEEDS, 0.3);
+        field(rng, "trials", TRIALS, 0.4);
+        field(rng, "epochs_per_stage", EPOCHS, 0.3);
+        field(rng, "failure_rate", RATES, 0.3);
+        field(rng, "storage", STORAGES, 0.3);
+        let budget = rng.bernoulli(0.6);
+        let deadline = rng.bernoulli(if budget { 0.05 } else { 0.9 });
+        let mut constraint = Vec::new();
+        if budget {
+            constraint.push(format!("\"budget\": {}", pick(rng, AMOUNTS)));
+        }
+        if deadline {
+            constraint.push(format!("\"deadline\": {}", pick(rng, AMOUNTS)));
+        }
+        if rng.bernoulli(0.95) {
+            fields.push(format!("\"constraint\": {{{}}}", constraint.join(", ")));
+        }
+        let rotate = rng.gen_index(fields.len() + 1);
+        fields.rotate_left(rotate);
+        let mut json = format!("{{{}}}", fields.join(", "));
+        if rng.bernoulli(0.1) {
+            json.truncate(rng.gen_index(json.len() + 1));
+        }
+        match Scenario::from_json(&json) {
+            // What parses is what `run` accepts: one finite positive
+            // limit, a failure rate in [0, 1], a valid tuning bracket.
+            Ok(s) => {
+                let limits = [s.constraint.budget, s.constraint.deadline];
+                assert_eq!(limits.iter().flatten().count(), 1, "{json}");
+                assert!(
+                    limits.iter().flatten().all(|x| x.is_finite() && *x > 0.0),
+                    "{json}"
+                );
+                assert!(
+                    s.failure_rate.is_none_or(|r| (0.0..=1.0).contains(&r)),
+                    "{json}"
+                );
+                if s.kind == ScenarioKind::Tuning {
+                    let bracket = ShaSpec::try_new(
+                        s.trials.unwrap_or(256),
+                        2,
+                        s.epochs_per_stage.unwrap_or(2),
+                    );
+                    assert!(bracket.is_ok(), "{json}");
+                }
+                accepted.set(accepted.get() + 1);
+            }
+            Err(ScenarioError::Invalid(msg)) => assert!(!msg.is_empty(), "{json}"),
+            Err(e) => panic!("{json}: parsing failed as a run error: {e}"),
+        }
+    });
+    // Both outcomes must be common, or the sweep tests one side only.
+    assert!(
+        (60..=540).contains(&accepted.get()),
+        "{} accepted",
+        accepted.get()
+    );
+}
+
+#[test]
 fn topology_specs_parse_or_fail_typed() {
     use ce_scaling::topo::{parse_topology, MAX_POOLS};
     const NAMES: Piece = (&["edge", "cloud", "a", "b", "eu"], &["", " ", "e-w"]);
@@ -1504,11 +1639,20 @@ fn placement_names_parse_or_fail_typed() {
 
 #[test]
 fn autoscaler_specs_parse_or_fail_typed() {
-    use ce_scaling::serve::{autoscaler_names, parse_autoscaler};
+    use ce_scaling::serve::{autoscaler_names, parse_autoscaler, MAX_QLEARN_EPISODES};
     // Valid episode counts stay tiny: an accepted spec trains a policy.
     const EPISODES: Piece = (
         &["1", "2", "+1"],
-        &["0", "-1", "1.5", "4294967296", "", "x"],
+        &[
+            "0",
+            "-1",
+            "1.5",
+            "100001",
+            "4294967295",
+            "4294967296",
+            "",
+            "x",
+        ],
     );
     const EPSILONS: Piece = (
         &["0", "0.2", "1", "1e-3"],
@@ -1532,7 +1676,9 @@ fn autoscaler_specs_parse_or_fail_typed() {
         let well_formed = spec.strip_prefix("qlearn:").map(|body| {
             let parts: Vec<&str> = body.split(':').collect();
             parts.len() == 3
-                && parts[0].parse::<u32>().is_ok_and(|e| e >= 1)
+                && parts[0]
+                    .parse::<u32>()
+                    .is_ok_and(|e| (1..=MAX_QLEARN_EPISODES).contains(&e))
                 && parts[1]
                     .parse::<f64>()
                     .is_ok_and(|e| (0.0..=1.0).contains(&e))
