@@ -305,6 +305,72 @@ fn lifecycle_topo_args(seed: u64) -> Vec<String> {
     args
 }
 
+/// The storm cluster fixture: every storage service goes dark once and
+/// every one degrades for a while, on top of a light crash rate. It
+/// pins the fleet-clock outage stall (`cluster.chaos_outage_stall`),
+/// the degrade stretch (`cluster.chaos_degraded_epochs`) and cold
+/// resumes after long stalls.
+fn cluster_storm_args(engine: &str) -> Vec<String> {
+    let mut args = cluster_args(42, false, engine);
+    args.extend(
+        [
+            "--chaos",
+            "outage:s3@300..900;outage:dynamodb@600..1200;\
+             outage:elasticache@200..800;outage:vmps@400..1000;\
+             degrade:s3:x3@0..1800;degrade:elasticache:x4@900..2400;\
+             degrade:dynamodb:x2@0..inf;degrade:vmps:x2@1200..3000;\
+             crash:0.05@0..inf",
+            "--recovery",
+            "checkpoint",
+            "--checkpoint-every",
+            "5",
+        ]
+        .map(String::from),
+    );
+    args
+}
+
+/// The storm lifecycle fixture: serving saturates a 4-worker quota, so
+/// queued training waits long enough to resume cold, and the training
+/// side hits both an outage stall (every service is dark at 30..50 s)
+/// and crash stalls (60..90 s).
+fn lifecycle_storm_args(seed: u64) -> Vec<String> {
+    [
+        "lifecycle",
+        "--tenants",
+        "3",
+        "--duration",
+        "700",
+        "--rps",
+        "6",
+        "--quota",
+        "4",
+        "--job-cap",
+        "4",
+        "--policy",
+        "serve-first",
+        "--drift-every",
+        "600",
+        "--chaos",
+        "outage:s3@30..50;outage:dynamodb@30..50;outage:elasticache@30..50;\
+         outage:vmps@30..50;crash:0.3@60..90",
+    ]
+    .into_iter()
+    .map(String::from)
+    .chain(["--seed".into(), seed.to_string()])
+    .collect()
+}
+
+/// The value of counter `name` in a metrics export (0 when absent).
+fn counter(text: &str, name: &str) -> u64 {
+    let needle = format!(r#"{{"type":"counter","name":"{name}","value":"#);
+    text.lines()
+        .find_map(|l| l.strip_prefix(&needle))
+        .map_or(0, |rest| {
+            rest.trim_end_matches('}').parse().expect("counter value")
+        })
+}
+
 /// Compares `actual` against the committed fixture, or rewrites the
 /// fixture when `UPDATE_GOLDEN=1` is set.
 fn check_golden(scenario: &str, seed: u64, actual: &[u8]) {
@@ -586,4 +652,42 @@ fn resilient_and_topo_lifecycle_traces_match_golden_fixtures() {
         &lifecycle_topo_args(42),
         &[r#""name":"topo.pools""#, r#""name":"topo.tenants.edge""#],
     );
+}
+
+/// The storm cluster fixture, on both engines at 1 and 8 workers.
+#[test]
+fn storm_cluster_traces_match_golden_fixture_on_both_engines() {
+    for engine in ["heap", "naive"] {
+        for threads in [1, 8] {
+            let bytes = run_metrics_with_threads(
+                &cluster_storm_args(engine),
+                &format!("cluster_storm_42_{engine}_t{threads}"),
+                Some(threads),
+            );
+            let text = String::from_utf8_lossy(&bytes);
+            assert!(text.contains(r#""name":"cluster.chaos_outage_stall""#));
+            assert!(counter(&text, "cluster.chaos_degraded_epochs") > 0);
+            assert!(counter(&text, "cluster.cold_resumes") > 0);
+            check_golden("cluster_storm", 42, &bytes);
+        }
+    }
+}
+
+/// The storm lifecycle fixture reaches the training outage stall (more
+/// chaos stalls than worker losses) and a cold resume.
+#[test]
+fn storm_lifecycle_traces_match_golden_fixture() {
+    for threads in [1, 8] {
+        let bytes = run_metrics_with_threads(
+            &lifecycle_storm_args(42),
+            &format!("lifecycle_storm_42_t{threads}"),
+            Some(threads),
+        );
+        let text = String::from_utf8_lossy(&bytes);
+        let losses = counter(&text, "lifecycle.chaos_worker_losses");
+        assert!(losses > 0);
+        assert!(counter(&text, "lifecycle.chaos_stalls") > losses);
+        assert!(counter(&text, "lifecycle.cold_resumes") > 0);
+        check_golden("lifecycle_storm", 42, &bytes);
+    }
 }
