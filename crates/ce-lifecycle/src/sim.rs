@@ -1,11 +1,12 @@
 //! The lifecycle fleet simulator.
 //!
 //! One `ce_sim_core` event heap drives, per tenant, a request-level
-//! serving loop *and* a stepwise training loop (ce-cluster's
-//! head-of-line epoch dispatch over `ce_workflow::TrainingExecution`),
-//! all leasing workers from one shared [`AccountQuota`]: a dispatched
-//! request holds one worker until it completes, a dispatched epoch holds
-//! its wave width. The [`PriorityPolicy`] arbitrates contention (see
+//! serving loop *and* a stepwise training loop, all leasing workers from
+//! one shared `AccountQuota`: a dispatched request holds one worker
+//! until it completes, a dispatched epoch holds its wave width. Training
+//! runs queue FIFO and launch head-of-line through the epoch-wave
+//! dispatcher shared with ce-cluster ([`ce_cluster::wave`]); a chaos
+//! stall restarts a run's queue clock when it re-queues. The [`PriorityPolicy`] arbitrates contention (see
 //! `priority`), and a completed training run publishes a model version
 //! that redeploys into the serve stage.
 //!
@@ -34,7 +35,7 @@
 //! # Topology
 //!
 //! The fleet runs on a [`ce_topo::Topology`]: each pool owns its own
-//! [`AccountQuota`] (the pool's ceiling, falling back to the spec's
+//! `AccountQuota` (the pool's ceiling, falling back to the spec's
 //! shared quota), every tenant's serving is pinned to one pool at
 //! build time, and each training run is placed independently when it
 //! starts — so a retrain can land off-pool from the replicas it will
@@ -51,10 +52,10 @@
 use crate::priority::{PriorityPolicy, QuotaView, VictimView};
 use crate::report::{LifecycleReport, TenantOutcome};
 use crate::spec::{LifecycleSpec, TenantSpec};
-use ce_chaos::CompiledSchedule;
-use ce_faas::{parse_keep_alive, AccountQuota, InstancePool};
+use ce_cluster::wave::{Finished, Landing, Launch, Waves};
+use ce_faas::{parse_keep_alive, InstancePool};
 use ce_obs::Registry;
-use ce_serve::engine::{fork_attempt, Capacity, Engine, Lane, Lease, ReqEv, Schedule, StreamKeys};
+use ce_serve::engine::{Capacity, Engine, Lane, Lease, ReqEv, Schedule, StreamKeys};
 use ce_serve::{autoscaler_by_name, ArrivalModel, ServeSpec};
 use ce_sim_core::event::EventQueue;
 use ce_sim_core::rng::SimRng;
@@ -74,8 +75,6 @@ const DRIFT_DEGRADE: f64 = 1.5;
 /// the first published version is what the tenant actually wants to
 /// serve.
 const STALE_SERVICE_FACTOR: f64 = 1.15;
-/// A training wave queued longer than this restarts cold.
-const IDLE_EXPIRY_S: f64 = 600.0;
 
 /// Simulation events (heap-ordered by time, FIFO on ties).
 enum Ev {
@@ -120,14 +119,6 @@ enum TrainState {
     /// Converged; the publish transfer is in flight (`Redeploy`
     /// pending).
     Publishing,
-}
-
-/// Training-side chaos: the compiled schedule, its dedicated stream,
-/// and the monotone dispatch-attempt counter for training crash draws.
-struct ChaosState {
-    schedule: CompiledSchedule,
-    rng: SimRng,
-    attempts: u64,
 }
 
 /// Per-tenant training counters accumulated inline and flushed once.
@@ -180,8 +171,9 @@ fn version_profile(spec: &TenantSpec, version: u32) -> (f64, f64) {
 struct Fleet {
     spec: LifecycleSpec,
     policy: Box<dyn PriorityPolicy>,
-    /// One quota per topology pool, in pool-index order.
-    quotas: Vec<AccountQuota>,
+    /// One quota per topology pool, in pool-index order, and the
+    /// training side's fault timeline.
+    waves: Waves,
     placement: Box<dyn ce_topo::PlacementPolicy>,
     topo_rng: SimRng,
     /// Training runs placed per pool (reported multi-pool only).
@@ -191,13 +183,10 @@ struct Fleet {
     /// Egress dollars those publishes paid.
     transfer_dollars: f64,
     obs: Registry,
-    chaos: Option<ChaosState>,
     tenants: Vec<TenantState>,
     train_ready: VecDeque<u32>,
     serve_held: u32,
     train_held: u32,
-    util_integral: f64,
-    last_event_s: f64,
     quota_stalls: u64,
 }
 
@@ -215,31 +204,16 @@ impl LifecycleSim {
     /// Panics when the spec names an unknown autoscaler or keep-alive
     /// policy — the CLI validates names before building.
     pub fn new(spec: LifecycleSpec, policy: Box<dyn PriorityPolicy>) -> Self {
-        let pool_count = spec.topology.pools.len();
-        assert!(
-            (1..=ce_topo::MAX_POOLS).contains(&pool_count),
-            "a lifecycle topology needs 1..=256 pools"
-        );
         let rng = SimRng::new(spec.seed).derive("lifecycle-sim");
+        let chaos_rng = rng.derive("lifecycle-chaos");
+        let chaos = spec.chaos.as_ref();
+        let waves = Waves::new(&spec.topology, spec.quota, chaos, chaos_rng.clone());
+        let pool_count = waves.pool_count();
         // A pure fork: deriving consumes no parent draws, so default
         // runs keep their exact bytes.
         let mut topo_rng = rng.derive("topo");
         let mut placement = ce_topo::parse_placement(&spec.placement)
             .unwrap_or_else(|e| panic!("invalid placement in spec: {e}"));
-        let chaos = spec.chaos.as_ref().map(|s| {
-            let chaos_rng = rng.derive("lifecycle-chaos");
-            ChaosState {
-                schedule: s.compile(&chaos_rng),
-                rng: chaos_rng,
-                attempts: 0,
-            }
-        });
-        let quotas: Vec<AccountQuota> = spec
-            .topology
-            .pools
-            .iter()
-            .map(|p| AccountQuota::new(p.quota.unwrap_or(spec.quota)))
-            .collect();
         // Tenants serve with the default serving profile and pricing;
         // the engine reads no arrival model, chaos, or topology from it.
         let pipeline = ServeSpec {
@@ -261,23 +235,10 @@ impl LifecycleSim {
                 cold_ms: pipeline.cold_start_s * 1e3,
             };
             for serve_pool in &mut serve_pools {
-                let views: Vec<PoolView> = spec
-                    .topology
-                    .pools
-                    .iter()
-                    .zip(&quotas)
-                    .zip(&pinned)
-                    .map(|((p, q), &n)| PoolView {
-                        rtt_ms: p.rtt_ms,
-                        price_factor: p.price_factor,
-                        compute_factor: p.compute_factor,
-                        cold_factor: p.cold_factor,
-                        bandwidth_mbps: f64::INFINITY,
-                        inflight: n,
-                        queued: 0,
-                        capacity: q.limit(),
-                        warm_idle: 0,
-                        quota: p.quota,
+                let views: Vec<PoolView> = (0..pool_count)
+                    .map(|p| PoolView {
+                        inflight: pinned[p],
+                        ..waves.pool_view(p, 0, f64::INFINITY)
                     })
                     .collect();
                 let idx = placement
@@ -294,7 +255,7 @@ impl LifecycleSim {
         for (i, (mut t, serve_pool)) in tenant_specs.into_iter().zip(serve_pools).enumerate() {
             let keys = StreamKeys {
                 jitter: rng.derive_idx("tenant-serve", i as u64),
-                chaos: chaos.as_ref().map(|c| c.rng.derive_idx("tenant", i as u64)),
+                chaos: chaos.map(|_| chaos_rng.derive_idx("tenant", i as u64)),
                 backoff: rng.derive_idx("tenant-backoff", i as u64),
                 backoff_label: "request",
                 tag: Some(t.id),
@@ -329,29 +290,21 @@ impl LifecycleSim {
                 spec: t,
             });
         }
-        let engine = Engine::new(
-            pipeline,
-            chaos.as_ref().map(|c| c.schedule.clone()),
-            schedules,
-            lanes,
-        );
+        let engine = Engine::new(pipeline, waves.faults().cloned(), schedules, lanes);
         LifecycleSim {
             engine,
             fleet: Fleet {
-                quotas,
+                waves,
                 placement,
                 topo_rng,
                 train_runs_by_pool: vec![0; pool_count],
                 publish_transfers: 0,
                 transfer_dollars: 0.0,
                 obs: Registry::new(),
-                chaos,
                 tenants,
                 train_ready: VecDeque::new(),
                 serve_held: 0,
                 train_held: 0,
-                util_integral: 0.0,
-                last_event_s: 0.0,
                 quota_stalls: 0,
                 spec,
                 policy,
@@ -410,8 +363,7 @@ impl LifecycleSim {
         while let Some((now, ev)) = self.engine.events.pop() {
             let t = now.as_secs();
             let (engine, fleet) = (&mut self.engine, &mut self.fleet);
-            fleet.util_integral += f64::from(fleet.total_in_use()) * (t - fleet.last_event_s);
-            fleet.last_event_s = t;
+            fleet.waves.advance(t);
             match ev {
                 Ev::Req(ReqEv::Arrival { sched, req }) => {
                     // Arrivals queue; the drain below dispatches in the
@@ -441,25 +393,20 @@ impl LifecycleSim {
                 Ev::TrainArrival { tenant } => fleet.start_training_run(tenant as usize, t),
                 Ev::EpochDone { tenant, attempt } => {
                     let tenant = tenant as usize;
-                    if attempt != fleet.tenants[tenant].attempt {
+                    let st = &mut fleet.tenants[tenant];
+                    if attempt != st.attempt {
                         // Preempted after this completion was scheduled;
                         // the wave's lease was already returned.
                         continue;
                     }
-                    let TrainState::Running { workers, .. } = fleet.tenants[tenant].train else {
+                    let TrainState::Running { workers, .. } = st.train else {
                         unreachable!("current attempt implies a running epoch");
                     };
-                    fleet.quotas[fleet.tenants[tenant].train_pool].release(workers);
                     fleet.train_held -= workers;
-                    let done = fleet.tenants[tenant]
-                        .exec
-                        .as_ref()
-                        .expect("running epoch has an execution")
-                        .is_done();
-                    if done {
-                        fleet.finish_training(tenant, t, &mut engine.events);
-                    } else {
-                        fleet.requeue(tenant, t);
+                    match fleet.waves.land(st.train_pool, workers, &mut st.exec) {
+                        Landing::Next => fleet.requeue(tenant, t),
+                        Landing::Finished(run) => fleet.publish(tenant, t, run, &mut engine.events),
+                        Landing::Failed { usd } => fleet.fail_train(tenant, t, usd),
                     }
                 }
                 Ev::TrainResume { tenant } => {
@@ -589,13 +536,8 @@ impl LifecycleSim {
         for outcome in &outcomes {
             debug_assert_eq!(outcome.verdicts().check(), Ok(()));
         }
-        let total_limit = fleet.total_limit();
-        let quota_utilization = if horizon_s > 0.0 && total_limit > 0 {
-            fleet.util_integral / (horizon_s * f64::from(total_limit))
-        } else {
-            0.0
-        };
-        let quota_peak: u32 = fleet.quotas.iter().map(AccountQuota::peak).sum();
+        let quota_utilization = fleet.waves.utilization(horizon_s);
+        let quota_peak = fleet.waves.peak();
         let report = LifecycleReport {
             policy: fleet.policy.name().to_string(),
             topology: fleet.spec.topology.name.clone(),
@@ -641,9 +583,10 @@ impl LifecycleSim {
                 .set(report.train_miss_rate());
             // Substrate breakdown — emitted only when a real topology
             // is modeled, so single-pool goldens keep their bytes.
-            if fleet.multi_pool() {
-                obs.gauge("topo.pools").set(fleet.quotas.len() as f64);
-                let mut tenants_by_pool = vec![0u64; fleet.quotas.len()];
+            if fleet.waves.multi_pool() {
+                let pool_count = fleet.waves.pool_count();
+                obs.gauge("topo.pools").set(pool_count as f64);
+                let mut tenants_by_pool = vec![0u64; pool_count];
                 for st in &fleet.tenants {
                     tenants_by_pool[st.serve_pool] += 1;
                 }
@@ -670,7 +613,7 @@ impl Capacity<Ev> for Fleet {
     fn lease(&mut self, lane: usize, q: &mut EventQueue<Ev>) -> Lease {
         if self.acquire_serve_worker(lane, q.now().as_secs(), q) {
             Lease::Granted
-        } else if self.multi_pool() {
+        } else if self.waves.multi_pool() {
             // Only this tenant's pool is exhausted; tenants pinned
             // elsewhere may still drain.
             Lease::Busy
@@ -682,61 +625,36 @@ impl Capacity<Ev> for Fleet {
     /// Takes a spare worker in the tenant's serve pool; hedges never
     /// preempt a training epoch.
     fn lease_hedge(&mut self, lane: usize) -> bool {
-        if self.quotas[self.tenants[lane].serve_pool]
-            .try_acquire(1)
-            .is_err()
-        {
-            return false;
-        }
-        self.serve_held += 1;
-        true
+        self.take_serve_worker(self.tenants[lane].serve_pool)
     }
 
     fn release(&mut self, lane: usize) {
-        self.quotas[self.tenants[lane].serve_pool].release(1);
+        self.waves.quota(self.tenants[lane].serve_pool).release(1);
         self.serve_held -= 1;
     }
 }
 
 impl Fleet {
-    /// Whether a real substrate (more than one pool) is modeled.
-    fn multi_pool(&self) -> bool {
-        self.quotas.len() > 1
-    }
-
-    /// Workers leased across every pool.
-    fn total_in_use(&self) -> u32 {
-        self.quotas.iter().map(AccountQuota::in_use).sum()
-    }
-
-    /// Combined concurrency ceiling across every pool.
-    fn total_limit(&self) -> u32 {
-        self.quotas.iter().map(AccountQuota::limit).sum()
+    /// Takes a spare worker in `pool` for a request, if there is one.
+    fn take_serve_worker(&mut self, pool: usize) -> bool {
+        let granted = self.waves.quota(pool).try_acquire(1).is_ok();
+        self.serve_held += u32::from(granted);
+        granted
     }
 
     /// What the placement policy sees of each pool when a training run
     /// is placed: live lease counts, queued-train depth, and the link
     /// bandwidth back to `serve_pool` (where the publish must land).
     fn train_views(&self, serve_pool: usize) -> Vec<PoolView> {
-        let topo = &self.spec.topology;
-        let mut queued = vec![0u32; self.quotas.len()];
+        let mut queued = vec![0u32; self.waves.pool_count()];
         for &tid in &self.train_ready {
             queued[self.tenants[tid as usize].train_pool] += 1;
         }
-        topo.pools
-            .iter()
-            .enumerate()
-            .map(|(i, p)| PoolView {
-                rtt_ms: p.rtt_ms,
-                price_factor: p.price_factor,
-                compute_factor: p.compute_factor,
-                cold_factor: p.cold_factor,
-                bandwidth_mbps: topo.bandwidth_mbps(i, serve_pool),
-                inflight: self.quotas[i].in_use(),
-                queued: queued[i],
-                capacity: self.quotas[i].limit(),
-                warm_idle: 0,
-                quota: p.quota,
+        let topo = &self.spec.topology;
+        (0..queued.len())
+            .map(|p| {
+                self.waves
+                    .pool_view(p, queued[p], topo.bandwidth_mbps(p, serve_pool))
             })
             .collect()
     }
@@ -752,8 +670,8 @@ impl Fleet {
             });
         QuotaView {
             now_s: t,
-            in_use: self.total_in_use(),
-            limit: self.total_limit(),
+            in_use: self.waves.in_use(),
+            limit: self.waves.limit(),
             serve_held: self.serve_held,
             train_held: self.train_held,
             ready_train_slack_s,
@@ -766,8 +684,7 @@ impl Fleet {
     /// Returns `false` when the request must wait.
     fn acquire_serve_worker(&mut self, tenant: usize, t: f64, events: &mut EventQueue<Ev>) -> bool {
         let pool = self.tenants[tenant].serve_pool;
-        if self.quotas[pool].try_acquire(1).is_ok() {
-            self.serve_held += 1;
+        if self.take_serve_worker(pool) {
             return true;
         }
         let victims: Vec<VictimView> = self
@@ -796,12 +713,7 @@ impl Fleet {
             return false;
         };
         self.preempt(victims[vi].tenant as usize, t, events);
-        if self.quotas[pool].try_acquire(1).is_ok() {
-            self.serve_held += 1;
-            true
-        } else {
-            false
-        }
+        self.take_serve_worker(pool)
     }
 
     /// Kills `tenant`'s in-flight epoch: the wave's workers return to
@@ -821,7 +733,7 @@ impl Fleet {
         else {
             unreachable!("preemption targets a running epoch");
         };
-        self.quotas[st.train_pool].release(workers);
+        self.waves.quota(st.train_pool).release(workers);
         self.train_held -= workers;
         st.attempt += 1;
         let at_fraction = if wall_s > 0.0 {
@@ -860,7 +772,7 @@ impl Fleet {
     /// allocation grid to that pool's ceiling, and queues it for
     /// dispatch.
     fn start_training_run(&mut self, tenant: usize, t: f64) {
-        if self.multi_pool() {
+        if self.waves.multi_pool() {
             let serve_pool = self.tenants[tenant].serve_pool;
             let views = self.train_views(serve_pool);
             let req = PlacementRequest {
@@ -871,14 +783,14 @@ impl Fleet {
             let idx = self
                 .placement
                 .place(&views, &req, &mut self.topo_rng)
-                .min(self.quotas.len() - 1);
+                .min(self.waves.pool_count() - 1);
             self.tenants[tenant].train_pool = idx;
             self.train_runs_by_pool[idx] += 1;
         }
         let cap = self
             .spec
             .job_cap
-            .min(self.quotas[self.tenants[tenant].train_pool].limit());
+            .min(self.waves.quota(self.tenants[tenant].train_pool).limit());
         let (job, deadline_abs_s) = {
             let st = &mut self.tenants[tenant];
             let run = st.runs;
@@ -909,17 +821,17 @@ impl Fleet {
         }
     }
 
-    /// Marks `tenant`'s current run failed. Whatever it billed before
-    /// failing still counts, and a failed run is a deadline miss.
+    /// Marks `tenant`'s current run failed. What it billed before
+    /// failing (`cost_usd`, already scaled by its pool's price class)
+    /// still counts, and a failed run is a deadline miss.
     fn fail_train(&mut self, tenant: usize, t: f64, cost_usd: f64) {
         let obs = self.obs.clone();
-        let price = self.spec.topology.pools[self.tenants[tenant].train_pool].price_factor;
         let st = &mut self.tenants[tenant];
         st.exec = None;
         st.train = TrainState::Idle;
         st.tally.jobs_failed += 1;
         st.tally.deadline_misses += 1;
-        st.tally.train_dollars += cost_usd * price;
+        st.tally.train_dollars += cost_usd;
         obs.counter("lifecycle.train_failed").inc();
         obs.event(
             t,
@@ -928,147 +840,61 @@ impl Fleet {
         );
     }
 
-    /// Checks the fault timeline before dispatching the head-of-line
-    /// epoch. Returns `true` when chaos intercepted the dispatch: the
-    /// run left the queue and a `TrainResume` is scheduled.
-    fn train_chaos_intercepts(
-        &mut self,
-        tenant: usize,
-        t: f64,
-        events: &mut EventQueue<Ev>,
-    ) -> bool {
-        let Some(chaos) = self.chaos.as_mut() else {
-            return false;
-        };
-        let active = chaos.schedule.active_at(t);
-        if active.is_quiet() {
-            return false;
-        }
-        let st = &mut self.tenants[tenant];
-        let kind = st
-            .exec
-            .as_ref()
-            .expect("queued run has an execution")
-            .alloc()
-            .storage;
-        if let Some(until) = active.outage_until(kind) {
-            self.train_ready.pop_front();
-            st.train = TrainState::Stalled;
-            self.obs.counter("lifecycle.chaos_stalls").inc();
-            events.schedule_at(
-                SimTime::from_secs(until.max(t)),
-                Ev::TrainResume {
-                    tenant: tenant as u32,
-                },
-            );
-            return true;
-        }
-        if active.crash_rate > 0.0 {
-            let mut draw = fork_attempt(&chaos.rng, chaos.attempts);
-            chaos.attempts += 1;
-            if draw.bernoulli(active.crash_rate) {
-                self.train_ready.pop_front();
-                let at_fraction = draw.uniform();
-                let stall = st
-                    .exec
-                    .as_mut()
-                    .expect("queued run has an execution")
-                    .inject_worker_loss(at_fraction);
-                st.train = TrainState::Stalled;
-                self.obs.counter("lifecycle.chaos_stalls").inc();
-                self.obs.counter("lifecycle.chaos_worker_losses").inc();
-                events.schedule_at(
-                    SimTime::from_secs(t + stall),
-                    Ev::TrainResume {
-                        tenant: tenant as u32,
-                    },
-                );
-                return true;
-            }
-        }
-        false
-    }
-
-    /// Dispatches queued epochs head-of-line while the quota fits them.
-    /// A head wave that does not fit stalls the whole queue (skipping
-    /// it would starve wide allocations behind narrow ones).
+    /// Launches queued epochs head-of-line, in FIFO order, until one
+    /// stalls on the quota (see [`Waves::launch`]). A chaos-stalled run
+    /// leaves the queue and re-queues on its `TrainResume` with a fresh
+    /// queue clock.
     fn dispatch_trains(&mut self, t: f64, events: &mut EventQueue<Ev>) {
-        loop {
-            let Some(&tid) = self.train_ready.front() else {
-                return;
-            };
+        while let Some(&tid) = self.train_ready.front() {
             let tenant = tid as usize;
-            if self.train_chaos_intercepts(tenant, t, events) {
-                continue;
-            }
-            let workers = self.tenants[tenant]
-                .exec
-                .as_ref()
-                .expect("queued run has an execution")
-                .alloc()
-                .n;
-            let pool = self.tenants[tenant].train_pool;
-            if let Err(e) = self.quotas[pool].try_acquire(workers) {
-                if e.is_structural() {
-                    // This wave can never fit the account limit.
+            let st = &mut self.tenants[tenant];
+            let exec = st.exec.as_mut().expect("queued run has an execution");
+            let resume_s = match self.waves.launch(st.train_pool, exec, t, st.queued_since) {
+                Launch::QuotaStall => {
+                    self.quota_stalls += 1;
+                    return;
+                }
+                Launch::OutageStall { until_s, .. } => until_s.max(t),
+                Launch::CrashStall { stall_s, .. } => {
+                    self.obs.counter("lifecycle.chaos_worker_losses").inc();
+                    t + stall_s
+                }
+                Launch::Failed { usd, dequeue } => {
                     self.train_ready.pop_front();
-                    let cost = self.tenants[tenant]
-                        .exec
-                        .as_ref()
-                        .map_or(0.0, |e| e.report().cost_usd);
-                    self.fail_train(tenant, t, cost);
+                    st.tally.cold_resumes += u64::from(dequeue.is_some_and(|d| d.cold_resumed));
+                    self.fail_train(tenant, t, usd);
                     continue;
                 }
-                self.quota_stalls += 1;
-                return;
-            }
-            self.train_ready.pop_front();
-            let compute_factor = self.spec.topology.pools[pool].compute_factor;
-            let st = &mut self.tenants[tenant];
-            let wait = t - st.queued_since;
-            if wait > IDLE_EXPIRY_S {
-                st.exec
-                    .as_mut()
-                    .expect("queued run has an execution")
-                    .cool_down();
-                st.tally.cold_resumes += 1;
-            }
-            match st
-                .exec
-                .as_mut()
-                .expect("queued run has an execution")
-                .step_epoch()
-            {
-                Ok(step) => {
+                Launch::Started { wave, dequeue } => {
+                    self.train_ready.pop_front();
+                    st.tally.cold_resumes += u64::from(dequeue.cold_resumed);
                     st.attempt += 1;
-                    // The pool's silicon class stretches (or shrinks)
-                    // the epoch wall; the neutral pool multiplies by
-                    // exactly 1.0.
-                    let wall_s = step.wall_s * compute_factor;
                     st.train = TrainState::Running {
-                        workers,
+                        workers: wave.workers,
                         started_s: t,
-                        wall_s,
-                        converged: step.converged,
+                        wall_s: wave.wall_s,
+                        converged: wave.step.converged,
                     };
                     st.tally.epochs += 1;
-                    self.train_held += workers;
+                    self.train_held += wave.workers;
                     self.obs.counter("lifecycle.epochs").inc();
                     events.schedule_at(
-                        SimTime::from_secs(t + wall_s),
+                        SimTime::from_secs(t + wave.wall_s),
                         Ev::EpochDone {
                             tenant: tid,
                             attempt: st.attempt,
                         },
                     );
+                    continue;
                 }
-                Err(_) => {
-                    // The platform itself refused the wave.
-                    self.quotas[pool].release(workers);
-                    let cost = st.exec.as_ref().map_or(0.0, |e| e.report().cost_usd);
-                    self.fail_train(tenant, t, cost);
-                }
-            }
+            };
+            self.train_ready.pop_front();
+            st.train = TrainState::Stalled;
+            self.obs.counter("lifecycle.chaos_stalls").inc();
+            events.schedule_at(
+                SimTime::from_secs(resume_s),
+                Ev::TrainResume { tenant: tid },
+            );
         }
     }
 
@@ -1077,69 +903,57 @@ impl Fleet {
     /// when the transfer lands. A run that trained off-pool from the
     /// replicas it redeploys additionally pays the link's transfer
     /// time and egress dollars.
-    fn finish_training(&mut self, tenant: usize, t: f64, events: &mut EventQueue<Ev>) {
+    fn publish(&mut self, tenant: usize, t: f64, run: Finished, events: &mut EventQueue<Ev>) {
         let obs = self.obs.clone();
         let train_pool = self.tenants[tenant].train_pool;
         let serve_pool = self.tenants[tenant].serve_pool;
-        let price = self.spec.topology.pools[train_pool].price_factor;
         let st = &mut self.tenants[tenant];
-        let exec = st.exec.take().expect("finished run has an execution");
-        let alloc_kind = exec.alloc().storage;
-        let billed = exec.report().cost_usd;
-        match exec.finish_quiet() {
-            Ok(report) => {
-                st.tally.jobs_completed += 1;
-                st.tally.train_dollars += report.cost_usd * price;
-                let late = t > st.deadline_abs_s;
-                if late {
-                    st.tally.deadline_misses += 1;
-                }
-                let model_mb = st.spec.workload.model.model_mb;
-                let (mut publish_s, publish_usd) = self
-                    .spec
-                    .env
-                    .storage
-                    .get(BACKING)
-                    .or_else(|| self.spec.env.storage.get(alloc_kind))
-                    .map_or((0.0, 0.0), |s| {
-                        (s.transfer_time(model_mb), s.pricing.get_cost(model_mb))
-                    });
-                st.tally.train_dollars += publish_usd;
-                if train_pool != serve_pool {
-                    let topo = &self.spec.topology;
-                    let (xfer_s, xfer_usd) = topo.transfer(train_pool, serve_pool, model_mb);
-                    publish_s += xfer_s;
-                    st.tally.train_dollars += xfer_usd;
-                    self.publish_transfers += 1;
-                    self.transfer_dollars += xfer_usd;
-                }
-                st.train = TrainState::Publishing;
-                let version = st.version + 1;
-                obs.counter("lifecycle.train_completed").inc();
-                obs.event(
-                    t,
-                    "lifecycle.train_done",
-                    &[
-                        ("tenant", json!(st.spec.id)),
-                        ("version", json!(version)),
-                        ("epochs", json!(report.epochs)),
-                        ("cost_usd", json!(report.cost_usd)),
-                        ("late", json!(late)),
-                    ],
-                );
-                events.schedule_at(
-                    SimTime::from_secs(t + publish_s),
-                    Ev::Redeploy {
-                        tenant: tenant as u32,
-                        version,
-                    },
-                );
-            }
-            Err(_) => {
-                st.exec = None;
-                self.fail_train(tenant, t, billed);
-            }
+        st.tally.jobs_completed += 1;
+        st.tally.train_dollars += run.usd;
+        let late = t > st.deadline_abs_s;
+        if late {
+            st.tally.deadline_misses += 1;
         }
+        let model_mb = st.spec.workload.model.model_mb;
+        let (mut publish_s, publish_usd) = self
+            .spec
+            .env
+            .storage
+            .get(BACKING)
+            .or_else(|| self.spec.env.storage.get(run.storage))
+            .map_or((0.0, 0.0), |s| {
+                (s.transfer_time(model_mb), s.pricing.get_cost(model_mb))
+            });
+        st.tally.train_dollars += publish_usd;
+        if train_pool != serve_pool {
+            let topo = &self.spec.topology;
+            let (xfer_s, xfer_usd) = topo.transfer(train_pool, serve_pool, model_mb);
+            publish_s += xfer_s;
+            st.tally.train_dollars += xfer_usd;
+            self.publish_transfers += 1;
+            self.transfer_dollars += xfer_usd;
+        }
+        st.train = TrainState::Publishing;
+        let version = st.version + 1;
+        obs.counter("lifecycle.train_completed").inc();
+        obs.event(
+            t,
+            "lifecycle.train_done",
+            &[
+                ("tenant", json!(st.spec.id)),
+                ("version", json!(version)),
+                ("epochs", json!(run.report.epochs)),
+                ("cost_usd", json!(run.report.cost_usd)),
+                ("late", json!(late)),
+            ],
+        );
+        events.schedule_at(
+            SimTime::from_secs(t + publish_s),
+            Ev::Redeploy {
+                tenant: tenant as u32,
+                version,
+            },
+        );
     }
 
     /// Queues `tenant`'s run for its next epoch dispatch.
