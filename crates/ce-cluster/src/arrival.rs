@@ -84,6 +84,10 @@ pub struct JobSpec {
     pub seed: u64,
 }
 
+/// The most jobs one fleet may generate: ten times the largest committed
+/// benchmark arm (10k jobs). The CLI rejects a larger `--jobs`.
+pub const MAX_JOBS: usize = 100_000;
+
 /// A generated fleet: who arrives when, wanting what.
 #[derive(Debug, Clone)]
 pub struct FleetSpec {

@@ -403,13 +403,13 @@ fn parse_f64(s: &str, flag: &str, (ok, want): FloatRange) -> f64 {
 }
 
 /// Exits 2 when a run would schedule more than
-/// [`ce_scaling::serve::MAX_ARRIVALS`] arrivals on average; `flags` names
-/// the flags that set the count.
-fn check_arrival_ceiling(expected: f64, flags: &str) {
+/// [`ce_scaling::serve::MAX_ARRIVALS`] events of one kind (`what`) on
+/// average; `flags` names the flags that set the count.
+fn check_ceiling(expected: f64, what: &str, flags: &str) {
     let max = ce_scaling::serve::MAX_ARRIVALS;
     if expected > max as f64 {
         eprintln!(
-            "the run would schedule ~{expected:.3e} arrivals, over the ceiling of {max}; \
+            "the run would schedule ~{expected:.3e} {what}, over the ceiling of {max}; \
              lower {flags}"
         );
         std::process::exit(2);
@@ -575,8 +575,13 @@ fn cmd_train(opts: &Opts) {
 fn cmd_cluster(opts: &Opts) {
     use ce_scaling::cluster::{
         policy_by_name, policy_names, ClusterSim, ClusterSpec, FleetEngine, FleetSpec, JobStatus,
+        MAX_JOBS,
     };
     let jobs = opts.jobs.unwrap_or(40);
+    if jobs > MAX_JOBS {
+        eprintln!("invalid value for --jobs: {jobs} is over the ceiling of {MAX_JOBS} jobs");
+        std::process::exit(2);
+    }
     let rate = opts.rate.unwrap_or(12.0);
     let quota = opts.quota.unwrap_or(60);
     let policy_name = opts.policy.as_deref().unwrap_or("fifo");
@@ -708,7 +713,8 @@ fn cmd_serve(opts: &Opts) {
             }
         }
     };
-    check_arrival_ceiling(arrivals.expected_arrivals(duration), "--rps or --duration");
+    let expected = arrivals.expected_arrivals(duration);
+    check_ceiling(expected, "arrivals", "--rps or --duration");
     let autoscaler_name = opts.autoscaler.as_deref().unwrap_or("target");
     let autoscaler = match ce_scaling::serve::parse_autoscaler(autoscaler_name) {
         Ok(a) => a,
@@ -842,14 +848,24 @@ fn cmd_lifecycle(opts: &Opts) {
         spec = spec.with_rps(rps);
     }
     // Each tenant's Poisson rate is drawn from [0.6, 1.4] × --rps.
-    check_arrival_ceiling(
+    check_ceiling(
         f64::from(tenants) * 1.4 * spec.rps * duration,
+        "arrivals",
         "--tenants, --rps or --duration",
     );
     if let Some(slo) = opts.slo_ms {
         spec = spec.with_slo_ms(slo);
     }
     if let Some(drift) = opts.drift_every {
+        // Each tenant draws about duration / drift drift events up front.
+        if drift > 0.0 {
+            let expected = f64::from(tenants) * duration / drift;
+            check_ceiling(
+                expected,
+                "drift events",
+                "--drift-every, --tenants or --duration",
+            );
+        }
         spec = spec.with_drift_mean_s(drift);
     }
     if let Some(name) = &opts.autoscaler {

@@ -340,6 +340,24 @@ fn arrival_counts_over_the_ceiling_are_usage_errors() {
 }
 
 #[test]
+fn fleet_sizes_over_the_ceiling_are_usage_errors() {
+    assert_one_line_error(
+        &["cluster", "--jobs", "1000000000"],
+        "over the ceiling of 100000 jobs",
+    );
+    assert_one_line_error(
+        &[
+            "lifecycle",
+            "--drift-every",
+            "0.000001",
+            "--duration",
+            "100",
+        ],
+        "drift events, over the ceiling of 10000000",
+    );
+}
+
+#[test]
 fn unknown_zoo_preset_is_a_usage_error() {
     assert_graceful(
         &["serve", "--arrivals", "zoo:azure2019"],
