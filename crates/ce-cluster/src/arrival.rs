@@ -11,6 +11,7 @@ use ce_ml::curve::CurveParams;
 use ce_models::{AllocationSpace, Environment, Workload};
 use ce_pareto::ParetoProfiler;
 use ce_sim_core::rng::SimRng;
+use ce_sim_core::SpecError;
 use ce_workflow::Method;
 
 /// How jobs arrive at the cluster.
@@ -85,8 +86,15 @@ pub struct JobSpec {
 }
 
 /// The most jobs one fleet may generate: ten times the largest committed
-/// benchmark arm (10k jobs). The CLI rejects a larger `--jobs`.
+/// benchmark arm (10k jobs). [`check_jobs`] refuses a larger fleet, and a
+/// lifecycle fleet with more tenants (each trains at least one job).
 pub const MAX_JOBS: usize = 100_000;
+
+/// The one check of [`MAX_JOBS`]: refuses a run of more than it training
+/// jobs of one kind (`what`).
+pub fn check_jobs(what: &'static str, jobs: usize) -> Result<(), SpecError> {
+    SpecError::at_most(what, jobs as f64, MAX_JOBS)
+}
 
 /// A generated fleet: who arrives when, wanting what.
 #[derive(Debug, Clone)]

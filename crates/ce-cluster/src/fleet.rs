@@ -37,7 +37,7 @@
 //! draw nothing from it — so single-pool runs are byte-identical to the
 //! pre-topology simulator.
 
-use crate::arrival::{training_job, FleetSpec, JobSpec, FLEET_METHOD};
+use crate::arrival::{check_jobs, training_job, FleetSpec, JobSpec, FLEET_METHOD};
 use crate::contention::ContentionModel;
 use crate::policy::{Admission, AdmissionPolicy, ClusterView, ReadyJob};
 use crate::ready::ReadySet;
@@ -48,6 +48,7 @@ use ce_obs::Registry;
 use ce_sim_core::event::EventQueue;
 use ce_sim_core::rng::SimRng;
 use ce_sim_core::time::SimTime;
+use ce_sim_core::SpecError;
 use ce_topo::{PlacementRequest, PoolView, Topology};
 use ce_workflow::{RecoveryPolicy, TrainingExecution};
 use serde_json::json;
@@ -166,6 +167,24 @@ impl ClusterSpec {
         self.placement = name.to_string();
         self
     }
+
+    /// Checks the run's size and ranges before any work is done: the
+    /// fleet size against [`crate::MAX_JOBS`], at least one worker in the quota
+    /// and the job cap, at least one epoch between checkpoints, and the
+    /// substrate. It generates no job.
+    pub fn validate(&self) -> Result<(), SpecError> {
+        check_jobs("jobs", self.fleet.jobs)?;
+        SpecError::nonzero(&[
+            (self.quota.into(), "quota", "worker"),
+            (self.job_cap.into(), "job_cap", "worker"),
+            (
+                self.checkpoint_every.map_or(1, u64::from),
+                "checkpoint_every",
+                "epoch",
+            ),
+        ])?;
+        self.topology.validate(&self.placement)
+    }
 }
 
 #[derive(Debug, Clone, Copy)]
@@ -242,7 +261,14 @@ pub struct ClusterSim {
 impl ClusterSim {
     /// Builds a simulation; metrics go to a private registry unless
     /// overridden with [`Self::with_obs`].
+    ///
+    /// # Panics
+    /// Panics with [`ClusterSpec::validate`]'s message when it refuses
+    /// the spec.
     pub fn new(spec: ClusterSpec, policy: Box<dyn AdmissionPolicy>) -> Self {
+        if let Err(e) = spec.validate() {
+            panic!("{e}");
+        }
         // Pool quotas default to the shared account limit. Crash draws
         // fork a `"fleet-chaos"` stream of the fleet seed, so adding or
         // removing jobs never shifts any job's own draws.
@@ -252,8 +278,7 @@ impl ClusterSim {
         // Placement draws (if a policy ever makes any) come from a fork
         // of the fleet's root stream, so adding pools never shifts job
         // draws.
-        let placement = ce_topo::parse_placement(&spec.placement)
-            .unwrap_or_else(|e| panic!("invalid placement in spec: {e}"));
+        let placement = ce_topo::parse_placement(&spec.placement).expect("validated placement");
         let topo_rng = SimRng::new(spec.fleet.seed).derive("topo");
         ClusterSim {
             spec,
@@ -743,6 +768,37 @@ mod tests {
     }
 
     #[test]
+    fn validate_refuses_what_the_fleet_cannot_run() {
+        let ok = ClusterSpec::new(small_fleet(5), 60);
+        assert_eq!(ok.validate(), Ok(()));
+        let mut empty = Topology::single();
+        empty.pools.clear();
+        for (spec, needle) in [
+            (
+                ClusterSpec::new(FleetSpec::poisson(crate::MAX_JOBS + 1, 8.0, 5), 60),
+                "over the ceiling of 100000 jobs",
+            ),
+            (ClusterSpec::new(small_fleet(5), 0), "at least 1 worker"),
+            (ok.clone().with_job_cap(0), "at least 1 worker"),
+            (ok.clone().with_checkpoint_every(0), "at least 1 epoch"),
+            (ok.clone().with_topology(empty), "at least one pool"),
+            (
+                ok.clone().with_placement("magic"),
+                "unknown placement policy",
+            ),
+        ] {
+            let err = spec.validate().unwrap_err().to_string();
+            assert!(err.contains(needle), "{err}");
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "at least 1 worker")]
+    fn new_panics_on_a_refused_spec() {
+        ClusterSim::new(ClusterSpec::new(small_fleet(5), 0), Box::new(Fifo));
+    }
+
+    #[test]
     fn fleet_runs_to_completion_and_accounts_every_job() {
         let registry = Registry::new();
         let spec = ClusterSpec::new(small_fleet(5), 60);
@@ -841,19 +897,6 @@ mod tests {
             registry.counter_value("cluster.rejected") as usize,
             report.count(JobStatus::Rejected)
         );
-    }
-
-    #[test]
-    fn structurally_oversized_quota_fails_typed_not_panicking() {
-        // A zero quota no wave can ever fit: every admitted job fails
-        // through the typed path, nothing panics.
-        let registry = Registry::new();
-        let spec = ClusterSpec::new(small_fleet(23), 0);
-        let report = ClusterSim::new(spec, Box::new(Fifo))
-            .with_obs(&registry)
-            .run();
-        assert_eq!(report.count(JobStatus::Failed), report.jobs.len());
-        assert!(registry.counter_value("cluster.failed") > 0);
     }
 
     fn all_service_outage(start: f64, end: f64) -> FaultSchedule {

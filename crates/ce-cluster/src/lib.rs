@@ -50,7 +50,7 @@ mod ready;
 pub mod report;
 pub mod wave;
 
-pub use arrival::{ArrivalProcess, FleetSpec, JobSpec, MAX_JOBS};
+pub use arrival::{check_jobs, ArrivalProcess, FleetSpec, JobSpec, MAX_JOBS};
 pub use contention::ContentionModel;
 pub use fleet::{ClusterSim, ClusterSpec, FleetEngine};
 pub use policy::{

@@ -20,7 +20,7 @@ use ce_faas::keepalive::DEFAULT_TTL_S;
 use ce_faas::AccountQuota;
 use ce_sim_core::rng::SimRng;
 use ce_storage::StorageKind;
-use ce_topo::{NodePool, PoolView, Topology, MAX_POOLS};
+use ce_topo::{NodePool, PoolView, Topology};
 use ce_workflow::{EpochStep, TrainingExecution, TrainingReport};
 
 /// How a run left the queue holding its wave's workers.
@@ -105,9 +105,7 @@ pub struct Waves {
 impl Waves {
     /// Each pool of `topology` gets its own ceiling or `default_quota`;
     /// `chaos` is compiled against `rng`, which parents the crash draws.
-    ///
-    /// # Panics
-    /// Panics unless the topology holds 1..=[`MAX_POOLS`] pools.
+    /// The caller's spec `validate()` has checked the pool count.
     pub fn new(
         topology: &Topology,
         default_quota: u32,
@@ -115,11 +113,6 @@ impl Waves {
         rng: SimRng,
     ) -> Self {
         let pools = &topology.pools;
-        assert!(
-            (1..=MAX_POOLS).contains(&pools.len()),
-            "topology must have 1..={MAX_POOLS} pools, got {}",
-            pools.len()
-        );
         Waves {
             quotas: pools
                 .iter()
@@ -512,13 +505,5 @@ mod tests {
         assert_eq!(w.utilization(8.0), 24.0 / (8.0 * 48.0));
         assert_eq!(w.utilization(0.0), 0.0);
         assert_eq!(w.peak(), 6);
-    }
-
-    #[test]
-    #[should_panic(expected = "topology must have")]
-    fn an_empty_topology_is_rejected() {
-        let mut topology = Topology::single();
-        topology.pools.clear();
-        Waves::new(&topology, 8, None, SimRng::new(1));
     }
 }

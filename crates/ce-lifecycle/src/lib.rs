@@ -42,4 +42,4 @@ pub use priority::{
 };
 pub use report::{LifecycleReport, TenantOutcome};
 pub use sim::LifecycleSim;
-pub use spec::{LifecycleSpec, TenantSpec};
+pub use spec::{LifecycleSpec, TenantSpec, RPS_JITTER};

@@ -201,9 +201,14 @@ impl LifecycleSim {
     /// compiles the fault schedule, all on derived streams.
     ///
     /// # Panics
-    /// Panics when the spec names an unknown autoscaler or keep-alive
-    /// policy — the CLI validates names before building.
+    /// Panics with [`LifecycleSpec::validate`]'s message when it refuses
+    /// the spec, and when the spec names an unknown autoscaler or
+    /// keep-alive policy: check those with `ce_serve::parse_autoscaler`
+    /// and `ce_faas::parse_keep_alive` before building.
     pub fn new(spec: LifecycleSpec, policy: Box<dyn PriorityPolicy>) -> Self {
+        if let Err(e) = spec.validate() {
+            panic!("{e}");
+        }
         let rng = SimRng::new(spec.seed).derive("lifecycle-sim");
         let chaos_rng = rng.derive("lifecycle-chaos");
         let chaos = spec.chaos.as_ref();
@@ -212,8 +217,7 @@ impl LifecycleSim {
         // A pure fork: deriving consumes no parent draws, so default
         // runs keep their exact bytes.
         let mut topo_rng = rng.derive("topo");
-        let mut placement = ce_topo::parse_placement(&spec.placement)
-            .unwrap_or_else(|e| panic!("invalid placement in spec: {e}"));
+        let mut placement = ce_topo::parse_placement(&spec.placement).expect("validated placement");
         // Tenants serve with the default serving profile and pricing;
         // the engine reads no arrival model, chaos, or topology from it.
         let pipeline = ServeSpec {
@@ -1301,16 +1305,11 @@ mod tests {
     }
 
     #[test]
-    fn empty_fleet_is_a_no_op() {
-        let registry = Registry::new();
-        let r = LifecycleSim::new(
+    #[should_panic(expected = "at least 1 tenant")]
+    fn a_fleet_without_tenants_is_refused() {
+        LifecycleSim::new(
             LifecycleSpec::new(0, 100.0, 1),
             priority_by_name("serve-first").expect("known"),
-        )
-        .with_obs(&registry)
-        .run();
-        assert_eq!(r.requests(), 0);
-        assert_eq!(r.total_dollars(), 0.0);
-        assert_eq!(registry.export_jsonl(), "");
+        );
     }
 }

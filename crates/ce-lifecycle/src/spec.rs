@@ -15,9 +15,14 @@ use ce_ml::curve::CurveParams;
 use ce_models::{AllocationSpace, Environment, Workload};
 use ce_pareto::ParetoProfiler;
 use ce_resilience::ResilienceSpec;
-use ce_serve::ArrivalModel;
+use ce_serve::{check_arrivals, ArrivalModel};
 use ce_sim_core::rng::SimRng;
+use ce_sim_core::SpecError;
 use ce_topo::Topology;
+
+/// The range each tenant's request rate is drawn from, as multiples of
+/// [`LifecycleSpec::rps`].
+pub const RPS_JITTER: (f64, f64) = (0.6, 1.4);
 
 /// Configuration of one lifecycle run.
 #[derive(Debug, Clone)]
@@ -100,14 +105,12 @@ impl LifecycleSpec {
 
     /// Sets the shared account quota.
     pub fn with_quota(mut self, quota: u32) -> Self {
-        assert!(quota >= 1, "quota must admit at least one worker");
         self.quota = quota;
         self
     }
 
     /// Sets the training wave-width cap.
     pub fn with_job_cap(mut self, job_cap: u32) -> Self {
-        assert!(job_cap >= 1, "job cap must admit at least one worker");
         self.job_cap = job_cap;
         self
     }
@@ -130,18 +133,6 @@ impl LifecycleSpec {
         self
     }
 
-    /// Sets the autoscaler every tenant runs.
-    pub fn with_autoscaler(mut self, name: &str) -> Self {
-        self.autoscaler = name.to_string();
-        self
-    }
-
-    /// Sets the keep-alive policy every tenant runs.
-    pub fn with_keep_alive(mut self, name: &str) -> Self {
-        self.keep_alive = name.to_string();
-        self
-    }
-
     /// Attaches a fault schedule.
     pub fn with_chaos(mut self, chaos: FaultSchedule) -> Self {
         self.chaos = Some(chaos);
@@ -150,7 +141,6 @@ impl LifecycleSpec {
 
     /// Sets the per-tenant admission-queue capacity.
     pub fn with_queue_cap(mut self, queue_cap: usize) -> Self {
-        assert!(queue_cap >= 1, "the admission queue needs at least 1 slot");
         self.queue_cap = queue_cap;
         self
     }
@@ -171,6 +161,37 @@ impl LifecycleSpec {
     pub fn with_placement(mut self, name: &str) -> Self {
         self.placement = name.to_string();
         self
+    }
+
+    /// Checks the run's size and ranges before any work is done: at
+    /// least one tenant, worker, queue slot and checkpoint epoch; the
+    /// tenants against [`ce_cluster::MAX_JOBS`] (each trains at least
+    /// once); the most arrivals the tenants could draw ([`RPS_JITTER`]'s
+    /// upper end at every tenant) and the expected drift events against
+    /// [`ce_serve::MAX_ARRIVALS`]; and the substrate. It draws nothing
+    /// and generates no tenant.
+    pub fn validate(&self) -> Result<(), SpecError> {
+        SpecError::nonzero(&[
+            (self.tenants.into(), "tenants", "tenant"),
+            (self.quota.into(), "quota", "worker"),
+            (self.job_cap.into(), "job_cap", "worker"),
+            (self.queue_cap as u64, "queue_cap", "slot"),
+            (self.checkpoint_every.into(), "checkpoint_every", "epoch"),
+        ])?;
+        ce_cluster::check_jobs("tenants", self.tenants as usize)?;
+        let tenants = f64::from(self.tenants);
+        check_arrivals(
+            "arrivals",
+            tenants * RPS_JITTER.1 * self.rps * self.duration_s,
+        )?;
+        // A non-positive mean disables drift; a NaN one fails the check.
+        if self.drift_mean_s > 0.0 || self.drift_mean_s.is_nan() {
+            check_arrivals(
+                "drift events",
+                tenants * self.duration_s / self.drift_mean_s,
+            )?;
+        }
+        self.topology.validate(&self.placement)
     }
 
     /// Generates the per-tenant specs, deterministically per seed.
@@ -214,7 +235,7 @@ impl LifecycleSpec {
                 let budget_usd = cost_per_epoch * epochs * trng.uniform_range(2.0, 3.0);
                 let deadline_span_s = time_per_epoch * epochs * trng.uniform_range(1.3, 1.8);
                 let train_arrival_s = trng.uniform_range(0.0, 30.0);
-                let rps = self.rps * trng.uniform_range(0.6, 1.4);
+                let rps = self.rps * trng.uniform_range(RPS_JITTER.0, RPS_JITTER.1);
                 let mut arrival_rng = trng.derive("serve-arrivals");
                 let arrival_s =
                     ArrivalModel::Poisson { rps }.generate(self.duration_s, &mut arrival_rng);
@@ -321,6 +342,49 @@ mod tests {
         // Per-tenant derivation: adding tenants never shifts draws.
         let bigger = LifecycleSpec::new(12, 200.0, 3).tenant_specs();
         assert_eq!(&bigger[..8], &tenants[..]);
+    }
+
+    #[test]
+    fn validate_refuses_what_the_fleet_cannot_run() {
+        let ok = LifecycleSpec::new(4, 300.0, 1);
+        assert_eq!(ok.validate(), Ok(()));
+        let with = |f: fn(&mut LifecycleSpec)| {
+            let mut spec = ok.clone();
+            f(&mut spec);
+            spec.validate().unwrap_err().to_string()
+        };
+        for (err, needle) in [
+            (with(|s| s.tenants = 0), "at least 1 tenant"),
+            (with(|s| s.quota = 0), "at least 1 worker"),
+            (with(|s| s.job_cap = 0), "at least 1 worker"),
+            (with(|s| s.queue_cap = 0), "at least 1 slot"),
+            (with(|s| s.checkpoint_every = 0), "at least 1 epoch"),
+            (
+                with(|s| s.tenants = u32::MAX),
+                "over the ceiling of 100000 tenants",
+            ),
+            (
+                with(|s| s.rps = 1e6),
+                "over the ceiling of 10000000 arrivals",
+            ),
+            (with(|s| s.drift_mean_s = 1e-6), "drift events"),
+            (with(|s| s.drift_mean_s = f64::NAN), "drift events"),
+            (
+                with(|s| s.placement = "nowhere".into()),
+                "unknown placement",
+            ),
+        ] {
+            assert!(err.contains(needle), "{err}");
+        }
+        // The bound is the top of the rate jitter at every tenant.
+        let top = |rps_scale: f64| LifecycleSpec {
+            tenants: 1,
+            rps: rps_scale * 1e7 / (RPS_JITTER.1 * 300.0),
+            drift_mean_s: 0.0,
+            ..ok.clone()
+        };
+        assert_eq!(top(1.0).validate(), Ok(()));
+        assert!(top(1.001).validate().is_err());
     }
 
     #[test]

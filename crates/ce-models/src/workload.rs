@@ -43,6 +43,26 @@ impl Workload {
         ]
     }
 
+    /// The workload a model name and optional dataset name spell
+    /// (`lr`, `svm`, `mobilenet`, `resnet50`, `bert`; `higgs`, `yfcc`,
+    /// `cifar10`, `imdb`). A missing dataset is the model's paper
+    /// pairing.
+    ///
+    /// # Errors
+    /// Names the pair when no workload matches.
+    pub fn by_name(model: &str, dataset: Option<&str>) -> Result<Workload, String> {
+        Ok(match (model, dataset) {
+            ("lr", None | Some("higgs")) => Workload::lr_higgs(),
+            ("lr", Some("yfcc")) => Workload::lr_yfcc(),
+            ("svm", None | Some("higgs")) => Workload::svm_higgs(),
+            ("svm", Some("yfcc")) => Workload::svm_yfcc(),
+            ("mobilenet", None | Some("cifar10")) => Workload::mobilenet_cifar10(),
+            ("resnet50", None | Some("cifar10")) => Workload::resnet50_cifar10(),
+            ("bert", None | Some("imdb")) => Workload::bert_imdb(),
+            (m, d) => return Err(format!("unsupported model/dataset combination: {m}/{d:?}")),
+        })
+    }
+
     /// LR over Higgs (batch 10 k).
     pub fn lr_higgs() -> Self {
         Workload::new(ModelSpec::logistic_regression(), DatasetSpec::higgs())
@@ -107,6 +127,17 @@ mod tests {
         assert_eq!(m[2].batch, 128);
         assert_eq!(m[3].batch, 32); // ResNet50 overrides Cifar10's default
         assert_eq!(m[4].batch, 32);
+    }
+
+    #[test]
+    fn names_spell_the_paper_pairings() {
+        assert_eq!(Workload::by_name("lr", None), Ok(Workload::lr_higgs()));
+        assert_eq!(
+            Workload::by_name("svm", Some("yfcc")),
+            Ok(Workload::svm_yfcc())
+        );
+        let err = Workload::by_name("lr", Some("mnist")).unwrap_err();
+        assert!(err.contains("unsupported model/dataset"), "{err}");
     }
 
     #[test]

@@ -15,6 +15,7 @@
 //! shortest-representation formatting).
 
 use ce_sim_core::rng::SimRng;
+use ce_sim_core::SpecError;
 use serde::{Deserialize, Serialize};
 
 /// An open-loop arrival process over `[0, duration_s)`.
@@ -60,10 +61,16 @@ pub enum ArrivalModel {
 }
 
 /// The most arrivals one run may schedule: ten times the largest
-/// committed benchmark arm (1M requests). The CLI rejects a run whose
-/// [`ArrivalModel::expected_arrivals`] exceed it, and no schedule reserves
-/// more slots than this up front.
+/// committed benchmark arm (1M requests). [`check_arrivals`] refuses a
+/// spec whose expected arrivals (or lifecycle drift events) exceed it,
+/// and no schedule reserves more slots than this up front.
 pub const MAX_ARRIVALS: usize = 10_000_000;
+
+/// The one check of [`MAX_ARRIVALS`]: refuses a run that would schedule
+/// more than it events of one kind (`what`) on average.
+pub fn check_arrivals(what: &'static str, expected: f64) -> Result<(), SpecError> {
+    SpecError::at_most(what, expected, MAX_ARRIVALS)
+}
 
 /// Up-front capacity for a schedule of about `expected` arrivals.
 fn capacity_hint(expected: f64) -> usize {

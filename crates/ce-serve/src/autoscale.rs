@@ -249,6 +249,11 @@ impl Autoscaler for PrewarmAhead {
 /// few seconds (the default is 300).
 pub const MAX_QLEARN_EPISODES: u32 = 100_000;
 
+/// The most instances an autoscaler may admit or keep warm in one pool:
+/// the largest `fixed:<n>` size, and the learned autoscaler's capacity
+/// clamp. A fixed pool prewarms all of them up front.
+pub const MAX_CAPACITY: u32 = 100_000;
+
 /// The spellings [`parse_autoscaler`] accepts, in presentation order.
 /// CLI error messages list these so a typo'd `--autoscaler` shows the
 /// user what would have worked.
@@ -272,8 +277,10 @@ pub fn parse_autoscaler(name: &str) -> Result<Box<dyn Autoscaler>, String> {
     let unknown = || ce_sim_core::unknown_name_msg("autoscaler", name, autoscaler_names());
     if let Some(rest) = name.strip_prefix("fixed:") {
         let size: u32 = rest.parse().map_err(|_| unknown())?;
-        if size == 0 {
-            return Err(unknown());
+        if !(1..=MAX_CAPACITY).contains(&size) {
+            return Err(format!(
+                "invalid fixed:<n> pool size {size}: must be in [1, {MAX_CAPACITY}]"
+            ));
         }
         return Ok(Box::new(FixedPool::new(size)));
     }
@@ -399,6 +406,9 @@ mod tests {
         assert_eq!(autoscaler_by_name("target").unwrap().name(), "target");
         assert_eq!(autoscaler_by_name("prewarm").unwrap().name(), "prewarm");
         assert!(autoscaler_by_name("fixed:0").is_none());
+        assert!(autoscaler_by_name("fixed:100000").is_some());
+        let huge = parse_autoscaler("fixed:100000000").err().unwrap();
+        assert!(huge.contains("must be in [1, 100000]"), "{huge}");
         assert!(autoscaler_by_name("nope").is_none());
     }
 

@@ -60,10 +60,12 @@ pub mod report;
 pub mod sim;
 pub mod tracezoo;
 
-pub use arrival::{read_arrival_log, write_arrival_log, ArrivalModel, ArrivalRecord, MAX_ARRIVALS};
+pub use arrival::{
+    check_arrivals, read_arrival_log, write_arrival_log, ArrivalModel, ArrivalRecord, MAX_ARRIVALS,
+};
 pub use autoscale::{
     autoscaler_by_name, autoscaler_names, parse_autoscaler, Autoscaler, ConcurrencyTarget,
-    FixedPool, LoadObservation, PrewarmAhead, ScaleDecision, MAX_QLEARN_EPISODES,
+    FixedPool, LoadObservation, PrewarmAhead, ScaleDecision, MAX_CAPACITY, MAX_QLEARN_EPISODES,
 };
 pub use qscale::{QLearningAutoscaler, QScalerConfig};
 pub use report::{PoolOutcome, ServeReport};

@@ -36,7 +36,7 @@ const FACTORS: [f64; 5] = [0.5, 0.8, 1.0, 1.25, 2.0];
 
 /// Capacity bounds for both training and serving.
 const MIN_CAP: f64 = 1.0;
-const MAX_CAP: f64 = 100_000.0;
+const MAX_CAP: f64 = crate::autoscale::MAX_CAPACITY as f64;
 
 /// Ticks per training episode.
 const EPISODE_TICKS: u32 = 240;

@@ -57,6 +57,7 @@ use ce_obs::Registry;
 use ce_resilience::ResilienceSpec;
 use ce_sim_core::rng::SimRng;
 use ce_sim_core::time::SimTime;
+use ce_sim_core::SpecError;
 use ce_storage::StorageKind;
 use ce_topo::{PlacementPolicy, PlacementRequest, PoolView, Topology};
 
@@ -147,7 +148,6 @@ impl ServeSpec {
 
     /// Sets the admission-queue capacity.
     pub fn with_queue_cap(mut self, queue_cap: usize) -> Self {
-        assert!(queue_cap >= 1, "the admission queue needs at least 1 slot");
         self.queue_cap = queue_cap;
         self
     }
@@ -169,6 +169,15 @@ impl ServeSpec {
         self.placement = placement.to_string();
         self
     }
+
+    /// Checks the run's size and ranges before any work is done: the
+    /// expected arrivals against [`crate::MAX_ARRIVALS`], the queue
+    /// capacity, and the substrate.
+    pub fn validate(&self) -> Result<(), SpecError> {
+        crate::check_arrivals("arrivals", self.arrivals.expected_arrivals(self.duration_s))?;
+        SpecError::nonzero(&[(self.queue_cap as u64, "queue_cap", "slot")])?;
+        self.topology.validate(&self.placement)
+    }
 }
 
 /// The request-level serving simulator (see the module docs).
@@ -183,11 +192,18 @@ pub struct ServeSim {
 impl ServeSim {
     /// Builds a simulator: generates the arrival schedule and compiles
     /// the fault schedule, both on their own derived streams.
+    ///
+    /// # Panics
+    /// Panics with [`ServeSpec::validate`]'s message when it refuses the
+    /// spec.
     pub fn new(
         spec: ServeSpec,
         autoscaler: Box<dyn Autoscaler>,
         keep_alive: Box<dyn KeepAlive>,
     ) -> Self {
+        if let Err(e) = spec.validate() {
+            panic!("{e}");
+        }
         let rng = SimRng::new(spec.seed).derive("serve");
         let mut arrival_rng = rng.derive("arrivals");
         let arrivals = spec.arrivals.generate(spec.duration_s, &mut arrival_rng);
@@ -197,12 +213,7 @@ impl ServeSim {
             .as_ref()
             .zip(chaos_rng.as_ref())
             .map(|(s, r)| s.compile(r));
-        assert!(
-            (1..=ce_topo::MAX_POOLS).contains(&spec.topology.pools.len()),
-            "a topology needs 1..=256 pools"
-        );
-        let placement = ce_topo::parse_placement(&spec.placement)
-            .unwrap_or_else(|e| panic!("invalid placement in spec: {e}"));
+        let placement = ce_topo::parse_placement(&spec.placement).expect("validated placement");
         // Every pool gets its own instance pool plus clones of the
         // autoscaler and keep-alive policy, so per-pool control state
         // (EWMAs, learned tables, gap histograms) never cross-talks.
@@ -452,6 +463,41 @@ mod tests {
             Box::new(FixedTtl::default()),
         )
         .run()
+    }
+
+    #[test]
+    fn validate_refuses_what_the_run_cannot_hold() {
+        assert_eq!(poisson_spec(20.0, 600.0, 1).validate(), Ok(()));
+        let mut empty = Topology::single();
+        empty.pools.clear();
+        for (spec, needle) in [
+            (
+                poisson_spec(1e9, 1e9, 1),
+                "over the ceiling of 10000000 arrivals",
+            ),
+            (poisson_spec(20.0, f64::NAN, 1), "~NaN arrivals"),
+            (
+                poisson_spec(1.0, 1.0, 1).with_queue_cap(0),
+                "at least 1 slot",
+            ),
+            (
+                poisson_spec(1.0, 1.0, 1).with_topology(empty),
+                "at least one pool",
+            ),
+            (
+                poisson_spec(1.0, 1.0, 1).with_placement("nowhere"),
+                "unknown placement policy",
+            ),
+        ] {
+            let err = spec.validate().unwrap_err().to_string();
+            assert!(err.contains(needle), "{err}");
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "at least 1 slot")]
+    fn new_panics_on_a_refused_spec() {
+        run_default(poisson_spec(1.0, 1.0, 1).with_queue_cap(0));
     }
 
     #[test]

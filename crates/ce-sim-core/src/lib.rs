@@ -44,7 +44,7 @@ pub mod stats;
 pub mod time;
 
 pub use event::EventQueue;
-pub use names::unknown_name_msg;
+pub use names::{unknown_name_msg, SpecError};
 pub use qlearn::{EpsilonSchedule, QEnv, QLearner, QStep, QTable};
 pub use rng::SimRng;
 pub use stats::Summary;

@@ -14,6 +14,8 @@
 //! results to one that never heard of topologies (`x * 1.0 == x` and
 //! `x + 0.0 == x` for the finite non-negative values involved).
 
+use ce_sim_core::SpecError;
+
 /// One serverless region (an "edge site" or "cloud region").
 #[derive(Debug, Clone, PartialEq)]
 pub struct NodePool {
@@ -92,6 +94,29 @@ impl Default for Topology {
 }
 
 impl Topology {
+    /// Checks a run's substrate: 1..=[`MAX_POOLS`] pools, no pool quota
+    /// of 0 (as [`parse_topology`] rules), and a known placement-policy
+    /// name (see [`crate::parse_placement`]).
+    pub fn validate(&self, placement: &str) -> Result<(), SpecError> {
+        self.check_pools().map_err(SpecError::Invalid)?;
+        let least_quota = self.pools.iter().filter_map(|p| p.quota).min();
+        SpecError::nonzero(&[(least_quota.map_or(1, u64::from), "pool quota", "worker")])?;
+        crate::parse_placement(placement)
+            .map(drop)
+            .map_err(SpecError::Invalid)
+    }
+
+    /// The one check of the pool count against 1..=[`MAX_POOLS`].
+    fn check_pools(&self) -> Result<(), String> {
+        match self.pools.len() {
+            0 => Err("a topology needs at least one pool".to_string()),
+            n if n > MAX_POOLS => Err(format!(
+                "too many pools: {n} (a topology holds at most {MAX_POOLS})"
+            )),
+            _ => Ok(()),
+        }
+    }
+
     /// The default substrate: one neutral pool, no network. Runs over
     /// it are byte-identical to runs that never model a topology.
     pub fn single() -> Self {
@@ -319,15 +344,7 @@ pub fn parse_topology(spec: &str) -> Result<Topology, String> {
             ));
         }
     }
-    if topo.pools.is_empty() {
-        return Err("a topology needs at least one pool".to_string());
-    }
-    if topo.pools.len() > MAX_POOLS {
-        return Err(format!(
-            "too many pools: {} (a topology holds at most {MAX_POOLS})",
-            topo.pools.len()
-        ));
-    }
+    topo.check_pools()?;
     for link in &topo.links {
         for end in [&link.a, &link.b] {
             if topo.pool_index(end).is_none() {
@@ -419,6 +436,14 @@ mod tests {
         assert!(err("nope").contains("unknown topology"));
         assert!(err("pool:a;pool:a").contains("duplicate pool"));
         assert!(err("pool:a,quota=0").contains("quota"));
+        let mut zero = Topology::edge_cloud();
+        zero.pools[0].quota = Some(0);
+        let refused = zero.validate("edge-first").unwrap_err().to_string();
+        assert!(
+            refused.contains("pool quota: must be at least 1 worker"),
+            "{refused}"
+        );
+        assert!(Topology::edge_cloud().validate("nowhere").is_err());
         assert!(err("pool:a,price=-1").contains("price"));
         assert!(err("pool:a,wat=1").contains("unknown pool attribute"));
         assert!(err("pool:a;link:a-a").contains("distinct"));

@@ -78,6 +78,28 @@ impl Method {
     /// All methods compared in the training figures (Figs. 12–13).
     pub const TRAINING: [Method; 3] = [Method::CeScaling, Method::Siren, Method::Cirrus];
 
+    /// The method a CLI or scenario name spells (`ce` or `ce-scaling`,
+    /// `lambdaml`, `siren`, `cirrus`, `fixed`).
+    ///
+    /// # Errors
+    /// The canonical unknown-name message listing the valid spellings.
+    pub fn by_name(name: &str) -> Result<Method, String> {
+        Ok(match name {
+            "ce" | "ce-scaling" => Method::CeScaling,
+            "lambdaml" => Method::LambdaMl,
+            "siren" => Method::Siren,
+            "cirrus" => Method::Cirrus,
+            "fixed" => Method::Fixed,
+            _ => {
+                return Err(ce_sim_core::unknown_name_msg(
+                    "method",
+                    name,
+                    &["ce", "lambdaml", "siren", "cirrus", "fixed"],
+                ))
+            }
+        })
+    }
+
     /// Display label used in figures.
     pub fn label(&self) -> &'static str {
         match self {

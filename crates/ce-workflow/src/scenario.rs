@@ -117,32 +117,11 @@ impl Scenario {
     }
 
     fn workload(&self) -> Result<Workload, ScenarioError> {
-        let dataset = self.dataset.as_deref();
-        Ok(match (self.model.as_str(), dataset) {
-            ("lr", None | Some("higgs")) => Workload::lr_higgs(),
-            ("lr", Some("yfcc")) => Workload::lr_yfcc(),
-            ("svm", None | Some("higgs")) => Workload::svm_higgs(),
-            ("svm", Some("yfcc")) => Workload::svm_yfcc(),
-            ("mobilenet", None | Some("cifar10")) => Workload::mobilenet_cifar10(),
-            ("resnet50", None | Some("cifar10")) => Workload::resnet50_cifar10(),
-            ("bert", None | Some("imdb")) => Workload::bert_imdb(),
-            (m, d) => {
-                return Err(ScenarioError::Invalid(format!(
-                    "unsupported model/dataset: {m}/{d:?}"
-                )))
-            }
-        })
+        Workload::by_name(&self.model, self.dataset.as_deref()).map_err(ScenarioError::Invalid)
     }
 
     fn method(&self) -> Result<Method, ScenarioError> {
-        Ok(match self.method.as_deref().unwrap_or("ce") {
-            "ce" | "ce-scaling" => Method::CeScaling,
-            "lambdaml" => Method::LambdaMl,
-            "siren" => Method::Siren,
-            "cirrus" => Method::Cirrus,
-            "fixed" => Method::Fixed,
-            other => return Err(ScenarioError::Invalid(format!("unknown method {other}"))),
-        })
+        Method::by_name(self.method.as_deref().unwrap_or("ce")).map_err(ScenarioError::Invalid)
     }
 
     fn constraint(&self) -> Result<Constraint, ScenarioError> {

@@ -12,67 +12,69 @@
 //! ```
 
 use ce_scaling::chaos::FaultSchedule;
-use ce_scaling::faas::PlatformConfig;
+use ce_scaling::cluster::{AdmissionPolicy, ClusterSim, ClusterSpec, FleetEngine, FleetSpec};
+use ce_scaling::faas::KeepAlive;
+use ce_scaling::lifecycle::{LifecycleSim, LifecycleSpec, PriorityPolicy};
 use ce_scaling::models::{Allocation, CostModel, Environment, Workload};
 use ce_scaling::pareto::ParetoProfiler;
 use ce_scaling::resilience::{BreakerSpec, BrownoutSpec, HedgePolicy, ResilienceSpec, RetryPolicy};
+use ce_scaling::serve::{ArrivalModel, Autoscaler, ServeSim, ServeSpec};
 use ce_scaling::storage::StorageKind;
+use ce_scaling::topo::Topology;
 use ce_scaling::tuning::{PartitionPlan, ShaSpec};
 use ce_scaling::workflow::{Constraint, Method, RecoveryPolicy, TrainingJob, TuningJob};
 
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
-    let Some(command) = args.first() else {
-        usage_and_exit(None);
-    };
-    match command.as_str() {
-        // run-config takes a file path, not flag options.
-        "run-config" => cmd_run_config(&args[1..]),
-        "help" | "--help" | "-h" => usage_and_exit(None),
-        "profile" | "plan-tuning" | "train" | "storage" | "cluster" | "serve" | "lifecycle" => {
-            let opts = Opts::parse(&args[1..]);
-            match command.as_str() {
-                "profile" => cmd_profile(&opts),
-                "plan-tuning" => cmd_plan_tuning(&opts),
-                "train" => cmd_train(&opts),
-                "cluster" => cmd_cluster(&opts),
-                "serve" => cmd_serve(&opts),
-                "lifecycle" => cmd_lifecycle(&opts),
-                _ => cmd_storage(&opts),
-            }
-            if let Some(path) = &opts.metrics {
-                // Every command binds its jobs to the process-global ce-obs
-                // registry; the dump is the deterministic JSONL metrics
-                // stream.
-                std::fs::write(path, ce_scaling::obs::global().export_jsonl()).unwrap_or_else(
-                    |e| {
-                        eprintln!("cannot write {path}: {e}");
-                        std::process::exit(1);
-                    },
-                );
-                eprintln!("metrics written to {path}");
-            }
-        }
-        other => usage_and_exit(Some(other)),
+    // Every usage error ends here; runtime failures exit 1 where they
+    // happen.
+    if let Err(e) = run(&args) {
+        eprintln!("{e}");
+        std::process::exit(2);
     }
+}
+
+/// Runs one command. An `Err` is a usage error: a bad command, flag,
+/// value, or spec, found before any simulation starts.
+fn run(args: &[String]) -> Result<(), String> {
+    let (command, rest) = args.split_first().ok_or(USAGE)?;
+    let cmd: fn(&Opts) -> Result<(), String> = match command.as_str() {
+        // run-config takes a file path, not flag options.
+        "run-config" => return cmd_run_config(rest),
+        "help" | "--help" | "-h" => return Err(USAGE.into()),
+        "profile" => cmd_profile,
+        "plan-tuning" => cmd_plan_tuning,
+        "train" => cmd_train,
+        "storage" => cmd_storage,
+        "cluster" => cmd_cluster,
+        "serve" => cmd_serve,
+        "lifecycle" => cmd_lifecycle,
+        other => return Err(format!("unknown command: {other}\n\n{USAGE}")),
+    };
+    let opts = Opts::parse(rest)?;
+    cmd(&opts)?;
+    if let Some(path) = &opts.metrics {
+        // Every command binds its jobs to the process-global ce-obs
+        // registry; the dump is the deterministic JSONL metrics
+        // stream.
+        std::fs::write(path, ce_scaling::obs::global().export_jsonl()).unwrap_or_else(|e| {
+            eprintln!("cannot write {path}: {e}");
+            std::process::exit(1);
+        });
+        eprintln!("metrics written to {path}");
+    }
+    Ok(())
 }
 
 /// `run-config <file.json>`: run a declarative scenario and print its
 /// reports as JSON.
-fn cmd_run_config(args: &[String]) {
+fn cmd_run_config(args: &[String]) -> Result<(), String> {
     use ce_scaling::workflow::Scenario;
-    let Some(path) = args.first() else {
-        eprintln!("usage: ce-scaling run-config <scenario.json>");
-        std::process::exit(2);
-    };
-    let json = std::fs::read_to_string(path).unwrap_or_else(|e| {
-        eprintln!("cannot read {path}: {e}");
-        std::process::exit(2);
-    });
-    let scenario = Scenario::from_json(&json).unwrap_or_else(|e| {
-        eprintln!("{e}");
-        std::process::exit(2);
-    });
+    let path = args
+        .first()
+        .ok_or("usage: ce-scaling run-config <scenario.json>")?;
+    let json = std::fs::read_to_string(path).map_err(|e| format!("cannot read {path}: {e}"))?;
+    let scenario = Scenario::from_json(&json).map_err(|e| e.to_string())?;
     match scenario.run() {
         Ok(outcome) => println!(
             "{}",
@@ -83,75 +85,71 @@ fn cmd_run_config(args: &[String]) {
             std::process::exit(1);
         }
     }
+    Ok(())
 }
 
-fn usage_and_exit(unknown: Option<&str>) -> ! {
-    if let Some(cmd) = unknown {
-        eprintln!("unknown command: {cmd}\n");
-    }
-    eprintln!(
-        "usage: ce-scaling <command> [options]\n\n\
-         commands:\n  \
-           profile      profile the allocation space, print the Pareto boundary\n  \
-           plan-tuning  plan an SHA bracket with Algorithm 1\n  \
-           train        simulate a training job under a scheduling method\n  \
-           storage      compare external storage services for a workload\n  \
-           cluster      simulate a multi-tenant fleet sharing one account quota\n  \
-           serve        simulate request-level inference serving against an SLO\n  \
-           lifecycle    co-locate training and serving on one shared quota\n  \
-           run-config   run a declarative JSON scenario (see workflow::scenario)\n\n\
-         options:\n  \
-           --model lr|svm|mobilenet|resnet50|bert     (default lr)\n  \
-           --dataset higgs|yfcc|cifar10|imdb          (default matches model)\n  \
-           --trials N        SHA initial trials, power of 2 (default 256)\n  \
-           --budget X        budget in dollars\n  \
-           --deadline S      deadline in seconds\n  \
-           --method ce|lambdaml|siren|cirrus|fixed    (default ce)\n  \
-           --seed N          RNG seed (default 42)\n  \
-           -n N              functions for `storage` (default 10)\n  \
-           --failure-rate P  inject worker failures (train)\n  \
-           --jobs N          fleet size for `cluster` (default 40)\n  \
-           --rate R          Poisson arrival rate, jobs/min (default 12)\n  \
-           --policy P        fifo|edf|cost-greedy|reject-on-overload (default fifo)\n  \
-           --quota N         account concurrency quota (default 60)\n  \
-           --job-cap N       per-job concurrency ceiling (default: the quota)\n  \
-           --engine E        heap|naive fleet dispatch core (default heap)\n  \
-           --chaos SPEC      fault schedule, e.g. 'crash:0.1@0..inf;outage:s3@600..1800'\n  \
-                             (train: platform faults; cluster: fleet-clock faults)\n  \
-           --checkpoint-every K  snapshot the model to durable storage every K epochs\n  \
-           --recovery P      retry|checkpoint|replan recovery policy (default retry)\n  \
-           --metrics PATH    dump the ce-obs metrics/event stream as JSONL\n  \
-           --arrivals M      poisson|diurnal|bursty|trace:<log.jsonl>|zoo:<preset>\n  \
-                             (serve; default poisson; zoo presets: mixed|steady|diurnal|\n  \
-                             bursty|coldtail)\n  \
-           --rps R           mean arrival rate for `serve` (default 20)\n  \
-           --duration S      arrival window for `serve`, seconds (default 600)\n  \
-           --autoscaler A    fixed:<n>|target|prewarm|qlearn[:<episodes>:<epsilon>:<alpha>]\n  \
-                             (serve; default target)\n  \
-           --keepalive K     fixed[:<ttl-s>]|adaptive|histogram (serve; default fixed)\n  \
-           --slo-ms X        latency SLO for `serve`/`lifecycle`, ms (default 500)\n  \
-           --arrival-log P   write the generated arrival schedule as JSONL (serve)\n  \
-           --tenants N       lifecycle tenants, each trains and serves (default 4)\n  \
-           --drift-every S   mean seconds between drift events (lifecycle; 0 = off)\n  \
-           --queue-cap N     admission queue slots (serve/lifecycle; default 10000)\n  \
-           --timeout-ms X    per-attempt deadline (serve/lifecycle; off by default)\n  \
-           --retries N       retry failed/timed-out attempts up to N times\n  \
-           --retry-budget R  retry tokens earned per arrival (default 0.2 with --retries)\n  \
-           --hedge P         hedge policy: p95|<delay-ms> (off by default)\n  \
-           --breaker T       circuit breaker, opens at windowed failure rate T\n  \
-           --brownout F      degraded-mode serving: service time x F when queue is half full\n  \
-           --topology T      substrate: single|edge-cloud|pool:<name>,<k>=<v>,..;link:<a>-<b>,..\n  \
-                             (cluster/serve/lifecycle; default single)\n  \
-           --placement P     edge-first|latency-greedy|cost-greedy|workload-aware\n  \
-                             (multi-pool topologies; default edge-first)\n\n\
-         lifecycle reuses --duration, --rps, --quota, --job-cap, --seed, --chaos,\n\
-         --autoscaler, --keepalive, --metrics, --topology, --placement, and every\n\
-         resilience flag; its --policy is a priority policy:\n\
-         serve-first|train-first|fair-share|deadline (default serve-first)\n"
-    );
-    std::process::exit(2);
-}
+const USAGE: &str = "usage: ce-scaling <command> [options]\n\n\
+     commands:\n  \
+       profile      profile the allocation space, print the Pareto boundary\n  \
+       plan-tuning  plan an SHA bracket with Algorithm 1\n  \
+       train        simulate a training job under a scheduling method\n  \
+       storage      compare external storage services for a workload\n  \
+       cluster      simulate a multi-tenant fleet sharing one account quota\n  \
+       serve        simulate request-level inference serving against an SLO\n  \
+       lifecycle    co-locate training and serving on one shared quota\n  \
+       run-config   run a declarative JSON scenario (see workflow::scenario)\n\n\
+     options:\n  \
+       --model lr|svm|mobilenet|resnet50|bert     (default lr)\n  \
+       --dataset higgs|yfcc|cifar10|imdb          (default matches model)\n  \
+       --trials N        SHA initial trials, power of 2 (default 256)\n  \
+       --budget X        budget in dollars\n  \
+       --deadline S      deadline in seconds\n  \
+       --method ce|lambdaml|siren|cirrus|fixed    (default ce)\n  \
+       --seed N          RNG seed (default 42)\n  \
+       -n N              functions for `storage` (default 10)\n  \
+       --failure-rate P  inject worker failures (train)\n  \
+       --jobs N          fleet size for `cluster` (default 40)\n  \
+       --rate R          Poisson arrival rate, jobs/min (default 12)\n  \
+       --policy P        fifo|edf|cost-greedy|reject-on-overload (default fifo)\n  \
+       --quota N         account concurrency quota (default 60)\n  \
+       --job-cap N       per-job concurrency ceiling (default: the quota)\n  \
+       --engine E        heap|naive fleet dispatch core (default heap)\n  \
+       --chaos SPEC      fault schedule, e.g. 'crash:0.1@0..inf;outage:s3@600..1800'\n  \
+                         (train: platform faults; cluster: fleet-clock faults)\n  \
+       --checkpoint-every K  snapshot the model to durable storage every K epochs\n  \
+       --recovery P      retry|checkpoint|replan recovery policy (default retry)\n  \
+       --metrics PATH    dump the ce-obs metrics/event stream as JSONL\n  \
+       --arrivals M      poisson|diurnal|bursty|trace:<log.jsonl>|zoo:<preset>\n  \
+                         (serve; default poisson; zoo presets: mixed|steady|diurnal|\n  \
+                         bursty|coldtail)\n  \
+       --rps R           mean arrival rate for `serve` (default 20)\n  \
+       --duration S      arrival window for `serve`, seconds (default 600)\n  \
+       --autoscaler A    fixed:<n>|target|prewarm|qlearn[:<episodes>:<epsilon>:<alpha>]\n  \
+                         (serve; default target)\n  \
+       --keepalive K     fixed[:<ttl-s>]|adaptive|histogram (serve; default fixed)\n  \
+       --slo-ms X        latency SLO for `serve`/`lifecycle`, ms (default 500)\n  \
+       --arrival-log P   write the generated arrival schedule as JSONL (serve)\n  \
+       --tenants N       lifecycle tenants, each trains and serves (default 4)\n  \
+       --drift-every S   mean seconds between drift events (lifecycle; 0 = off)\n  \
+       --queue-cap N     admission queue slots (serve/lifecycle; default 10000)\n  \
+       --timeout-ms X    per-attempt deadline (serve/lifecycle; off by default)\n  \
+       --retries N       retry failed/timed-out attempts up to N times\n  \
+       --retry-budget R  retry tokens earned per arrival (default 0.2 with --retries)\n  \
+       --hedge P         hedge policy: p95|<delay-ms> (off by default)\n  \
+       --breaker T       circuit breaker, opens at windowed failure rate T\n  \
+       --brownout F      degraded-mode serving: service time x F when queue is half full\n  \
+       --topology T      substrate: single|edge-cloud|pool:<name>,<k>=<v>,..;link:<a>-<b>,..\n  \
+                         (cluster/serve/lifecycle; default single)\n  \
+       --placement P     edge-first|latency-greedy|cost-greedy|workload-aware\n  \
+                         (multi-pool topologies; default edge-first)\n\n\
+     lifecycle reuses --duration, --rps, --quota, --job-cap, --seed, --chaos,\n\
+     --autoscaler, --keepalive, --metrics, --topology, --placement, and every\n\
+     resilience flag; its --policy is a priority policy:\n\
+     serve-first|train-first|fair-share|deadline (default serve-first)\n";
 
+/// The flags as parsed: a value of the flag's type, a float within its
+/// flag's range, or a spec grammar's parse. Sizes and registry names are
+/// checked by the spec the command builds.
 #[derive(Debug, Default)]
 struct Opts {
     model: Option<String>,
@@ -170,9 +168,9 @@ struct Opts {
     job_cap: Option<u32>,
     engine: Option<String>,
     metrics: Option<String>,
-    chaos: Option<String>,
+    chaos: Option<FaultSchedule>,
     checkpoint_every: Option<u32>,
-    recovery: Option<String>,
+    recovery: Option<RecoveryPolicy>,
     arrivals: Option<String>,
     rps: Option<f64>,
     duration: Option<f64>,
@@ -182,203 +180,125 @@ struct Opts {
     arrival_log: Option<String>,
     tenants: Option<u32>,
     drift_every: Option<f64>,
-    topology: Option<String>,
+    topology: Option<Topology>,
     placement: Option<String>,
     queue_cap: Option<usize>,
     timeout_ms: Option<f64>,
     retries: Option<u32>,
     retry_budget: Option<f64>,
-    hedge: Option<String>,
+    hedge: Option<HedgePolicy>,
     breaker: Option<f64>,
     brownout: Option<f64>,
 }
 
 impl Opts {
-    fn parse(args: &[String]) -> Opts {
+    fn parse(args: &[String]) -> Result<Opts, String> {
         let mut opts = Opts::default();
         let mut it = args.iter();
         while let Some(flag) = it.next() {
-            let mut value = || {
-                it.next()
-                    .unwrap_or_else(|| {
-                        eprintln!("missing value for {flag}");
-                        std::process::exit(2);
-                    })
-                    .clone()
-            };
+            let mut value = || it.next().ok_or_else(|| format!("missing value for {flag}"));
             match flag.as_str() {
-                "--model" => opts.model = Some(value()),
-                "--dataset" => opts.dataset = Some(value()),
-                "--trials" => opts.trials = Some(parse_or_exit(&value(), flag)),
-                "--budget" => opts.budget = Some(parse_f64(&value(), flag, POSITIVE)),
-                "--deadline" => opts.deadline = Some(parse_f64(&value(), flag, POSITIVE)),
-                "--method" => opts.method = Some(value()),
-                "--seed" => opts.seed = Some(parse_or_exit(&value(), flag)),
-                "-n" => opts.n = Some(parse_or_exit(&value(), flag)),
+                "--model" => opts.model = Some(value()?.clone()),
+                "--dataset" => opts.dataset = Some(value()?.clone()),
+                "--trials" => opts.trials = Some(parse_num(value()?, flag)?),
+                "--budget" => opts.budget = Some(parse_f64(value()?, flag, POSITIVE)?),
+                "--deadline" => opts.deadline = Some(parse_f64(value()?, flag, POSITIVE)?),
+                "--method" => opts.method = Some(value()?.clone()),
+                "--seed" => opts.seed = Some(parse_num(value()?, flag)?),
+                "-n" => opts.n = Some(parse_num(value()?, flag)?),
                 "--failure-rate" => {
-                    opts.failure_rate = Some(parse_f64(&value(), flag, CLOSED_UNIT))
+                    opts.failure_rate = Some(parse_f64(value()?, flag, CLOSED_UNIT)?)
                 }
-                "--jobs" => opts.jobs = Some(parse_or_exit(&value(), flag)),
-                "--rate" => opts.rate = Some(parse_f64(&value(), flag, POSITIVE)),
-                "--policy" => opts.policy = Some(value()),
-                "--quota" => opts.quota = Some(parse_or_exit(&value(), flag)),
-                "--job-cap" => opts.job_cap = Some(parse_or_exit(&value(), flag)),
-                "--engine" => opts.engine = Some(value()),
-                "--metrics" => opts.metrics = Some(value()),
-                "--chaos" => opts.chaos = Some(value()),
-                "--checkpoint-every" => opts.checkpoint_every = Some(parse_or_exit(&value(), flag)),
-                "--recovery" => opts.recovery = Some(value()),
-                "--arrivals" => opts.arrivals = Some(value()),
-                "--rps" => opts.rps = Some(parse_f64(&value(), flag, NON_NEGATIVE)),
-                "--duration" => opts.duration = Some(parse_f64(&value(), flag, POSITIVE)),
-                "--autoscaler" => opts.autoscaler = Some(value()),
-                "--keepalive" => opts.keepalive = Some(value()),
-                "--slo-ms" => opts.slo_ms = Some(parse_f64(&value(), flag, POSITIVE_MS)),
-                "--arrival-log" => opts.arrival_log = Some(value()),
-                "--tenants" => {
-                    let n: u32 = parse_or_exit(&value(), flag);
-                    if n == 0 {
-                        eprintln!("invalid value for --tenants: lifecycle needs at least 1 tenant");
-                        std::process::exit(2);
-                    }
-                    opts.tenants = Some(n);
+                "--jobs" => opts.jobs = Some(parse_num(value()?, flag)?),
+                "--rate" => opts.rate = Some(parse_f64(value()?, flag, POSITIVE)?),
+                "--policy" => opts.policy = Some(value()?.clone()),
+                "--quota" => opts.quota = Some(parse_num(value()?, flag)?),
+                "--job-cap" => opts.job_cap = Some(parse_num(value()?, flag)?),
+                "--engine" => opts.engine = Some(value()?.clone()),
+                "--metrics" => opts.metrics = Some(value()?.clone()),
+                "--chaos" => {
+                    let spec = FaultSchedule::parse(value()?);
+                    opts.chaos = Some(spec.map_err(|e| format!("invalid --chaos spec: {e}"))?);
                 }
-                "--drift-every" => opts.drift_every = Some(parse_f64(&value(), flag, NON_NEGATIVE)),
-                "--topology" => opts.topology = Some(value()),
-                "--placement" => opts.placement = Some(value()),
-                "--queue-cap" => {
-                    let n: usize = parse_or_exit(&value(), flag);
-                    if n == 0 {
-                        eprintln!(
-                            "invalid value for --queue-cap: the admission queue needs at least 1 slot"
-                        );
-                        std::process::exit(2);
-                    }
-                    opts.queue_cap = Some(n);
+                "--checkpoint-every" => opts.checkpoint_every = Some(parse_num(value()?, flag)?),
+                "--recovery" => {
+                    let name = value()?;
+                    opts.recovery = Some(RecoveryPolicy::by_name(name).ok_or_else(|| {
+                        format!("unknown recovery policy: {name} (retry|checkpoint|replan)")
+                    })?);
                 }
-                "--timeout-ms" => opts.timeout_ms = Some(parse_f64(&value(), flag, POSITIVE_MS)),
-                "--retries" => opts.retries = Some(parse_or_exit(&value(), flag)),
-                "--retry-budget" => opts.retry_budget = Some(parse_f64(&value(), flag, POSITIVE)),
-                "--hedge" => opts.hedge = Some(value()),
-                "--breaker" => opts.breaker = Some(parse_f64(&value(), flag, HALF_OPEN_UNIT)),
-                "--brownout" => opts.brownout = Some(parse_f64(&value(), flag, OPEN_UNIT)),
-                other => {
-                    eprintln!("unknown option: {other}");
-                    std::process::exit(2);
+                "--arrivals" => opts.arrivals = Some(value()?.clone()),
+                "--rps" => opts.rps = Some(parse_f64(value()?, flag, NON_NEGATIVE)?),
+                "--duration" => opts.duration = Some(parse_f64(value()?, flag, POSITIVE)?),
+                "--autoscaler" => opts.autoscaler = Some(value()?.clone()),
+                "--keepalive" => opts.keepalive = Some(value()?.clone()),
+                "--slo-ms" => opts.slo_ms = Some(parse_f64(value()?, flag, POSITIVE_MS)?),
+                "--arrival-log" => opts.arrival_log = Some(value()?.clone()),
+                "--tenants" => opts.tenants = Some(parse_num(value()?, flag)?),
+                "--drift-every" => {
+                    opts.drift_every = Some(parse_f64(value()?, flag, NON_NEGATIVE)?)
                 }
+                "--topology" => {
+                    let spec = ce_scaling::topo::parse_topology(value()?);
+                    opts.topology =
+                        Some(spec.map_err(|e| format!("invalid --topology spec: {e}"))?);
+                }
+                "--placement" => opts.placement = Some(value()?.clone()),
+                "--queue-cap" => opts.queue_cap = Some(parse_num(value()?, flag)?),
+                "--timeout-ms" => opts.timeout_ms = Some(parse_f64(value()?, flag, POSITIVE_MS)?),
+                "--retries" => opts.retries = Some(parse_num(value()?, flag)?),
+                "--retry-budget" => opts.retry_budget = Some(parse_f64(value()?, flag, POSITIVE)?),
+                "--hedge" => opts.hedge = Some(HedgePolicy::parse(value()?)?),
+                "--breaker" => opts.breaker = Some(parse_f64(value()?, flag, HALF_OPEN_UNIT)?),
+                "--brownout" => opts.brownout = Some(parse_f64(value()?, flag, OPEN_UNIT)?),
+                other => return Err(format!("unknown option: {other}")),
             }
         }
-        opts
+        Ok(opts)
     }
 
-    fn workload(&self) -> Workload {
-        let model = self.model.as_deref().unwrap_or("lr");
-        let dataset = self.dataset.as_deref();
-        match (model, dataset) {
-            ("lr", None | Some("higgs")) => Workload::lr_higgs(),
-            ("lr", Some("yfcc")) => Workload::lr_yfcc(),
-            ("svm", None | Some("higgs")) => Workload::svm_higgs(),
-            ("svm", Some("yfcc")) => Workload::svm_yfcc(),
-            ("mobilenet", None | Some("cifar10")) => Workload::mobilenet_cifar10(),
-            ("resnet50", None | Some("cifar10")) => Workload::resnet50_cifar10(),
-            ("bert", None | Some("imdb")) => Workload::bert_imdb(),
-            (m, d) => {
-                eprintln!("unsupported model/dataset combination: {m}/{d:?}");
-                std::process::exit(2);
-            }
-        }
+    fn workload(&self) -> Result<Workload, String> {
+        Workload::by_name(
+            self.model.as_deref().unwrap_or("lr"),
+            self.dataset.as_deref(),
+        )
     }
 
-    fn method(&self) -> Method {
-        match self.method.as_deref().unwrap_or("ce") {
-            "ce" | "ce-scaling" => Method::CeScaling,
-            "lambdaml" => Method::LambdaMl,
-            "siren" => Method::Siren,
-            "cirrus" => Method::Cirrus,
-            "fixed" => Method::Fixed,
-            other => {
-                eprintln!("unknown method: {other}");
-                std::process::exit(2);
-            }
-        }
+    fn method(&self) -> Result<Method, String> {
+        Method::by_name(self.method.as_deref().unwrap_or("ce"))
     }
 
-    fn chaos(&self) -> Option<FaultSchedule> {
-        self.chaos.as_deref().map(|spec| {
-            FaultSchedule::parse(spec).unwrap_or_else(|e| {
-                eprintln!("invalid --chaos spec: {e}");
-                std::process::exit(2);
-            })
-        })
-    }
-
-    fn recovery(&self) -> Option<RecoveryPolicy> {
-        self.recovery.as_deref().map(|name| {
-            RecoveryPolicy::by_name(name).unwrap_or_else(|| {
-                eprintln!("unknown recovery policy: {name} (retry|checkpoint|replan)");
-                std::process::exit(2);
-            })
-        })
-    }
-
-    /// The resilience spec the flags describe, or `None` when no
+    /// The resilience spec the flags describe, disabled when no
     /// resilience flag was passed (the golden-preserving default).
-    fn resilience(&self) -> Option<ResilienceSpec> {
+    fn resilience(&self) -> ResilienceSpec {
         let spec = ResilienceSpec {
             timeout_ms: self.timeout_ms,
             retry: self.retries.map(RetryPolicy::new),
             retry_budget: self.retry_budget,
-            hedge: self.hedge.as_deref().map(|s| {
-                HedgePolicy::parse(s).unwrap_or_else(|e| {
-                    eprintln!("{e}");
-                    std::process::exit(2);
-                })
-            }),
+            hedge: self.hedge,
             breaker: self.breaker.map(BreakerSpec::new),
             brownout: self.brownout.map(BrownoutSpec::new),
         };
-        spec.enabled().then_some(spec)
-    }
-
-    /// The parsed `--topology` spec, or `None` when the flag is absent
-    /// (the golden-preserving single-pool default).
-    fn topology(&self) -> Option<ce_scaling::topo::Topology> {
-        self.topology.as_deref().map(|spec| {
-            ce_scaling::topo::parse_topology(spec).unwrap_or_else(|e| {
-                eprintln!("invalid --topology spec: {e}");
-                std::process::exit(2);
-            })
-        })
-    }
-
-    /// The validated `--placement` name, or `None` when absent.
-    fn placement(&self) -> Option<&str> {
-        let name = self.placement.as_deref()?;
-        if let Err(e) = ce_scaling::topo::parse_placement(name) {
-            eprintln!("{e}");
-            std::process::exit(2);
+        if spec.enabled() {
+            spec
+        } else {
+            ResilienceSpec::disabled()
         }
-        Some(name)
     }
 
-    fn constraint(&self, default_budget: f64) -> Constraint {
+    fn constraint(&self, default_budget: f64) -> Result<Constraint, String> {
         match (self.budget, self.deadline) {
-            (Some(b), None) => Constraint::Budget(b),
-            (None, Some(t)) => Constraint::Deadline(t),
-            (None, None) => Constraint::Budget(default_budget),
-            (Some(_), Some(_)) => {
-                eprintln!("pass either --budget or --deadline, not both");
-                std::process::exit(2);
-            }
+            (Some(b), None) => Ok(Constraint::Budget(b)),
+            (None, Some(t)) => Ok(Constraint::Deadline(t)),
+            (None, None) => Ok(Constraint::Budget(default_budget)),
+            (Some(_), Some(_)) => Err("pass either --budget or --deadline, not both".to_string()),
         }
     }
 }
 
-fn parse_or_exit<T: std::str::FromStr>(s: &str, flag: &str) -> T {
-    s.parse().unwrap_or_else(|_| {
-        eprintln!("invalid value for {flag}: {s}");
-        std::process::exit(2);
-    })
+fn parse_num<T: std::str::FromStr>(s: &str, flag: &str) -> Result<T, String> {
+    s.parse()
+        .map_err(|_| format!("invalid value for {flag}: {s}"))
 }
 
 /// The values a float flag accepts: a test on finite numbers, and the
@@ -393,32 +313,18 @@ const HALF_OPEN_UNIT: FloatRange = (|x| x > 0.0 && x <= 1.0, "must be in (0, 1]"
 const OPEN_UNIT: FloatRange = (|x| x > 0.0 && x < 1.0, "must be in (0, 1)");
 
 /// Parses a float flag that must be finite and within `range`.
-fn parse_f64(s: &str, flag: &str, (ok, want): FloatRange) -> f64 {
-    let x: f64 = parse_or_exit(s, flag);
-    if !(x.is_finite() && ok(x)) {
-        eprintln!("invalid value for {flag}: {s} {want}");
-        std::process::exit(2);
-    }
-    x
-}
-
-/// Exits 2 when a run would schedule more than
-/// [`ce_scaling::serve::MAX_ARRIVALS`] events of one kind (`what`) on
-/// average; `flags` names the flags that set the count.
-fn check_ceiling(expected: f64, what: &str, flags: &str) {
-    let max = ce_scaling::serve::MAX_ARRIVALS;
-    if expected > max as f64 {
-        eprintln!(
-            "the run would schedule ~{expected:.3e} {what}, over the ceiling of {max}; \
-             lower {flags}"
-        );
-        std::process::exit(2);
+fn parse_f64(s: &str, flag: &str, (ok, want): FloatRange) -> Result<f64, String> {
+    let x: f64 = parse_num(s, flag)?;
+    if x.is_finite() && ok(x) {
+        Ok(x)
+    } else {
+        Err(format!("invalid value for {flag}: {s} {want}"))
     }
 }
 
-fn cmd_profile(opts: &Opts) {
+fn cmd_profile(opts: &Opts) -> Result<(), String> {
     let env = Environment::aws_default();
-    let w = opts.workload();
+    let w = opts.workload()?;
     let profile = ParetoProfiler::new(&env).profile_workload(&w);
     println!(
         "{}: {} allocations profiled, {} on the Pareto boundary\n",
@@ -438,31 +344,36 @@ fn cmd_profile(opts: &Opts) {
             p.cost_usd()
         );
     }
+    Ok(())
 }
 
-fn cmd_plan_tuning(opts: &Opts) {
-    let env = Environment::aws_default();
-    let w = opts.workload();
-    let trials = opts.trials.unwrap_or(256);
-    let sha = ShaSpec::try_new(trials, 2, 2).unwrap_or_else(|e| {
-        eprintln!("invalid value for --trials: {e}");
-        std::process::exit(2);
-    });
-    let profile = ParetoProfiler::new(&env).profile_workload(&w);
+/// The bracket `plan-tuning` plans, and the method it plans with.
+fn tuning_job(opts: &Opts) -> Result<(TuningJob, Method), String> {
+    let w = opts.workload()?;
+    let method = opts.method()?;
+    let sha = ShaSpec::try_new(opts.trials.unwrap_or(256), 2, 2)
+        .map_err(|e| format!("invalid value for --trials: {e}"))?;
+    let profile = ParetoProfiler::new(&Environment::aws_default()).profile_workload(&w);
     let default_budget =
         PartitionPlan::uniform(*profile.cheapest().expect("nonempty"), sha).cost() * 2.0;
-    let constraint = opts.constraint(default_budget);
-    let job = TuningJob::new(w.clone(), sha, constraint)
-        .with_seed(opts.seed.unwrap_or(42))
-        .with_obs(ce_scaling::obs::global());
-    match job.plan_for(opts.method()) {
+    let job =
+        TuningJob::new(w, sha, opts.constraint(default_budget)?).with_seed(opts.seed.unwrap_or(42));
+    Ok((job, method))
+}
+
+fn cmd_plan_tuning(opts: &Opts) -> Result<(), String> {
+    let (job, method) = tuning_job(opts)?;
+    let job = job.with_obs(ce_scaling::obs::global());
+    let sha = job.sha;
+    match job.plan_for(method) {
         Ok((plan, overhead_s, evals)) => {
             println!(
-                "{} plan for {} ({} trials, {} stages) under {constraint:?}:\n",
-                opts.method().label(),
-                w.label(),
-                trials,
-                sha.num_stages()
+                "{} plan for {} ({} trials, {} stages) under {:?}:\n",
+                method.label(),
+                job.workload.label(),
+                sha.initial_trials,
+                sha.num_stages(),
+                job.constraint
             );
             for (i, s) in plan.stages.iter().enumerate() {
                 println!(
@@ -476,7 +387,7 @@ fn cmd_plan_tuning(opts: &Opts) {
             }
             println!(
                 "\npredicted JCT {:.0}s, cost ${:.2}; planning {:.1}s ({} evaluations)",
-                plan.jct(env.max_concurrency),
+                plan.jct(job.env.max_concurrency),
                 plan.cost(),
                 overhead_s,
                 evals
@@ -487,47 +398,42 @@ fn cmd_plan_tuning(opts: &Opts) {
             std::process::exit(1);
         }
     }
+    Ok(())
 }
 
-fn cmd_train(opts: &Opts) {
-    let w = opts.workload();
-    let env = Environment::aws_default();
-    let profile = ParetoProfiler::new(&env).profile_workload(&w);
+/// The job `train` runs, and the method it runs under.
+fn training_job(opts: &Opts) -> Result<(TrainingJob, Method), String> {
+    use ce_scaling::ml::curve::{table4_target, CurveParams};
+    let w = opts.workload()?;
+    let method = opts.method()?;
+    let profile = ParetoProfiler::new(&Environment::aws_default()).profile_workload(&w);
     let boundary = profile.boundary();
     let mid = boundary[boundary.len() / 2];
-    let (params, target) = {
-        use ce_scaling::ml::curve::{table4_target, CurveParams};
-        (
-            CurveParams::for_workload(w.model.family, &w.dataset.name),
-            table4_target(w.model.family, &w.dataset.name),
-        )
-    };
+    let params = CurveParams::for_workload(w.model.family, &w.dataset.name);
+    let target = table4_target(w.model.family, &w.dataset.name);
     let default_budget = mid.cost_usd() * params.mean_epochs_to(target).expect("reachable") * 2.0;
-    let constraint = opts.constraint(default_budget);
-    let mut job = TrainingJob::new(w.clone(), constraint)
-        .with_seed(opts.seed.unwrap_or(42))
-        .with_obs(ce_scaling::obs::global());
-    if let Some(rate) = opts.failure_rate {
-        job = job.with_platform_config(PlatformConfig {
-            failure_rate: rate,
-            ..PlatformConfig::default()
-        });
-    }
-    if let Some(schedule) = opts.chaos() {
-        job = job.with_chaos(schedule);
-    }
-    if let Some(policy) = opts.recovery() {
-        job = job.with_recovery(policy);
-    }
-    if let Some(k) = opts.checkpoint_every {
-        job = job.with_checkpoint_every(k);
-    }
-    match job.run(opts.method()) {
+    let every = opts.checkpoint_every.map_or(1, u64::from);
+    ce_scaling::sim::SpecError::nonzero(&[(every, "--checkpoint-every", "epoch")])?;
+    let mut job =
+        TrainingJob::new(w, opts.constraint(default_budget)?).with_seed(opts.seed.unwrap_or(42));
+    job.platform.failure_rate = opts.failure_rate.unwrap_or(job.platform.failure_rate);
+    job.chaos = opts.chaos.clone();
+    job.recovery = opts.recovery.unwrap_or(job.recovery);
+    job.checkpoint_every = opts.checkpoint_every;
+    Ok((job, method))
+}
+
+fn cmd_train(opts: &Opts) -> Result<(), String> {
+    let (job, method) = training_job(opts)?;
+    let job = job.with_obs(ce_scaling::obs::global());
+    match job.run(method) {
         Ok(r) => {
             println!(
-                "{} on {} under {constraint:?} (target loss {target}):\n",
-                opts.method().label(),
-                w.label()
+                "{} on {} under {:?} (target loss {}):\n",
+                method.label(),
+                job.workload.label(),
+                job.constraint,
+                job.target_loss
             );
             println!("  JCT            {:.0}s", r.jct_s);
             println!("  cost           ${:.2}", r.cost_usd);
@@ -570,56 +476,43 @@ fn cmd_train(opts: &Opts) {
             std::process::exit(1);
         }
     }
+    Ok(())
 }
 
-fn cmd_cluster(opts: &Opts) {
-    use ce_scaling::cluster::{
-        policy_by_name, policy_names, ClusterSim, ClusterSpec, FleetEngine, FleetSpec, JobStatus,
-        MAX_JOBS,
-    };
-    let jobs = opts.jobs.unwrap_or(40);
-    if jobs > MAX_JOBS {
-        eprintln!("invalid value for --jobs: {jobs} is over the ceiling of {MAX_JOBS} jobs");
-        std::process::exit(2);
-    }
-    let rate = opts.rate.unwrap_or(12.0);
-    let quota = opts.quota.unwrap_or(60);
+/// The fleet `cluster` simulates, and the admission policy it runs.
+fn cluster_spec(opts: &Opts) -> Result<(ClusterSpec, Box<dyn AdmissionPolicy>), String> {
+    use ce_scaling::cluster::{policy_by_name, policy_names};
     let policy_name = opts.policy.as_deref().unwrap_or("fifo");
-    let Some(policy) = policy_by_name(policy_name) else {
-        eprintln!(
-            "{}",
-            ce_scaling::sim::unknown_name_msg("policy", policy_name, policy_names())
-        );
-        std::process::exit(2);
+    let policy = policy_by_name(policy_name)
+        .ok_or_else(|| ce_scaling::sim::unknown_name_msg("policy", policy_name, policy_names()))?;
+    let fleet = FleetSpec::poisson(
+        opts.jobs.unwrap_or(40),
+        opts.rate.unwrap_or(12.0),
+        opts.seed.unwrap_or(42),
+    );
+    let mut spec = ClusterSpec::new(fleet, opts.quota.unwrap_or(60));
+    spec.job_cap = opts.job_cap.unwrap_or(spec.job_cap);
+    spec.engine = match opts.engine.as_deref() {
+        None | Some("heap") => FleetEngine::Heap,
+        Some("naive") => FleetEngine::Naive,
+        Some(other) => return Err(format!("unknown engine: {other} (heap|naive)")),
     };
-    let fleet = FleetSpec::poisson(jobs, rate, opts.seed.unwrap_or(42));
-    let mut spec = ClusterSpec::new(fleet, quota);
-    if let Some(cap) = opts.job_cap {
-        spec = spec.with_job_cap(cap);
-    }
-    if let Some(topology) = opts.topology() {
-        spec = spec.with_topology(topology);
-    }
-    if let Some(placement) = opts.placement() {
-        spec = spec.with_placement(placement);
-    }
-    match opts.engine.as_deref() {
-        None | Some("heap") => {}
-        Some("naive") => spec = spec.with_engine(FleetEngine::Naive),
-        Some(other) => {
-            eprintln!("unknown engine: {other} (heap|naive)");
-            std::process::exit(2);
-        }
-    }
-    if let Some(schedule) = opts.chaos() {
-        spec = spec.with_chaos(schedule);
-    }
-    if let Some(policy) = opts.recovery() {
-        spec = spec.with_recovery(policy);
-    }
-    if let Some(k) = opts.checkpoint_every {
-        spec = spec.with_checkpoint_every(k);
-    }
+    spec.chaos = opts.chaos.clone();
+    spec.recovery = opts.recovery.unwrap_or(spec.recovery);
+    spec.checkpoint_every = opts.checkpoint_every;
+    spec.topology = opts.topology.clone().unwrap_or(spec.topology);
+    spec.placement = opts.placement.clone().unwrap_or(spec.placement);
+    spec.validate()?;
+    Ok((spec, policy))
+}
+
+fn cmd_cluster(opts: &Opts) -> Result<(), String> {
+    use ce_scaling::cluster::{ArrivalProcess, JobStatus};
+    let (spec, policy) = cluster_spec(opts)?;
+    let ArrivalProcess::Poisson { rate_per_min: rate } = spec.fleet.arrivals else {
+        unreachable!("the CLI fleet is Poisson")
+    };
+    let quota = spec.quota;
     let report = ClusterSim::new(spec, policy)
         .with_obs(ce_scaling::obs::global())
         .run();
@@ -668,10 +561,15 @@ fn cmd_cluster(opts: &Opts) {
             reg.counter_value("recovery.checkpoints"),
         );
     }
+    Ok(())
 }
 
-fn cmd_serve(opts: &Opts) {
-    use ce_scaling::serve::{ArrivalModel, ServeSim, ServeSpec};
+/// A serving run: the spec, its autoscaler and its keep-alive policy.
+type ServeRun = (ServeSpec, Box<dyn Autoscaler>, Box<dyn KeepAlive>);
+
+/// The run `serve` simulates. The spec is checked before either policy
+/// is built (a `qlearn` autoscaler trains as it parses).
+fn serve_spec(opts: &Opts) -> Result<ServeRun, String> {
     let rps = opts.rps.unwrap_or(20.0);
     let duration = opts.duration.unwrap_or(600.0);
     let arrivals = match opts.arrivals.as_deref().unwrap_or("poisson") {
@@ -689,66 +587,42 @@ fn cmd_serve(opts: &Opts) {
         },
         other => {
             if let Some(path) = other.strip_prefix("trace:") {
-                let text = std::fs::read_to_string(path).unwrap_or_else(|e| {
-                    eprintln!("cannot read arrival log {path}: {e}");
-                    std::process::exit(2);
-                });
-                let arrival_s = ce_scaling::serve::read_arrival_log(&text).unwrap_or_else(|e| {
-                    eprintln!("bad arrival log {path}: {e}");
-                    std::process::exit(2);
-                });
+                let text = std::fs::read_to_string(path)
+                    .map_err(|e| format!("cannot read arrival log {path}: {e}"))?;
+                let arrival_s = ce_scaling::serve::read_arrival_log(&text)
+                    .map_err(|e| format!("bad arrival log {path}: {e}"))?;
                 ArrivalModel::Trace { arrival_s }
             } else if other == "zoo" || other.starts_with("zoo:") {
                 let rest = other.strip_prefix("zoo:").unwrap_or("");
-                let spec = ce_scaling::serve::parse_zoo(rest).unwrap_or_else(|e| {
-                    eprintln!("{e}");
-                    std::process::exit(2);
-                });
-                ArrivalModel::Zoo { spec }
+                ArrivalModel::Zoo {
+                    spec: ce_scaling::serve::parse_zoo(rest)?,
+                }
             } else {
-                eprintln!(
+                return Err(format!(
                     "unknown arrivals model: {other} (poisson|diurnal|bursty|trace:<path>|zoo:<preset>)"
-                );
-                std::process::exit(2);
+                ));
             }
         }
     };
-    let expected = arrivals.expected_arrivals(duration);
-    check_ceiling(expected, "arrivals", "--rps or --duration");
-    let autoscaler_name = opts.autoscaler.as_deref().unwrap_or("target");
-    let autoscaler = match ce_scaling::serve::parse_autoscaler(autoscaler_name) {
-        Ok(a) => a,
-        Err(e) => {
-            eprintln!("{e}");
-            std::process::exit(2);
-        }
-    };
-    let keepalive_name = opts.keepalive.as_deref().unwrap_or("fixed");
-    let keep_alive = match ce_scaling::faas::parse_keep_alive(keepalive_name) {
-        Ok(p) => p,
-        Err(e) => {
-            eprintln!("{e}");
-            std::process::exit(2);
-        }
-    };
-    let mut spec = ServeSpec::new(arrivals, duration, opts.seed.unwrap_or(42))
-        .with_slo_ms(opts.slo_ms.unwrap_or(500.0));
-    if let Some(schedule) = opts.chaos() {
-        spec = spec.with_chaos(schedule);
-    }
-    if let Some(cap) = opts.queue_cap {
-        spec = spec.with_queue_cap(cap);
-    }
-    let resilient = opts.resilience();
-    if let Some(res) = resilient.clone() {
-        spec = spec.with_resilience(res);
-    }
-    if let Some(topology) = opts.topology() {
-        spec = spec.with_topology(topology);
-    }
-    if let Some(placement) = opts.placement() {
-        spec = spec.with_placement(placement);
-    }
+    let mut spec = ServeSpec::new(arrivals, duration, opts.seed.unwrap_or(42));
+    spec.slo_ms = opts.slo_ms.unwrap_or(spec.slo_ms);
+    spec.chaos = opts.chaos.clone();
+    spec.queue_cap = opts.queue_cap.unwrap_or(spec.queue_cap);
+    spec.resilience = opts.resilience();
+    spec.topology = opts.topology.clone().unwrap_or(spec.topology);
+    spec.placement = opts.placement.clone().unwrap_or(spec.placement);
+    spec.validate()?;
+    let autoscaler =
+        ce_scaling::serve::parse_autoscaler(opts.autoscaler.as_deref().unwrap_or("target"))?;
+    let keep_alive =
+        ce_scaling::faas::parse_keep_alive(opts.keepalive.as_deref().unwrap_or("fixed"))
+            .map_err(|e| e.to_string())?;
+    Ok((spec, autoscaler, keep_alive))
+}
+
+fn cmd_serve(opts: &Opts) -> Result<(), String> {
+    let (spec, autoscaler, keep_alive) = serve_spec(opts)?;
+    let (duration, resilient) = (spec.duration_s, spec.resilience.enabled());
     let sim = ServeSim::new(spec, autoscaler, keep_alive).with_obs(ce_scaling::obs::global());
     if let Some(path) = &opts.arrival_log {
         let log = ce_scaling::serve::write_arrival_log(sim.arrivals());
@@ -778,7 +652,7 @@ fn cmd_serve(opts: &Opts) {
             r.truncated
         );
     }
-    if resilient.is_some() {
+    if resilient {
         println!(
             "  resilience     {} attempts ({} retries, {} hedges, {} hedge wins)",
             r.attempts, r.retries, r.hedges, r.hedge_wins
@@ -814,91 +688,45 @@ fn cmd_serve(opts: &Opts) {
             );
         }
     }
+    Ok(())
 }
 
-fn cmd_lifecycle(opts: &Opts) {
-    use ce_scaling::lifecycle::{priority_by_name, priority_names, LifecycleSim, LifecycleSpec};
-    use ce_scaling::serve::parse_autoscaler;
-    let tenants = opts.tenants.unwrap_or(4);
-    let duration = opts.duration.unwrap_or(300.0);
+/// The fleet `lifecycle` simulates, and the priority policy it runs.
+/// The simulator builds every tenant's autoscaler and keep-alive policy
+/// by name, so both names are parsed here once the spec passes.
+fn lifecycle_spec(opts: &Opts) -> Result<(LifecycleSpec, Box<dyn PriorityPolicy>), String> {
+    use ce_scaling::lifecycle::{priority_by_name, priority_names};
     let policy_name = opts.policy.as_deref().unwrap_or("serve-first");
-    let Some(policy) = priority_by_name(policy_name) else {
-        eprintln!(
-            "{}",
-            ce_scaling::sim::unknown_name_msg("priority policy", policy_name, priority_names())
-        );
-        std::process::exit(2);
-    };
-    let mut spec = LifecycleSpec::new(tenants, duration, opts.seed.unwrap_or(42));
-    if let Some(q) = opts.quota {
-        if q == 0 {
-            eprintln!("invalid value for --quota: the shared quota needs at least 1 worker");
-            std::process::exit(2);
-        }
-        spec = spec.with_quota(q);
-    }
-    if let Some(cap) = opts.job_cap {
-        if cap == 0 {
-            eprintln!("invalid value for --job-cap: a wave needs at least 1 worker");
-            std::process::exit(2);
-        }
-        spec = spec.with_job_cap(cap);
-    }
-    if let Some(rps) = opts.rps {
-        spec = spec.with_rps(rps);
-    }
-    // Each tenant's Poisson rate is drawn from [0.6, 1.4] × --rps.
-    check_ceiling(
-        f64::from(tenants) * 1.4 * spec.rps * duration,
-        "arrivals",
-        "--tenants, --rps or --duration",
+    let policy = priority_by_name(policy_name).ok_or_else(|| {
+        ce_scaling::sim::unknown_name_msg("priority policy", policy_name, priority_names())
+    })?;
+    let mut spec = LifecycleSpec::new(
+        opts.tenants.unwrap_or(4),
+        opts.duration.unwrap_or(300.0),
+        opts.seed.unwrap_or(42),
     );
-    if let Some(slo) = opts.slo_ms {
-        spec = spec.with_slo_ms(slo);
-    }
-    if let Some(drift) = opts.drift_every {
-        // Each tenant draws about duration / drift drift events up front.
-        if drift > 0.0 {
-            let expected = f64::from(tenants) * duration / drift;
-            check_ceiling(
-                expected,
-                "drift events",
-                "--drift-every, --tenants or --duration",
-            );
-        }
-        spec = spec.with_drift_mean_s(drift);
-    }
-    if let Some(name) = &opts.autoscaler {
-        if let Err(e) = parse_autoscaler(name) {
-            eprintln!("{e}");
-            std::process::exit(2);
-        }
-        spec = spec.with_autoscaler(name);
-    }
-    if let Some(name) = &opts.keepalive {
-        if let Err(e) = ce_scaling::faas::parse_keep_alive(name) {
-            eprintln!("{e}");
-            std::process::exit(2);
-        }
-        spec = spec.with_keep_alive(name);
-    }
-    if let Some(schedule) = opts.chaos() {
-        spec = spec.with_chaos(schedule);
-    }
-    if let Some(cap) = opts.queue_cap {
-        spec = spec.with_queue_cap(cap);
-    }
-    let resilient = opts.resilience();
-    if let Some(res) = resilient.clone() {
-        spec = spec.with_resilience(res);
-    }
-    if let Some(topology) = opts.topology() {
-        spec = spec.with_topology(topology);
-    }
-    if let Some(placement) = opts.placement() {
-        spec = spec.with_placement(placement);
-    }
-    let quota = spec.quota;
+    spec.quota = opts.quota.unwrap_or(spec.quota);
+    spec.job_cap = opts.job_cap.unwrap_or(spec.job_cap);
+    spec.rps = opts.rps.unwrap_or(spec.rps);
+    spec.slo_ms = opts.slo_ms.unwrap_or(spec.slo_ms);
+    spec.drift_mean_s = opts.drift_every.unwrap_or(spec.drift_mean_s);
+    spec.autoscaler = opts.autoscaler.clone().unwrap_or(spec.autoscaler);
+    spec.keep_alive = opts.keepalive.clone().unwrap_or(spec.keep_alive);
+    spec.chaos = opts.chaos.clone();
+    spec.queue_cap = opts.queue_cap.unwrap_or(spec.queue_cap);
+    spec.resilience = opts.resilience();
+    spec.topology = opts.topology.clone().unwrap_or(spec.topology);
+    spec.placement = opts.placement.clone().unwrap_or(spec.placement);
+    spec.validate()?;
+    ce_scaling::serve::parse_autoscaler(&spec.autoscaler)?;
+    ce_scaling::faas::parse_keep_alive(&spec.keep_alive).map_err(|e| e.to_string())?;
+    Ok((spec, policy))
+}
+
+fn cmd_lifecycle(opts: &Opts) -> Result<(), String> {
+    let (spec, policy) = lifecycle_spec(opts)?;
+    let (tenants, duration, quota) = (spec.tenants, spec.duration_s, spec.quota);
+    let resilient = spec.resilience.enabled();
     let r = LifecycleSim::new(spec, policy)
         .with_obs(ce_scaling::obs::global())
         .run();
@@ -916,7 +744,7 @@ fn cmd_lifecycle(opts: &Opts) {
         sum(|t| t.failed),
         sum(|t| t.shed_throttled + t.shed_overload + t.shed_outage + t.shed_breaker),
     );
-    if resilient.is_some() {
+    if resilient {
         println!(
             "  resilience     {} attempts ({} retries, {} hedges, {} hedge wins)",
             sum(|t| t.attempts),
@@ -975,11 +803,12 @@ fn cmd_lifecycle(opts: &Opts) {
     }
     let (sv, miss, usd) = r.frontier_point();
     println!("  frontier       ({sv:.4}, {miss:.4}, ${usd:.4})");
+    Ok(())
 }
 
-fn cmd_storage(opts: &Opts) {
+fn cmd_storage(opts: &Opts) -> Result<(), String> {
     let env = Environment::aws_default();
-    let w = opts.workload();
+    let w = opts.workload()?;
     let n = opts.n.unwrap_or(10);
     let cost_model = CostModel::new(&env);
     println!(
@@ -1011,6 +840,294 @@ fn cmd_storage(opts: &Opts) {
             time.total(),
             cost.total(),
             time.comm_fraction() * 100.0
+        );
+    }
+    Ok(())
+}
+
+#[cfg(test)]
+mod tests {
+    //! In-process flag fuzz: whole flag sets go through `Opts::parse` and
+    //! each command's spec builder. No process is spawned and no
+    //! simulation runs; a builder that accepts must hand back a spec its
+    //! own `validate()` accepts, and every refusal is one line.
+
+    use super::*;
+    use ce_scaling::sim::SimRng;
+
+    /// Values a numeric flag is drawn from: small valid ones half the
+    /// time, else zero, negatives, non-finite, huge integers, extreme
+    /// floats, or junk.
+    const NUMBERS: (&[&str], &[&str]) = (
+        &["1", "2", "8", "60", "0.5"],
+        &[
+            "0",
+            "-0",
+            "-1",
+            "nan",
+            "inf",
+            "-inf",
+            "1e-300",
+            "1e300",
+            "1e9",
+            "100001",
+            "4294967295",
+            "4294967296",
+            "18446744073709551616",
+            "x",
+            "",
+        ],
+    );
+    const TOPOLOGIES: &[&str] = &[
+        "single",
+        "edge-cloud",
+        "pool:a;pool:b",
+        "pool:a,quota=0",
+        "?",
+    ];
+    const PLACEMENTS: &[&str] = &["edge-first", "workload-aware", "nowhere"];
+    const CHAOS: &[&str] = &["crash:0.1@0..inf", "outage:s3@10..20", "gremlins"];
+    const RECOVERY: &[&str] = &["retry", "checkpoint", "replan", "pray"];
+    const MODELS: &[&str] = &["lr", "svm", "gpt"];
+    const DATASETS: &[&str] = &["higgs", "yfcc", "mnist"];
+    const METHODS: &[&str] = &["ce", "lambdaml", "siren", "fixed", "magic"];
+    /// Trained autoscalers stay tiny: a builder parses, and so trains,
+    /// every one it accepts.
+    const AUTOSCALERS: &[&str] = &[
+        "target",
+        "prewarm",
+        "fixed:4",
+        "fixed:0",
+        "fixed:100000",
+        "fixed:100001",
+        "fixed:100000000",
+        "fixed:4294967296",
+        "qlearn:1:0.2:0.1",
+        "qlearn:0:0.2:0.1",
+        "psychic",
+    ];
+    const KEEP_ALIVES: &[&str] = &[
+        "fixed",
+        "fixed:60",
+        "adaptive",
+        "histogram",
+        "fixed:-3",
+        "lru",
+    ];
+
+    /// Draws `cases` flag sets of up to eight `(flag, values)` picks from
+    /// `flags` (a numeric flag lists no values and draws from
+    /// [`NUMBERS`]) and runs each through `Opts::parse` and `build`.
+    /// Every refusal must be one non-empty line, and both outcomes must
+    /// occur.
+    fn fuzz(
+        label: &str,
+        cases: u32,
+        flags: &[(&str, &[&str])],
+        build: impl Fn(&Opts) -> Result<(), String>,
+    ) {
+        let mut rng = SimRng::new(0xF1A9).derive(label);
+        let mut accepted = 0;
+        for _ in 0..cases {
+            let mut args = Vec::new();
+            for _ in 0..rng.gen_index(9) {
+                let (flag, values) = flags[rng.gen_index(flags.len())];
+                let values = match (values.is_empty(), rng.bernoulli(0.5)) {
+                    (false, _) => values,
+                    (true, true) => NUMBERS.0,
+                    (true, false) => NUMBERS.1,
+                };
+                args.push(flag.to_string());
+                args.push(values[rng.gen_index(values.len())].to_string());
+            }
+            match Opts::parse(&args).and_then(|opts| build(&opts)) {
+                Ok(()) => accepted += 1,
+                Err(e) => assert!(
+                    !e.is_empty() && !e.contains('\n'),
+                    "{label} {args:?}: not one line: {e:?}"
+                ),
+            }
+        }
+        assert!(
+            0 < accepted && accepted < cases,
+            "{label}: {accepted} of {cases} flag sets accepted"
+        );
+    }
+
+    #[test]
+    fn serve_flags_build_valid_specs_or_fail_in_one_line() {
+        let arrivals: &[&str] = &[
+            "poisson",
+            "diurnal",
+            "bursty",
+            "zoo:mixed",
+            "zoo",
+            "trace:/no/such/log",
+            "magic",
+        ];
+        fuzz(
+            "serve",
+            400,
+            &[
+                ("--rps", &[]),
+                ("--duration", &[]),
+                ("--arrivals", arrivals),
+                ("--autoscaler", AUTOSCALERS),
+                ("--keepalive", KEEP_ALIVES),
+                ("--queue-cap", &[]),
+                ("--slo-ms", &[]),
+                ("--seed", &[]),
+                ("--timeout-ms", &[]),
+                ("--retries", &[]),
+                ("--hedge", &["p95", "100", "p50", "-1"]),
+                ("--breaker", &[]),
+                ("--topology", TOPOLOGIES),
+                ("--placement", PLACEMENTS),
+                ("--chaos", CHAOS),
+            ],
+            |opts| {
+                let (spec, _, _) = serve_spec(opts)?;
+                assert_eq!(spec.validate(), Ok(()), "{opts:?}");
+                Ok(())
+            },
+        );
+    }
+
+    #[test]
+    fn lifecycle_flags_build_valid_specs_or_fail_in_one_line() {
+        let policies: &[&str] = &[
+            "serve-first",
+            "train-first",
+            "fair-share",
+            "deadline",
+            "yolo",
+        ];
+        fuzz(
+            "lifecycle",
+            400,
+            &[
+                ("--tenants", &[]),
+                ("--duration", &[]),
+                ("--rps", &[]),
+                ("--quota", &[]),
+                ("--job-cap", &[]),
+                ("--drift-every", &[]),
+                ("--queue-cap", &[]),
+                ("--slo-ms", &[]),
+                ("--policy", policies),
+                ("--autoscaler", AUTOSCALERS),
+                ("--keepalive", KEEP_ALIVES),
+                ("--retries", &[]),
+                ("--topology", TOPOLOGIES),
+                ("--placement", PLACEMENTS),
+                ("--chaos", CHAOS),
+            ],
+            |opts| {
+                let (spec, _) = lifecycle_spec(opts)?;
+                assert_eq!(spec.validate(), Ok(()), "{opts:?}");
+                Ok(())
+            },
+        );
+    }
+
+    #[test]
+    fn cluster_flags_build_valid_specs_or_fail_in_one_line() {
+        let policies: &[&str] = &["fifo", "edf", "cost-greedy", "reject-on-overload", "magic"];
+        fuzz(
+            "cluster",
+            400,
+            &[
+                ("--jobs", &[]),
+                ("--rate", &[]),
+                ("--quota", &[]),
+                ("--job-cap", &[]),
+                ("--checkpoint-every", &[]),
+                ("--seed", &[]),
+                ("--policy", policies),
+                ("--engine", &["heap", "naive", "quantum"]),
+                ("--recovery", RECOVERY),
+                ("--topology", TOPOLOGIES),
+                ("--placement", PLACEMENTS),
+                ("--chaos", CHAOS),
+            ],
+            |opts| {
+                let (spec, _) = cluster_spec(opts)?;
+                assert_eq!(spec.validate(), Ok(()), "{opts:?}");
+                Ok(())
+            },
+        );
+    }
+
+    /// A finite positive budget or deadline, as every job needs.
+    fn constraint_ok(c: Constraint) -> bool {
+        let (Constraint::Budget(x) | Constraint::Deadline(x)) = c;
+        x.is_finite() && x > 0.0
+    }
+
+    #[test]
+    fn train_flags_build_runnable_jobs_or_fail_in_one_line() {
+        fuzz(
+            "train",
+            150,
+            &[
+                ("--model", MODELS),
+                ("--dataset", DATASETS),
+                ("--method", METHODS),
+                ("--budget", &[]),
+                ("--deadline", &[]),
+                ("--failure-rate", &[]),
+                ("--checkpoint-every", &[]),
+                ("--recovery", RECOVERY),
+                ("--chaos", CHAOS),
+                ("--seed", &[]),
+            ],
+            |opts| {
+                let (job, _) = training_job(opts)?;
+                assert_ne!(job.checkpoint_every, Some(0), "{opts:?}");
+                assert!(constraint_ok(job.constraint), "{opts:?}");
+                assert!((0.0..=1.0).contains(&job.platform.failure_rate), "{opts:?}");
+                Ok(())
+            },
+        );
+    }
+
+    #[test]
+    fn plan_tuning_flags_build_valid_brackets_or_fail_in_one_line() {
+        let trials: &[&str] = &[
+            "64",
+            "256",
+            "1024",
+            "0",
+            "3",
+            "100",
+            "4294967295",
+            "-1",
+            "x",
+        ];
+        fuzz(
+            "plan-tuning",
+            150,
+            &[
+                ("--model", MODELS),
+                ("--dataset", DATASETS),
+                ("--method", METHODS),
+                ("--trials", trials),
+                ("--budget", &[]),
+                ("--deadline", &[]),
+                ("--seed", &[]),
+            ],
+            |opts| {
+                let (job, _) = tuning_job(opts)?;
+                let sha = job.sha;
+                let again = ShaSpec::try_new(
+                    sha.initial_trials,
+                    sha.reduction_factor,
+                    sha.epochs_per_stage,
+                );
+                assert_eq!(again.ok(), Some(sha), "{opts:?}");
+                assert!(constraint_ok(job.constraint), "{opts:?}");
+                Ok(())
+            },
         );
     }
 }

@@ -185,6 +185,32 @@ fn lifecycle_bad_inputs_are_usage_errors() {
 }
 
 #[test]
+fn zero_sizes_are_usage_errors() {
+    for (args, needle) in [
+        (
+            &["train", "--checkpoint-every", "0"][..],
+            "at least 1 epoch",
+        ),
+        (&["cluster", "--checkpoint-every", "0"], "at least 1 epoch"),
+        (&["cluster", "--quota", "0"], "at least 1 worker"),
+        (&["cluster", "--job-cap", "0"], "at least 1 worker"),
+    ] {
+        assert_one_line_error(args, needle);
+    }
+}
+
+#[test]
+fn fixed_pools_over_the_ceiling_are_usage_errors() {
+    // Refused while parsing, so no pool is ever prewarmed.
+    for cmd in ["serve", "lifecycle"] {
+        assert_one_line_error(
+            &[cmd, "--autoscaler", "fixed:100000000"],
+            "must be in [1, 100000]",
+        );
+    }
+}
+
+#[test]
 fn topologies_over_the_pool_cap_are_usage_errors() {
     let spec = (0..257)
         .map(|i| format!("pool:p{i}"))

@@ -1639,7 +1639,9 @@ fn placement_names_parse_or_fail_typed() {
 
 #[test]
 fn autoscaler_specs_parse_or_fail_typed() {
-    use ce_scaling::serve::{autoscaler_names, parse_autoscaler, MAX_QLEARN_EPISODES};
+    use ce_scaling::serve::{
+        autoscaler_names, parse_autoscaler, MAX_CAPACITY, MAX_QLEARN_EPISODES,
+    };
     // Valid episode counts stay tiny: an accepted spec trains a policy.
     const EPISODES: Piece = (
         &["1", "2", "+1"],
@@ -1659,6 +1661,20 @@ fn autoscaler_specs_parse_or_fail_typed() {
         &["1.5", "-0.1", "nan", "inf", ""],
     );
     const ALPHAS: Piece = (&["0.1", "1", "0.5"], &["0", "1.01", "-1", "NaN", "", "x"]);
+    // Accepted sizes are only parsed here: a fixed pool prewarms its
+    // whole size when a run starts, so no run is built from them.
+    const SIZES: Piece = (
+        &["1", "4", "600", "100000"],
+        &[
+            "0",
+            "100001",
+            "100000000",
+            "4294967295",
+            "4294967296",
+            "-1",
+            "",
+        ],
+    );
     prop("autoscaler-spec", 300, |rng| {
         let spec = if rng.bernoulli(0.7) {
             let mut parts = vec![pick(rng, EPISODES), pick(rng, EPSILONS), pick(rng, ALPHAS)];
@@ -1668,21 +1684,31 @@ fn autoscaler_specs_parse_or_fail_typed() {
                 _ => {}
             }
             format!("qlearn:{}", parts.join(":"))
+        } else if rng.bernoulli(0.5) {
+            // Huge sizes as often as valid ones.
+            let sizes = if rng.bernoulli(0.5) { SIZES.0 } else { SIZES.1 };
+            format!("fixed:{}", sizes[rng.gen_index(sizes.len())])
         } else {
             // No `qlearn` here: a truncation could yield plain `qlearn`,
             // which trains for the default 300 episodes.
             fuzzed_name(rng, &["fixed:4", "target", "prewarm"])
         };
-        let well_formed = spec.strip_prefix("qlearn:").map(|body| {
+        let fixed_size = |n: &str| {
+            n.parse::<u32>()
+                .is_ok_and(|n| (1..=MAX_CAPACITY).contains(&n))
+        };
+        let well_formed = spec.strip_prefix("fixed:").map(fixed_size).or_else(|| {
+            let body = spec.strip_prefix("qlearn:")?;
             let parts: Vec<&str> = body.split(':').collect();
-            parts.len() == 3
+            let ok = parts.len() == 3
                 && parts[0]
                     .parse::<u32>()
                     .is_ok_and(|e| (1..=MAX_QLEARN_EPISODES).contains(&e))
                 && parts[1]
                     .parse::<f64>()
                     .is_ok_and(|e| (0.0..=1.0).contains(&e))
-                && parts[2].parse::<f64>().is_ok_and(|a| a > 0.0 && a <= 1.0)
+                && parts[2].parse::<f64>().is_ok_and(|a| a > 0.0 && a <= 1.0);
+            Some(ok)
         });
         match parse_autoscaler(&spec) {
             Ok(scaler) => {
