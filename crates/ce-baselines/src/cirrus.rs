@@ -9,7 +9,6 @@
 //! function restarts.
 
 use crate::statics::{optimal_static_plan, StaticError};
-use ce_models::Allocation;
 use ce_pareto::Profile;
 use ce_training::{AdaptiveScheduler, SchedulerConfig, TrainingObjective};
 use ce_tuning::{Objective, PartitionPlan, ShaSpec};
@@ -55,38 +54,6 @@ impl CirrusScheduler {
                 ..SchedulerConfig::default()
             },
         )
-    }
-
-    /// Static training allocation (unmodified Cirrus): the best VM-PS
-    /// allocation under the mean epoch estimate.
-    pub fn static_training_allocation(
-        &self,
-        vmps_profile: &Profile,
-        objective: TrainingObjective,
-        estimated_epochs: f64,
-    ) -> Option<Allocation> {
-        let points = vmps_profile.points();
-        match objective {
-            TrainingObjective::MinJctGivenBudget { budget } => points
-                .iter()
-                .filter(|p| estimated_epochs * p.cost_usd() <= budget)
-                .min_by(|a, b| a.time_s().total_cmp(&b.time_s()))
-                .or_else(|| {
-                    points
-                        .iter()
-                        .min_by(|a, b| a.cost_usd().total_cmp(&b.cost_usd()))
-                }),
-            TrainingObjective::MinCostGivenQos { qos_s } => points
-                .iter()
-                .filter(|p| estimated_epochs * p.time_s() <= qos_s)
-                .min_by(|a, b| a.cost_usd().total_cmp(&b.cost_usd()))
-                .or_else(|| {
-                    points
-                        .iter()
-                        .min_by(|a, b| a.time_s().total_cmp(&b.time_s()))
-                }),
-        }
-        .map(|p| p.alloc)
     }
 }
 
@@ -138,21 +105,5 @@ mod tests {
             2.3,
         );
         assert!(!sched.delayed_restart());
-    }
-
-    #[test]
-    fn static_training_allocation_fits_estimate() {
-        let w = Workload::mobilenet_cifar10();
-        let p = vmps_profile(&w);
-        let alloc = CirrusScheduler::new()
-            .static_training_allocation(
-                &p,
-                TrainingObjective::MinJctGivenBudget { budget: 50.0 },
-                40.0,
-            )
-            .unwrap();
-        assert_eq!(alloc.storage, StorageKind::VmPs);
-        let point = p.points().iter().find(|q| q.alloc == alloc).unwrap();
-        assert!(40.0 * point.cost_usd() <= 50.0);
     }
 }

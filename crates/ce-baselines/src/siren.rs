@@ -60,13 +60,6 @@ impl SirenPolicy {
             ((progress.clamp(0.0, 1.0)) * (self.greedy.len() as f64 - 1.0)).round() as usize;
         self.candidates[self.greedy[bucket]].alloc
     }
-
-    /// The profiled point behind a decision.
-    pub fn point_for(&self, progress: f64) -> &AllocPoint {
-        let bucket =
-            ((progress.clamp(0.0, 1.0)) * (self.greedy.len() as f64 - 1.0)).round() as usize;
-        &self.candidates[self.greedy[bucket]]
-    }
 }
 
 impl SirenScheduler {
@@ -434,6 +427,7 @@ mod tests {
         let w = Workload::lr_higgs();
         let p = s3_profile(&w);
         let s = SirenScheduler::new();
+        let boundary = p.boundary();
         let avg_cost = |budget: f64| {
             let policy = s.train_policy(
                 &p,
@@ -442,7 +436,14 @@ mod tests {
                 11,
             );
             (0..10)
-                .map(|i| policy.point_for(f64::from(i) / 9.0).cost_usd())
+                .map(|i| {
+                    let alloc = policy.decide(f64::from(i) / 9.0);
+                    boundary
+                        .iter()
+                        .find(|q| q.alloc == alloc)
+                        .unwrap()
+                        .cost_usd()
+                })
                 .sum::<f64>()
                 / 10.0
         };

@@ -44,11 +44,6 @@ impl FaultSchedule {
         parse::parse(spec)
     }
 
-    pub fn with_horizon(mut self, horizon_s: f64) -> Self {
-        self.horizon_s = horizon_s;
-        self
-    }
-
     pub fn is_empty(&self) -> bool {
         self.windows.is_empty() && self.bursts.is_empty()
     }
@@ -129,12 +124,6 @@ pub struct CompiledSchedule {
 impl CompiledSchedule {
     pub fn windows(&self) -> &[FaultWindow] {
         &self.windows
-    }
-
-    /// True when no window can ever inject anything (empty schedule or all
-    /// severities zero). Attaching such a schedule must be a no-op.
-    pub fn is_zero_fault(&self) -> bool {
-        self.windows.iter().all(|w| w.fault.is_zero())
     }
 
     /// Aggregates every window containing `t_s` into the faults in force at
@@ -241,7 +230,7 @@ mod tests {
     #[test]
     fn empty_schedule_is_quiet_everywhere() {
         let c = FaultSchedule::none().compile(&SimRng::new(1));
-        assert!(c.is_zero_fault());
+        assert!(c.windows().is_empty());
         assert!(c.active_at(0.0).is_quiet());
         assert!(c.active_at(1e9).is_quiet());
     }
@@ -250,7 +239,7 @@ mod tests {
     fn zero_severity_windows_are_zero_fault() {
         let s = FaultSchedule::parse("crash:0@0..inf;coldspike:x1@0..inf").unwrap();
         let c = s.compile(&SimRng::new(1));
-        assert!(c.is_zero_fault());
+        assert!(c.windows().iter().all(|w| w.fault.is_zero()));
         assert!(c.active_at(5.0).is_quiet());
     }
 
@@ -281,9 +270,8 @@ mod tests {
 
     #[test]
     fn burst_rate_matches_poisson_mean() {
-        let s = FaultSchedule::parse("crash:0.5~12/hx30")
-            .unwrap()
-            .with_horizon(100.0 * 3600.0);
+        let mut s = FaultSchedule::parse("crash:0.5~12/hx30").unwrap();
+        s.horizon_s = 100.0 * 3600.0;
         let c = s.compile(&SimRng::new(3));
         let n = c.windows().len() as f64;
         let expect = 12.0 * 100.0;

@@ -58,7 +58,6 @@ pub mod keepalive;
 pub mod platform;
 pub mod quota;
 pub mod restart;
-pub mod stage;
 
 pub use billing::BillingLedger;
 pub use epoch::{ExecutionFidelity, MeasuredEpoch};

@@ -46,28 +46,6 @@ pub enum EpochError {
     },
 }
 
-impl EpochError {
-    /// The quota rejection, when that is what this error is.
-    pub fn as_quota(&self) -> Option<&QuotaExceeded> {
-        match self {
-            EpochError::Quota(q) => Some(q),
-            _ => None,
-        }
-    }
-
-    /// True for injected faults (worker loss, throttling, storage outage)
-    /// — conditions a recovery policy can wait out or repair, as opposed
-    /// to admission errors that need a different allocation.
-    pub fn is_fault(&self) -> bool {
-        matches!(
-            self,
-            EpochError::WorkerLost { .. }
-                | EpochError::Throttled { .. }
-                | EpochError::StorageUnavailable { .. }
-        )
-    }
-}
-
 impl fmt::Display for EpochError {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
@@ -616,7 +594,9 @@ mod tests {
         let w = Workload::lr_higgs();
         let huge = Allocation::new(5000, 1769, StorageKind::S3);
         let err = p.run_epoch(&w, &huge, ExecutionFidelity::Fast).unwrap_err();
-        let quota = err.as_quota().expect("a quota error");
+        let EpochError::Quota(quota) = err else {
+            panic!("a quota error, got {err}");
+        };
         assert!(quota.is_structural(), "5000 > 3000 can never fit");
         assert_eq!(quota.limit, 3000);
         assert_eq!(p.registry().counter("faas.limit_breaches").get(), 1);
@@ -713,7 +693,15 @@ mod tests {
                 match p.run_epoch(&w, &lr_alloc(), ExecutionFidelity::Fast) {
                     Ok(m) => epochs.push(m),
                     Err(e) => {
-                        assert!(e.is_fault());
+                        assert!(
+                            matches!(
+                                e,
+                                EpochError::WorkerLost { .. }
+                                    | EpochError::Throttled { .. }
+                                    | EpochError::StorageUnavailable { .. }
+                            ),
+                            "{e}"
+                        );
                         faults += 1;
                         assert!(faults < 1000, "chaos must not starve the job");
                     }

@@ -252,6 +252,10 @@ impl LifecycleSim {
                 pinned[idx] += 1;
             }
         }
+        // Every lane starts from a copy of one parsed policy, so a
+        // `qlearn` autoscaler trains once, not once per tenant.
+        let keep_alive = parse_keep_alive(&spec.keep_alive).expect("known keep-alive");
+        let autoscaler = autoscaler_by_name(&spec.autoscaler).expect("known autoscaler");
         // Tenant `i` is the engine's schedule `i`, served on lane `i`.
         let mut schedules = Vec::new();
         let mut lanes = Vec::new();
@@ -276,10 +280,8 @@ impl LifecycleSim {
                 quota: None,
                 ..spec.topology.pools[serve_pool].clone()
             };
-            let keep_alive = parse_keep_alive(&spec.keep_alive).expect("known keep-alive");
-            let autoscaler = autoscaler_by_name(&spec.autoscaler).expect("known autoscaler");
-            let pool = InstancePool::new().with_keep_alive(keep_alive);
-            lanes.push(Lane::new(node, pool, autoscaler, i));
+            let pool = InstancePool::new().with_keep_alive(keep_alive.clone_box());
+            lanes.push(Lane::new(node, pool, autoscaler.clone_box(), i));
             tenants.push(TenantState {
                 version: 0,
                 serve_pool,

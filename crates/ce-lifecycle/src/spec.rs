@@ -15,7 +15,7 @@ use ce_ml::curve::CurveParams;
 use ce_models::{AllocationSpace, Environment, Workload};
 use ce_pareto::ParetoProfiler;
 use ce_resilience::ResilienceSpec;
-use ce_serve::{check_arrivals, ArrivalModel};
+use ce_serve::{check_arrivals, fixed_pool_size, ArrivalModel, MAX_CAPACITY};
 use ce_sim_core::rng::SimRng;
 use ce_sim_core::SpecError;
 use ce_topo::Topology;
@@ -189,6 +189,16 @@ impl LifecycleSpec {
             check_arrivals(
                 "drift events",
                 tenants * self.duration_s / self.drift_mean_s,
+            )?;
+        }
+        // Every tenant's lane prewarms its own fixed pool up front. A bad
+        // size is left to the autoscaler parser; a `qlearn` spec is never
+        // parsed here, since parsing it trains.
+        if let Some(Ok(size)) = fixed_pool_size(&self.autoscaler) {
+            SpecError::at_most(
+                "warm instances",
+                tenants * f64::from(size),
+                MAX_CAPACITY as usize,
             )?;
         }
         self.topology.validate(&self.placement)
@@ -370,6 +380,10 @@ mod tests {
             (with(|s| s.drift_mean_s = 1e-6), "drift events"),
             (with(|s| s.drift_mean_s = f64::NAN), "drift events"),
             (
+                with(|s| s.autoscaler = "fixed:100000".into()),
+                "over the ceiling of 100000 warm instances",
+            ),
+            (
                 with(|s| s.placement = "nowhere".into()),
                 "unknown placement",
             ),
@@ -385,6 +399,13 @@ mod tests {
         };
         assert_eq!(top(1.0).validate(), Ok(()));
         assert!(top(1.001).validate().is_err());
+        // Fixed pools are bounded across the fleet: 4 tenants × 25,000.
+        let fixed = |size: u32| LifecycleSpec {
+            autoscaler: format!("fixed:{size}"),
+            ..ok.clone()
+        };
+        assert_eq!(fixed(25_000).validate(), Ok(()));
+        assert!(fixed(25_001).validate().is_err());
     }
 
     #[test]

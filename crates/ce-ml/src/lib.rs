@@ -32,7 +32,6 @@ pub mod distributed;
 pub mod hyperparam;
 pub mod model;
 pub mod sgd;
-pub mod softmax;
 pub mod synth;
 
 pub use curve::{CurveParams, LossCurve};

@@ -54,12 +54,6 @@ impl SgdTrainer {
         &self.weights
     }
 
-    /// Overwrites the weights (used after BSP synchronization).
-    pub fn set_weights(&mut self, w: &[f32]) {
-        assert_eq!(w.len(), self.weights.len());
-        self.weights.copy_from_slice(w);
-    }
-
     /// Computes the average gradient over `batch` instance indices of
     /// `data`, *without* applying it (BSP workers exchange raw gradients).
     pub fn gradient(&self, data: &SynthDataset, batch: &[usize]) -> Vec<f32> {
@@ -265,13 +259,6 @@ mod tests {
     }
 
     #[test]
-    fn set_weights_roundtrips() {
-        let mut t = SgdTrainer::new(LinearLoss::Hinge, 4, 0.1, 0.0);
-        t.set_weights(&[1.0, 2.0, 3.0, 4.0]);
-        assert_eq!(t.weights(), &[1.0, 2.0, 3.0, 4.0]);
-    }
-
-    #[test]
     fn training_is_deterministic() {
         let data = dataset(8);
         let run = |seed| {
@@ -290,7 +277,7 @@ mod tests {
         // parallel engine reduces in the sequential association order.
         let data = dataset(11);
         let mut t = SgdTrainer::new(LinearLoss::Logistic, 16, 0.1, 0.9);
-        t.set_weights(&[0.03f32; 16]);
+        t.weights = vec![0.03f32; 16];
         let batch: Vec<usize> = (0..512).collect();
         let seq = rayon::with_threads(1, || t.gradient(&data, &batch));
         for threads in [2, 8] {

@@ -27,12 +27,6 @@ impl Allocation {
             storage,
         }
     }
-
-    /// Total memory across all functions, in GB (the "resource volume"
-    /// Fig. 11 normalizes by).
-    pub fn total_gb(&self) -> f64 {
-        f64::from(self.n) * f64::from(self.memory_mb) / 1024.0
-    }
 }
 
 impl fmt::Display for Allocation {
@@ -120,11 +114,6 @@ impl AllocationSpace {
         }
         out
     }
-
-    /// Total size of the unfiltered grid `|N| · |M| · |S|`.
-    pub fn cardinality(&self) -> usize {
-        self.function_counts.len() * self.memory_sizes.len() * self.storages.len()
-    }
 }
 
 #[cfg(test)]
@@ -148,12 +137,6 @@ mod tests {
     }
 
     #[test]
-    fn total_gb() {
-        let a = Allocation::new(10, 1024, StorageKind::S3);
-        assert!((a.total_gb() - 10.0).abs() < 1e-12);
-    }
-
-    #[test]
     #[should_panic(expected = "at least one")]
     fn zero_functions_rejected() {
         Allocation::new(0, 1024, StorageKind::S3);
@@ -168,7 +151,12 @@ mod tests {
     #[test]
     fn default_space_cardinality() {
         let space = AllocationSpace::aws_default();
-        assert_eq!(space.cardinality(), 13 * 16 * 4);
+        let dims = (
+            space.function_counts.len(),
+            space.memory_sizes.len(),
+            space.storages.len(),
+        );
+        assert_eq!(dims, (13, 16, 4));
     }
 
     #[test]

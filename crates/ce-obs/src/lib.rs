@@ -200,6 +200,33 @@ impl Histogram {
         Some(state.max)
     }
 
+    /// Folds every observation of `other` into this histogram:
+    /// count/sum/min/max and bucket tables combine, and quantile
+    /// tracking is enabled here if `other` had it. Folding into an empty
+    /// histogram reproduces `other`'s state bit for bit.
+    pub fn merge_from(&self, other: &Histogram) {
+        let theirs = other.0.lock().expect("histogram lock").clone();
+        let mut state = self.0.lock().expect("histogram lock");
+        if theirs.count > 0 {
+            if state.count == 0 {
+                state.min = theirs.min;
+                state.max = theirs.max;
+            } else {
+                state.min = state.min.min(theirs.min);
+                state.max = state.max.max(theirs.max);
+            }
+            state.count += theirs.count;
+            state.sum += theirs.sum;
+        }
+        if let Some(their_buckets) = theirs.buckets {
+            let buckets = state.buckets.get_or_insert_with(BucketTable::default);
+            buckets.zeros += their_buckets.zeros;
+            for (idx, n) in their_buckets.counts {
+                *buckets.counts.entry(idx).or_insert(0) += n;
+            }
+        }
+    }
+
     /// Median (see [`Histogram::quantile`]).
     pub fn p50(&self) -> Option<f64> {
         self.quantile(0.50)
@@ -482,27 +509,7 @@ impl Registry {
             .expect("histograms lock")
             .iter()
         {
-            let theirs = histogram.0.lock().expect("histogram lock").clone();
-            let ours = self.histogram(name);
-            let mut state = ours.0.lock().expect("histogram lock");
-            if theirs.count > 0 {
-                if state.count == 0 {
-                    state.min = theirs.min;
-                    state.max = theirs.max;
-                } else {
-                    state.min = state.min.min(theirs.min);
-                    state.max = state.max.max(theirs.max);
-                }
-                state.count += theirs.count;
-                state.sum += theirs.sum;
-            }
-            if let Some(their_buckets) = theirs.buckets {
-                let buckets = state.buckets.get_or_insert_with(BucketTable::default);
-                buckets.zeros += their_buckets.zeros;
-                for (idx, n) in their_buckets.counts {
-                    *buckets.counts.entry(idx).or_insert(0) += n;
-                }
-            }
+            self.histogram(name).merge_from(histogram);
         }
         let their_events = other.inner.events.lock().expect("events lock").clone();
         self.inner

@@ -8,7 +8,6 @@ use crate::report::{pct, Table};
 use ce_ml::curve::LossCurve;
 use ce_models::Workload;
 use ce_sim_core::rng::SimRng;
-use ce_sim_core::stats::mean;
 use ce_training::{OfflinePredictor, OnlinePredictor};
 use serde_json::{json, Value};
 
@@ -81,6 +80,15 @@ pub fn run(quick: bool) -> Value {
         }));
     }
     json!({ "fig4": out })
+}
+
+/// Arithmetic mean, summed left to right (0 for an empty slice).
+fn mean(data: &[f64]) -> f64 {
+    if data.is_empty() {
+        0.0
+    } else {
+        data.iter().sum::<f64>() / data.len() as f64
+    }
 }
 
 #[cfg(test)]

@@ -266,6 +266,27 @@ pub fn autoscaler_names() -> &'static [&'static str] {
     ]
 }
 
+fn unknown_autoscaler(name: &str) -> String {
+    ce_sim_core::unknown_name_msg("autoscaler", name, autoscaler_names())
+}
+
+/// The pool size of a `fixed:<size>` spec, parsed and range-checked as
+/// [`parse_autoscaler`] does; `None` for any other spec. Builds nothing,
+/// so a caller can bound what a fixed pool would prewarm.
+///
+/// # Errors
+/// [`parse_autoscaler`]'s message for a malformed or out-of-range size.
+pub fn fixed_pool_size(name: &str) -> Option<Result<u32, String>> {
+    let rest = name.strip_prefix("fixed:")?;
+    Some(match rest.parse::<u32>() {
+        Err(_) => Err(unknown_autoscaler(name)),
+        Ok(size) if !(1..=MAX_CAPACITY).contains(&size) => Err(format!(
+            "invalid fixed:<n> pool size {size}: must be in [1, {MAX_CAPACITY}]"
+        )),
+        Ok(size) => Ok(size),
+    })
+}
+
 /// Parses an autoscaler spec: `fixed:<size>`, `target`, `prewarm`, or
 /// `qlearn` (optionally `qlearn:<episodes>:<epsilon>:<alpha>`, which
 /// trains the frozen policy with those hyperparameters).
@@ -274,15 +295,8 @@ pub fn autoscaler_names() -> &'static [&'static str] {
 /// A human-readable message: invalid `qlearn` hyperparameters get a
 /// targeted diagnosis; everything else lists the valid spellings.
 pub fn parse_autoscaler(name: &str) -> Result<Box<dyn Autoscaler>, String> {
-    let unknown = || ce_sim_core::unknown_name_msg("autoscaler", name, autoscaler_names());
-    if let Some(rest) = name.strip_prefix("fixed:") {
-        let size: u32 = rest.parse().map_err(|_| unknown())?;
-        if !(1..=MAX_CAPACITY).contains(&size) {
-            return Err(format!(
-                "invalid fixed:<n> pool size {size}: must be in [1, {MAX_CAPACITY}]"
-            ));
-        }
-        return Ok(Box::new(FixedPool::new(size)));
+    if let Some(size) = fixed_pool_size(name) {
+        return Ok(Box::new(FixedPool::new(size?)));
     }
     if name == "qlearn" || name.starts_with("qlearn:") {
         let mut config = crate::qscale::QScalerConfig::default();
@@ -322,7 +336,7 @@ pub fn parse_autoscaler(name: &str) -> Result<Box<dyn Autoscaler>, String> {
     match name {
         "target" => Ok(Box::new(ConcurrencyTarget::default())),
         "prewarm" => Ok(Box::new(PrewarmAhead::default())),
-        _ => Err(unknown()),
+        _ => Err(unknown_autoscaler(name)),
     }
 }
 

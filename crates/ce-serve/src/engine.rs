@@ -53,6 +53,14 @@
 //! `"request-throttle"/i`. Cold-start and service times multiply by the
 //! schedule's model factors in a fixed order; serving passes exactly
 //! `1.0`, and `x * 1.0 == x` keeps its bits.
+//!
+//! # Metrics
+//!
+//! The engine only writes to its registry. The end-to-end latency
+//! distribution that the P95 hedge delay and the report's quantiles read
+//! is the engine's own histogram, published to `{prefix}.latency_ms`
+//! once per run by [`Engine::flush_verdicts`], so a run's outcome never
+//! depends on what else wrote to a shared registry.
 
 use crate::autoscale::{Autoscaler, LoadObservation, ScaleDecision};
 use crate::sim::ServeSpec;
@@ -403,7 +411,8 @@ pub struct Engine<E> {
     pub events: EventQueue<E>,
     chaos: Option<CompiledSchedule>,
     outage_end_pending: bool,
-    latency_h: Option<Histogram>,
+    /// The run's end-to-end latency distribution (see "Metrics").
+    latency: Histogram,
     queue_wait_h: Option<Histogram>,
     cold_start_h: Option<Histogram>,
     attempts_h: Option<Histogram>,
@@ -425,7 +434,7 @@ impl<E: From<ReqEv>> Engine<E> {
             events: EventQueue::with_capacity(1024),
             chaos,
             outage_end_pending: false,
-            latency_h: None,
+            latency: Histogram::default(),
             queue_wait_h: None,
             cold_start_h: None,
             attempts_h: None,
@@ -437,12 +446,15 @@ impl<E: From<ReqEv>> Engine<E> {
     /// with `cold_starts`), allocates resilience state when enabled, and
     /// applies every lane autoscaler's initial decision.
     pub fn start(&mut self, prefix: &str, cold_starts: bool) {
+        self.latency.enable_quantiles();
         let open = |name: &str| {
             let h = self.obs.histogram(name);
             h.enable_quantiles();
             h
         };
-        self.latency_h = Some(open(&format!("{prefix}.latency_ms")));
+        // Registered now, so a run without completions still exports it;
+        // `flush_verdicts` fills it from `self.latency`.
+        open(&format!("{prefix}.latency_ms"));
         self.queue_wait_h = Some(open(&format!("{prefix}.queue_wait_ms")));
         if cold_starts {
             self.cold_start_h = Some(open(&format!("{prefix}.cold_start_ms")));
@@ -639,9 +651,8 @@ impl<E: From<ReqEv>> Engine<E> {
         match policy {
             HedgePolicy::FixedMs(ms) => ms / 1e3,
             HedgePolicy::P95 => {
-                self.latency_h
-                    .as_ref()
-                    .and_then(|h| h.quantile(0.95))
+                self.latency
+                    .quantile(0.95)
                     .unwrap_or(self.spec.slo_ms)
                     .max(1e-3)
                     / 1e3
@@ -1002,9 +1013,7 @@ impl<E: From<ReqEv>> Engine<E> {
         let tally = &mut self.schedules[sched].tally;
         tally.completed += 1;
         let latency_ms = (self.events.now() - arrival) * 1e3 + self.lanes[lane].node.rtt_ms;
-        if let Some(h) = &self.latency_h {
-            h.observe(latency_ms);
-        }
+        self.latency.observe(latency_ms);
         if latency_ms > self.spec.slo_ms {
             tally.slo_violations += 1;
         }
@@ -1160,18 +1169,19 @@ impl<E: From<ReqEv>> Engine<E> {
 
     /// Latency quantile `q` in milliseconds (0 before any completion).
     pub fn latency_quantile(&self, q: f64) -> f64 {
-        self.latency_h
-            .as_ref()
-            .and_then(|h| h.quantile(q))
-            .unwrap_or(0.0)
+        self.latency.quantile(q).unwrap_or(0.0)
     }
 
     /// Emits the verdict metrics summed over every schedule:
     /// `{prefix}.requests` and each verdict and start counter, plus —
     /// whenever resilience is on, so resilient runs export a stable
-    /// metric set — the `resilience.*` group and breaker gauges.
+    /// metric set — the `resilience.*` group and breaker gauges. Also
+    /// publishes the run's latency distribution to `{prefix}.latency_ms`;
+    /// call it once per run.
     pub fn flush_verdicts(&self, prefix: &str) {
         let obs = &self.obs;
+        obs.histogram(&format!("{prefix}.latency_ms"))
+            .merge_from(&self.latency);
         let sum =
             |f: fn(&Tally) -> u64| -> u64 { self.schedules.iter().map(|s| f(&s.tally)).sum() };
         let count = |name: &str, n: u64| obs.counter(&format!("{prefix}.{name}")).add(n);

@@ -64,8 +64,9 @@ pub use arrival::{
     check_arrivals, read_arrival_log, write_arrival_log, ArrivalModel, ArrivalRecord, MAX_ARRIVALS,
 };
 pub use autoscale::{
-    autoscaler_by_name, autoscaler_names, parse_autoscaler, Autoscaler, ConcurrencyTarget,
-    FixedPool, LoadObservation, PrewarmAhead, ScaleDecision, MAX_CAPACITY, MAX_QLEARN_EPISODES,
+    autoscaler_by_name, autoscaler_names, fixed_pool_size, parse_autoscaler, Autoscaler,
+    ConcurrencyTarget, FixedPool, LoadObservation, PrewarmAhead, ScaleDecision, MAX_CAPACITY,
+    MAX_QLEARN_EPISODES,
 };
 pub use qscale::{QLearningAutoscaler, QScalerConfig};
 pub use report::{PoolOutcome, ServeReport};

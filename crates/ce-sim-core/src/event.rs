@@ -120,25 +120,20 @@ impl<E> EventQueue<E> {
             (e.at, e.event)
         })
     }
-
-    /// Delivery time of the next event without popping it.
-    pub fn peek_time(&self) -> Option<SimTime> {
-        self.heap.peek().map(|e| e.at)
-    }
-
-    /// Drains every remaining event in delivery order.
-    pub fn drain_ordered(&mut self) -> Vec<(SimTime, E)> {
-        let mut out = Vec::with_capacity(self.heap.len());
-        while let Some(item) = self.pop() {
-            out.push(item);
-        }
-        out
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// Pops every remaining event, in delivery order.
+    fn drain<E>(q: &mut EventQueue<E>) -> Vec<E> {
+        let mut out = Vec::new();
+        while let Some((_, e)) = q.pop() {
+            out.push(e);
+        }
+        out
+    }
 
     #[test]
     fn delivers_in_time_order() {
@@ -146,7 +141,7 @@ mod tests {
         q.schedule_at(SimTime::from_secs(3.0), "c");
         q.schedule_at(SimTime::from_secs(1.0), "a");
         q.schedule_at(SimTime::from_secs(2.0), "b");
-        let order: Vec<&str> = q.drain_ordered().into_iter().map(|(_, e)| e).collect();
+        let order: Vec<&str> = drain(&mut q);
         assert_eq!(order, vec!["a", "b", "c"]);
     }
 
@@ -157,7 +152,7 @@ mod tests {
         for i in 0..10 {
             q.schedule_at(t, i);
         }
-        let order: Vec<i32> = q.drain_ordered().into_iter().map(|(_, e)| e).collect();
+        let order: Vec<i32> = drain(&mut q);
         assert_eq!(order, (0..10).collect::<Vec<_>>());
     }
 
@@ -191,16 +186,6 @@ mod tests {
     }
 
     #[test]
-    fn peek_does_not_advance() {
-        let mut q = EventQueue::new();
-        q.schedule_in(4.0, ());
-        assert_eq!(q.peek_time().unwrap().as_secs(), 4.0);
-        assert_eq!(q.now(), SimTime::ZERO);
-        assert_eq!(q.len(), 1);
-        assert!(!q.is_empty());
-    }
-
-    #[test]
     fn with_capacity_behaves_like_new() {
         let mut q = EventQueue::with_capacity(64);
         assert!(q.is_empty());
@@ -208,7 +193,7 @@ mod tests {
         for i in 0..4 {
             q.schedule_in(f64::from(4 - i), i);
         }
-        let order: Vec<i32> = q.drain_ordered().into_iter().map(|(_, e)| e).collect();
+        let order: Vec<i32> = drain(&mut q);
         assert_eq!(order, vec![3, 2, 1, 0]);
     }
 
@@ -216,7 +201,6 @@ mod tests {
     fn empty_queue_pops_none() {
         let mut q: EventQueue<()> = EventQueue::new();
         assert!(q.pop().is_none());
-        assert!(q.peek_time().is_none());
         assert!(q.is_empty());
     }
 

@@ -10,8 +10,6 @@
 //!   lognormal samplers used to model runtime jitter.
 //! * [`event`] — a time-ordered event queue ([`event::EventQueue`]) with
 //!   FIFO tie-breaking, the core of the platform simulator.
-//! * [`stats`] — small statistics helpers (running moments, percentiles)
-//!   used by the measurement and validation harnesses.
 //! * [`qlearn`] — reusable tabular Q-learning ([`qlearn::QLearner`]) with a
 //!   strict draw-order contract, shared by the Siren baseline and the
 //!   ce-serve learned autoscaler.
@@ -40,12 +38,10 @@ pub mod event;
 pub mod names;
 pub mod qlearn;
 pub mod rng;
-pub mod stats;
 pub mod time;
 
 pub use event::EventQueue;
 pub use names::{unknown_name_msg, SpecError};
 pub use qlearn::{EpsilonSchedule, QEnv, QLearner, QStep, QTable};
 pub use rng::SimRng;
-pub use stats::Summary;
 pub use time::SimTime;

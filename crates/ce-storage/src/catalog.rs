@@ -116,13 +116,6 @@ impl StorageCatalog {
                 .collect(),
         }
     }
-
-    /// Services able to hold a model of `model_mb` megabytes.
-    pub fn supporting(&self, model_mb: f64) -> impl Iterator<Item = &StorageSpec> {
-        self.services
-            .iter()
-            .filter(move |s| s.supports_model(model_mb))
-    }
 }
 
 #[cfg(test)]
@@ -179,7 +172,12 @@ mod tests {
         // MobileNet's 12 MB model exceeds the 400 KB item limit (Table II's
         // N/A entries).
         let cat = StorageCatalog::aws_default();
-        let supported: Vec<StorageKind> = cat.supporting(12.0).map(|s| s.kind).collect();
+        let supported: Vec<StorageKind> = cat
+            .services()
+            .iter()
+            .filter(|s| s.supports_model(12.0))
+            .map(|s| s.kind)
+            .collect();
         assert!(!supported.contains(&StorageKind::DynamoDb));
         assert!(supported.contains(&StorageKind::S3));
         assert!(supported.contains(&StorageKind::VmPs));

@@ -247,16 +247,6 @@ impl SimStore {
         })
     }
 
-    /// Removes the object under `key` if present.
-    pub fn delete(&self, key: &str) -> bool {
-        self.inner
-            .lock()
-            .expect("store lock")
-            .objects
-            .remove(key)
-            .is_some()
-    }
-
     /// Whether an object exists under `key`.
     pub fn contains(&self, key: &str) -> bool {
         self.inner
@@ -286,11 +276,6 @@ impl SimStore {
             bytes_out: inner.bytes_out,
             request_dollars: inner.dollars,
         }
-    }
-
-    /// Drops all objects but keeps usage counters (end-of-epoch cleanup).
-    pub fn clear_objects(&self) {
-        self.inner.lock().expect("store lock").objects.clear();
     }
 }
 
@@ -381,19 +366,6 @@ mod tests {
         s.put("a", Bytes::from(vec![0u8; 1024])).unwrap();
         s.get("a").unwrap();
         assert_eq!(s.stats().request_dollars, 0.0);
-    }
-
-    #[test]
-    fn delete_and_clear() {
-        let s = store(StorageKind::S3);
-        s.put("a", Bytes::from(vec![1u8])).unwrap();
-        assert!(s.delete("a"));
-        assert!(!s.delete("a"));
-        s.put("b", Bytes::from(vec![1u8])).unwrap();
-        s.clear_objects();
-        assert!(s.is_empty());
-        // Counters survive the clear.
-        assert_eq!(s.stats().puts, 2);
     }
 
     #[test]

@@ -52,9 +52,8 @@ pub mod placement;
 pub mod topology;
 
 pub use placement::{
-    parse_placement, placement_by_name, placement_names, CostGreedy, EdgeFirst, LatencyGreedy,
-    PlacementPolicy, PlacementRequest, PoolView, WorkloadAware, COMPUTE_WORKLOAD_WEIGHT,
-    STORAGE_WORKLOAD_WEIGHT,
+    parse_placement, placement_by_name, placement_names, EdgeFirst, LatencyGreedy, PlacementPolicy,
+    PlacementRequest, PoolView, WorkloadAware, COMPUTE_WORKLOAD_WEIGHT, STORAGE_WORKLOAD_WEIGHT,
 };
 pub use topology::{
     parse_topology, topology_names, NetworkLink, NodePool, Topology, DEFAULT_LINK_BW_MBPS,

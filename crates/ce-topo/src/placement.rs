@@ -10,7 +10,7 @@
 //!
 //! Policies receive a dedicated `SimRng` forked from the host
 //! simulator's root stream by the label `"topo"`, so a stochastic
-//! policy can draw without perturbing any other stream. All four
+//! policy can draw without perturbing any other stream. All three
 //! built-ins draw **nothing** (the zero-draw contract the single-pool
 //! byte-identity argument relies on), and every score comparison
 //! breaks ties toward the lowest pool index.
@@ -154,31 +154,6 @@ impl PlacementPolicy for LatencyGreedy {
     }
 }
 
-/// Minimize the $/GB-s multiplier, preferring pools with headroom so
-/// cheap-but-full never starves the request.
-#[derive(Debug, Clone, Copy, Default)]
-pub struct CostGreedy;
-
-/// Score penalty pushing backlogged pools behind every open one.
-const BACKLOG_PENALTY: f64 = 1e6;
-
-impl PlacementPolicy for CostGreedy {
-    fn name(&self) -> &'static str {
-        "cost-greedy"
-    }
-
-    fn place(&mut self, views: &[PoolView], _req: &PlacementRequest, _rng: &mut SimRng) -> usize {
-        argmin(views, |v| {
-            v.price_factor
-                + if v.has_headroom() {
-                    0.0
-                } else {
-                    BACKLOG_PENALTY
-                }
-        })
-    }
-}
-
 /// Weighted dominant-share planner in the spark-sched idiom: score
 /// each pool on `0.3 × compute share + 0.7 × network share` and take
 /// the minimum. Compute share is the pool's occupancy after admitting
@@ -206,12 +181,7 @@ impl PlacementPolicy for WorkloadAware {
 
 /// The spellings [`parse_placement`] accepts, in presentation order.
 pub fn placement_names() -> &'static [&'static str] {
-    &[
-        "edge-first",
-        "latency-greedy",
-        "cost-greedy",
-        "workload-aware",
-    ]
+    &["edge-first", "latency-greedy", "workload-aware"]
 }
 
 /// Parses a placement-policy name.
@@ -222,7 +192,6 @@ pub fn parse_placement(name: &str) -> Result<Box<dyn PlacementPolicy>, String> {
     match name {
         "edge-first" => Ok(Box::new(EdgeFirst)),
         "latency-greedy" => Ok(Box::new(LatencyGreedy)),
-        "cost-greedy" => Ok(Box::new(CostGreedy)),
         "workload-aware" => Ok(Box::new(WorkloadAware)),
         _ => Err(ce_sim_core::unknown_name_msg(
             "placement policy",
@@ -300,18 +269,6 @@ mod tests {
     }
 
     #[test]
-    fn cost_greedy_takes_the_cheapest_open_pool() {
-        let mut p = CostGreedy;
-        let mut cheap = view(5.0, 0, 4);
-        cheap.price_factor = 0.6;
-        let expensive = view(40.0, 0, 100);
-        assert_eq!(p.place(&[expensive, cheap], &req(), &mut rng()), 1);
-        // Cheap but backlogged yields to an open pool.
-        cheap.inflight = 4;
-        assert_eq!(p.place(&[expensive, cheap], &req(), &mut rng()), 0);
-    }
-
-    #[test]
     fn workload_aware_balances_occupancy_against_the_wire() {
         let mut p = WorkloadAware;
         // Idle edge wins: tiny RTT share, low occupancy.
@@ -338,8 +295,6 @@ mod tests {
         let mut lat = LatencyGreedy;
         let v = view(10.0, 0, 8);
         assert_eq!(lat.place(&[v, v, v], &req(), &mut rng()), 0);
-        let mut cost = CostGreedy;
-        assert_eq!(cost.place(&[v, v], &req(), &mut rng()), 0);
     }
 
     #[test]
@@ -350,7 +305,7 @@ mod tests {
         let err = parse_placement("psychic").unwrap_err();
         assert!(
             err.contains("unknown placement policy: psychic")
-                && err.contains("edge-first|latency-greedy|cost-greedy|workload-aware"),
+                && err.contains("edge-first|latency-greedy|workload-aware"),
             "{err}"
         );
     }

@@ -161,12 +161,6 @@ impl Topology {
         }
     }
 
-    /// Whether this is the trivial one-pool substrate (the byte-identity
-    /// fast path: simulators skip placement entirely).
-    pub fn is_single(&self) -> bool {
-        self.pools.len() <= 1
-    }
-
     /// Index of the pool named `name`.
     pub fn pool_index(&self, name: &str) -> Option<usize> {
         self.pools.iter().position(|p| p.name == name)
@@ -362,7 +356,6 @@ mod tests {
     #[test]
     fn single_topology_is_perfectly_neutral() {
         let t = Topology::single();
-        assert!(t.is_single());
         assert_eq!(t.pools.len(), 1);
         let p = &t.pools[0];
         assert_eq!(p.rtt_ms.to_bits(), 0.0_f64.to_bits());
@@ -379,7 +372,7 @@ mod tests {
     #[test]
     fn edge_cloud_preset_shapes_the_tradeoff() {
         let t = Topology::edge_cloud();
-        assert!(!t.is_single());
+        assert_eq!(t.pools.len(), 2);
         let edge = &t.pools[t.pool_index("edge").unwrap()];
         let cloud = &t.pools[t.pool_index("cloud").unwrap()];
         assert!(edge.rtt_ms < cloud.rtt_ms, "edge is closer");

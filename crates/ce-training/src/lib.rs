@@ -29,12 +29,10 @@
 //! assert!((fit.loss_at(epochs) - 0.4).abs() < 1e-2);
 //! ```
 
-pub mod confidence;
 pub mod fitter;
 pub mod predict;
 pub mod scheduler;
 
-pub use confidence::{BootstrapPredictor, EpochInterval};
 pub use fitter::{FittedCurve, LossCurveFitter};
 pub use predict::{OfflinePredictor, OnlinePredictor};
 pub use scheduler::{AdaptiveScheduler, Decision, SchedulerConfig, TrainingObjective};

@@ -19,8 +19,7 @@
 //!
 //! The planner searches only the Pareto boundary `P` from `ce-pareto`;
 //! the `CandidateSet::FullSpace` ablation (Fig. 21a's WO-pa) searches the
-//! raw grid instead. [`bohb`] and [`hyperband`] extend the same machinery
-//! to BOHB/Hyperband-style tuners (§II-A's applicability claim).
+//! raw grid instead.
 //!
 //! ```
 //! use ce_models::{Environment, Workload};
@@ -40,14 +39,10 @@
 //! assert!(plan.cost() <= budget);
 //! ```
 
-pub mod bohb;
-pub mod hyperband;
 pub mod plan;
 pub mod planner;
 pub mod sha;
 
-pub use bohb::TpeSampler;
-pub use hyperband::HyperbandSpec;
 pub use plan::PartitionPlan;
 pub use planner::{CandidateSet, GreedyPlanner, Objective, PlannerConfig, PlannerStats};
 pub use sha::ShaSpec;

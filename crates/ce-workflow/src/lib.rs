@@ -18,7 +18,6 @@
 //! resource adjustments pay the (delayed or eager) restart overhead of
 //! `ce_faas::restart`.
 
-pub mod bohb_runner;
 pub mod metrics;
 pub mod pipeline;
 pub mod recovery;
@@ -26,7 +25,6 @@ pub mod runner;
 pub mod scenario;
 pub mod trace;
 
-pub use bohb_runner::{BohbJob, BohbReport};
 pub use metrics::{TrainingReport, TuningReport};
 pub use pipeline::{PipelineJob, PipelineReport};
 pub use recovery::RecoveryPolicy;

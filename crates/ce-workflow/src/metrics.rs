@@ -53,8 +53,7 @@ pub struct TuningReport {
     pub qos_violated: bool,
     /// Candidate evaluations performed by the planner.
     pub planner_evaluations: u64,
-    /// Per-trial outcomes (in the order configurations were supplied),
-    /// consumed by model-based tuners (BOHB) to warm their archives.
+    /// Per-trial outcomes, in the order the configurations were sampled.
     pub trials: Vec<TrialOutcome>,
     /// Optional execution timeline (populated by `with_trace`).
     pub trace: Option<crate::trace::Trace>,

@@ -254,26 +254,6 @@ impl TuningJob {
         let configs = self
             .hyper
             .sample_many(self.sha.initial_trials as usize, &mut config_rng);
-        self.run_with_configs(method, &configs)
-    }
-
-    /// Runs the bracket under `method` with externally supplied
-    /// configurations (used by model-based tuners such as BOHB, which
-    /// propose configurations from an archive of earlier brackets).
-    ///
-    /// # Panics
-    /// Panics unless exactly `sha.initial_trials` configurations are
-    /// supplied.
-    pub fn run_with_configs(
-        &self,
-        method: Method,
-        configs: &[ce_ml::HyperConfig],
-    ) -> Result<TuningReport, WorkflowError> {
-        assert_eq!(
-            configs.len(),
-            self.sha.initial_trials as usize,
-            "one configuration per first-stage trial"
-        );
         let (plan, sched_overhead_s, planner_evaluations) = self.plan_for(method)?;
         // The timeline is always captured: it feeds the observability
         // sink; the report only carries it when `capture_trace` is set.
@@ -285,7 +265,6 @@ impl TuningJob {
                 initial: plan.stages[0].alloc,
             },
         );
-        let rng = SimRng::new(self.seed).derive("tuning");
         let curve = curve_for(&self.workload);
 
         // Attach a stochastic convergence realization to each trial.

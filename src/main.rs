@@ -140,7 +140,7 @@ const USAGE: &str = "usage: ce-scaling <command> [options]\n\n\
        --brownout F      degraded-mode serving: service time x F when queue is half full\n  \
        --topology T      substrate: single|edge-cloud|pool:<name>,<k>=<v>,..;link:<a>-<b>,..\n  \
                          (cluster/serve/lifecycle; default single)\n  \
-       --placement P     edge-first|latency-greedy|cost-greedy|workload-aware\n  \
+       --placement P     edge-first|latency-greedy|workload-aware\n  \
                          (multi-pool topologies; default edge-first)\n\n\
      lifecycle reuses --duration, --rps, --quota, --job-cap, --seed, --chaos,\n\
      --autoscaler, --keepalive, --metrics, --topology, --placement, and every\n\

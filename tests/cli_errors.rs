@@ -208,6 +208,24 @@ fn fixed_pools_over_the_ceiling_are_usage_errors() {
             "must be in [1, 100000]",
         );
     }
+    // Each tenant's pool is in range, but the fleet's is not: refused
+    // before any tenant's pool is built.
+    assert_one_line_error(
+        &[
+            "lifecycle",
+            "--tenants",
+            "1000",
+            "--autoscaler",
+            "fixed:100000",
+            "--duration",
+            "1",
+            "--rps",
+            "0",
+            "--drift-every",
+            "0",
+        ],
+        "over the ceiling of 100000 warm instances",
+    );
 }
 
 #[test]

@@ -342,29 +342,6 @@ fn asp_inflation_bounds() {
     });
 }
 
-/// TPE suggestions always stay inside the hyperparameter space, whatever
-/// loss values have been observed.
-#[test]
-fn tpe_suggestions_in_bounds() {
-    prop("tpe_in_bounds", 64, |rng| {
-        use ce_scaling::ml::HyperSpace;
-        use ce_scaling::tuning::TpeSampler;
-        let space = HyperSpace::default();
-        let mut sampler = TpeSampler::new(space.clone());
-        let mut inner = SimRng::new(rng.next_u64());
-        let observations = rng.gen_index(40);
-        for _ in 0..observations {
-            let loss = rng.uniform_range(0.0, 10.0);
-            let c = sampler.suggest(&mut inner);
-            assert!(c.learning_rate >= space.lr_range.0);
-            assert!(c.learning_rate <= space.lr_range.1);
-            assert!(c.momentum >= space.momentum_range.0);
-            assert!(c.momentum <= space.momentum_range.1);
-            sampler.observe(c, loss);
-        }
-    });
-}
-
 /// Failure injection never reduces wall time, and scales billing with the
 /// wall.
 #[test]
@@ -393,26 +370,6 @@ fn failure_injection_monotone() {
         if faulty.failures == 0 {
             assert_eq!(faulty.failure_s, 0.0);
         }
-    });
-}
-
-/// Hyperband bracket ladders are well-formed for any R and η.
-#[test]
-fn hyperband_ladder_wellformed() {
-    prop("hyperband_ladder", 64, |rng| {
-        use ce_scaling::tuning::HyperbandSpec;
-        let power = 1 + rng.gen_index(7) as u32;
-        let eta = 2 + rng.gen_index(2) as u32;
-        let r = eta.pow(power);
-        let hb = HyperbandSpec::new(r, eta);
-        let brackets = hb.brackets();
-        assert_eq!(brackets.len() as u32, hb.s_max() + 1);
-        for b in &brackets {
-            assert!(b.initial_trials >= eta);
-            assert!(b.epochs_per_stage >= 1);
-        }
-        // Most exploratory first.
-        assert!(brackets[0].initial_trials >= brackets.last().unwrap().initial_trials);
     });
 }
 
