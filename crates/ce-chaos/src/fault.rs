@@ -3,17 +3,6 @@
 use ce_storage::StorageKind;
 use std::fmt;
 
-/// Canonical spec-grammar token for a storage service (the primary names
-/// `crate::parse` accepts, not the display aliases).
-pub(crate) fn service_token(service: StorageKind) -> &'static str {
-    match service {
-        StorageKind::S3 => "s3",
-        StorageKind::DynamoDb => "dynamodb",
-        StorageKind::ElastiCache => "elasticache",
-        StorageKind::VmPs => "vmps",
-    }
-}
-
 /// One kind of injected fault, with its severity parameter.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub enum FaultKind {
@@ -75,10 +64,10 @@ impl fmt::Display for FaultKind {
             FaultKind::WorkerCrash { rate } => write!(f, "crash:{rate}"),
             FaultKind::WaveKill { fraction } => write!(f, "wave:{fraction}"),
             FaultKind::StorageOutage { service } => {
-                write!(f, "outage:{}", service_token(*service))
+                write!(f, "outage:{}", service.token())
             }
             FaultKind::StorageDegrade { service, factor } => {
-                write!(f, "degrade:{}:x{factor}", service_token(*service))
+                write!(f, "degrade:{}:x{factor}", service.token())
             }
             FaultKind::ThrottleStorm { rate } => write!(f, "throttle:{rate}"),
             FaultKind::ColdStartSpike { factor } => write!(f, "coldspike:x{factor}"),

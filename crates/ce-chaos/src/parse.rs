@@ -124,13 +124,11 @@ fn parse_service(token: Option<&str>, clause: &str) -> Result<StorageKind, Chaos
         Some(t) if !t.is_empty() => t,
         _ => return err(format!("missing storage service in `{clause}`")),
     };
-    match token.to_ascii_lowercase().as_str() {
-        "s3" => Ok(StorageKind::S3),
-        "dynamodb" | "dynamo" => Ok(StorageKind::DynamoDb),
-        "elasticache" | "cache" | "redis" => Ok(StorageKind::ElastiCache),
-        "vmps" | "vm-ps" => Ok(StorageKind::VmPs),
-        other => err(format!(
-            "unknown storage service `{other}` in `{clause}` (expected s3, \
+    let token = token.to_ascii_lowercase();
+    match StorageKind::from_token(&token) {
+        Some(service) => Ok(service),
+        None => err(format!(
+            "unknown storage service `{token}` in `{clause}` (expected s3, \
              dynamodb, elasticache, or vmps)"
         )),
     }

@@ -42,7 +42,7 @@ use crate::contention::ContentionModel;
 use crate::policy::{Admission, AdmissionPolicy, ClusterView, ReadyJob};
 use crate::ready::ReadySet;
 use crate::report::{FleetReport, JobOutcome, JobStatus};
-use crate::wave::{Dequeue, Finished, Landing, Launch, Wave, Waves};
+use crate::wave::{Dequeue, Finished, Landing, Launch, StallCause, Wave, Waves};
 use ce_chaos::FaultSchedule;
 use ce_obs::Registry;
 use ce_sim_core::event::EventQueue;
@@ -535,47 +535,41 @@ impl ClusterSim {
                     self.obs.counter("cluster.quota_stalls").inc();
                     return;
                 }
-                Launch::OutageStall { storage, until_s } => {
-                    // The job waits out the window off the queue with its
-                    // queue clock running: the wait lands in its queue
-                    // delay, and a long one cold-starts the next wave.
+                Launch::Stalled(stall) => {
+                    // The job waits out the stall off the queue; its queue
+                    // clock is the stall's (see `ce_cluster::wave`).
                     self.remove_ready(i);
+                    self.slots[i].queued_since = stall.queued_since;
                     self.obs.counter("cluster.chaos_stalls").inc();
-                    self.obs.event(
-                        t,
-                        "cluster.chaos_outage_stall",
-                        &[
-                            ("job", json!(self.jobs[i].id)),
-                            ("service", json!(format!("{storage:?}"))),
-                            ("until_s", json!(until_s)),
-                        ],
-                    );
+                    let job = ("job", json!(self.jobs[i].id));
+                    match stall.cause {
+                        StallCause::Outage { storage, until_s } => self.obs.event(
+                            t,
+                            "cluster.chaos_outage_stall",
+                            &[
+                                job,
+                                ("service", json!(format!("{storage:?}"))),
+                                ("until_s", json!(until_s)),
+                            ],
+                        ),
+                        StallCause::WorkerLoss {
+                            at_fraction,
+                            stall_s,
+                        } => {
+                            self.obs.counter("cluster.chaos_worker_losses").inc();
+                            self.obs.event(
+                                t,
+                                "cluster.chaos_worker_loss",
+                                &[
+                                    job,
+                                    ("at_fraction", json!(at_fraction)),
+                                    ("stall_s", json!(stall_s)),
+                                ],
+                            );
+                        }
+                    }
                     events.schedule_at(
-                        SimTime::from_secs(until_s.max(t)),
-                        FleetEvent::Resume { job: i },
-                    );
-                }
-                Launch::CrashStall {
-                    at_fraction,
-                    stall_s,
-                } => {
-                    // The stall is already charged into the job's JCT, so
-                    // its queue clock restarts at the resume time.
-                    self.remove_ready(i);
-                    self.slots[i].queued_since = t + stall_s;
-                    self.obs.counter("cluster.chaos_stalls").inc();
-                    self.obs.counter("cluster.chaos_worker_losses").inc();
-                    self.obs.event(
-                        t,
-                        "cluster.chaos_worker_loss",
-                        &[
-                            ("job", json!(self.jobs[i].id)),
-                            ("at_fraction", json!(at_fraction)),
-                            ("stall_s", json!(stall_s)),
-                        ],
-                    );
-                    events.schedule_at(
-                        SimTime::from_secs(t + stall_s),
+                        SimTime::from_secs(stall.resume_s),
                         FleetEvent::Resume { job: i },
                     );
                 }
@@ -599,14 +593,10 @@ impl ClusterSim {
                         .sync_slowdown(wave.storage, self.active_by_kind[ki]);
                     // A degrade window stretches this epoch's sync on top
                     // of whatever the other tenants already cost it.
-                    let degrade = self
-                        .waves
-                        .faults()
-                        .map_or(1.0, |f| f.active_at(t).degrade_factor(wave.storage));
-                    if degrade > 1.0 {
+                    if wave.degrade > 1.0 {
                         self.obs.counter("cluster.chaos_degraded_epochs").inc();
                     }
-                    let extra = (factor - 1.0 + (degrade - 1.0)) * wave.step.sync_s;
+                    let extra = (factor - 1.0 + (wave.degrade - 1.0)) * wave.step.sync_s;
                     let exec = self.execs[i].as_mut().expect("queued job runs");
                     exec.charge_contention(extra);
                     self.contention_extra_s += extra;

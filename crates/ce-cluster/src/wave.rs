@@ -1,4 +1,5 @@
-//! How one queued training run is launched as an epoch wave.
+//! How one queued training run is launched as an epoch wave, and what a
+//! fault on the fleet clock does to it.
 //!
 //! The paper's Algorithm 2 re-plans a training job one epoch at a time;
 //! both fleet simulators ([`ClusterSim`](crate::ClusterSim) and
@@ -11,9 +12,17 @@
 //! run, one that does not fit yet stalls the queue (head-of-line, so
 //! wide waves are not starved); (3) a queue wait past the platform
 //! keep-alive ([`DEFAULT_TTL_S`]) cold-starts the wave; (4) the epoch
-//! steps, and the workers go back if the platform refuses. The queue
-//! discipline, metric names, and what a stall does to the queue clock
-//! stay with the caller.
+//! steps, and the workers go back if the platform refuses.
+//!
+//! Every fault rule lives here. A [`Stall`] names the instant the run
+//! re-queues and the queue clock it re-queues with: a worker loss has
+//! already charged its wasted work, restore and backoff to the run's
+//! JCT, so its clock restarts at the resume; an outage charges nothing,
+//! so the clock keeps running through it, and an outage longer than the
+//! keep-alive resumes cold (idle time expires an instance whatever made
+//! it idle). A started [`Wave`] carries the `degrade:` factor of its
+//! storage at launch, by which the caller stretches the epoch's sync.
+//! The queue discipline and the metric names stay with the caller.
 
 use ce_chaos::{CompiledSchedule, FaultSchedule};
 use ce_faas::keepalive::DEFAULT_TTL_S;
@@ -43,19 +52,40 @@ pub struct Wave {
     pub storage: StorageKind,
     /// The step's wall clock scaled by the pool's compute class.
     pub wall_s: f64,
+    /// The `degrade:` factor of `storage` at launch (`1.0` = healthy).
+    pub degrade: f64,
+}
+
+/// Why a fault took a run off the queue.
+#[derive(Debug, Clone, Copy)]
+pub enum StallCause {
+    /// `storage` is dark until `until_s`.
+    Outage { storage: StorageKind, until_s: f64 },
+    /// A crash killed the wave at `at_fraction` of its epoch; the run
+    /// absorbed it per its recovery policy, charging `stall_s` to its
+    /// JCT.
+    WorkerLoss { at_fraction: f64, stall_s: f64 },
+}
+
+/// A run a fault took off the queue (see the module docs).
+#[derive(Debug, Clone, Copy)]
+pub struct Stall {
+    /// What stalled the run.
+    pub cause: StallCause,
+    /// When the run re-queues.
+    pub resume_s: f64,
+    /// The queue clock the run re-queues with.
+    pub queued_since: f64,
 }
 
 /// What became of the run at the head of the queue. Dollars are scaled
 /// by the pool's price class.
 #[derive(Debug, Clone, Copy)]
 pub enum Launch {
-    /// `storage` is dark until `until_s`.
-    OutageStall { storage: StorageKind, until_s: f64 },
-    /// A crash killed the wave at `at_fraction` of its epoch; the run
-    /// absorbed it per its recovery policy and stalls for `stall_s`.
-    CrashStall { at_fraction: f64, stall_s: f64 },
     /// The wave does not fit its pool yet; the run keeps its place.
     QuotaStall,
+    /// A fault stalls the run off the queue.
+    Stalled(Stall),
     /// The run fails having billed `usd`: its wave can never fit its
     /// pool (`dequeue` is `None`), or the platform refused it.
     Failed { usd: f64, dequeue: Option<Dequeue> },
@@ -206,9 +236,10 @@ impl Waves {
         t: f64,
         queued_since: f64,
     ) -> Launch {
-        if let Some(stall) = self.fault_check(exec, t) {
-            return stall;
-        }
+        let degrade = match self.fault_check(exec, t, queued_since) {
+            Ok(degrade) => degrade,
+            Err(stall) => return Launch::Stalled(stall),
+        };
         let workers = exec.alloc().n;
         if let Err(e) = self.quotas[pool].try_acquire(workers) {
             if !e.is_structural() {
@@ -241,20 +272,35 @@ impl Waves {
                 workers,
                 storage,
                 wall_s,
+                degrade,
             },
             dequeue,
         }
     }
 
-    /// The fleet-clock fault check: `Some` when a fault stalls the run.
-    fn fault_check(&mut self, exec: &mut TrainingExecution, t: f64) -> Option<Launch> {
-        let active = self.faults.as_ref()?.active_at(t);
+    /// The fleet-clock fault check for a run queued since
+    /// `queued_since`: the stall when a fault takes the run off the
+    /// queue, else the `degrade:` factor of the wave's storage.
+    fn fault_check(
+        &mut self,
+        exec: &mut TrainingExecution,
+        t: f64,
+        queued_since: f64,
+    ) -> Result<f64, Stall> {
+        let Some(faults) = self.faults.as_ref() else {
+            return Ok(1.0);
+        };
+        let active = faults.active_at(t);
         if active.is_quiet() {
-            return None;
+            return Ok(1.0);
         }
         let storage = exec.alloc().storage;
         if let Some(until_s) = active.outage_until(storage) {
-            return Some(Launch::OutageStall { storage, until_s });
+            return Err(Stall {
+                cause: StallCause::Outage { storage, until_s },
+                resume_s: until_s.max(t),
+                queued_since,
+            });
         }
         if active.crash_rate > 0.0 {
             let mut draw = self.rng.derive_idx("attempt", self.attempts);
@@ -262,13 +308,17 @@ impl Waves {
             if draw.bernoulli(active.crash_rate) {
                 let at_fraction = draw.uniform();
                 let stall_s = exec.inject_worker_loss(at_fraction);
-                return Some(Launch::CrashStall {
-                    at_fraction,
-                    stall_s,
+                return Err(Stall {
+                    cause: StallCause::WorkerLoss {
+                        at_fraction,
+                        stall_s,
+                    },
+                    resume_s: t + stall_s,
+                    queued_since: t + stall_s,
                 });
             }
         }
-        None
+        Ok(active.degrade_factor(storage))
     }
 
     /// A wave of `workers` on `pool` completed: the workers go back, and
@@ -306,9 +356,12 @@ mod tests {
     use ce_faas::PlatformConfig;
     use ce_workflow::TrainingJob;
 
-    /// Every storage service is dark over `0..100`.
-    const ALL_DARK: &str = "outage:s3@0..100;outage:dynamodb@0..100;\
-                            outage:elasticache@0..100;outage:vmps@0..100";
+    /// `clause` (with `{}` for the service) on every storage service.
+    fn every_service(clause: &str) -> String {
+        StorageKind::ALL
+            .map(|k| clause.replace("{}", k.token()))
+            .join(";")
+    }
 
     /// The first job of a small fleet, its allocation grid capped at 8.
     fn job() -> TrainingJob {
@@ -356,9 +409,7 @@ mod tests {
         ));
         assert_eq!(w.attempts, 0);
         // Not quiet (every service degrades), but no crash rate.
-        let degrade = "degrade:s3:x2@0..inf;degrade:dynamodb:x2@0..inf;\
-                       degrade:elasticache:x2@0..inf;degrade:vmps:x2@0..inf";
-        let mut w = waves(64, Some(degrade));
+        let mut w = waves(64, Some(&every_service("degrade:{}:x2@0..inf")));
         assert!(!w.faults().expect("compiled").active_at(10.0).is_quiet());
         assert!(matches!(
             w.launch(0, &mut exec(), 10.0, 10.0),
@@ -369,13 +420,43 @@ mod tests {
 
     #[test]
     fn an_outage_on_the_wave_storage_stalls_it_without_a_draw() {
-        let mut w = waves(64, Some(&format!("{ALL_DARK};crash:1@0..inf")));
+        let dark = every_service("outage:{}@0..100");
+        let mut w = waves(64, Some(&format!("{dark};crash:1@0..inf")));
         let mut e = exec();
-        let Launch::OutageStall { storage, until_s } = w.launch(0, &mut e, 10.0, 0.0) else {
+        let Launch::Stalled(Stall {
+            cause: StallCause::Outage { storage, until_s },
+            resume_s,
+            ..
+        }) = w.launch(0, &mut e, 10.0, 0.0)
+        else {
             panic!("every service is dark");
         };
         assert_eq!((storage, until_s), (e.alloc().storage, 100.0));
+        assert_eq!(resume_s, 100.0);
         assert_eq!((w.attempts, w.in_use(), e.report().epochs), (0, 0, 0));
+    }
+
+    #[test]
+    fn an_outage_stall_keeps_the_queue_clock_running() {
+        let mut w = waves(64, Some(&every_service("outage:{}@0..100")));
+        let Launch::Stalled(stall) = w.launch(0, &mut exec(), 10.0, 3.0) else {
+            panic!("every service is dark");
+        };
+        assert_eq!(stall.queued_since, 3.0);
+        // Waiting out the outage expires the warm pool: the queue wait
+        // at the resume counts from the original stamp.
+        let mut w = waves(64, Some(&every_service("outage:{}@0..700")));
+        let mut e = exec();
+        let Launch::Stalled(stall) = w.launch(0, &mut e, 0.0, 0.0) else {
+            panic!("every service is dark");
+        };
+        let Launch::Started { dequeue, .. } =
+            w.launch(0, &mut e, stall.resume_s, stall.queued_since)
+        else {
+            panic!("the outage has lifted");
+        };
+        assert_eq!(dequeue.wait_s, 700.0);
+        assert!(dequeue.cold_resumed);
     }
 
     #[test]
@@ -383,17 +464,40 @@ mod tests {
         let mut w = waves(64, Some("crash:1@0..inf"));
         let mut e = exec();
         for attempt in 1..=2 {
-            let Launch::CrashStall {
-                at_fraction,
-                stall_s,
-            } = w.launch(0, &mut e, 10.0, 0.0)
+            let Launch::Stalled(Stall {
+                cause:
+                    StallCause::WorkerLoss {
+                        at_fraction,
+                        stall_s,
+                    },
+                resume_s,
+                queued_since,
+            }) = w.launch(0, &mut e, 10.0, 0.0)
             else {
                 panic!("a certain crash kills every wave");
             };
             assert!((0.0..1.0).contains(&at_fraction));
             assert!(stall_s > 0.0);
+            // The stall is charged to JCT: the clock restarts at the resume.
+            assert_eq!((resume_s, queued_since), (10.0 + stall_s, 10.0 + stall_s));
             assert_eq!((w.attempts, w.in_use()), (attempt, 0));
         }
+    }
+
+    #[test]
+    fn a_started_wave_carries_its_storage_degrade_factor() {
+        let degrade = every_service("degrade:{}:x3@0..100");
+        let mut w = waves(64, Some(&degrade));
+        let Launch::Started { wave, .. } = w.launch(0, &mut exec(), 10.0, 10.0) else {
+            panic!("a degrade window does not stall the wave");
+        };
+        assert_eq!(wave.degrade, 3.0);
+        // Quiet once the window closes.
+        let mut w = waves(64, Some(&degrade));
+        let Launch::Started { wave, .. } = w.launch(0, &mut exec(), 150.0, 150.0) else {
+            panic!("an idle pool starts the wave");
+        };
+        assert_eq!(wave.degrade, 1.0);
     }
 
     #[test]

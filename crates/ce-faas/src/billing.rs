@@ -1,6 +1,23 @@
 //! Billing ledger: every simulated dollar is accounted here, and the
 //! conservation tests assert that totals equal the sum of their parts.
 
+use ce_models::{Allocation, Environment, EpochTimeModel, Workload};
+
+/// What a BSP wave killed at `at_fraction` of its epoch burned: the
+/// analytical epoch time up to the kill, and its invocation fee plus the
+/// compute dollars of that time, as `(seconds, dollars)`.
+pub fn lost_wave_bill(
+    env: &Environment,
+    w: &Workload,
+    alloc: &Allocation,
+    at_fraction: f64,
+) -> (f64, f64) {
+    let wasted_s = EpochTimeModel::new(env).epoch_time(w, alloc).total() * at_fraction;
+    let wasted_usd = env.pricing.invocation_cost(alloc.n)
+        + env.pricing.compute_cost(alloc.n, alloc.memory_mb, wasted_s);
+    (wasted_s, wasted_usd)
+}
+
 /// Accumulated platform charges.
 #[derive(Debug, Clone, Copy, Default, PartialEq)]
 pub struct BillingLedger {

@@ -59,7 +59,7 @@ pub mod platform;
 pub mod quota;
 pub mod restart;
 
-pub use billing::BillingLedger;
+pub use billing::{lost_wave_bill, BillingLedger};
 pub use epoch::{ExecutionFidelity, MeasuredEpoch};
 pub use function::{FunctionId, FunctionInstance, InstancePool, PoolStats, ReapedInstance};
 pub use keepalive::{

@@ -1,11 +1,11 @@
 //! The stateful platform simulator.
 
-use crate::billing::BillingLedger;
+use crate::billing::{lost_wave_bill, BillingLedger};
 use crate::epoch::{self, ExecutionFidelity, MeasuredEpoch};
 use crate::function::{InstancePool, PoolStats};
 use crate::quota::QuotaExceeded;
 use ce_chaos::{CompiledSchedule, FaultSchedule};
-use ce_models::{Allocation, Environment, EpochTimeModel, UnknownStorage, Workload};
+use ce_models::{Allocation, Environment, UnknownStorage, Workload};
 use ce_obs::Registry;
 use ce_sim_core::rng::SimRng;
 use ce_sim_core::time::SimTime;
@@ -327,13 +327,7 @@ impl FaasPlatform {
                 }));
             }
             let at_fraction = draw.uniform();
-            let est = EpochTimeModel::new(&self.env).epoch_time(w, alloc).total();
-            let wasted_s = est * at_fraction;
-            let wasted_usd = self.env.pricing.invocation_cost(alloc.n)
-                + self
-                    .env
-                    .pricing
-                    .compute_cost(alloc.n, alloc.memory_mb, wasted_s);
+            let (wasted_s, wasted_usd) = lost_wave_bill(&self.env, w, alloc, at_fraction);
             self.ledger
                 .record_invocations(alloc.n, self.env.pricing.per_invocation);
             self.ledger.record_compute(

@@ -5,10 +5,12 @@
 //! one shared `AccountQuota`: a dispatched request holds one worker
 //! until it completes, a dispatched epoch holds its wave width. Training
 //! runs queue FIFO and launch head-of-line through the epoch-wave
-//! dispatcher shared with ce-cluster ([`ce_cluster::wave`]); a chaos
-//! stall restarts a run's queue clock when it re-queues. The [`PriorityPolicy`] arbitrates contention (see
-//! `priority`), and a completed training run publishes a model version
-//! that redeploys into the serve stage.
+//! dispatcher shared with ce-cluster ([`ce_cluster::wave`]), which also
+//! rules what a fault does to a wave: the queue clock a stalled run
+//! re-queues with, and the `degrade:` stretch of its epoch. The
+//! [`PriorityPolicy`] arbitrates contention (see `priority`), and a
+//! completed training run publishes a model version that redeploys into
+//! the serve stage.
 //!
 //! Serving runs on the request engine shared with ce-serve
 //! ([`ce_serve::engine`]): each tenant is one arrival schedule pinned to
@@ -52,7 +54,7 @@
 use crate::priority::{PriorityPolicy, QuotaView, VictimView};
 use crate::report::{LifecycleReport, TenantOutcome};
 use crate::spec::{LifecycleSpec, TenantSpec};
-use ce_cluster::wave::{Finished, Landing, Launch, Waves};
+use ce_cluster::wave::{Finished, Landing, Launch, StallCause, Waves};
 use ce_faas::{parse_keep_alive, InstancePool};
 use ce_obs::Registry;
 use ce_serve::engine::{Capacity, Engine, Lane, Lease, ReqEv, Schedule, StreamKeys};
@@ -114,8 +116,9 @@ enum TrainState {
         wall_s: f64,
         converged: bool,
     },
-    /// Rolling back / waiting out a stall; a `TrainResume` is pending.
-    Stalled,
+    /// Rolling back / waiting out a stall; a `TrainResume` is pending,
+    /// and the run re-queues with the queue clock `queued_since`.
+    Stalled { queued_since: f64 },
     /// Converged; the publish transfer is in flight (`Redeploy`
     /// pending).
     Publishing,
@@ -418,8 +421,8 @@ impl LifecycleSim {
                 Ev::TrainResume { tenant } => {
                     let tenant = tenant as usize;
                     let st = &fleet.tenants[tenant];
-                    if st.train == TrainState::Stalled && st.exec.is_some() {
-                        fleet.requeue(tenant, t);
+                    if let (TrainState::Stalled { queued_since }, Some(_)) = (st.train, &st.exec) {
+                        fleet.requeue(tenant, queued_since);
                     }
                 }
                 Ev::Redeploy { tenant, version } => {
@@ -752,7 +755,11 @@ impl Fleet {
             .as_mut()
             .expect("running epoch has an execution")
             .inject_worker_loss(at_fraction);
-        st.train = TrainState::Stalled;
+        // Like a worker loss, the stall is charged to JCT: the queue
+        // clock restarts at the resume.
+        st.train = TrainState::Stalled {
+            queued_since: t + stall,
+        };
         st.tally.preemptions += 1;
         obs.counter("lifecycle.preemptions").inc();
         obs.event(
@@ -848,23 +855,19 @@ impl Fleet {
 
     /// Launches queued epochs head-of-line, in FIFO order, until one
     /// stalls on the quota (see [`Waves::launch`]). A chaos-stalled run
-    /// leaves the queue and re-queues on its `TrainResume` with a fresh
-    /// queue clock.
+    /// leaves the queue and re-queues on its `TrainResume` with the
+    /// stall's queue clock.
     fn dispatch_trains(&mut self, t: f64, events: &mut EventQueue<Ev>) {
         while let Some(&tid) = self.train_ready.front() {
             let tenant = tid as usize;
             let st = &mut self.tenants[tenant];
             let exec = st.exec.as_mut().expect("queued run has an execution");
-            let resume_s = match self.waves.launch(st.train_pool, exec, t, st.queued_since) {
+            let stall = match self.waves.launch(st.train_pool, exec, t, st.queued_since) {
                 Launch::QuotaStall => {
                     self.quota_stalls += 1;
                     return;
                 }
-                Launch::OutageStall { until_s, .. } => until_s.max(t),
-                Launch::CrashStall { stall_s, .. } => {
-                    self.obs.counter("lifecycle.chaos_worker_losses").inc();
-                    t + stall_s
-                }
+                Launch::Stalled(stall) => stall,
                 Launch::Failed { usd, dequeue } => {
                     self.train_ready.pop_front();
                     st.tally.cold_resumes += u64::from(dequeue.is_some_and(|d| d.cold_resumed));
@@ -874,18 +877,25 @@ impl Fleet {
                 Launch::Started { wave, dequeue } => {
                     self.train_ready.pop_front();
                     st.tally.cold_resumes += u64::from(dequeue.cold_resumed);
+                    // A degrade window stretches the epoch's sync.
+                    if wave.degrade > 1.0 {
+                        self.obs.counter("lifecycle.chaos_degraded_epochs").inc();
+                    }
+                    let extra = (wave.degrade - 1.0) * wave.step.sync_s;
+                    exec.charge_contention(extra);
+                    let wall_s = wave.wall_s + extra;
                     st.attempt += 1;
                     st.train = TrainState::Running {
                         workers: wave.workers,
                         started_s: t,
-                        wall_s: wave.wall_s,
+                        wall_s,
                         converged: wave.step.converged,
                     };
                     st.tally.epochs += 1;
                     self.train_held += wave.workers;
                     self.obs.counter("lifecycle.epochs").inc();
                     events.schedule_at(
-                        SimTime::from_secs(t + wave.wall_s),
+                        SimTime::from_secs(t + wall_s),
                         Ev::EpochDone {
                             tenant: tid,
                             attempt: st.attempt,
@@ -894,11 +904,16 @@ impl Fleet {
                     continue;
                 }
             };
+            if let StallCause::WorkerLoss { .. } = stall.cause {
+                self.obs.counter("lifecycle.chaos_worker_losses").inc();
+            }
             self.train_ready.pop_front();
-            st.train = TrainState::Stalled;
+            st.train = TrainState::Stalled {
+                queued_since: stall.queued_since,
+            };
             self.obs.counter("lifecycle.chaos_stalls").inc();
             events.schedule_at(
-                SimTime::from_secs(resume_s),
+                SimTime::from_secs(stall.resume_s),
                 Ev::TrainResume { tenant: tid },
             );
         }
@@ -962,11 +977,12 @@ impl Fleet {
         );
     }
 
-    /// Queues `tenant`'s run for its next epoch dispatch.
-    fn requeue(&mut self, tenant: usize, t: f64) {
+    /// Queues `tenant`'s run for its next epoch dispatch with the queue
+    /// clock `queued_since`.
+    fn requeue(&mut self, tenant: usize, queued_since: f64) {
         let st = &mut self.tenants[tenant];
         st.train = TrainState::Ready;
-        st.queued_since = t;
+        st.queued_since = queued_since;
         self.train_ready.push_back(tenant as u32);
     }
 }
@@ -1073,6 +1089,44 @@ mod tests {
         let chaotic = run_with(tight_spec(23).with_chaos(zero), "deadline");
         assert_eq!(clean.0, chaotic.0);
         assert_eq!(clean.1, chaotic.1, "zero-fault chaos must be bit-clean");
+    }
+
+    /// `clause` (with `{}` for the service) on every storage service.
+    fn every_service(clause: &str) -> FaultSchedule {
+        let clauses = StorageKind::ALL.map(|k| clause.replace("{}", k.token()));
+        FaultSchedule::parse(&clauses.join(";")).expect("valid schedule")
+    }
+
+    /// Three tenants of narrow waves on a 16-worker quota.
+    fn storm_spec(duration_s: f64) -> LifecycleSpec {
+        LifecycleSpec::new(3, duration_s, 42)
+            .with_quota(16)
+            .with_job_cap(4)
+            .with_rps(4.0)
+    }
+
+    #[test]
+    fn an_outage_past_the_keep_alive_resumes_training_cold() {
+        // The stall keeps the queue clock running, so waiting out a
+        // 700 s outage expires the run's warm pool.
+        let chaos = every_service("outage:{}@0..700");
+        let (r, _) = run_with(storm_spec(1200.0).with_chaos(chaos), "serve-first");
+        let cold: u64 = r.tenants.iter().map(|t| t.cold_resumes).sum();
+        assert!(cold > 0, "no cold resume after a 700 s outage");
+    }
+
+    #[test]
+    fn a_degrade_window_stretches_and_bills_training_epochs() {
+        let (clean, _) = run_with(storm_spec(600.0), "serve-first");
+        let chaos = every_service("degrade:{}:x4@0..inf");
+        let (degraded, metrics) = run_with(storm_spec(600.0).with_chaos(chaos), "serve-first");
+        assert!(
+            degraded.train_dollars() > clean.train_dollars(),
+            "{} vs clean {}",
+            degraded.train_dollars(),
+            clean.train_dollars()
+        );
+        assert!(metrics.contains("lifecycle.chaos_degraded_epochs"));
     }
 
     #[test]

@@ -3,6 +3,19 @@
 use serde::Serialize;
 use std::fmt;
 
+/// Every name a spec may give a service, the canonical one first: the
+/// one table behind [`StorageKind::token`] and [`StorageKind::from_token`].
+const SERVICE_TOKENS: [(&str, StorageKind); 8] = [
+    ("s3", StorageKind::S3),
+    ("dynamodb", StorageKind::DynamoDb),
+    ("dynamo", StorageKind::DynamoDb),
+    ("elasticache", StorageKind::ElastiCache),
+    ("cache", StorageKind::ElastiCache),
+    ("redis", StorageKind::ElastiCache),
+    ("vmps", StorageKind::VmPs),
+    ("vm-ps", StorageKind::VmPs),
+];
+
 /// The four external storage services evaluated by the paper.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize)]
 pub enum StorageKind {
@@ -27,6 +40,22 @@ impl StorageKind {
         StorageKind::ElastiCache,
         StorageKind::VmPs,
     ];
+
+    /// The service's canonical spec name: `s3`, `dynamodb`,
+    /// `elasticache` or `vmps`.
+    pub fn token(self) -> &'static str {
+        let named = SERVICE_TOKENS.iter().find(|(_, k)| *k == self);
+        named.expect("every service has a name").0
+    }
+
+    /// The service a spec names by `token`, its canonical name or an
+    /// alias, matched exactly.
+    pub fn from_token(token: &str) -> Option<StorageKind> {
+        SERVICE_TOKENS
+            .iter()
+            .find(|(t, _)| *t == token)
+            .map(|&(_, k)| k)
+    }
 
     /// Single-letter label used by Fig. 18 ("D, S, E, and V").
     pub fn letter(self) -> char {
@@ -208,6 +237,22 @@ mod tests {
             per_get,
             unit_kb,
         }
+    }
+
+    #[test]
+    fn service_names_round_trip_and_match_exactly() {
+        for kind in StorageKind::ALL {
+            assert_eq!(StorageKind::from_token(kind.token()), Some(kind));
+        }
+        let tokens = StorageKind::ALL.map(StorageKind::token);
+        assert_eq!(tokens, ["s3", "dynamodb", "elasticache", "vmps"]);
+        assert_eq!(
+            StorageKind::from_token("redis"),
+            Some(StorageKind::ElastiCache)
+        );
+        assert_eq!(StorageKind::from_token("vm-ps"), Some(StorageKind::VmPs));
+        assert_eq!(StorageKind::from_token("S3"), None);
+        assert_eq!(StorageKind::from_token("floppy"), None);
     }
 
     #[test]

@@ -10,10 +10,10 @@ use ce_baselines::siren::SirenPolicy;
 use ce_baselines::{CirrusScheduler, FixedScheduler, LambdaMlScheduler, SirenScheduler};
 use ce_chaos::FaultSchedule;
 use ce_faas::restart::plan_restart;
-use ce_faas::{EpochError, ExecutionFidelity, FaasPlatform, MeasuredEpoch};
+use ce_faas::{lost_wave_bill, EpochError, ExecutionFidelity, FaasPlatform, MeasuredEpoch};
 use ce_ml::curve::{table4_target, CurveParams, LossCurve};
 use ce_ml::HyperSpace;
-use ce_models::{Allocation, AllocationSpace, Environment, EpochTimeModel, Workload};
+use ce_models::{Allocation, AllocationSpace, Environment, Workload};
 use ce_obs::Registry;
 use ce_pareto::{ParetoProfiler, Profile};
 use ce_sim_core::rng::SimRng;
@@ -1026,18 +1026,9 @@ impl TrainingExecution {
                 }
             }
         }
-        let report = &mut self.report;
-        report.jct_s += stall;
-        self.platform.advance(stall);
-        let obs = &self.job.obs;
-        obs.counter("recovery.retries").add(1);
-        if lost_epochs > 0 {
-            obs.counter("recovery.lost_epochs")
-                .add(u64::from(lost_epochs));
-        }
-        obs.gauge("recovery.backoff_s").add(stall);
+        self.back_off(stall, lost_epochs);
         self.trace.push(
-            report.jct_s,
+            self.report.jct_s,
             crate::trace::TraceKind::Fault {
                 what: fault.to_string(),
                 stall_s: stall,
@@ -1099,19 +1090,20 @@ impl TrainingExecution {
     /// Returns the total extra seconds the job stalls — what a fleet
     /// scheduler delays the job's next dispatch by.
     pub fn inject_worker_loss(&mut self, at_fraction: f64) -> f64 {
+        let job = &self.job;
         let at_fraction = at_fraction.clamp(0.0, 1.0);
-        let est = EpochTimeModel::new(&self.job.env)
-            .epoch_time(&self.job.workload, &self.alloc)
-            .total();
-        let wasted_s = est * at_fraction;
-        let wasted_usd = self.job.env.pricing.invocation_cost(self.alloc.n)
-            + self
-                .job
-                .env
-                .pricing
-                .compute_cost(self.alloc.n, self.alloc.memory_mb, wasted_s);
+        let (wasted_s, wasted_usd) =
+            lost_wave_bill(&job.env, &job.workload, &self.alloc, at_fraction);
         let (lost_epochs, restore_s, _) = self.apply_worker_loss(wasted_s, wasted_usd);
         let stall = backoff_s(BACKOFF_BASE_S, 1, BACKOFF_CAP_S);
+        self.back_off(stall, lost_epochs);
+        wasted_s + restore_s + stall
+    }
+
+    /// The tail of every recovery: the run stalls for `stall` seconds of
+    /// backoff, and the retry, its `lost_epochs` and the backoff are
+    /// counted.
+    fn back_off(&mut self, stall: f64, lost_epochs: u32) {
         self.report.jct_s += stall;
         self.platform.advance(stall);
         let obs = &self.job.obs;
@@ -1121,7 +1113,6 @@ impl TrainingExecution {
                 .add(u64::from(lost_epochs));
         }
         obs.gauge("recovery.backoff_s").add(stall);
-        wasted_s + restore_s + stall
     }
 
     /// Charges time another tenant's load added to this job's epoch

@@ -47,7 +47,8 @@ pub struct Scenario {
     pub epochs_per_stage: Option<u32>,
     /// Training only: per-worker-epoch failure rate (default 0).
     pub failure_rate: Option<f64>,
-    /// Pin every method to one storage service.
+    /// Pin every method to one storage service, named as
+    /// [`StorageKind::from_token`] reads it.
     pub storage: Option<String>,
 }
 
@@ -138,13 +139,8 @@ impl Scenario {
         let Some(name) = self.storage.as_deref() else {
             return Ok(None);
         };
-        let kind = match name {
-            "s3" => StorageKind::S3,
-            "dynamodb" => StorageKind::DynamoDb,
-            "elasticache" => StorageKind::ElastiCache,
-            "vmps" | "vm-ps" => StorageKind::VmPs,
-            other => return Err(ScenarioError::Invalid(format!("unknown storage {other}"))),
-        };
+        let kind = StorageKind::from_token(name)
+            .ok_or_else(|| ScenarioError::Invalid(format!("unknown storage {name}")))?;
         Ok(Some(AllocationSpace::aws_default().with_only_storage(kind)))
     }
 

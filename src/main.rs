@@ -38,20 +38,16 @@ fn main() {
 /// value, or spec, found before any simulation starts.
 fn run(args: &[String]) -> Result<(), String> {
     let (command, rest) = args.split_first().ok_or(USAGE)?;
-    let cmd: fn(&Opts) -> Result<(), String> = match command.as_str() {
+    match command.as_str() {
         // run-config takes a file path, not flag options.
         "run-config" => return cmd_run_config(rest),
         "help" | "--help" | "-h" => return Err(USAGE.into()),
-        "profile" => cmd_profile,
-        "plan-tuning" => cmd_plan_tuning,
-        "train" => cmd_train,
-        "storage" => cmd_storage,
-        "cluster" => cmd_cluster,
-        "serve" => cmd_serve,
-        "lifecycle" => cmd_lifecycle,
-        other => return Err(format!("unknown command: {other}\n\n{USAGE}")),
+        _ => {}
+    }
+    let Some(&(_, cmd, _)) = COMMANDS.iter().find(|(name, ..)| name == command) else {
+        return Err(format!("unknown command: {command}\n\n{USAGE}"));
     };
-    let opts = Opts::parse(rest)?;
+    let opts = Opts::parse(command, rest)?;
     cmd(&opts)?;
     if let Some(path) = &opts.metrics {
         // Every command binds its jobs to the process-global ce-obs
@@ -65,6 +61,47 @@ fn run(args: &[String]) -> Result<(), String> {
     }
     Ok(())
 }
+
+/// Runs one flag-option command.
+type CommandFn = fn(&Opts) -> Result<(), String>;
+
+/// Every flag-option command, its runner, and the flags its builder
+/// reads; every command also takes `--metrics`.
+const COMMANDS: [(&str, CommandFn, &str); 7] = [
+    ("profile", cmd_profile, "--model --dataset"),
+    (
+        "plan-tuning",
+        cmd_plan_tuning,
+        "--model --dataset --method --trials --budget --deadline --seed",
+    ),
+    (
+        "train",
+        cmd_train,
+        "--model --dataset --method --budget --deadline --seed --failure-rate --chaos \
+         --recovery --checkpoint-every",
+    ),
+    ("storage", cmd_storage, "--model --dataset -n"),
+    (
+        "cluster",
+        cmd_cluster,
+        "--jobs --rate --policy --seed --quota --job-cap --engine --chaos --recovery \
+         --checkpoint-every --topology --placement",
+    ),
+    (
+        "serve",
+        cmd_serve,
+        "--arrivals --arrival-log --duration --rps --seed --slo-ms --chaos --queue-cap \
+         --topology --placement --autoscaler --keepalive --timeout-ms --retries \
+         --retry-budget --hedge --breaker --brownout",
+    ),
+    (
+        "lifecycle",
+        cmd_lifecycle,
+        "--tenants --policy --quota --job-cap --drift-every --duration --rps --seed --slo-ms \
+         --chaos --queue-cap --topology --placement --autoscaler --keepalive --timeout-ms \
+         --retries --retry-budget --hedge --breaker --brownout",
+    ),
+];
 
 /// `run-config <file.json>`: run a declarative scenario and print its
 /// reports as JSON.
@@ -115,7 +152,8 @@ const USAGE: &str = "usage: ce-scaling <command> [options]\n\n\
        --job-cap N       per-job concurrency ceiling (default: the quota)\n  \
        --engine E        heap|naive fleet dispatch core (default heap)\n  \
        --chaos SPEC      fault schedule, e.g. 'crash:0.1@0..inf;outage:s3@600..1800'\n  \
-                         (train: platform faults; cluster: fleet-clock faults)\n  \
+                         (train: platform; cluster: fleet-clock; serve: request;\n  \
+                         lifecycle: fleet-clock and request faults)\n  \
        --checkpoint-every K  snapshot the model to durable storage every K epochs\n  \
        --recovery P      retry|checkpoint|replan recovery policy (default retry)\n  \
        --metrics PATH    dump the ce-obs metrics/event stream as JSONL\n  \
@@ -145,7 +183,8 @@ const USAGE: &str = "usage: ce-scaling <command> [options]\n\n\
      lifecycle reuses --duration, --rps, --quota, --job-cap, --seed, --chaos,\n\
      --autoscaler, --keepalive, --metrics, --topology, --placement, and every\n\
      resilience flag; its --policy is a priority policy:\n\
-     serve-first|train-first|fair-share|deadline (default serve-first)\n";
+     serve-first|train-first|fair-share|deadline (default serve-first)\n\n\
+     every command takes --metrics and refuses an option it does not read\n";
 
 /// The flags as parsed: a value of the flag's type, a float within its
 /// flag's range, or a spec grammar's parse. Sizes and registry names are
@@ -192,10 +231,25 @@ struct Opts {
 }
 
 impl Opts {
-    fn parse(args: &[String]) -> Result<Opts, String> {
+    /// Parses `command`'s flags. A flag the command does not read is
+    /// refused, by the command's name when another command reads it.
+    fn parse(command: &str, args: &[String]) -> Result<Opts, String> {
+        let reads = |name: &str, flag: &str| {
+            flag == "--metrics"
+                || COMMANDS
+                    .iter()
+                    .any(|(n, _, flags)| *n == name && flags.split(' ').any(|f| f == flag))
+        };
         let mut opts = Opts::default();
         let mut it = args.iter();
         while let Some(flag) = it.next() {
+            if !reads(command, flag) {
+                return Err(if COMMANDS.iter().any(|(name, ..)| reads(name, flag)) {
+                    format!("{command} does not take {flag}")
+                } else {
+                    format!("unknown option: {flag}")
+                });
+            }
             let mut value = || it.next().ok_or_else(|| format!("missing value for {flag}"));
             match flag.as_str() {
                 "--model" => opts.model = Some(value()?.clone()),
@@ -251,7 +305,7 @@ impl Opts {
                 "--hedge" => opts.hedge = Some(HedgePolicy::parse(value()?)?),
                 "--breaker" => opts.breaker = Some(parse_f64(value()?, flag, HALF_OPEN_UNIT)?),
                 "--brownout" => opts.brownout = Some(parse_f64(value()?, flag, OPEN_UNIT)?),
-                other => return Err(format!("unknown option: {other}")),
+                other => unreachable!("{other} is in a command's flags but has no parser"),
             }
         }
         Ok(opts)
@@ -940,7 +994,7 @@ mod tests {
                 args.push(flag.to_string());
                 args.push(values[rng.gen_index(values.len())].to_string());
             }
-            match Opts::parse(&args).and_then(|opts| build(&opts)) {
+            match Opts::parse(label, &args).and_then(|opts| build(&opts)) {
                 Ok(()) => accepted += 1,
                 Err(e) => assert!(
                     !e.is_empty() && !e.contains('\n'),

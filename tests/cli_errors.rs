@@ -135,6 +135,46 @@ fn unknown_flags_and_values_are_usage_errors() {
 }
 
 #[test]
+fn every_command_refuses_flags_it_does_not_read() {
+    for (args, needle) in [
+        (
+            &["profile", "--seed", "1"][..],
+            "profile does not take --seed",
+        ),
+        (
+            &["plan-tuning", "--chaos", "crash:0.1@0..inf"],
+            "plan-tuning does not take --chaos",
+        ),
+        (&["train", "--quota", "8"], "train does not take --quota"),
+        (
+            &["storage", "--autoscaler", "qlearn"],
+            "storage does not take --autoscaler",
+        ),
+        (&["cluster", "--rps", "5"], "cluster does not take --rps"),
+        (
+            &[
+                "serve",
+                "--rps",
+                "5",
+                "--duration",
+                "10",
+                "--jobs",
+                "7",
+                "--model",
+                "bert",
+            ],
+            "serve does not take --jobs",
+        ),
+        (
+            &["lifecycle", "--model", "bert"],
+            "lifecycle does not take --model",
+        ),
+    ] {
+        assert_one_line_error(args, needle);
+    }
+}
+
+#[test]
 fn unknown_registry_names_list_the_valid_ones() {
     // An unknown name must name every valid alternative, so the user
     // can fix the typo without opening the docs.
