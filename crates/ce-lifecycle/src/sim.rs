@@ -23,16 +23,16 @@
 //!
 //! # Determinism
 //!
-//! Same spec + same seed ⇒ byte-identical metrics at any thread count:
-//! the whole run is one sequential event loop. Per-request jitter
-//! streams are keyed by tenant and request *index*, so no draw depends
-//! on event order. Request chaos draws fork the `"lifecycle-chaos"`
-//! stream per tenant, training crash draws fork it per dispatch
-//! attempt, and both happen only in non-quiet instants with a non-zero
-//! rate, so a zero-fault schedule is bit-identical to no schedule.
-//! Model-version profiles are keyed by version index on the tenant's
-//! `model_seed`, so *when* a retrain finishes never changes *what* it
-//! deploys.
+//! Same spec + same seed ⇒ byte-identical metrics: the whole run is one
+//! sequential event loop, and no simulation reads the thread count
+//! (DESIGN §5g). Per-request jitter streams are keyed by tenant and
+//! request *index*, so no draw depends on event order. Request chaos
+//! draws fork the `"lifecycle-chaos"` stream per tenant, training crash
+//! draws fork it per dispatch attempt, and both happen only in
+//! non-quiet instants with a non-zero rate, so a zero-fault schedule is
+//! bit-identical to no schedule. Model-version profiles are keyed by
+//! version index on the tenant's `model_seed`, so *when* a retrain
+//! finishes never changes *what* it deploys.
 //!
 //! # Topology
 //!
@@ -1018,14 +1018,6 @@ mod tests {
         assert_eq!(m1, m2, "metrics must be byte-identical");
         let (r3, _) = run_with(tight_spec(43), "serve-first");
         assert_ne!(r1, r3, "different seed, different run");
-    }
-
-    #[test]
-    fn thread_count_does_not_change_the_bytes() {
-        let (r1, m1) = rayon::with_threads(1, || run_with(tight_spec(7), "fair-share"));
-        let (r8, m8) = rayon::with_threads(8, || run_with(tight_spec(7), "fair-share"));
-        assert_eq!(r1, r8);
-        assert_eq!(m1, m8);
     }
 
     #[test]

@@ -25,8 +25,8 @@
 //! randomness. Where a policy wants jitter (retry backoff), the caller
 //! draws it on a stream forked per (request, attempt) and passes the
 //! factor in, which is what keeps resilient runs byte-identical per
-//! seed at any thread count — and resilience-off runs byte-identical
-//! to the pre-resilience goldens.
+//! seed — and resilience-off runs byte-identical to the pre-resilience
+//! goldens.
 
 /// How one dispatched attempt ended. Fed to the [`CircuitBreaker`] and
 /// used by the simulators to decide whether a retry is warranted.

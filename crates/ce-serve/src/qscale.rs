@@ -9,9 +9,9 @@
 //! function of [`QScalerConfig`]. At serve time `plan` is completely
 //! RNG-free: an EWMA of observed concurrency is bucketed into a
 //! utilization state, and the greedy action multiplies the current
-//! capacity. Frozen runs are therefore byte-identical at any
-//! `CE_THREADS`, across process restarts, and across a
-//! save→load round trip of the policy JSON ([`QLearningAutoscaler::policy_json`]).
+//! capacity. Frozen runs are therefore byte-identical per seed, across
+//! process restarts, and across a save→load round trip of the policy
+//! JSON ([`QLearningAutoscaler::policy_json`]).
 //!
 //! The reward per training tick is
 //! `-(slo_weight · overload) - (cost_weight · idle)`, where `overload`
@@ -402,31 +402,19 @@ mod tests {
     }
 
     /// Metamorphic freeze contract: train → save → load replays the
-    /// serving run byte-identically, sequentially and at 8 threads.
+    /// serving run byte-identically.
     #[test]
-    fn frozen_policy_replays_byte_identically_across_threads_and_restarts() {
+    fn frozen_policy_replays_byte_identically_after_a_restart() {
         let trained = QLearningAutoscaler::train(QScalerConfig::default());
         let loaded = QLearningAutoscaler::from_policy_json(&trained.policy_json())
             .expect("frozen policy loads");
-        let runs: Vec<String> = [1usize, 8]
-            .iter()
-            .flat_map(|&threads| {
-                let t = trained.clone();
-                let l = loaded.clone();
-                rayon::with_threads(threads, move || {
-                    [
-                        zoo_run_jsonl(Box::new(t.clone()), 42),
-                        zoo_run_jsonl(Box::new(l.clone()), 42),
-                    ]
-                })
-            })
-            .collect();
+        let trained_run = zoo_run_jsonl(Box::new(trained), 42);
         assert!(
-            runs.iter().all(|r| r == &runs[0]),
-            "trained and reloaded policies must replay byte-identically at any thread count"
+            trained_run == zoo_run_jsonl(Box::new(loaded), 42),
+            "trained and reloaded policies must replay byte-identically"
         );
         assert!(
-            runs[0].contains("serve."),
+            trained_run.contains("serve."),
             "export must carry serve metrics"
         );
     }

@@ -45,7 +45,7 @@
 //! single-pool topology is perfectly neutral — factors 1.0, RTT 0.0,
 //! no quota — and placement short-circuits to pool 0 without building
 //! views or touching the forked `"topo"` stream, so such runs are
-//! byte-identical to the pre-topology simulator at any `CE_THREADS`.
+//! byte-identical to the pre-topology simulator.
 
 use crate::arrival::ArrivalModel;
 use crate::autoscale::Autoscaler;

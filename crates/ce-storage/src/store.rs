@@ -58,8 +58,10 @@ impl std::error::Error for StoreError {}
 
 /// In-memory object store simulating one external storage service.
 ///
-/// Thread-safe: the Pareto profiler and workflow runner fan out across
-/// rayon workers that may share a store.
+/// The state sits behind a `Mutex`, so every operation takes `&self`.
+/// No simulation shares a store across threads: its one user outside
+/// tests is `ce_ml::distributed::BspCluster`, which
+/// `examples/real_sgd_validation.rs` drives on one thread.
 #[derive(Debug)]
 pub struct SimStore {
     spec: StorageSpec,

@@ -151,18 +151,18 @@ const USAGE: &str = "usage: ce-scaling <command> [options]\n\n\
        --quota N         account concurrency quota (default 60)\n  \
        --job-cap N       per-job concurrency ceiling (default: the quota)\n  \
        --engine E        heap|naive fleet dispatch core (default heap)\n  \
-       --chaos SPEC      fault schedule, e.g. 'crash:0.1@0..inf;outage:s3@600..1800'\n  \
-                         (train: platform; cluster: fleet-clock; serve: request;\n  \
+       --chaos SPEC      fault schedule, e.g. 'crash:0.1@0..inf;outage:s3@600..1800'\n                    \
+                         (train: platform; cluster: fleet-clock; serve: request;\n                    \
                          lifecycle: fleet-clock and request faults)\n  \
        --checkpoint-every K  snapshot the model to durable storage every K epochs\n  \
        --recovery P      retry|checkpoint|replan recovery policy (default retry)\n  \
        --metrics PATH    dump the ce-obs metrics/event stream as JSONL\n  \
-       --arrivals M      poisson|diurnal|bursty|trace:<log.jsonl>|zoo:<preset>\n  \
-                         (serve; default poisson; zoo presets: mixed|steady|diurnal|\n  \
+       --arrivals M      poisson|diurnal|bursty|trace:<log.jsonl>|zoo:<preset>\n                    \
+                         (serve; default poisson; zoo presets: mixed|steady|diurnal|\n                    \
                          bursty|coldtail)\n  \
        --rps R           mean arrival rate for `serve` (default 20)\n  \
        --duration S      arrival window for `serve`, seconds (default 600)\n  \
-       --autoscaler A    fixed:<n>|target|prewarm|qlearn[:<episodes>:<epsilon>:<alpha>]\n  \
+       --autoscaler A    fixed:<n>|target|prewarm|qlearn[:<episodes>:<epsilon>:<alpha>]\n                    \
                          (serve; default target)\n  \
        --keepalive K     fixed[:<ttl-s>]|adaptive|histogram (serve; default fixed)\n  \
        --slo-ms X        latency SLO for `serve`/`lifecycle`, ms (default 500)\n  \
@@ -176,9 +176,9 @@ const USAGE: &str = "usage: ce-scaling <command> [options]\n\n\
        --hedge P         hedge policy: p95|<delay-ms> (off by default)\n  \
        --breaker T       circuit breaker, opens at windowed failure rate T\n  \
        --brownout F      degraded-mode serving: service time x F when queue is half full\n  \
-       --topology T      substrate: single|edge-cloud|pool:<name>,<k>=<v>,..;link:<a>-<b>,..\n  \
+       --topology T      substrate: single|edge-cloud|pool:<name>,<k>=<v>,..;link:<a>-<b>,..\n                    \
                          (cluster/serve/lifecycle; default single)\n  \
-       --placement P     edge-first|latency-greedy|workload-aware\n  \
+       --placement P     edge-first|latency-greedy|workload-aware\n                    \
                          (multi-pool topologies; default edge-first)\n\n\
      lifecycle reuses --duration, --rps, --quota, --job-cap, --seed, --chaos,\n\
      --autoscaler, --keepalive, --metrics, --topology, --placement, and every\n\
@@ -1183,5 +1183,38 @@ mod tests {
                 Ok(())
             },
         );
+    }
+
+    /// `help` prints each wrapped option description under the
+    /// description column, and lists every flag a command reads.
+    #[test]
+    fn usage_aligns_wrapped_descriptions_and_lists_every_flag() {
+        /// Where `--chaos SPEC      fault schedule` starts its description.
+        const COLUMN: usize = 20;
+        let options = USAGE
+            .split_once("options:\n")
+            .and_then(|(_, rest)| rest.split("\n\n").next())
+            .expect("an options section");
+        let mut wrapped = 0;
+        for line in options.lines() {
+            let text = line.trim_start();
+            let indent = line.len() - text.len();
+            if indent == 2 && text.starts_with('-') {
+                continue;
+            }
+            wrapped += 1;
+            assert_eq!(indent, COLUMN, "wrapped option line {line:?}");
+        }
+        assert!(wrapped > 0, "no wrapped option line in {options:?}");
+        for (name, _, flags) in COMMANDS {
+            for flag in flags.split_whitespace() {
+                assert!(
+                    options
+                        .lines()
+                        .any(|l| l.trim_start().starts_with(&format!("{flag} "))),
+                    "{name} reads {flag}, but the usage text does not list it"
+                );
+            }
+        }
     }
 }

@@ -1,6 +1,12 @@
 //! The CLI's `--metrics` JSONL stream must be byte-identical across runs
 //! with the same seed: determinism is the repo's contract for every
 //! reproduction claim, and the metrics dump is where drift would show.
+//!
+//! A command with a committed fixture in `tests/golden/` is pinned there
+//! (`golden_traces.rs`); a run that matches the fixture matches every
+//! other run of that command. The tests here cover the commands and
+//! contracts no fixture carries: trace replay, zero-fault ≡ clean, zero
+//! traffic, and that the seed changes the bytes.
 
 use std::path::PathBuf;
 use std::process::Command;
@@ -59,18 +65,6 @@ fn train_metrics_are_byte_identical_per_seed() {
         "train_c",
     );
     assert_ne!(a, other, "a different seed must change the stream");
-}
-
-#[test]
-fn cluster_metrics_are_byte_identical_per_seed() {
-    let args = [
-        "cluster", "--jobs", "12", "--rate", "30", "--policy", "edf", "--quota", "40", "--seed",
-        "11",
-    ];
-    let a = metrics_bytes(&args, "cluster_a");
-    let b = metrics_bytes(&args, "cluster_b");
-    assert!(!a.is_empty());
-    assert_eq!(a, b, "same seed must produce byte-identical fleet JSONL");
 }
 
 #[test]
@@ -330,47 +324,6 @@ fn chaotic_serve_metrics_are_byte_identical_per_seed() {
 }
 
 #[test]
-fn resilient_serve_metrics_are_byte_identical_per_seed() {
-    let args = [
-        "serve",
-        "--rps",
-        "20",
-        "--duration",
-        "120",
-        "--seed",
-        "42",
-        "--chaos",
-        "crash:0.3@10..60;coldspike:x4@0..inf",
-        "--timeout-ms",
-        "2000",
-        "--retries",
-        "2",
-        "--retry-budget",
-        "0.5",
-        "--hedge",
-        "p95",
-        "--breaker",
-        "0.5",
-        "--brownout",
-        "0.6",
-        "--queue-cap",
-        "500",
-    ];
-    let a = metrics_bytes(&args, "resilient_serve_a");
-    let b = metrics_bytes(&args, "resilient_serve_b");
-    assert!(!a.is_empty());
-    assert_eq!(
-        a, b,
-        "same seed + same resilience flags must produce byte-identical JSONL"
-    );
-    let text = String::from_utf8_lossy(&a);
-    assert!(
-        text.contains("resilience.attempts_total"),
-        "resilient runs must export the resilience metric group"
-    );
-}
-
-#[test]
 fn resilient_lifecycle_metrics_are_byte_identical_per_seed() {
     let args = [
         "lifecycle",
@@ -399,35 +352,5 @@ fn resilient_lifecycle_metrics_are_byte_identical_per_seed() {
     assert_eq!(
         a, b,
         "same seed + same resilience flags must produce byte-identical lifecycle JSONL"
-    );
-}
-
-#[test]
-fn chaotic_cluster_metrics_are_byte_identical_per_seed() {
-    let args = [
-        "cluster",
-        "--jobs",
-        "12",
-        "--rate",
-        "30",
-        "--policy",
-        "edf",
-        "--quota",
-        "40",
-        "--seed",
-        "11",
-        "--chaos",
-        "outage:s3@300..900;crash:0.05@0..inf",
-        "--recovery",
-        "checkpoint",
-        "--checkpoint-every",
-        "5",
-    ];
-    let a = metrics_bytes(&args, "chaos_cluster_a");
-    let b = metrics_bytes(&args, "chaos_cluster_b");
-    assert!(!a.is_empty());
-    assert_eq!(
-        a, b,
-        "same seed + same --chaos spec must produce byte-identical fleet JSONL"
     );
 }

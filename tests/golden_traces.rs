@@ -8,6 +8,10 @@
 //! Cluster fixtures are verified against **both** fleet engines, so the
 //! heap/naive equivalence is enforced forever, not just in unit tests.
 //!
+//! Each fixture command runs once, under whatever thread-count setting
+//! the harness inherits; no simulation reads the thread count (DESIGN
+//! §5g), and CI runs this suite at 1 and at 8 threads.
+//!
 //! Re-baselining (after an intentional output change):
 //!
 //! ```text
@@ -33,18 +37,9 @@ fn fixture_path(scenario: &str, seed: u64) -> PathBuf {
 /// Runs the binary with `args` plus `--metrics <tmp>` and returns the
 /// metrics bytes.
 fn run_metrics(args: &[String], tag: &str) -> Vec<u8> {
-    run_metrics_with_threads(args, tag, None)
-}
-
-/// Same, pinning the parallel engine's worker count via `CE_THREADS`.
-fn run_metrics_with_threads(args: &[String], tag: &str, threads: Option<usize>) -> Vec<u8> {
     let mut path = PathBuf::from(env!("CARGO_TARGET_TMPDIR"));
     path.push(format!("golden_{tag}.jsonl"));
-    let mut cmd = Command::new(env!("CARGO_BIN_EXE_ce-scaling"));
-    if let Some(n) = threads {
-        cmd.env("CE_THREADS", n.to_string());
-    }
-    let out = cmd
+    let out = Command::new(env!("CARGO_BIN_EXE_ce-scaling"))
         .args(args)
         .arg("--metrics")
         .arg(&path)
@@ -420,68 +415,51 @@ fn serve_traces_match_golden_fixtures() {
     }
 }
 
-/// The histogram keep-alive fixture: one seed, byte-compared at 1 and 8
-/// workers, so the percentile TTL's exact answers are pinned.
+/// The histogram keep-alive fixture: one seed, so the percentile TTL's
+/// exact answers are pinned.
 #[test]
 fn histogram_serve_traces_match_golden_fixtures() {
     const SEED: u64 = 42;
-    for threads in [1, 8] {
-        let bytes = run_metrics_with_threads(
-            &serve_histogram_args(SEED),
-            &format!("serve_histogram_{SEED}_t{threads}"),
-            Some(threads),
-        );
-        assert!(!bytes.is_empty());
-        check_golden("serve_histogram", SEED, &bytes);
-    }
+    let bytes = run_metrics(
+        &serve_histogram_args(SEED),
+        &format!("serve_histogram_{SEED}"),
+    );
+    assert!(!bytes.is_empty());
+    check_golden("serve_histogram", SEED, &bytes);
 }
 
 /// The zoo fixtures pin trace generation *and* the frozen Q-policy at
-/// once: two seeds, each byte-compared at 1 and 8 workers, so both new
-/// subsystems join the thread-invariance contract from day one.
+/// once, over two seeds.
 #[test]
 fn zoo_serve_traces_match_golden_fixtures() {
     for seed in [11, 42] {
-        for threads in [1, 8] {
-            let bytes = run_metrics_with_threads(
-                &serve_zoo_args(seed),
-                &format!("serve_zoo_{seed}_t{threads}"),
-                Some(threads),
-            );
-            assert!(!bytes.is_empty());
-            let text = String::from_utf8_lossy(&bytes);
-            assert!(
-                text.contains(r#""type":"summary","name":"serve.latency_ms""#),
-                "zoo serve metrics must include the latency quantile summary"
-            );
-            check_golden("serve_zoo", seed, &bytes);
-        }
+        let bytes = run_metrics(&serve_zoo_args(seed), &format!("serve_zoo_{seed}"));
+        assert!(!bytes.is_empty());
+        let text = String::from_utf8_lossy(&bytes);
+        assert!(
+            text.contains(r#""type":"summary","name":"serve.latency_ms""#),
+            "zoo serve metrics must include the latency quantile summary"
+        );
+        check_golden("serve_zoo", seed, &bytes);
     }
 }
 
 /// The topo fixture pins placement, per-pool billing, and the forked
-/// `"topo"` stream at once: one seed, byte-compared at 1 and 8 workers,
-/// so the substrate joins the thread-invariance contract from day one.
+/// `"topo"` stream at once, on one seed.
 #[test]
 fn topo_serve_traces_match_golden_fixtures() {
     const SEED: u64 = 42;
-    for threads in [1, 8] {
-        let bytes = run_metrics_with_threads(
-            &serve_topo_args(SEED),
-            &format!("serve_topo_{SEED}_t{threads}"),
-            Some(threads),
-        );
-        assert!(!bytes.is_empty());
-        let text = String::from_utf8_lossy(&bytes);
-        for metric in [
-            r#""name":"topo.pools""#,
-            r#""name":"topo.requests.edge""#,
-            r#""name":"topo.requests.cloud""#,
-        ] {
-            assert!(text.contains(metric), "topo fixture lacks {metric}");
-        }
-        check_golden("serve_topo", SEED, &bytes);
+    let bytes = run_metrics(&serve_topo_args(SEED), &format!("serve_topo_{SEED}"));
+    assert!(!bytes.is_empty());
+    let text = String::from_utf8_lossy(&bytes);
+    for metric in [
+        r#""name":"topo.pools""#,
+        r#""name":"topo.requests.edge""#,
+        r#""name":"topo.requests.cloud""#,
+    ] {
+        assert!(text.contains(metric), "topo fixture lacks {metric}");
     }
+    check_golden("serve_topo", SEED, &bytes);
 }
 
 #[test]
@@ -498,49 +476,26 @@ fn lifecycle_traces_match_golden_fixtures() {
     }
 }
 
-/// The resilient serve fixture: one seed, byte-compared at 1 and 8
-/// workers so the resilience layer joins the thread-invariance
-/// contract from day one.
+/// The resilient serve fixture pins the whole resilience pipeline on
+/// one seed.
 #[test]
 fn resilient_serve_traces_match_golden_fixtures() {
     const SEED: u64 = 42;
-    for threads in [1, 8] {
-        let bytes = run_metrics_with_threads(
-            &serve_resilient_args(SEED),
-            &format!("serve_resilient_{SEED}_t{threads}"),
-            Some(threads),
-        );
-        assert!(!bytes.is_empty());
-        let text = String::from_utf8_lossy(&bytes);
-        for metric in [
-            r#""name":"resilience.attempts_total""#,
-            r#""name":"resilience.retries""#,
-            r#""name":"resilience.hedges""#,
-            r#""name":"serve.timed_out""#,
-        ] {
-            assert!(text.contains(metric), "resilient fixture lacks {metric}");
-        }
-        check_golden("serve_resilient", SEED, &bytes);
+    let bytes = run_metrics(
+        &serve_resilient_args(SEED),
+        &format!("serve_resilient_{SEED}"),
+    );
+    assert!(!bytes.is_empty());
+    let text = String::from_utf8_lossy(&bytes);
+    for metric in [
+        r#""name":"resilience.attempts_total""#,
+        r#""name":"resilience.retries""#,
+        r#""name":"resilience.hedges""#,
+        r#""name":"serve.timed_out""#,
+    ] {
+        assert!(text.contains(metric), "resilient fixture lacks {metric}");
     }
-}
-
-/// The lifecycle fleet shares the golden thread-invariance contract:
-/// one metrics export per seed, byte-identical at 1 and 8 workers.
-#[test]
-fn lifecycle_fixtures_are_thread_count_invariant() {
-    for seed in SEEDS {
-        for threads in [1, 8] {
-            check_golden(
-                "lifecycle",
-                seed,
-                &run_metrics_with_threads(
-                    &lifecycle_args(seed),
-                    &format!("lifecycle_{seed}_t{threads}"),
-                    Some(threads),
-                ),
-            );
-        }
-    }
+    check_golden("serve_resilient", SEED, &bytes);
 }
 
 #[test]
@@ -562,47 +517,6 @@ fn cluster_traces_match_golden_fixtures_on_both_engines() {
     }
 }
 
-/// The determinism contract of the parallel engine: the committed
-/// fixtures — authored before the engine existed — must reproduce
-/// byte-for-byte at *any* worker count, not just sequentially. One seed
-/// per scenario keeps the sweep affordable; the seq ≡ par property test
-/// in `properties.rs` covers randomized configurations.
-#[test]
-fn golden_fixtures_are_thread_count_invariant() {
-    const SEED: u64 = 42;
-    for threads in [1, 2, 8] {
-        let tag = |s: &str| format!("{s}_{SEED}_t{threads}");
-        check_golden(
-            "train",
-            SEED,
-            &run_metrics_with_threads(&train_args(SEED), &tag("train"), Some(threads)),
-        );
-        check_golden(
-            "serve",
-            SEED,
-            &run_metrics_with_threads(&serve_args(SEED), &tag("serve"), Some(threads)),
-        );
-        check_golden(
-            "cluster",
-            SEED,
-            &run_metrics_with_threads(
-                &cluster_args(SEED, false, "heap"),
-                &tag("cluster"),
-                Some(threads),
-            ),
-        );
-        check_golden(
-            "cluster_chaos",
-            SEED,
-            &run_metrics_with_threads(
-                &cluster_args(SEED, true, "heap"),
-                &tag("cluster_chaos"),
-                Some(threads),
-            ),
-        );
-    }
-}
-
 #[test]
 fn chaotic_cluster_traces_match_golden_fixtures_on_both_engines() {
     for seed in SEEDS {
@@ -620,18 +534,15 @@ fn chaotic_cluster_traces_match_golden_fixtures_on_both_engines() {
     }
 }
 
-/// Byte-compares one seed-42 lifecycle fixture at 1 and 8 workers,
-/// checking that the export carries `metrics`.
+/// Byte-compares one seed-42 lifecycle fixture, checking that the
+/// export carries `metrics`.
 fn check_lifecycle_fixture(scenario: &str, args: &[String], metrics: &[&str]) {
-    for threads in [1, 8] {
-        let tag = format!("{scenario}_42_t{threads}");
-        let bytes = run_metrics_with_threads(args, &tag, Some(threads));
-        let text = String::from_utf8_lossy(&bytes);
-        for metric in metrics {
-            assert!(text.contains(metric), "{scenario} fixture lacks {metric}");
-        }
-        check_golden(scenario, 42, &bytes);
+    let bytes = run_metrics(args, &format!("{scenario}_42"));
+    let text = String::from_utf8_lossy(&bytes);
+    for metric in metrics {
+        assert!(text.contains(metric), "{scenario} fixture lacks {metric}");
     }
+    check_golden(scenario, 42, &bytes);
 }
 
 /// The resilient and multi-pool lifecycle fixtures.
@@ -654,22 +565,19 @@ fn resilient_and_topo_lifecycle_traces_match_golden_fixtures() {
     );
 }
 
-/// The storm cluster fixture, on both engines at 1 and 8 workers.
+/// The storm cluster fixture, on both engines.
 #[test]
 fn storm_cluster_traces_match_golden_fixture_on_both_engines() {
     for engine in ["heap", "naive"] {
-        for threads in [1, 8] {
-            let bytes = run_metrics_with_threads(
-                &cluster_storm_args(engine),
-                &format!("cluster_storm_42_{engine}_t{threads}"),
-                Some(threads),
-            );
-            let text = String::from_utf8_lossy(&bytes);
-            assert!(text.contains(r#""name":"cluster.chaos_outage_stall""#));
-            assert!(counter(&text, "cluster.chaos_degraded_epochs") > 0);
-            assert!(counter(&text, "cluster.cold_resumes") > 0);
-            check_golden("cluster_storm", 42, &bytes);
-        }
+        let bytes = run_metrics(
+            &cluster_storm_args(engine),
+            &format!("cluster_storm_42_{engine}"),
+        );
+        let text = String::from_utf8_lossy(&bytes);
+        assert!(text.contains(r#""name":"cluster.chaos_outage_stall""#));
+        assert!(counter(&text, "cluster.chaos_degraded_epochs") > 0);
+        assert!(counter(&text, "cluster.cold_resumes") > 0);
+        check_golden("cluster_storm", 42, &bytes);
     }
 }
 
@@ -677,17 +585,11 @@ fn storm_cluster_traces_match_golden_fixture_on_both_engines() {
 /// chaos stalls than worker losses) and a cold resume.
 #[test]
 fn storm_lifecycle_traces_match_golden_fixture() {
-    for threads in [1, 8] {
-        let bytes = run_metrics_with_threads(
-            &lifecycle_storm_args(42),
-            &format!("lifecycle_storm_42_t{threads}"),
-            Some(threads),
-        );
-        let text = String::from_utf8_lossy(&bytes);
-        let losses = counter(&text, "lifecycle.chaos_worker_losses");
-        assert!(losses > 0);
-        assert!(counter(&text, "lifecycle.chaos_stalls") > losses);
-        assert!(counter(&text, "lifecycle.cold_resumes") > 0);
-        check_golden("lifecycle_storm", 42, &bytes);
-    }
+    let bytes = run_metrics(&lifecycle_storm_args(42), "lifecycle_storm_42");
+    let text = String::from_utf8_lossy(&bytes);
+    let losses = counter(&text, "lifecycle.chaos_worker_losses");
+    assert!(losses > 0);
+    assert!(counter(&text, "lifecycle.chaos_stalls") > losses);
+    assert!(counter(&text, "lifecycle.cold_resumes") > 0);
+    check_golden("lifecycle_storm", 42, &bytes);
 }
