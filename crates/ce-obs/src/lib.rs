@@ -114,11 +114,100 @@ impl Gauge {
 pub struct Histogram(Arc<Mutex<HistogramState>>);
 
 /// Geometric bucket tallies: bucket `i` counts observations in
-/// `[GAMMA^i, GAMMA^(i+1))`; non-positive observations land in `zeros`.
+/// `[GAMMA^i, GAMMA^(i+1))`; non-positive (and NaN) observations land in
+/// `zeros`, and `+inf` in `top`, which stands for bucket `i32::MAX`.
+///
+/// The finite buckets live in one dense window, `counts[k]` being bucket
+/// `lo + k`, that grows to cover every bucket observed. Every positive
+/// finite `f64` falls in one of ≈73k buckets, so the window never
+/// exceeds ≈590 KB; `+inf` stays out of it, or it would span 2^31 slots.
+///
+/// The rank cursor `(at, below)` records that `counts[..at]` holds
+/// `below` observations. A prefix count is the same for every `q`, so a
+/// quantile read walks the cursor from wherever the last read left it to
+/// the answer's bucket: repeated reads at one `q` move it by the few
+/// buckets the observations in between shifted the rank.
 #[derive(Debug, Default, Clone)]
 struct BucketTable {
     zeros: u64,
-    counts: BTreeMap<i32, u64>,
+    top: u64,
+    /// Every observation: `zeros + top + counts.sum()`.
+    total: u64,
+    lo: i32,
+    counts: Vec<u64>,
+    at: usize,
+    below: u64,
+}
+
+impl BucketTable {
+    fn observe(&mut self, value: f64) {
+        self.total += 1;
+        if value == f64::INFINITY {
+            self.top += 1;
+        } else if value > 0.0 {
+            let slot = self.slot(log_bucket_index(value));
+            self.counts[slot] += 1;
+            if slot < self.at {
+                self.below += 1;
+            }
+        } else {
+            self.zeros += 1;
+        }
+    }
+
+    /// The window slot of finite bucket `idx`, growing the window to
+    /// reach it. The window grows downward by at least its own length,
+    /// so a falling run of observations costs amortized O(1), but never
+    /// below the bucket of the smallest positive `f64`.
+    fn slot(&mut self, idx: i32) -> usize {
+        if self.counts.is_empty() {
+            self.lo = idx;
+        } else if idx < self.lo {
+            let floor = log_bucket_index(f64::from_bits(1));
+            let lo = idx.min(self.lo - self.counts.len() as i32).max(floor);
+            let grow = (self.lo - lo) as usize;
+            self.counts.splice(0..0, std::iter::repeat_n(0, grow));
+            self.lo = lo;
+            self.at += grow;
+        }
+        let slot = (idx - self.lo) as usize;
+        if slot >= self.counts.len() {
+            self.counts.resize(slot + 1, 0);
+        }
+        slot
+    }
+
+    /// The bucket holding the `need`-th smallest finite positive
+    /// observation (`1 ..= counts.sum()`), walking the cursor there.
+    fn seek(&mut self, need: u64) -> i32 {
+        while self.at > 0 && self.below - self.counts[self.at - 1] >= need {
+            self.at -= 1;
+            self.below -= self.counts[self.at];
+        }
+        while self.below < need {
+            self.below += self.counts[self.at];
+            self.at += 1;
+        }
+        self.lo + self.at as i32 - 1
+    }
+
+    /// Adds `other`'s tallies; the window becomes the union of both and
+    /// the cursor restarts at the bottom.
+    fn merge_from(&mut self, other: &BucketTable) {
+        self.zeros += other.zeros;
+        self.top += other.top;
+        self.total += other.total;
+        if !other.counts.is_empty() {
+            let hi = other.lo + other.counts.len() as i32 - 1;
+            let start = self.slot(other.lo);
+            self.slot(hi);
+            for (mine, theirs) in self.counts[start..].iter_mut().zip(&other.counts) {
+                *mine += theirs;
+            }
+        }
+        self.at = 0;
+        self.below = 0;
+    }
 }
 
 #[derive(Debug, Default, Clone)]
@@ -146,11 +235,7 @@ impl Histogram {
         state.count += 1;
         state.sum += value;
         if let Some(buckets) = state.buckets.as_mut() {
-            if value > 0.0 {
-                *buckets.counts.entry(log_bucket_index(value)).or_insert(0) += 1;
-            } else {
-                buckets.zeros += 1;
-            }
+            buckets.observe(value);
         }
     }
 
@@ -173,11 +258,13 @@ impl Histogram {
     /// The `q`-quantile (`0.0 ..= 1.0`) by nearest-rank over the log
     /// buckets, accurate to the 2 % bucket width and clamped to the exact
     /// observed `[min, max]`. Returns `None` when empty or when quantile
-    /// tracking is disabled.
+    /// tracking is disabled. Repeated reads at one `q` cost amortized
+    /// O(1) (see the bucket table's rank cursor).
     pub fn quantile(&self, q: f64) -> Option<f64> {
-        let state = self.0.lock().expect("histogram lock");
-        let buckets = state.buckets.as_ref()?;
-        let total = buckets.zeros + buckets.counts.values().sum::<u64>();
+        let mut guard = self.0.lock().expect("histogram lock");
+        let state = &mut *guard;
+        let buckets = state.buckets.as_mut()?;
+        let total = buckets.total;
         if total == 0 {
             return None;
         }
@@ -190,14 +277,12 @@ impl Histogram {
         if buckets.zeros >= rank {
             return Some(state.min.min(0.0));
         }
-        let mut seen = buckets.zeros;
-        for (&idx, &n) in buckets.counts.iter() {
-            seen += n;
-            if seen >= rank {
-                return Some(log_bucket_value(idx).clamp(state.min, state.max));
-            }
-        }
-        Some(state.max)
+        let idx = if rank > total - buckets.top {
+            i32::MAX
+        } else {
+            buckets.seek(rank - buckets.zeros)
+        };
+        Some(log_bucket_value(idx).clamp(state.min, state.max))
     }
 
     /// Folds every observation of `other` into this histogram:
@@ -219,11 +304,10 @@ impl Histogram {
             state.sum += theirs.sum;
         }
         if let Some(their_buckets) = theirs.buckets {
-            let buckets = state.buckets.get_or_insert_with(BucketTable::default);
-            buckets.zeros += their_buckets.zeros;
-            for (idx, n) in their_buckets.counts {
-                *buckets.counts.entry(idx).or_insert(0) += n;
-            }
+            state
+                .buckets
+                .get_or_insert_with(BucketTable::default)
+                .merge_from(&their_buckets);
         }
     }
 
@@ -282,6 +366,16 @@ struct RegistryInner {
     events: Mutex<Vec<Event>>,
 }
 
+/// The handle stored under `name`, created on first use. A hit looks the
+/// name up by `&str` and allocates nothing; only a miss builds the key.
+fn get_or_create<T: Clone + Default>(map: &Mutex<BTreeMap<String, T>>, name: &str) -> T {
+    let mut map = map.lock().expect("metric map lock");
+    if let Some(handle) = map.get(name) {
+        return handle.clone();
+    }
+    map.entry(name.to_string()).or_default().clone()
+}
+
 /// A named collection of metrics plus an event sink.
 ///
 /// Cloning shares the underlying storage (a handle, not a copy).
@@ -321,20 +415,17 @@ impl Registry {
 
     /// Gets or creates the counter `name`.
     pub fn counter(&self, name: &str) -> Counter {
-        let mut counters = self.inner.counters.lock().expect("counters lock");
-        counters.entry(name.to_string()).or_default().clone()
+        get_or_create(&self.inner.counters, name)
     }
 
     /// Gets or creates the gauge `name`.
     pub fn gauge(&self, name: &str) -> Gauge {
-        let mut gauges = self.inner.gauges.lock().expect("gauges lock");
-        gauges.entry(name.to_string()).or_default().clone()
+        get_or_create(&self.inner.gauges, name)
     }
 
     /// Gets or creates the histogram `name`.
     pub fn histogram(&self, name: &str) -> Histogram {
-        let mut histograms = self.inner.histograms.lock().expect("histograms lock");
-        histograms.entry(name.to_string()).or_default().clone()
+        get_or_create(&self.inner.histograms, name)
     }
 
     /// Current value of counter `name` (0 if it was never created).
@@ -422,7 +513,7 @@ impl Registry {
         }
         let histograms = self.inner.histograms.lock().expect("histograms lock");
         for (name, histogram) in histograms.iter() {
-            let state = histogram.0.lock().expect("histogram lock").clone();
+            let state = histogram.0.lock().expect("histogram lock");
             lines.push(
                 json!({
                     "type": "histogram",
@@ -535,7 +626,7 @@ impl Registry {
             .expect("histograms lock")
             .iter()
         {
-            let state = histogram.0.lock().expect("histogram lock").clone();
+            let state = histogram.0.lock().expect("histogram lock");
             map.insert(
                 name.clone(),
                 json!({"count": state.count, "sum": state.sum, "min": state.min, "max": state.max}),
@@ -559,6 +650,7 @@ pub fn global() -> &'static Registry {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use ce_sim_core::rng::SimRng;
 
     #[test]
     fn counters_accumulate_and_read_back() {
@@ -781,5 +873,220 @@ mod tests {
         assert_eq!(registry.event_count(), 0);
         c.inc();
         assert_eq!(registry.counter_value("n"), 1, "handle stays live");
+    }
+
+    /// The reference answer: the bucket table as an ordered map, summed
+    /// and walked from the bottom on every read, as the histogram kept it
+    /// before the dense window. `+inf` lands in bucket `i32::MAX`.
+    #[derive(Clone, Default)]
+    struct MapTable {
+        zeros: u64,
+        counts: BTreeMap<i32, u64>,
+    }
+
+    #[derive(Clone, Default)]
+    struct MapHistogram {
+        count: u64,
+        sum: f64,
+        min: f64,
+        max: f64,
+        buckets: Option<MapTable>,
+    }
+
+    impl MapHistogram {
+        fn observe(&mut self, value: f64) {
+            if self.count == 0 {
+                self.min = value;
+                self.max = value;
+            } else {
+                self.min = self.min.min(value);
+                self.max = self.max.max(value);
+            }
+            self.count += 1;
+            self.sum += value;
+            if let Some(buckets) = self.buckets.as_mut() {
+                if value > 0.0 {
+                    *buckets.counts.entry(log_bucket_index(value)).or_insert(0) += 1;
+                } else {
+                    buckets.zeros += 1;
+                }
+            }
+        }
+
+        fn quantile(&self, q: f64) -> Option<f64> {
+            let buckets = self.buckets.as_ref()?;
+            let total = buckets.zeros + buckets.counts.values().sum::<u64>();
+            if total == 0 {
+                return None;
+            }
+            let rank = ((q.clamp(0.0, 1.0) * total as f64).ceil() as u64).max(1);
+            if rank == total {
+                return Some(self.max);
+            }
+            if buckets.zeros >= rank {
+                return Some(self.min.min(0.0));
+            }
+            let mut seen = buckets.zeros;
+            for (&idx, &n) in buckets.counts.iter() {
+                seen += n;
+                if seen >= rank {
+                    return Some(log_bucket_value(idx).clamp(self.min, self.max));
+                }
+            }
+            Some(self.max)
+        }
+
+        fn merge_from(&mut self, theirs: &MapHistogram) {
+            if theirs.count > 0 {
+                if self.count == 0 {
+                    self.min = theirs.min;
+                    self.max = theirs.max;
+                } else {
+                    self.min = self.min.min(theirs.min);
+                    self.max = self.max.max(theirs.max);
+                }
+                self.count += theirs.count;
+                self.sum += theirs.sum;
+            }
+            if let Some(their_buckets) = &theirs.buckets {
+                let buckets = self.buckets.get_or_insert_with(MapTable::default);
+                buckets.zeros += their_buckets.zeros;
+                for (&idx, &n) in &their_buckets.counts {
+                    *buckets.counts.entry(idx).or_insert(0) += n;
+                }
+            }
+        }
+
+        fn reset(&mut self) {
+            let quantiles = self.buckets.is_some();
+            *self = MapHistogram::default();
+            if quantiles {
+                self.buckets = Some(MapTable::default());
+            }
+        }
+    }
+
+    /// The JSONL a registry holding exactly the oracle histograms
+    /// `named` exports.
+    fn oracle_export(named: &[(&str, MapHistogram)]) -> String {
+        let mut lines = Vec::new();
+        for (name, h) in named {
+            let mean = if h.count == 0 {
+                0.0
+            } else {
+                h.sum / h.count as f64
+            };
+            lines.push(
+                json!({"type": "histogram", "name": name, "count": h.count, "sum": h.sum,
+                       "min": h.min, "max": h.max, "mean": mean})
+                .to_string(),
+            );
+        }
+        for (name, h) in named.iter().filter(|(_, h)| h.buckets.is_some()) {
+            lines.push(
+                json!({"type": "summary", "name": name, "count": h.count,
+                       "p50": h.quantile(0.50).unwrap_or(0.0),
+                       "p95": h.quantile(0.95).unwrap_or(0.0),
+                       "p99": h.quantile(0.99).unwrap_or(0.0)})
+                .to_string(),
+            );
+        }
+        lines.join("\n") + "\n"
+    }
+
+    /// An observation: mostly a millisecond-scale latency times `scale`,
+    /// sometimes (one in `edge_odds`) one of the edge cases.
+    fn any_value(rng: &mut SimRng, scale: f64, edge_odds: usize) -> f64 {
+        if rng.gen_index(edge_odds) != 0 {
+            return scale * rng.uniform_range(0.1, 2_000.0);
+        }
+        match rng.gen_index(10) {
+            0 => 0.0,
+            1 => -rng.uniform_range(0.0, 1_000.0),
+            2 => f64::NAN,
+            3 => f64::from_bits(1 + rng.next_u64() % ((1 << 52) - 1)),
+            4 => 1e300 * rng.uniform_range(1.0, 2.0),
+            5 => 1e-300 * rng.uniform_range(1.0, 2.0),
+            6 => f64::MAX,
+            7 => f64::INFINITY,
+            8 => f64::NEG_INFINITY,
+            _ => f64::MIN_POSITIVE,
+        }
+    }
+
+    fn window_len(h: &Histogram) -> usize {
+        let state = h.0.lock().expect("histogram lock");
+        state.buckets.as_ref().map_or(0, |b| b.counts.len())
+    }
+
+    #[test]
+    fn dense_bucket_window_matches_the_map_oracle() {
+        // Every positive finite f64 falls in one of these buckets.
+        let span = (log_bucket_index(f64::MAX) - log_bucket_index(f64::from_bits(1)) + 1) as usize;
+        assert!(span < 74_000, "finite span {span}");
+        let names = ["a", "b", "c"];
+        for seed in 0..60 {
+            let mut rng = SimRng::new(seed);
+            let registry = Registry::new();
+            let handles: Vec<Histogram> = names.iter().map(|n| registry.histogram(n)).collect();
+            let mut oracle = vec![MapHistogram::default(); names.len()];
+            // "c" stays plain until a merge turns its quantiles on.
+            for (h, o) in handles.iter().zip(&mut oracle).take(2) {
+                h.enable_quantiles();
+                o.buckets = Some(MapTable::default());
+            }
+            // Each histogram's latencies sit in their own decades, so the
+            // windows are disjoint until the edge cases widen them.
+            let scales: Vec<f64> = (0..names.len())
+                .map(|_| 10f64.powi(rng.gen_index(41) as i32 * 5 - 100))
+                .collect();
+            let edge_odds = [4, 30, usize::MAX][rng.gen_index(3)];
+            for step in 0..500 {
+                let i = rng.gen_index(names.len());
+                let ctx = format!("seed {seed} step {step} histogram {}", names[i]);
+                match rng.gen_index(20) {
+                    0..=10 => {
+                        let v = any_value(&mut rng, scales[i], edge_odds);
+                        handles[i].observe(v);
+                        oracle[i].observe(v);
+                    }
+                    11..=16 => {
+                        let q = match rng.gen_index(6) {
+                            0 => 0.0,
+                            1 => 0.5,
+                            2 => 0.95,
+                            3 => 0.99,
+                            4 => 1.0,
+                            _ => rng.uniform(),
+                        };
+                        let got = handles[i].quantile(q).map(f64::to_bits);
+                        let want = oracle[i].quantile(q).map(f64::to_bits);
+                        assert_eq!(got, want, "quantile({q}), {ctx}");
+                    }
+                    17 => {
+                        let j = rng.gen_index(names.len());
+                        handles[i].merge_from(&handles[j]);
+                        let theirs = oracle[j].clone();
+                        oracle[i].merge_from(&theirs);
+                    }
+                    18 if rng.bernoulli(0.125) => {
+                        registry.reset();
+                        oracle.iter_mut().for_each(MapHistogram::reset);
+                    }
+                    _ => {
+                        let named: Vec<(&str, MapHistogram)> =
+                            names.iter().copied().zip(oracle.iter().cloned()).collect();
+                        assert_eq!(registry.export_jsonl(), oracle_export(&named), "{ctx}");
+                    }
+                }
+                for h in &handles {
+                    assert!(
+                        window_len(h) <= span,
+                        "window {} > {span}, {ctx}",
+                        window_len(h)
+                    );
+                }
+            }
+        }
     }
 }
