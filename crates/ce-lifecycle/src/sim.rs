@@ -109,12 +109,13 @@ enum TrainState {
     Idle,
     /// Queued for epoch dispatch.
     Ready,
-    /// An epoch wave is executing.
+    /// An epoch wave is executing. `last` marks the wave that finishes
+    /// its run (converged or at the epoch cap).
     Running {
         workers: u32,
         started_s: f64,
         wall_s: f64,
-        converged: bool,
+        last: bool,
     },
     /// Rolling back / waiting out a stall; a `TrainResume` is pending,
     /// and the run re-queues with the queue clock `queued_since`.
@@ -701,11 +702,11 @@ impl Fleet {
             .iter()
             .enumerate()
             .filter_map(|(i, st)| match st.train {
-                // A converged in-flight epoch is excluded: rolling it
-                // back would strand the run un-finishable.
+                // A run's last in-flight epoch is excluded: its run is
+                // done whatever the rollback, and would be launched again.
                 TrainState::Running {
                     workers,
-                    converged: false,
+                    last: false,
                     ..
                 } if st.train_pool == pool => Some(VictimView {
                     tenant: i as u32,
@@ -889,7 +890,7 @@ impl Fleet {
                         workers: wave.workers,
                         started_s: t,
                         wall_s,
-                        converged: wave.step.converged,
+                        last: exec.is_done(),
                     };
                     st.tally.epochs += 1;
                     self.train_held += wave.workers;
@@ -1095,6 +1096,20 @@ mod tests {
             .with_quota(16)
             .with_job_cap(4)
             .with_rps(4.0)
+    }
+
+    #[test]
+    fn the_wave_that_finishes_a_run_is_never_preempted() {
+        // Eight tenants over 1,800 s take runs to the 600-epoch cap while
+        // requests preempt training. A rollback of the capping wave
+        // leaves its run done, so its resume would step a finished
+        // execution; that wave must not be a victim.
+        for policy in all_priorities() {
+            let name = policy.name();
+            let r =
+                LifecycleSim::new(LifecycleSpec::new(8, 1800.0, 42).with_rps(6.0), policy).run();
+            assert!(r.requests() > 0, "{name}: no traffic");
+        }
     }
 
     #[test]

@@ -9,14 +9,18 @@
 //!
 //! [`LossCurveFitter::fit`] runs the pruned sweep
 //! ([`LossCurveFitter::fit_pruned`]), which returns the exhaustive
-//! sweep's exact bits at a fraction of its cost: a warm-start
-//! bound from the previous fit ([`LossCurveFitter::fit_hinted`]) and a
-//! four-lane grid kernel let it abandon most candidates after a few
-//! terms. Both shortcuts only skip candidates whose SSE provably cannot
-//! win the strict-`<` first-argmin, and every SSE that is compared is
-//! summed term by term in [`FittedCurve::sse`]'s order. The exhaustive
-//! sweep ([`LossCurveFitter::fit_exhaustive`]) is kept only as the
-//! oracle of the differential tests.
+//! sweep's exact bits at a fraction of its cost. For a fixed rate the
+//! SSE is a quadratic in the floor, whose coefficients come from a few
+//! running sums of the history. That closed form, less a proven
+//! rounding margin, is a lower bound on the SSE the exact sum would
+//! give, so it filters out nearly every candidate in O(1); a warm-start
+//! bound from the previous fit ([`LossCurveFitter::fit_hinted`])
+//! tightens the filter from the first cell. The shortcuts only skip
+//! candidates whose SSE provably cannot win the strict-`<`
+//! first-argmin, and every SSE that is compared is summed term by term
+//! in [`FittedCurve::sse`]'s order. The exhaustive sweep
+//! ([`LossCurveFitter::fit_exhaustive`]) is kept only as the oracle of
+//! the differential tests.
 
 use std::sync::OnceLock;
 
@@ -72,15 +76,23 @@ impl FittedCurve {
         }
         total
     }
+
+    /// Whether two curves are the same candidate, bit for bit.
+    fn same_bits(&self, other: &FittedCurve) -> bool {
+        self.floor.to_bits() == other.floor.to_bits() && self.rate.to_bits() == other.rate.to_bits()
+    }
 }
+
+/// Rates in the fitter's grid.
+const RATES: usize = 49;
 
 /// The fixed log-spaced rate grid (1e-3 to 1e3) swept by
 /// [`LossCurveFitter::fit`], built once per process: the `powf` calls
 /// would otherwise dominate the sweep's setup for every refit.
-fn rate_grid() -> &'static [f64; 49] {
-    static GRID: OnceLock<[f64; 49]> = OnceLock::new();
+fn rate_grid() -> &'static [f64; RATES] {
+    static GRID: OnceLock<[f64; RATES]> = OnceLock::new();
     GRID.get_or_init(|| {
-        let mut rates = [0.0; 49];
+        let mut rates = [0.0; RATES];
         for (ri, rate) in rates.iter_mut().enumerate() {
             *rate = 10f64.powf(-3.0 + 6.0 * ri as f64 / 48.0);
         }
@@ -88,36 +100,186 @@ fn rate_grid() -> &'static [f64; 49] {
     })
 }
 
-/// The SSEs of the four candidates `(floor, rates[k])`, or `None` once
-/// every lane's partial sum exceeds `cut`. Each lane accumulates its
-/// terms in [`FittedCurve::sse`]'s order with its expression (no fused
-/// multiply-add, no reassociation), so a returned sum is bit-identical to
-/// `sse`. Partial sums of non-negative terms only grow under rounding, so
-/// a lane past `cut` ends past it: `None` drops no candidate that could
-/// be accepted under `cut`.
-fn sse4_within(
-    initial: f64,
-    floor: f64,
-    rates: &[f64; 4],
-    history: &[f64],
-    cut: f64,
-) -> Option<[f64; 4]> {
-    let lanes = rates.map(|rate| FittedCurve {
-        initial,
-        floor,
-        rate,
-    });
-    let mut sums = [0.0; 4];
-    for (i, &l) in history.iter().enumerate() {
-        let e = (i + 1) as f64;
-        for (sum, lane) in sums.iter_mut().zip(&lanes) {
-            *sum += (lane.loss_at(e) - l).powi(2);
-        }
-        if sums.iter().all(|&s| s > cut) {
-            return None;
+/// The top of the floor range: the smallest loss of the history, or 0
+/// when a loss is negative (the floor is never negative).
+fn floor_cap(history: &[f64]) -> f64 {
+    let min_loss = history.iter().cloned().fold(f64::INFINITY, f64::min);
+    if min_loss < 0.0 {
+        0.0
+    } else {
+        min_loss
+    }
+}
+
+/// Running sums of a loss history from which, for each grid rate, the
+/// SSE of every floor is a quadratic. With `g = 1/(1 + rate·e)` the
+/// curve is `floor·(1 − g) + initial·g`, so `SSE(floor)` needs only
+/// `n`, `Σl` and `Σl²`, and per rate `Σg`, `Σg²` and `Σg·l`.
+/// [`crate::OnlinePredictor`] grows them by one term per rate and epoch;
+/// a bare [`LossCurveFitter::fit`] builds them in one pass. They only
+/// feed the filter's lower bounds, never an accepted SSE.
+#[derive(Debug, Clone)]
+pub(crate) struct GridSums {
+    n: usize,
+    l: f64,
+    l2: f64,
+    /// A loss below zero was observed: the bounds assume `|l| = l`, so
+    /// the filter is off.
+    signed: bool,
+    g: [f64; RATES],
+    g2: [f64; RATES],
+    gl: [f64; RATES],
+}
+
+impl GridSums {
+    /// The sums of an empty history.
+    pub(crate) fn new() -> Self {
+        GridSums {
+            n: 0,
+            l: 0.0,
+            l2: 0.0,
+            signed: false,
+            g: [0.0; RATES],
+            g2: [0.0; RATES],
+            gl: [0.0; RATES],
         }
     }
-    Some(sums)
+
+    /// The sums of `history`, built in one pass.
+    pub(crate) fn of(history: &[f64]) -> Self {
+        let mut sums = GridSums::new();
+        for &loss in history {
+            sums.push(loss);
+        }
+        sums
+    }
+
+    /// Adds the next epoch's loss: one division per grid rate.
+    pub(crate) fn push(&mut self, loss: f64) {
+        self.n += 1;
+        let e = self.n as f64;
+        self.l += loss;
+        self.l2 += loss * loss;
+        self.signed |= loss < 0.0;
+        for (ri, &rate) in rate_grid().iter().enumerate() {
+            let g = 1.0 / (1.0 + rate * e);
+            self.g[ri] += g;
+            self.g2[ri] += g * g;
+            self.gl[ri] += g * loss;
+        }
+    }
+
+    /// The lower-bound quadratic of `rate`, off the grid, for curves
+    /// anchored at `initial`: its rate sums are built in one pass over
+    /// `history`, whose other sums these are.
+    fn bound_at(&self, initial: f64, rate: f64, history: &[f64]) -> LowerBound {
+        if self.signed {
+            return LowerBound::NONE;
+        }
+        let mut rs = [0.0; 3];
+        for (i, &loss) in history.iter().enumerate() {
+            let g = 1.0 / (1.0 + rate * (i + 1) as f64);
+            rs[0] += g;
+            rs[1] += g * g;
+            rs[2] += g * loss;
+        }
+        LowerBound::new(initial, self.n as f64, [self.l, self.l2], rs)
+    }
+
+    /// The lower-bound quadratic of each grid rate for curves anchored
+    /// at `initial`.
+    fn bounds(&self, initial: f64) -> [LowerBound; RATES] {
+        if self.signed {
+            return [LowerBound::NONE; RATES];
+        }
+        std::array::from_fn(|ri| {
+            LowerBound::new(
+                initial,
+                self.n as f64,
+                [self.l, self.l2],
+                [self.g[ri], self.g2[ri], self.gl[ri]],
+            )
+        })
+    }
+}
+
+/// The rounding margin's factor `k` in `k·(n + c₀)·ε·M(f)`: twice the
+/// constant the proof in DESIGN.md ("Pruned sweep") needs.
+const MARGIN_K: f64 = 4.0;
+/// The margin's additive epoch count `c₀`.
+const MARGIN_C0: f64 = 16.0;
+
+/// A lower bound on the SSE [`FittedCurve::sse_within`] sums for every
+/// floor `f ≥ 0` at one rate: `(a·f + b2)·f + c`, the closed-form SSE
+/// less the rounding margin, both quadratics in `f`. A `NaN` bound
+/// filters nothing, since it is never `>` a cut.
+#[derive(Debug, Clone, Copy)]
+struct LowerBound {
+    a: f64,
+    b2: f64,
+    c: f64,
+}
+
+impl LowerBound {
+    /// The bound that filters nothing.
+    const NONE: LowerBound = LowerBound {
+        a: 0.0,
+        b2: 0.0,
+        c: f64::NEG_INFINITY,
+    };
+
+    /// Builds the bound from `n` non-negative losses' sums `[Σl, Σl²]`
+    /// and one rate's `[Σg, Σg², Σg·l]`. The SSE is
+    /// `a·f² + 2b·f + c`; the margin scales with `M(f) = α·f² + 2β·f +
+    /// κ`, the same quadratic with every sum and factor made
+    /// non-negative (it bounds the magnitude of every rounded term).
+    fn new(initial: f64, n: f64, [l, l2]: [f64; 2], [g, g2, gl]: [f64; 3]) -> LowerBound {
+        let i = initial;
+        let ia = initial.abs();
+        let a = n - 2.0 * g + g2;
+        let b = i * g - l - i * g2 + gl;
+        let c = i * i * g2 - 2.0 * i * gl + l2;
+        let alpha = n + 2.0 * g + g2;
+        let beta = ia * g + l + ia * g2 + gl;
+        let kappa = i * i * g2 + 2.0 * ia * gl + l2;
+        let k = MARGIN_K * (n + MARGIN_C0) * f64::EPSILON;
+        LowerBound {
+            a: a - k * alpha,
+            b2: 2.0 * (b - k * beta),
+            // `MIN_POSITIVE` covers the absolute error of underflow.
+            c: c - k * (kappa + f64::MIN_POSITIVE),
+        }
+    }
+
+    /// The bound at floor `f ≥ 0`.
+    fn at(&self, f: f64) -> f64 {
+        (self.a * f + self.b2) * f + self.c
+    }
+
+    /// A lower bound on [`Self::at`] over every floor in `[0, cap]`, or
+    /// `-∞` when a coefficient or `cap` is not finite. The minimum of the
+    /// quadratic is taken at 0, at `cap`, or at the vertex; a vertex not
+    /// clearly past `cap` counts as inside, which only lowers the bound.
+    /// The slack covers this evaluation's rounding.
+    fn min_over(&self, cap: f64) -> f64 {
+        let Self { a, b2, c } = *self;
+        if !(a.is_finite() && b2.is_finite() && c.is_finite() && cap.is_finite()) {
+            return f64::NEG_INFINITY;
+        }
+        let low = if a > 0.0 && b2 < 0.0 {
+            if -b2 > 2.0 * a * cap * (1.0 + 4.0 * f64::EPSILON) {
+                self.at(cap)
+            } else {
+                c - b2 * b2 / (4.0 * a)
+            }
+        } else if a > 0.0 {
+            c
+        } else {
+            c.min(self.at(cap))
+        };
+        let slack = 8.0 * f64::EPSILON * (a.abs() * cap * cap + 1.5 * b2.abs() * cap + c.abs());
+        low - slack
+    }
 }
 
 /// The online fitter.
@@ -153,67 +315,91 @@ impl LossCurveFitter {
         self.fit_pruned(history, hint)
     }
 
-    /// The branch-and-bound sweep: same candidates, same order and same
-    /// strict-`<` first-argmin as [`Self::fit_exhaustive`], with two
-    /// exact shortcuts in the grid.
+    /// The pruned sweep: same candidates, same order and same strict-`<`
+    /// first-argmin as [`Self::fit_exhaustive`], with the grid sums built
+    /// from `history` in one pass. [`crate::OnlinePredictor`] keeps its
+    /// sums as it observes instead.
+    pub fn fit_pruned(&self, history: &[f64], hint: Option<FittedCurve>) -> Option<FittedCurve> {
+        self.fit_summed(history, hint, &GridSums::of(history))
+    }
+
+    /// The branch-and-bound sweep over `history`, whose grid sums are
+    /// `sums`, with these exact shortcuts.
     ///
     /// * *Warm-start bound.* Before the grid, the exact SSE of the grid
     ///   cell nearest `hint` becomes an upper bound on the grid minimum;
     ///   a candidate is accepted only if `sse < best_sse && sse <= bound`.
-    /// * *Four-lane kernel.* Each floor's rates are evaluated four at a
-    ///   time, stopping once every lane's partial sum is past the cut.
-    ///
-    /// The local refinement is the exhaustive sweep's, with
-    /// [`FittedCurve::sse_within`] pruning against the incumbent.
-    pub fn fit_pruned(&self, history: &[f64], hint: Option<FittedCurve>) -> Option<FittedCurve> {
+    /// * *Closed-form filter.* A grid cell is skipped when its rate's
+    ///   [`LowerBound`] at its floor is above `min(best_sse, bound)`,
+    ///   and a whole rate column when the bound's minimum over the floor
+    ///   range is above `bound`. Survivors are summed by
+    ///   [`FittedCurve::sse_within`].
+    /// * *Refinement.* A floor probe is filtered the same way against the
+    ///   incumbent, by its rate's bound (summed in one pass for a rate off
+    ///   the grid). A probe bit-equal to the last displaced incumbent or
+    ///   to one of the last two rate probes is skipped: its SSE already
+    ///   lost to an incumbent no better than today's.
+    pub(crate) fn fit_summed(
+        &self,
+        history: &[f64],
+        hint: Option<FittedCurve>,
+        sums: &GridSums,
+    ) -> Option<FittedCurve> {
+        debug_assert_eq!(sums.n, history.len(), "grid sums of another history");
         if history.len() < Self::MIN_POINTS {
             return None;
         }
-        let min_loss = history.iter().cloned().fold(f64::INFINITY, f64::min);
+        let min_loss = floor_cap(history);
         let bound = self.hint_bound(history, min_loss, hint);
-        // Coarse grid over floor ∈ [0, min_loss], rate log-spaced.
-        let mut grid_best = (
-            FittedCurve {
-                initial: self.initial,
-                floor: 0.0,
-                rate: 1.0,
-            },
-            f64::INFINITY,
-        );
-        let offer = |best: &mut (FittedCurve, f64), cand: FittedCurve, sse: f64| {
-            if sse < best.1 && sse <= bound {
-                *best = (cand, sse);
+        let rates = rate_grid();
+        let lower = sums.bounds(self.initial);
+        // Rate columns some floor of which may still be accepted.
+        let mut live = [0; RATES];
+        let mut n_live = 0;
+        for (ri, lb) in lower.iter().enumerate() {
+            if lb.min_over(min_loss) > bound {
+                continue;
             }
+            live[n_live] = ri;
+            n_live += 1;
+        }
+        // Coarse grid over floor ∈ [0, min_loss], rate log-spaced.
+        let mut best = FittedCurve {
+            initial: self.initial,
+            floor: 0.0,
+            rate: 1.0,
         };
-        // 49 rates: twelve four-lane passes and one scalar tail per floor.
-        let (quads, tail) = rate_grid().as_chunks::<4>();
+        let mut best_sse = f64::INFINITY;
+        // A rate and its lower bound: `best`'s after the grid, then the
+        // last floor probe's.
+        let mut column: Option<(f64, LowerBound)> = None;
         for fi in 0..=32 {
             let floor = min_loss * f64::from(fi) / 32.0;
-            let cand = |rate| FittedCurve {
-                initial: self.initial,
-                floor,
-                rate,
-            };
-            for rates in quads {
-                let cut = grid_best.1.min(bound);
-                if let Some(sums) = sse4_within(self.initial, floor, rates, history, cut) {
-                    for (&rate, sse) in rates.iter().zip(sums) {
-                        offer(&mut grid_best, cand(rate), sse);
-                    }
+            for &ri in &live[..n_live] {
+                let cut = best_sse.min(bound);
+                if lower[ri].at(floor) > cut {
+                    continue;
+                }
+                let cand = FittedCurve {
+                    initial: self.initial,
+                    floor,
+                    rate: rates[ri],
+                };
+                let sse = cand.sse_within(history, cut);
+                if sse < best_sse && sse <= bound {
+                    (best, best_sse, column) = (cand, sse, Some((cand.rate, lower[ri])));
                 }
             }
-            for &rate in tail {
-                let c = cand(rate);
-                let sse = c.sse_within(history, grid_best.1.min(bound));
-                offer(&mut grid_best, c, sse);
-            }
         }
-        let (mut best, mut best_sse) = grid_best;
         // Local refinement: shrinking coordinate search around the best
-        // grid cell. It stays scalar: each step's four probes depend on
-        // the step before, and batching them measured no gain.
+        // grid cell.
         let mut floor_step = min_loss / 32.0;
         let mut rate_factor = 10f64.powf(6.0 / 48.0);
+        // Probes whose SSE already lost to an incumbent no better than
+        // today's: the last displaced incumbent and the last two rate
+        // probes (a floor move repeats the rate probes of the round
+        // before, and a move back lands on the displaced incumbent).
+        let mut losers: [Option<FittedCurve>; 3] = [None; 3];
         for _ in 0..24 {
             let mut improved = false;
             for (df, rf) in [
@@ -227,10 +413,34 @@ impl LossCurveFitter {
                     floor: (best.floor + df).clamp(0.0, min_loss),
                     rate: (best.rate * rf).max(1e-6),
                 };
+                if losers.iter().flatten().any(|p| p.same_bits(&cand)) {
+                    continue;
+                }
+                if rf == 1.0 {
+                    // A floor probe: its rate's bound, summed once per
+                    // rate off the grid.
+                    let lb = match column {
+                        Some((rate, lb)) if rate.to_bits() == cand.rate.to_bits() => lb,
+                        _ => {
+                            let lb = sums.bound_at(self.initial, cand.rate, history);
+                            column = Some((cand.rate, lb));
+                            lb
+                        }
+                    };
+                    if lb.at(cand.floor) > best_sse {
+                        continue;
+                    }
+                } else {
+                    losers[2] = losers[1];
+                    losers[1] = Some(cand);
+                }
                 let sse = cand.sse_within(history, best_sse);
                 if sse < best_sse {
-                    best_sse = sse;
-                    best = cand;
+                    // The grid's placeholder was never summed.
+                    if best_sse.is_finite() {
+                        losers[0] = Some(best);
+                    }
+                    (best, best_sse) = (cand, sse);
                     improved = true;
                 }
             }
@@ -271,13 +481,13 @@ impl LossCurveFitter {
     }
 
     /// The original full sweep: every candidate's SSE evaluated over the
-    /// whole history, `powf` per grid cell. Kept verbatim as the pruned
-    /// sweep's oracle in the differential tests.
+    /// whole history, `powf` per grid cell. Kept as the pruned sweep's
+    /// oracle in the differential tests.
     pub fn fit_exhaustive(&self, history: &[f64]) -> Option<FittedCurve> {
         if history.len() < Self::MIN_POINTS {
             return None;
         }
-        let min_loss = history.iter().cloned().fold(f64::INFINITY, f64::min);
+        let min_loss = floor_cap(history);
         let mut best = FittedCurve {
             initial: self.initial,
             floor: 0.0,
@@ -334,6 +544,7 @@ impl LossCurveFitter {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::OnlinePredictor;
     use ce_ml::curve::{CurveParams, LossCurve};
     use ce_ml::model::ModelFamily;
     use ce_sim_core::rng::SimRng;
@@ -433,8 +644,8 @@ mod tests {
 
     #[test]
     fn pruned_fit_is_bit_identical_to_exhaustive_sweep() {
-        // Neither the warm-start bound nor the lane kernel's early exit
-        // may change which candidate wins: across noisy realizations,
+        // Neither the warm-start bound nor the closed-form filter may
+        // change which candidate wins: across noisy realizations,
         // history lengths and hints, the pruned fit and the exhaustive
         // oracle return the exact same bits.
         for seed in 0..6 {
@@ -463,6 +674,180 @@ mod tests {
                         (slow.floor.to_bits(), slow.rate.to_bits()),
                         "seed {seed} n {n} hint {hint:?}"
                     );
+                }
+            }
+        }
+    }
+
+    fn bits(fit: Option<FittedCurve>) -> Option<(u64, u64)> {
+        fit.map(|c| (c.floor.to_bits(), c.rate.to_bits()))
+    }
+
+    /// Fits the prefix of `history` at each of `lengths` (ascending) three
+    /// ways: a bare pruned fit, a pruned fit hinted with the previous
+    /// length's fit, and an `OnlinePredictor` refit from its kept sums.
+    /// Each must be the exhaustive oracle's exact bits.
+    fn assert_prefixes_match_exhaustive(
+        initial: f64,
+        history: &[f64],
+        lengths: impl IntoIterator<Item = usize>,
+        what: &str,
+    ) {
+        let fitter = LossCurveFitter::new(initial);
+        let mut online = OnlinePredictor::new(initial);
+        let mut hint = None;
+        for n in lengths {
+            while (online.epochs_observed() as usize) < n {
+                online.observe(history[online.epochs_observed() as usize]);
+            }
+            let prefix = &history[..n];
+            let oracle = fitter.fit_exhaustive(prefix);
+            let want = bits(oracle);
+            assert_eq!(
+                bits(fitter.fit_pruned(prefix, None)),
+                want,
+                "{what}: bare, {n} epochs"
+            );
+            assert_eq!(
+                bits(fitter.fit_pruned(prefix, hint)),
+                want,
+                "{what}: hinted, {n} epochs"
+            );
+            assert_eq!(bits(online.fitted()), want, "{what}: online, {n} epochs");
+            hint = oracle;
+        }
+    }
+
+    /// A noisy run as long as a run can train (`max_epochs`, 600).
+    fn long_noisy_run() -> (f64, Vec<f64>) {
+        let params = CurveParams::for_workload(ModelFamily::MobileNet, "Cifar10");
+        let mut run = LossCurve::sample_optimal(&params, SimRng::new(26));
+        for _ in 0..600 {
+            run.next_epoch();
+        }
+        (params.initial, run.history().to_vec())
+    }
+
+    #[test]
+    fn pruned_fit_matches_exhaustive_at_every_length_to_the_epoch_cap() {
+        let (initial, history) = long_noisy_run();
+        assert_prefixes_match_exhaustive(initial, &history, 3..=600, "noisy");
+    }
+
+    #[test]
+    fn pruned_fit_matches_exhaustive_on_exact_zero_and_hostile_histories() {
+        let lengths = || (3..=24).chain([31, 47, 64, 96, 150, 233, 377, 600]);
+        // Exact curves, where the best SSE is ~0 and the closed form
+        // cancels hardest: on a grid cell (floor 0, a grid rate), off the
+        // grid, and flat at the initial loss (every rate ties at the top
+        // floor).
+        let exact = [
+            (2.3, exact_history(2.3, 0.0, rate_grid()[20], 600)),
+            (2.3, exact_history(2.3, 0.15, 0.8, 600)),
+            (1.7, exact_history(1.7, 0.9, 0.013, 600)),
+            (0.8, vec![0.8; 600]),
+        ];
+        for (i, (initial, history)) in exact.iter().enumerate() {
+            assert_prefixes_match_exhaustive(*initial, history, lengths(), &format!("exact {i}"));
+        }
+        // All-zero losses: the floor range is the single point 0.
+        assert_prefixes_match_exhaustive(1.0, &[0.0; 600], lengths(), "zero");
+        // Hostile values in a noisy run: NaN, ±inf, negative and -0.0
+        // losses, and magnitudes whose squares underflow or overflow.
+        let (initial, history) = long_noisy_run();
+        let base = &history[..40];
+        let scaled = |k: f64| base.iter().map(|l| l * k).collect::<Vec<_>>();
+        let mut hostile = vec![scaled(1e-300), scaled(1e200), vec![-0.0; 40]];
+        for (value, at) in [
+            (f64::NAN, 5),
+            (f64::INFINITY, 7),
+            (f64::NEG_INFINITY, 9),
+            (-0.3, 4),
+            (-1e-12, 20),
+            (-0.0, 6),
+        ] {
+            let mut h = base.to_vec();
+            h[at] = value;
+            hostile.push(h);
+        }
+        for (i, history) in hostile.iter().enumerate() {
+            assert_prefixes_match_exhaustive(initial, history, 3..=40, &format!("hostile {i}"));
+        }
+    }
+
+    #[test]
+    fn grown_sums_equal_a_one_pass_build() {
+        let (initial, history) = long_noisy_run();
+        let mut grown = GridSums::of(&history[..96]);
+        grown.push(history[96]);
+        let fresh = GridSums::of(&history[..97]);
+        assert_eq!(grown.n, fresh.n);
+        assert_eq!(grown.l.to_bits(), fresh.l.to_bits());
+        assert_eq!(grown.l2.to_bits(), fresh.l2.to_bits());
+        for (a, b) in [
+            (grown.g, fresh.g),
+            (grown.g2, fresh.g2),
+            (grown.gl, fresh.gl),
+        ] {
+            assert_eq!(a.map(f64::to_bits), b.map(f64::to_bits));
+        }
+        // A grid rate summed on its own gives the grid's bound.
+        let alone = fresh.bound_at(initial, rate_grid()[7], &history[..97]);
+        assert_eq!(
+            alone.at(0.5).to_bits(),
+            fresh.bounds(initial)[7].at(0.5).to_bits()
+        );
+    }
+
+    #[test]
+    fn closed_form_less_margin_never_exceeds_the_exact_sse() {
+        // The filter's soundness: at every grid cell and at random
+        // (floor, rate) pairs, on grid and off it, the lower bound is at
+        // most the SSE `sse` sums, and so is its minimum over the floor
+        // range.
+        let (initial, noisy) = long_noisy_run();
+        let cases = [
+            (initial, noisy.clone()),
+            (initial, noisy.iter().map(|l| l * 1e-300).collect()),
+            (initial, noisy.iter().map(|l| l * 1e100).collect()),
+            (2.3, exact_history(2.3, 0.0, rate_grid()[20], 600)),
+            (2.3, exact_history(2.3, 0.15, 0.8, 600)),
+            (0.8, vec![0.8; 600]),
+            (1.0, vec![0.0; 600]),
+        ];
+        let mut rng = SimRng::new(7);
+        for (case, (initial, history)) in cases.iter().enumerate() {
+            for n in [3, 4, 7, 20, 75, 600] {
+                let h = &history[..n];
+                let sums = GridSums::of(h);
+                let cap = floor_cap(h);
+                let grid = sums.bounds(*initial);
+                let check = |floor: f64, rate: f64, lb: LowerBound| {
+                    let sse = FittedCurve {
+                        initial: *initial,
+                        floor,
+                        rate,
+                    }
+                    .sse(h);
+                    let what = format!("case {case} n {n} floor {floor:e} rate {rate:e}");
+                    assert!(lb.at(floor) <= sse, "{what}: {} > {sse}", lb.at(floor));
+                    if floor <= cap {
+                        assert!(
+                            lb.min_over(cap) <= sse,
+                            "{what}: column min {}",
+                            lb.min_over(cap)
+                        );
+                    }
+                };
+                for (ri, &rate) in rate_grid().iter().enumerate() {
+                    for fi in 0..=32 {
+                        check(cap * f64::from(fi) / 32.0, rate, grid[ri]);
+                    }
+                }
+                for _ in 0..200 {
+                    let floor = cap * rng.uniform_range(0.0, 1.5);
+                    let rate = 10f64.powf(rng.uniform_range(-6.0, 4.0));
+                    check(floor, rate, sums.bound_at(*initial, rate, h));
                 }
             }
         }

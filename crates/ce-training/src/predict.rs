@@ -12,7 +12,7 @@
 //! ([`crate::fitter`]) and invert the fitted curve. The error falls as
 //! history accumulates, to ~5 % (Fig. 4b).
 
-use crate::fitter::{FittedCurve, LossCurveFitter};
+use crate::fitter::{FittedCurve, GridSums, LossCurveFitter};
 use ce_ml::curve::{CurveParams, LossCurve};
 use ce_sim_core::rng::SimRng;
 use std::cell::Cell;
@@ -76,6 +76,10 @@ impl OfflinePredictor {
 pub struct OnlinePredictor {
     fitter: LossCurveFitter,
     history: Vec<f64>,
+    /// The fitter's per-grid-rate sums of `history`, grown by `observe`
+    /// at one term per rate, so a refit prices each grid candidate in
+    /// O(1) instead of rebuilding them in O(history).
+    sums: Box<GridSums>,
     /// The last refit, keyed by the history length it was computed at.
     /// The fit is a pure function of the history, and `observe` (the
     /// only mutation) grows the history, so a matching length means the
@@ -90,14 +94,17 @@ impl OnlinePredictor {
         OnlinePredictor {
             fitter: LossCurveFitter::new(initial_loss),
             history: Vec::new(),
+            sums: Box::new(GridSums::new()),
             fit_cache: Cell::new(None),
         }
     }
 
-    /// Records one observed epoch loss. The memoized fit goes stale
-    /// (its length no longer matches) and becomes the next refit's hint.
+    /// Records one observed epoch loss and adds it to the grid sums. The
+    /// memoized fit goes stale (its length no longer matches) and becomes
+    /// the next refit's hint.
     pub fn observe(&mut self, loss: f64) {
         self.history.push(loss);
+        self.sums.push(loss);
     }
 
     /// Epochs observed so far.
@@ -107,16 +114,17 @@ impl OnlinePredictor {
 
     /// Latest fitted curve, if enough history has accumulated. Refits at
     /// most once per observed epoch: callers that consult the curve
-    /// several times between observations hit the memo. A refit is
-    /// warm-started from the previous fit, which bounds the sweep's work
-    /// but not its result ([`LossCurveFitter::fit_hinted`]).
+    /// several times between observations hit the memo. A refit reads
+    /// the kept grid sums and is warm-started from the previous fit;
+    /// both bound the sweep's work but not its result, which is
+    /// [`LossCurveFitter::fit_hinted`]'s bits.
     pub fn fitted(&self) -> Option<FittedCurve> {
         let hint = match self.fit_cache.get() {
             Some((n, fit)) if n == self.history.len() => return fit,
             Some((_, fit)) => fit,
             None => None,
         };
-        let fit = self.fitter.fit_hinted(&self.history, hint);
+        let fit = self.fitter.fit_summed(&self.history, hint, &self.sums);
         self.fit_cache.set(Some((self.history.len(), fit)));
         fit
     }
