@@ -14,8 +14,8 @@
 //! they draw no randomness — so swapping one in never perturbs any RNG
 //! stream and the simulator stays byte-identical per seed.
 
+use ce_obs::LogBuckets;
 use ce_sim_core::time::SimTime;
-use std::collections::BTreeMap;
 
 /// The provider-default fixed idle window, in seconds.
 pub const DEFAULT_TTL_S: f64 = 600.0;
@@ -181,10 +181,12 @@ impl KeepAlive for AdaptiveTtl {
 /// long enough to catch all but the rarest stragglers.
 ///
 /// The percentile is kept up to date as gaps arrive rather than found
-/// by walking the histogram on every query: a cursor sits on the bucket
-/// holding the nearest-rank gap, and each arrival moves it at most one
-/// occupied bucket, so an arrival costs one map insert plus at most one
-/// neighbour lookup and [`KeepAlive::ttl_s`] reads a stored value.
+/// by walking the histogram on every query. The gaps live in a
+/// [`LogBuckets`] window, whose rank cursor sits on the bucket holding
+/// the nearest-rank gap: an arrival tallies its gap in the dense window
+/// and walks the cursor to the rank's bucket, at most one occupied
+/// bucket away. The bucket's value is recomputed only when that bucket
+/// changes, and [`KeepAlive::ttl_s`] reads a stored value.
 #[derive(Debug, Clone)]
 pub struct HistogramTtl {
     /// Which gap percentile to keep instances warm for.
@@ -198,15 +200,11 @@ pub struct HistogramTtl {
     /// Gap observations needed before trusting the histogram; below this
     /// the policy falls back to [`DEFAULT_TTL_S`] (clamped).
     warmup: u64,
-    gaps: BTreeMap<i32, u64>,
-    zero_gaps: u64,
-    total: u64,
-    /// Bucket holding the nearest-rank gap; `None` while that rank falls
-    /// in the run of zero gaps (duplicate timestamps).
-    cursor: Option<i32>,
-    /// Gaps at or below the cursor, zero gaps included.
-    through: u64,
-    /// The nearest-rank percentile gap: the cursor bucket's value.
+    /// Log-bucket tallies of the observed gaps; zero gaps (duplicate
+    /// timestamps) count below every bucket.
+    gaps: LogBuckets,
+    /// The nearest-rank percentile gap: its bucket's value, or 0 while
+    /// the rank falls among the zero gaps.
     gap_s: f64,
     last_arrival: Option<SimTime>,
 }
@@ -223,11 +221,7 @@ impl HistogramTtl {
             min_ttl_s,
             max_ttl_s,
             warmup: 20,
-            gaps: BTreeMap::new(),
-            zero_gaps: 0,
-            total: 0,
-            cursor: None,
-            through: 0,
+            gaps: LogBuckets::default(),
             gap_s: 0.0,
             last_arrival: None,
         }
@@ -235,42 +229,15 @@ impl HistogramTtl {
 
     /// Gap observations recorded so far.
     pub fn samples(&self) -> u64 {
-        self.total
+        self.gaps.total()
     }
 
-    /// Records one gap and moves the cursor to the bucket holding rank
+    /// Records one gap and reads the gap at rank
     /// `max(ceil(percentile * total), 1)`.
     fn record_gap(&mut self, gap: f64) {
-        if gap > 0.0 {
-            let idx = ce_obs::log_bucket_index(gap);
-            *self.gaps.entry(idx).or_insert(0) += 1;
-            if self.cursor.is_some_and(|c| idx <= c) {
-                self.through += 1;
-            }
-        } else {
-            self.zero_gaps += 1;
-            self.through += 1;
-        }
-        self.total += 1;
-        let rank = ((self.percentile * self.total as f64).ceil() as u64).max(1);
-        // The rank exceeds the gaps at or below the cursor: step up to
-        // the next occupied bucket (one exists, as rank <= total).
-        while self.through < rank {
-            let lo = self.cursor.map_or(i32::MIN, |c| c + 1);
-            let (&idx, &n) = self.gaps.range(lo..).next().expect("rank <= total");
-            self.cursor = Some(idx);
-            self.through += n;
-        }
-        // The buckets below the cursor already cover the rank: step down.
-        while let Some(c) = self.cursor {
-            let below = self.through - self.gaps[&c];
-            if below < rank {
-                break;
-            }
-            self.through = below;
-            self.cursor = self.gaps.range(..c).next_back().map(|(&idx, _)| idx);
-        }
-        self.gap_s = self.cursor.map_or(0.0, ce_obs::log_bucket_value);
+        self.gaps.observe(gap);
+        let rank = self.gaps.rank(self.percentile);
+        self.gap_s = self.gaps.value_at(rank).unwrap_or(0.0);
     }
 }
 
@@ -287,7 +254,7 @@ impl KeepAlive for HistogramTtl {
 
     fn ttl_s(&self, _now: SimTime) -> f64 {
         // Past the warmup at least one gap exists, so `gap_s` is live.
-        let gap = if self.total < self.warmup {
+        let gap = if self.gaps.total() < self.warmup {
             DEFAULT_TTL_S
         } else {
             self.gap_s * self.margin
@@ -448,38 +415,63 @@ mod tests {
     }
 
     /// The reference answer: [`HistogramTtl::ttl_s`] as a full walk of
-    /// the gap histogram up to the nearest-rank percentile.
+    /// the gap window's counts up to the nearest-rank percentile, without
+    /// the window's rank cursor.
     fn walked_ttl_s(p: &HistogramTtl) -> f64 {
-        if p.total < p.warmup {
+        let total = p.gaps.total();
+        if total < p.warmup {
             return DEFAULT_TTL_S.clamp(p.min_ttl_s, p.max_ttl_s);
         }
-        let rank = ((p.percentile * p.total as f64).ceil() as u64).max(1);
-        let mut seen = p.zero_gaps;
+        let rank = ((p.percentile * total as f64).ceil() as u64).max(1);
+        let (lo, counts) = p.gaps.window();
+        let mut seen = p.gaps.zeros();
         let gap = if seen >= rank {
             0.0
         } else {
-            p.gaps
-                .iter()
-                .find_map(|(&idx, &n)| {
+            let idx = (lo..)
+                .zip(counts)
+                .find_map(|(idx, &n)| {
                     seen += n;
-                    (seen >= rank).then(|| ce_obs::log_bucket_value(idx))
+                    (seen >= rank).then_some(idx)
                 })
-                .expect("rank <= total")
+                // Past every finite bucket: the `+inf` gaps' bucket.
+                .unwrap_or(i32::MAX);
+            ce_obs::log_bucket_value(idx)
         };
         (gap * p.margin).clamp(p.min_ttl_s, p.max_ttl_s)
     }
 
     /// One seeded gap sequence: log-uniform gaps over 1e-6..1e4 s, runs
     /// of zero gaps (duplicate timestamps), and bursts of sub-millisecond
-    /// gaps that pull the rank back into lower buckets.
-    fn gap_sequence(rng: &mut SimRng, len: usize) -> Vec<f64> {
+    /// gaps that pull the rank back into lower buckets. A `wide` sequence
+    /// adds gaps at the subnormal and the 1e300 scale, some `+inf` gaps,
+    /// and long falling runs that grow the window downward across the
+    /// whole finite span.
+    fn gap_sequence(rng: &mut SimRng, len: usize, wide: bool) -> Vec<f64> {
         let mut gaps = Vec::with_capacity(len);
         while gaps.len() < len {
             let run = 1 + rng.gen_index(40);
-            match rng.gen_index(4) {
+            match rng.gen_index(if wide { 7 } else { 4 }) {
                 0 => gaps.extend(std::iter::repeat_n(0.0, run)),
                 1 => gaps.extend((0..run).map(|_| 10f64.powf(rng.uniform_range(-6.0, -3.0)))),
                 2 => gaps.extend((0..run).map(|_| 10f64.powf(rng.uniform_range(2.0, 4.0)))),
+                4 => gaps.extend((0..run).map(|_| f64::from_bits(1 + rng.next_u64() % (1 << 52)))),
+                5 => gaps.extend((0..run).map(|_| {
+                    if rng.bernoulli(0.1) {
+                        f64::INFINITY
+                    } else {
+                        1e300 * rng.uniform_range(1.0, 100.0)
+                    }
+                })),
+                6 => {
+                    // Each gap below the last, from up to 1e300 down
+                    // past the subnormals to zero.
+                    let mut gap = 10f64.powf(rng.uniform_range(0.0, 300.0));
+                    for _ in 0..run * 10 {
+                        gaps.push(gap);
+                        gap /= rng.uniform_range(1.05, 1e10);
+                    }
+                }
                 _ => gaps.extend((0..run).map(|_| 10f64.powf(rng.uniform_range(-6.0, 4.0)))),
             }
         }
@@ -489,25 +481,67 @@ mod tests {
 
     #[test]
     fn histogram_ttl_matches_the_reference_walk_after_every_arrival() {
+        // Every positive finite gap falls in one of these buckets.
+        let span = (ce_obs::log_bucket_index(f64::MAX)
+            - ce_obs::log_bucket_index(f64::from_bits(1))
+            + 1) as usize;
         let root = SimRng::new(0x4b45_4550);
         for percentile in [0.0, 0.5, 0.99, 1.0] {
-            for case in 0..40 {
+            for case in 0..48 {
                 let mut rng = root.derive_idx("keepalive-gaps", case);
                 // Unclamped, so every percentile move shows in the TTL.
                 let mut p = HistogramTtl::new(percentile, 0.0, f64::INFINITY);
                 let mut now = 0.0;
                 p.observe_arrival(t(now));
-                for (i, gap) in gap_sequence(&mut rng, 600).into_iter().enumerate() {
+                // The reference walks the whole window, which a wide
+                // sequence grows to ~73k buckets: keep those shorter.
+                let (len, wide) = if case < 40 { (600, false) } else { (200, true) };
+                for (i, gap) in gap_sequence(&mut rng, len, wide).into_iter().enumerate() {
                     now += gap;
-                    p.observe_arrival(t(now));
+                    if wide {
+                        // Fed as gaps, not timestamps: a clock near 1e300
+                        // would round every later small gap away.
+                        p.record_gap(gap);
+                    } else {
+                        p.observe_arrival(t(now));
+                    }
                     let (fast, walked) = (p.ttl_s(t(now)), walked_ttl_s(&p));
                     assert_eq!(
                         fast.to_bits(),
                         walked.to_bits(),
                         "p{percentile} case {case} arrival {i}: {fast} vs {walked}"
                     );
+                    let window = p.gaps.window().1.len();
+                    assert!(window <= span, "window {window} > {span}, case {case}");
                 }
                 assert!(p.samples() > p.warmup, "sequence crosses the warmup");
+            }
+        }
+    }
+
+    #[test]
+    fn a_clone_mid_stream_answers_like_the_original() {
+        let root = SimRng::new(0x434c_4f4e);
+        for case in 0..20 {
+            let mut rng = root.derive_idx("keepalive-clone", case);
+            let mut a: Box<dyn KeepAlive> = Box::new(HistogramTtl::new(0.99, 0.0, f64::INFINITY));
+            let mut now = 0.0;
+            let mut gaps = gap_sequence(&mut rng, 400, case % 2 == 1).into_iter();
+            let split = 1 + rng.gen_index(300);
+            for gap in gaps.by_ref().take(split) {
+                now += gap;
+                a.observe_arrival(t(now));
+            }
+            let mut b = a.clone_box();
+            for (i, gap) in gaps.enumerate() {
+                now += gap;
+                a.observe_arrival(t(now));
+                b.observe_arrival(t(now));
+                assert_eq!(
+                    a.ttl_s(t(now)).to_bits(),
+                    b.ttl_s(t(now)).to_bits(),
+                    "case {case}, arrival {i} after the clone at {split}"
+                );
             }
         }
     }

@@ -113,9 +113,12 @@ impl Gauge {
 #[derive(Clone, Debug, Default)]
 pub struct Histogram(Arc<Mutex<HistogramState>>);
 
-/// Geometric bucket tallies: bucket `i` counts observations in
-/// `[GAMMA^i, GAMMA^(i+1))`; non-positive (and NaN) observations land in
-/// `zeros`, and `+inf` in `top`, which stands for bucket `i32::MAX`.
+/// Geometric bucket tallies with a rank cursor: ce-obs's quantile
+/// histograms and `ce_faas`'s histogram keep-alive both keep one.
+///
+/// Bucket `i` counts observations in `[GAMMA^i, GAMMA^(i+1))`;
+/// non-positive (and NaN) observations count as zeros below every
+/// bucket, and `+inf` lands in bucket `i32::MAX`, counted apart.
 ///
 /// The finite buckets live in one dense window, `counts[k]` being bucket
 /// `lo + k`, that grows to cover every bucket observed. Every positive
@@ -123,12 +126,14 @@ pub struct Histogram(Arc<Mutex<HistogramState>>);
 /// exceeds ≈590 KB; `+inf` stays out of it, or it would span 2^31 slots.
 ///
 /// The rank cursor `(at, below)` records that `counts[..at]` holds
-/// `below` observations. A prefix count is the same for every `q`, so a
-/// quantile read walks the cursor from wherever the last read left it to
-/// the answer's bucket: repeated reads at one `q` move it by the few
-/// buckets the observations in between shifted the rank.
+/// `below` observations. A prefix count is the same for every rank, so a
+/// read walks the cursor from wherever the last read left it to the
+/// answer's bucket: repeated reads at one quantile move it by the few
+/// buckets the observations in between shifted the rank. The window
+/// also keeps the last bucket [`LogBuckets::value_at`] answered and that
+/// bucket's value, so a read landing in the same bucket costs no `exp`.
 #[derive(Debug, Default, Clone)]
-struct BucketTable {
+pub struct LogBuckets {
     zeros: u64,
     top: u64,
     /// Every observation: `zeros + top + counts.sum()`.
@@ -137,10 +142,13 @@ struct BucketTable {
     counts: Vec<u64>,
     at: usize,
     below: u64,
+    /// The last bucket `value_at` answered, and its `log_bucket_value`.
+    answered: Option<(i32, f64)>,
 }
 
-impl BucketTable {
-    fn observe(&mut self, value: f64) {
+impl LogBuckets {
+    /// Tallies one observation.
+    pub fn observe(&mut self, value: f64) {
         self.total += 1;
         if value == f64::INFINITY {
             self.top += 1;
@@ -152,6 +160,63 @@ impl BucketTable {
             }
         } else {
             self.zeros += 1;
+        }
+    }
+
+    /// Every observation tallied.
+    pub fn total(&self) -> u64 {
+        self.total
+    }
+
+    /// Observations `<= 0` or NaN.
+    pub fn zeros(&self) -> u64 {
+        self.zeros
+    }
+
+    /// The dense window of finite buckets: the first bucket's index and
+    /// the counts from it up (empty before any finite observation).
+    pub fn window(&self) -> (i32, &[u64]) {
+        (self.lo, &self.counts)
+    }
+
+    /// The nearest rank of quantile `q`: `max(ceil(q · total), 1)`, with
+    /// `q` clamped to `[0, 1]`.
+    pub fn rank(&self, q: f64) -> u64 {
+        ((q.clamp(0.0, 1.0) * self.total as f64).ceil() as u64).max(1)
+    }
+
+    /// The bucket holding the `rank`-th smallest observation (`1 ..=
+    /// total`): `None` when that is a zero, `i32::MAX` when it is `+inf`.
+    /// Walks the rank cursor there.
+    fn bucket_at(&mut self, rank: u64) -> Option<i32> {
+        debug_assert!(
+            (1..=self.total).contains(&rank),
+            "rank {rank} of {}",
+            self.total
+        );
+        if rank <= self.zeros {
+            None
+        } else if rank > self.total - self.top {
+            Some(i32::MAX)
+        } else {
+            Some(self.seek(rank - self.zeros))
+        }
+    }
+
+    /// The [`log_bucket_value`] of the bucket holding the `rank`-th
+    /// smallest observation (`1 ..= total`), or `None` when that is a
+    /// zero; an `+inf` observation answers bucket `i32::MAX`, worth
+    /// `+inf`. Walks the rank cursor there, and reuses the last answer
+    /// when the bucket has not moved.
+    pub fn value_at(&mut self, rank: u64) -> Option<f64> {
+        let idx = self.bucket_at(rank)?;
+        match self.answered {
+            Some((answered, value)) if answered == idx => Some(value),
+            _ => {
+                let value = log_bucket_value(idx);
+                self.answered = Some((idx, value));
+                Some(value)
+            }
         }
     }
 
@@ -193,7 +258,7 @@ impl BucketTable {
 
     /// Adds `other`'s tallies; the window becomes the union of both and
     /// the cursor restarts at the bottom.
-    fn merge_from(&mut self, other: &BucketTable) {
+    fn merge_from(&mut self, other: &LogBuckets) {
         self.zeros += other.zeros;
         self.top += other.top;
         self.total += other.total;
@@ -218,7 +283,7 @@ struct HistogramState {
     max: f64,
     /// `Some` once quantile tracking is enabled; plain histograms carry
     /// no buckets and export exactly the bytes they always did.
-    buckets: Option<BucketTable>,
+    buckets: Option<LogBuckets>,
 }
 
 impl Histogram {
@@ -246,7 +311,7 @@ impl Histogram {
     pub fn enable_quantiles(&self) {
         let mut state = self.0.lock().expect("histogram lock");
         if state.buckets.is_none() {
-            state.buckets = Some(BucketTable::default());
+            state.buckets = Some(LogBuckets::default());
         }
     }
 
@@ -259,30 +324,25 @@ impl Histogram {
     /// buckets, accurate to the 2 % bucket width and clamped to the exact
     /// observed `[min, max]`. Returns `None` when empty or when quantile
     /// tracking is disabled. Repeated reads at one `q` cost amortized
-    /// O(1) (see the bucket table's rank cursor).
+    /// O(1), and no `exp` while the answer's bucket stays put (see
+    /// [`LogBuckets`]).
     pub fn quantile(&self, q: f64) -> Option<f64> {
         let mut guard = self.0.lock().expect("histogram lock");
         let state = &mut *guard;
         let buckets = state.buckets.as_mut()?;
-        let total = buckets.total;
-        if total == 0 {
+        if buckets.total() == 0 {
             return None;
         }
         // Nearest-rank: the smallest bucket whose cumulative count covers
         // rank = ceil(q * total), with rank at least 1.
-        let rank = ((q.clamp(0.0, 1.0) * total as f64).ceil() as u64).max(1);
-        if rank == total {
+        let rank = buckets.rank(q);
+        if rank == buckets.total() {
             return Some(state.max);
         }
-        if buckets.zeros >= rank {
-            return Some(state.min.min(0.0));
-        }
-        let idx = if rank > total - buckets.top {
-            i32::MAX
-        } else {
-            buckets.seek(rank - buckets.zeros)
-        };
-        Some(log_bucket_value(idx).clamp(state.min, state.max))
+        Some(match buckets.value_at(rank) {
+            Some(value) => value.clamp(state.min, state.max),
+            None => state.min.min(0.0),
+        })
     }
 
     /// Folds every observation of `other` into this histogram:
@@ -306,7 +366,7 @@ impl Histogram {
         if let Some(their_buckets) = theirs.buckets {
             state
                 .buckets
-                .get_or_insert_with(BucketTable::default)
+                .get_or_insert_with(LogBuckets::default)
                 .merge_from(&their_buckets);
         }
     }
@@ -489,7 +549,7 @@ impl Registry {
             let quantiles = state.buckets.is_some();
             *state = HistogramState::default();
             if quantiles {
-                state.buckets = Some(BucketTable::default());
+                state.buckets = Some(LogBuckets::default());
             }
         }
         self.inner.events.lock().expect("events lock").clear();
@@ -1041,6 +1101,10 @@ mod tests {
                 .map(|_| 10f64.powi(rng.gen_index(41) as i32 * 5 - 100))
                 .collect();
             let edge_odds = [4, 30, usize::MAX][rng.gen_index(3)];
+            // One fixed `q` per histogram, read again and again across
+            // observations, so reads often land in the bucket the last
+            // read answered and take its cached value.
+            let sticky: Vec<f64> = (0..names.len()).map(|_| rng.uniform()).collect();
             for step in 0..500 {
                 let i = rng.gen_index(names.len());
                 let ctx = format!("seed {seed} step {step} histogram {}", names[i]);
@@ -1051,17 +1115,21 @@ mod tests {
                         oracle[i].observe(v);
                     }
                     11..=16 => {
-                        let q = match rng.gen_index(6) {
+                        let q = match rng.gen_index(8) {
                             0 => 0.0,
                             1 => 0.5,
                             2 => 0.95,
                             3 => 0.99,
                             4 => 1.0,
-                            _ => rng.uniform(),
+                            5 => rng.uniform(),
+                            _ => sticky[i],
                         };
-                        let got = handles[i].quantile(q).map(f64::to_bits);
                         let want = oracle[i].quantile(q).map(f64::to_bits);
-                        assert_eq!(got, want, "quantile({q}), {ctx}");
+                        // The repeat reads the same bucket at once.
+                        for read in 0..2 {
+                            let got = handles[i].quantile(q).map(f64::to_bits);
+                            assert_eq!(got, want, "quantile({q}) read {read}, {ctx}");
+                        }
                     }
                     17 => {
                         let j = rng.gen_index(names.len());

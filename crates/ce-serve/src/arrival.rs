@@ -72,6 +72,46 @@ pub fn check_arrivals(what: &'static str, expected: f64) -> Result<(), SpecError
     SpecError::at_most(what, expected, MAX_ARRIVALS)
 }
 
+/// `Ok` when `ok`, else an error naming `field`, its `value`, and what it
+/// `must` be.
+fn check(ok: bool, field: &str, value: f64, must: &str) -> Result<(), SpecError> {
+    if ok {
+        Ok(())
+    } else {
+        Err(SpecError::Invalid(format!(
+            "invalid {field}: {value} (must be {must})"
+        )))
+    }
+}
+
+/// A finite value `>= min`.
+pub(crate) fn check_at_least(field: &str, value: f64, min: f64) -> Result<(), SpecError> {
+    let ok = value.is_finite() && value >= min;
+    check(ok, field, value, &format!("finite and >= {min}"))
+}
+
+/// An arrival rate: finite and `>= 0`.
+pub(crate) fn check_rate(field: &str, rps: f64) -> Result<(), SpecError> {
+    check_at_least(field, rps, 0.0)
+}
+
+/// A diurnal swing: amplitude in `[0, 1)` (a trough rate of zero or
+/// below has no thinning probability) and a period `> 0`.
+pub(crate) fn check_diurnal(amplitude: f64, period_s: f64) -> Result<(), SpecError> {
+    check(
+        (0.0..1.0).contains(&amplitude),
+        "diurnal amplitude",
+        amplitude,
+        "in [0, 1)",
+    )?;
+    check(period_s > 0.0, "diurnal period_s", period_s, "> 0")
+}
+
+/// A mean dwell time `> 0`: a zero dwell never leaves the state clock.
+pub(crate) fn check_dwell(field: &str, dwell_s: f64) -> Result<(), SpecError> {
+    check(dwell_s > 0.0, field, dwell_s, "> 0")
+}
+
 /// Up-front capacity for a schedule of about `expected` arrivals.
 fn capacity_hint(expected: f64) -> usize {
     expected.min(MAX_ARRIVALS as f64) as usize + 16
@@ -83,8 +123,38 @@ fn exp_gap(rng: &mut SimRng, rate: f64) -> f64 {
 }
 
 impl ArrivalModel {
+    /// Checks the model's ranges: finite rates `>= 0`, a diurnal
+    /// amplitude in `[0, 1)` and period `> 0`, a bursty dwell `> 0`, and
+    /// a zoo's own ranges ([`crate::ZooSpec::validate`]). A trace is
+    /// checked when its log is read.
+    pub fn validate(&self) -> Result<(), SpecError> {
+        match self {
+            ArrivalModel::Poisson { rps } => check_rate("poisson rps", *rps),
+            ArrivalModel::Diurnal {
+                base_rps,
+                amplitude,
+                period_s,
+            } => {
+                check_rate("diurnal base_rps", *base_rps)?;
+                check_diurnal(*amplitude, *period_s)
+            }
+            ArrivalModel::Bursty {
+                low_rps,
+                high_rps,
+                mean_dwell_s,
+            } => {
+                check_rate("bursty low_rps", *low_rps)?;
+                check_rate("bursty high_rps", *high_rps)?;
+                check_dwell("bursty mean_dwell_s", *mean_dwell_s)
+            }
+            ArrivalModel::Trace { .. } => Ok(()),
+            ArrivalModel::Zoo { spec } => spec.validate(),
+        }
+    }
+
     /// Generates the full arrival schedule over `[0, duration_s)` from
-    /// `rng`. Returns ascending arrival instants in seconds.
+    /// `rng`. Returns ascending arrival instants in seconds. The model
+    /// must pass [`ArrivalModel::validate`].
     pub fn generate(&self, duration_s: f64, rng: &mut SimRng) -> Vec<f64> {
         match self {
             ArrivalModel::Poisson { rps } => {
@@ -104,7 +174,7 @@ impl ArrivalModel {
                 amplitude,
                 period_s,
             } => {
-                assert!(
+                debug_assert!(
                     (0.0..1.0).contains(amplitude),
                     "diurnal amplitude must be in [0, 1)"
                 );

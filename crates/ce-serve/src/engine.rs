@@ -50,9 +50,12 @@
 //! Attempt `k >= 1` forks the attempt-0 jitter and crash streams again by
 //! `"attempt"/k`; retry `k` forks the backoff stream by `"retry"/k`. A
 //! crash draw adds `"request-crash"/i`, a throttle draw
-//! `"request-throttle"/i`. Cold-start and service times multiply by the
-//! schedule's model factors in a fixed order; serving passes exactly
-//! `1.0`, and `x * 1.0 == x` keeps its bits.
+//! `"request-throttle"/i`. An attempt's jitter is drawn only for the path
+//! it takes, cold or warm, once the pool has answered; the warm service
+//! jitter shares the stream's first normal with the cold-start jitter.
+//! Cold-start and service times multiply by the schedule's model factors
+//! in a fixed order; serving passes exactly `1.0`, and `x * 1.0 == x`
+//! keeps its bits.
 //!
 //! # Metrics
 //!
@@ -238,31 +241,27 @@ impl Verdicts {
     }
 }
 
-/// Jitter for one request attempt, drawn when the attempt dispatches.
+/// The jitter of one attempt, drawn once the pool has said whether it
+/// starts cold: `(cold-start multiplier, service multiplier)`, the first
+/// `None` on a warm start.
 ///
-/// Both sequences come from the attempt's own stream: the cold path
-/// (cold-start jitter, then service jitter) and the warm path (service
-/// jitter first, on a fresh copy of the stream). The stream is a pure
-/// function of (request, attempt), so the draw is the same whenever it
-/// happens.
-struct RequestJitter {
-    cold: f64,
-    service_cold: f64,
-    service_warm: f64,
-}
-
-impl RequestJitter {
-    fn draw(key: SimRng, cold_sigma: f64, service_sigma: f64) -> Self {
-        let mut cold_path = key.clone();
-        let cold = cold_path.lognormal_jitter(cold_sigma);
-        let service_cold = cold_path.lognormal_jitter(service_sigma);
-        let mut warm_path = key;
-        let service_warm = warm_path.lognormal_jitter(service_sigma);
-        RequestJitter {
-            cold,
-            service_cold,
-            service_warm,
-        }
+/// Both paths start from the first normal `z` of the attempt's own
+/// stream. A warm start's service jitter is `exp(σ_service · z)`; a cold
+/// start's cold-start jitter is `exp(σ_cold · z)`, and its service jitter
+/// takes the stream's next normal. The stream is a pure function of
+/// (request, attempt), so the draw is the same whenever it happens.
+fn path_jitter(
+    mut stream: SimRng,
+    cold: bool,
+    cold_sigma: f64,
+    service_sigma: f64,
+) -> (Option<f64>, f64) {
+    let z = stream.normal();
+    if cold {
+        let cold_jitter = (cold_sigma * z).exp();
+        (Some(cold_jitter), stream.lognormal_jitter(service_sigma))
+    } else {
+        (None, (service_sigma * z).exp())
     }
 }
 
@@ -631,19 +630,19 @@ impl<E: From<ReqEv>> Engine<E> {
         self.outage_end_pending = false;
     }
 
-    /// Jitter for attempt `attempt` of a request: attempt 0 draws from
-    /// the request's stream, later attempts from a fork of it per attempt.
-    fn attempt_jitter(&self, sched: usize, req: u32, attempt: u32) -> RequestJitter {
+    /// The jitter stream of attempt `attempt` of a request: attempt 0
+    /// draws from the request's stream, later attempts from a fork of it
+    /// per attempt.
+    fn jitter_stream(&self, sched: usize, req: u32, attempt: u32) -> SimRng {
         let request = self.schedules[sched]
             .keys
             .jitter
             .derive_idx("request", u64::from(req));
-        let key = if attempt == 0 {
+        if attempt == 0 {
             request
         } else {
             fork_attempt(&request, u64::from(attempt))
-        };
-        RequestJitter::draw(key, self.spec.cold_start_jitter, self.spec.service_jitter)
+        }
     }
 
     /// Seconds after a primary dispatch at which its hedge launches:
@@ -836,16 +835,18 @@ impl<E: From<ReqEv>> Engine<E> {
         let li = self.lane_of(sched, req);
         let now = self.events.now();
         let active = self.active_faults();
-        let jit = self.attempt_jitter(sched, req, attempt);
+        let stream = self.jitter_stream(sched, req, attempt);
         let spec = &self.spec;
         let s = &mut self.schedules[sched];
         let l = &mut self.lanes[li];
         let (fid, cold) = l.pool.acquire_one(spec.memory_mb, now);
-        let cold_s = if cold {
+        let (cold_jit, service_jit) =
+            path_jitter(stream, cold, spec.cold_start_jitter, spec.service_jitter);
+        let cold_s = if let Some(cold_jit) = cold_jit {
             s.tally.cold_starts += 1;
             l.cold_starts += 1;
             let spike = active.cold_start_factor.max(1.0);
-            let cold_s = spec.cold_start_s * s.cold_factor * l.node.cold_factor * spike * jit.cold;
+            let cold_s = spec.cold_start_s * s.cold_factor * l.node.cold_factor * spike * cold_jit;
             if let Some(h) = &self.cold_start_h {
                 h.observe(cold_s * 1e3);
             }
@@ -857,11 +858,6 @@ impl<E: From<ReqEv>> Engine<E> {
         if s.drifted {
             s.tally.drifted_served += 1;
         }
-        let service_jit = if cold {
-            jit.service_cold
-        } else {
-            jit.service_warm
-        };
         let mut service_s = spec.service_s * s.service_factor * l.node.compute_factor * service_jit;
         // Brownout: above the queue-depth threshold this attempt serves
         // the degraded (cheaper, faster) profile instead of letting the
@@ -1221,6 +1217,75 @@ impl<E: From<ReqEv>> Engine<E> {
         for (i, s) in self.schedules.iter().enumerate() {
             if let Some(br) = &s.breaker {
                 obs.gauge(&self.breaker_gauge(i)).set(br.state().as_gauge());
+            }
+        }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    /// The reference answer: every sequence an attempt might need, drawn
+    /// up front. The cold path (cold-start jitter, then service jitter)
+    /// and the warm path (service jitter first, on a fresh copy of the
+    /// stream) each read the attempt's stream from its start.
+    struct RequestJitter {
+        cold: f64,
+        service_cold: f64,
+        service_warm: f64,
+    }
+
+    impl RequestJitter {
+        fn draw(key: SimRng, cold_sigma: f64, service_sigma: f64) -> Self {
+            let mut cold_path = key.clone();
+            let cold = cold_path.lognormal_jitter(cold_sigma);
+            let service_cold = cold_path.lognormal_jitter(service_sigma);
+            let mut warm_path = key;
+            let service_warm = warm_path.lognormal_jitter(service_sigma);
+            RequestJitter {
+                cold,
+                service_cold,
+                service_warm,
+            }
+        }
+    }
+
+    #[test]
+    fn the_taken_path_draws_the_three_draw_jitter_bit_for_bit() {
+        let spec = ServeSpec::new(crate::ArrivalModel::Poisson { rps: 1.0 }, 1.0, 0);
+        let sigmas = [
+            (spec.cold_start_jitter, spec.service_jitter),
+            (0.0, 0.0),
+            (0.0, 0.3),
+            (0.7, 0.0),
+            (1.5, 2.5),
+        ];
+        for seed in 0..8 {
+            let parent = SimRng::new(seed).derive("serve");
+            for req in 0..250 {
+                let request = parent.derive_idx("request", req);
+                for attempt in 0..4 {
+                    let key = if attempt == 0 {
+                        request.clone()
+                    } else {
+                        fork_attempt(&request, attempt)
+                    };
+                    for (cold_sigma, service_sigma) in sigmas {
+                        let want = RequestJitter::draw(key.clone(), cold_sigma, service_sigma);
+                        let ctx = format!(
+                            "seed {seed} request {req} attempt {attempt} σ ({cold_sigma}, {service_sigma})"
+                        );
+                        let (cold, service) =
+                            path_jitter(key.clone(), true, cold_sigma, service_sigma);
+                        assert_eq!(cold.map(f64::to_bits), Some(want.cold.to_bits()), "{ctx}");
+                        assert_eq!(service.to_bits(), want.service_cold.to_bits(), "{ctx}");
+                        let (cold, service) =
+                            path_jitter(key.clone(), false, cold_sigma, service_sigma);
+                        assert_eq!(cold, None, "{ctx}");
+                        assert_eq!(service.to_bits(), want.service_warm.to_bits(), "{ctx}");
+                    }
+                }
             }
         }
     }

@@ -71,4 +71,4 @@ pub use autoscale::{
 pub use qscale::{QLearningAutoscaler, QScalerConfig};
 pub use report::{PoolOutcome, ServeReport};
 pub use sim::{ServeSim, ServeSpec};
-pub use tracezoo::{parse_zoo, zoo_preset_names, FunctionClass, ZooSpec};
+pub use tracezoo::{parse_zoo, zoo_preset_names, FunctionClass, ZooSpec, MAX_ZOO_FUNCTIONS};

@@ -171,9 +171,10 @@ impl ServeSpec {
     }
 
     /// Checks the run's size and ranges before any work is done: the
-    /// expected arrivals against [`crate::MAX_ARRIVALS`], the queue
-    /// capacity, and the substrate.
+    /// arrival model's ranges, the expected arrivals against
+    /// [`crate::MAX_ARRIVALS`], the queue capacity, and the substrate.
     pub fn validate(&self) -> Result<(), SpecError> {
+        self.arrivals.validate()?;
         crate::check_arrivals("arrivals", self.arrivals.expected_arrivals(self.duration_s))?;
         SpecError::nonzero(&[(self.queue_cap as u64, "queue_cap", "slot")])?;
         self.topology.validate(&self.placement)
@@ -449,6 +450,7 @@ impl ServeSim {
 mod tests {
     use super::*;
     use crate::autoscale::{autoscaler_by_name, ConcurrencyTarget, FixedPool, PrewarmAhead};
+    use crate::ZooSpec;
     use ce_faas::{keep_alive_by_name, AdaptiveTtl, FixedTtl};
     use ce_resilience::HedgePolicy;
 
@@ -491,6 +493,72 @@ mod tests {
         ] {
             let err = spec.validate().unwrap_err().to_string();
             assert!(err.contains(needle), "{err}");
+        }
+    }
+
+    #[test]
+    fn validate_refuses_arrival_models_that_cannot_generate() {
+        let diurnal = |amplitude: f64, period_s: f64| ArrivalModel::Diurnal {
+            base_rps: 10.0,
+            amplitude,
+            period_s,
+        };
+        let bursty = |low_rps: f64, mean_dwell_s: f64| ArrivalModel::Bursty {
+            low_rps,
+            high_rps: 10.0,
+            mean_dwell_s,
+        };
+        let mixed = ZooSpec::preset("mixed").expect("preset");
+        let zoo = |edit: &dyn Fn(&mut ZooSpec)| {
+            let mut spec = mixed.clone();
+            edit(&mut spec);
+            ArrivalModel::Zoo { spec }
+        };
+        let valid = [
+            ArrivalModel::Poisson { rps: 0.0 },
+            diurnal(0.0, 600.0),
+            diurnal(0.999, 1e-9),
+            bursty(0.0, 1e-9),
+            zoo(&|_| {}),
+            zoo(&|z| z.functions = crate::MAX_ZOO_FUNCTIONS),
+            zoo(&|z| z.class_weights = [0.0, 0.0, 0.0, 1e-9]),
+            zoo(&|z| (z.zipf_exponent, z.burst_factor) = (0.0, 1.0)),
+        ];
+        for arrivals in valid {
+            let spec = ServeSpec::new(arrivals.clone(), 1.0, 1);
+            assert_eq!(spec.validate(), Ok(()), "{arrivals:?}");
+        }
+        let refused = [
+            (ArrivalModel::Poisson { rps: -1.0 }, "poisson rps"),
+            (ArrivalModel::Poisson { rps: f64::NAN }, "poisson rps"),
+            (diurnal(1.0, 600.0), "diurnal amplitude"),
+            (diurnal(-0.1, 600.0), "diurnal amplitude"),
+            (diurnal(f64::NAN, 600.0), "diurnal amplitude"),
+            (diurnal(0.5, 0.0), "diurnal period_s"),
+            (diurnal(0.5, f64::NAN), "diurnal period_s"),
+            (bursty(-1.0, 60.0), "bursty low_rps"),
+            (bursty(1.0, 0.0), "bursty mean_dwell_s"),
+            (zoo(&|z| z.diurnal_amplitude = 1.0), "diurnal amplitude"),
+            (zoo(&|z| z.diurnal_period_s = -1.0), "diurnal period_s"),
+            (zoo(&|z| z.functions = 0), "at least 1 function"),
+            (
+                zoo(&|z| z.functions = crate::MAX_ZOO_FUNCTIONS + 1),
+                "over the ceiling of 100000 zoo functions",
+            ),
+            (zoo(&|z| z.total_rps = f64::INFINITY), "zoo total_rps"),
+            (zoo(&|z| z.cold_rate_rps = -0.5), "zoo cold_rate_rps"),
+            (zoo(&|z| z.zipf_exponent = -1.0), "zoo zipf_exponent"),
+            (zoo(&|z| z.zipf_exponent = f64::NAN), "zoo zipf_exponent"),
+            (zoo(&|z| z.class_weights[2] = -0.1), "zoo class weight"),
+            (zoo(&|z| z.class_weights = [0.0; 4]), "all zero"),
+            (zoo(&|z| z.burst_factor = 0.5), "zoo burst_factor"),
+            (zoo(&|z| z.burst_factor = f64::INFINITY), "zoo burst_factor"),
+            (zoo(&|z| z.burst_dwell_s = 0.0), "zoo burst_dwell_s"),
+        ];
+        for (arrivals, needle) in refused {
+            let spec = ServeSpec::new(arrivals.clone(), 1.0, 1);
+            let err = spec.validate().unwrap_err().to_string();
+            assert!(err.contains(needle), "{arrivals:?}: {err}");
         }
     }
 

@@ -17,8 +17,13 @@
 //! replays bit-exactly via `--arrivals trace:<log>`.
 
 use ce_sim_core::rng::SimRng;
+use ce_sim_core::SpecError;
 
-use crate::arrival::ArrivalModel;
+use crate::arrival::{check_at_least, check_diurnal, check_dwell, check_rate, ArrivalModel};
+
+/// The most functions one zoo may hold: 500 times the largest preset.
+/// Generation keeps a popularity weight and a schedule per function.
+pub const MAX_ZOO_FUNCTIONS: u32 = 100_000;
 
 /// Temporal class of one function in the zoo.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -124,6 +129,33 @@ impl ZooSpec {
             }),
             _ => None,
         }
+    }
+
+    /// Checks the zoo's ranges: 1 to [`MAX_ZOO_FUNCTIONS`] functions,
+    /// finite rates `>= 0`, a finite Zipf exponent `>= 0`, finite class
+    /// weights `>= 0` with a positive sum, the diurnal swing's ranges, a
+    /// finite burst factor `>= 1`, and a burst dwell `> 0`.
+    pub fn validate(&self) -> Result<(), SpecError> {
+        SpecError::nonzero(&[(u64::from(self.functions), "zoo functions", "function")])?;
+        SpecError::at_most(
+            "zoo functions",
+            f64::from(self.functions),
+            MAX_ZOO_FUNCTIONS as usize,
+        )?;
+        check_rate("zoo total_rps", self.total_rps)?;
+        check_rate("zoo cold_rate_rps", self.cold_rate_rps)?;
+        check_at_least("zoo zipf_exponent", self.zipf_exponent, 0.0)?;
+        for w in self.class_weights {
+            check_at_least("zoo class weight", w, 0.0)?;
+        }
+        if self.class_weights.iter().sum::<f64>() <= 0.0 {
+            return Err(SpecError::Invalid(
+                "invalid zoo class weights: all zero (at least one must be > 0)".to_string(),
+            ));
+        }
+        check_diurnal(self.diurnal_amplitude, self.diurnal_period_s)?;
+        check_at_least("zoo burst_factor", self.burst_factor, 1.0)?;
+        check_dwell("zoo burst_dwell_s", self.burst_dwell_s)
     }
 
     /// Normalized Zipf popularity weights over the zoo's functions.

@@ -100,8 +100,11 @@ impl SimRng {
         ((self.next_u64() as u128 * n as u128) >> 64) as usize
     }
 
-    /// Standard normal sample (Box–Muller; one draw per call, second
-    /// discarded for simplicity — this code is not on a hot path).
+    /// Standard normal sample (Box–Muller: two uniforms, a `ln`, a
+    /// `sqrt` and a `cos` per call; the second normal of the pair is
+    /// discarded, so every call is a pure function of two draws). The
+    /// request engine calls it for every dispatched attempt, one normal
+    /// for a warm start and two for a cold one.
     pub fn normal(&mut self) -> f64 {
         // Avoid ln(0) by offsetting into (0, 1].
         let u1 = 1.0 - self.uniform();
