@@ -4,17 +4,30 @@
 //! AWS Lambda keeps an invoked instance warm for a provider-determined
 //! idle window (minutes), reuses it for subsequent invocations at the
 //! same memory size, and enforces a hard per-invocation execution limit
-//! (15 min). The pool models exactly that: [`InstancePool::acquire`]
-//! reuses unexpired warm instances of the right size and cold-starts the
-//! remainder; [`InstancePool::release`] returns them warm; invocations
-//! that exceed the execution limit are *counted* (the simulator's
-//! epochs are atomic, so the breach is surfaced as a diagnostic rather
-//! than a mid-epoch kill).
+//! ([`MAX_EXECUTION_S`]). Invocations that exceed the limit are
+//! *counted*: the simulator's requests and epochs are atomic, so the
+//! breach is surfaced as a diagnostic rather than a mid-run kill.
+//!
+//! Two pools model this, one per way the platform is invoked:
+//!
+//! * [`InstancePool`] serves requests one at a time. It keeps a record
+//!   per instance, because serving retires a crashed instance by id and
+//!   bills each reaped instance's own warm lifetime.
+//!   [`InstancePool::acquire_one`] reuses the most recently used
+//!   unexpired warm instance of the right size or cold-starts one;
+//!   [`InstancePool::release`] returns it warm.
+//! * [`WavePool`] serves BSP training waves ([`crate::FaasPlatform`]). A
+//!   wave acquires and releases all its instances together and nothing
+//!   reads one of them, so the pool keeps only how many instances of
+//!   each size went idle at each instant.
 
-use crate::keepalive::{FixedTtl, KeepAlive};
+use crate::keepalive::{FixedTtl, KeepAlive, DEFAULT_TTL_S};
 use ce_sim_core::time::SimTime;
 use std::cmp::Reverse;
 use std::collections::VecDeque;
+
+/// The per-invocation execution limit in seconds (Lambda: 15 min).
+pub const MAX_EXECUTION_S: f64 = 900.0;
 
 /// Identifier of one function instance.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -78,26 +91,22 @@ pub struct PoolStats {
     pub retired: u64,
 }
 
-/// Sort key of an idle instance in its memory size's index: the instant
-/// it went idle, then its id reversed. The back of an index is thus the
-/// most recently used instance, the lowest id among ties.
-type IdleKey = (SimTime, Reverse<u64>);
-
 /// Whether an instance idle since `idle_since` has expired as of `now`.
-/// `now - idle_since` falls as `idle_since` rises, so in key order the
-/// expired instances of an index are a prefix.
+/// `now - idle_since` falls as `idle_since` rises, so in `idle_since`
+/// order the expired entries of a deque are a prefix.
 fn expired(now: SimTime, idle_since: SimTime, ttl: f64) -> bool {
     now - idle_since > ttl
 }
 
-/// The idle instances of a pool, one key-sorted deque per memory size.
+/// One deque of idle entries per memory size, each sorted by the
+/// instant its entries went idle.
 #[derive(Debug, Clone, Default)]
-struct IdleIndex {
-    sizes: Vec<(u32, VecDeque<IdleKey>)>,
+struct BySize<T> {
+    sizes: Vec<(u32, VecDeque<T>)>,
 }
 
-impl IdleIndex {
-    fn get(&self, memory_mb: u32) -> Option<&VecDeque<IdleKey>> {
+impl<T> BySize<T> {
+    fn get(&self, memory_mb: u32) -> Option<&VecDeque<T>> {
         self.sizes
             .iter()
             .find(|(mb, _)| *mb == memory_mb)
@@ -105,7 +114,7 @@ impl IdleIndex {
     }
 
     /// `memory_mb`'s deque, created empty if new.
-    fn deque(&mut self, memory_mb: u32) -> &mut VecDeque<IdleKey> {
+    fn deque(&mut self, memory_mb: u32) -> &mut VecDeque<T> {
         let s = match self.sizes.iter().position(|(mb, _)| *mb == memory_mb) {
             Some(s) => s,
             None => {
@@ -115,7 +124,14 @@ impl IdleIndex {
         };
         &mut self.sizes[s].1
     }
+}
 
+/// Sort key of an idle instance in its memory size's index: the instant
+/// it went idle, then its id reversed. The back of an index is thus the
+/// most recently used instance, the lowest id among ties.
+type IdleKey = (SimTime, Reverse<u64>);
+
+impl BySize<IdleKey> {
     /// Inserts `keys`, ascending, in order. They are appended when they
     /// all sort after the back (the common case: time only moves
     /// forward), else merged in from the back in one pass, so a batch
@@ -156,15 +172,9 @@ impl IdleIndex {
         gone.sort_unstable();
         gone
     }
-
-    fn clear(&mut self) {
-        for (_, q) in &mut self.sizes {
-            q.clear();
-        }
-    }
 }
 
-/// A pool of function instances for one tenant.
+/// A pool of function instances serving one request at a time.
 #[derive(Debug, Clone)]
 pub struct InstancePool {
     /// Live instances, sorted by id: ids are handed out in increasing
@@ -172,27 +182,24 @@ pub struct InstancePool {
     /// keeps the survivors' order. [`InstancePool::position`] relies on it.
     instances: Vec<FunctionInstance>,
     /// Every idle instance of `instances`, once, under its memory size,
-    /// sorted by [`IdleKey`]; no executing instance. Warm reuse takes
-    /// the back, idle expiry pops the front.
-    idle: IdleIndex,
+    /// sorted by [`IdleKey`]; no executing one. Warm reuse takes the
+    /// back, idle expiry pops the front.
+    idle: BySize<IdleKey>,
     next_id: u64,
     /// Idle-expiry policy (default: the provider's fixed 600 s window).
     keep_alive: Box<dyn KeepAlive>,
-    /// Per-invocation execution limit (Lambda: 900 s).
-    pub max_execution_s: f64,
     stats: PoolStats,
 }
 
 impl InstancePool {
     /// Creates a pool with Lambda-like defaults (fixed 10 min idle
-    /// expiry, 15 min execution limit).
+    /// expiry).
     pub fn new() -> Self {
         InstancePool {
             instances: Vec::new(),
-            idle: IdleIndex::default(),
+            idle: BySize::default(),
             next_id: 0,
             keep_alive: Box::new(FixedTtl::default()),
-            max_execution_s: 900.0,
             stats: PoolStats::default(),
         }
     }
@@ -201,11 +208,6 @@ impl InstancePool {
     pub fn with_keep_alive(mut self, policy: Box<dyn KeepAlive>) -> Self {
         self.keep_alive = policy;
         self
-    }
-
-    /// Replaces the idle-expiry policy in place.
-    pub fn set_keep_alive(&mut self, policy: Box<dyn KeepAlive>) {
-        self.keep_alive = policy;
     }
 
     /// The active idle-expiry policy.
@@ -227,16 +229,11 @@ impl InstancePool {
         }) as u32
     }
 
-    /// Reaps instances idle past the keep-alive TTL as of `now`.
-    pub fn reap(&mut self, now: SimTime) {
-        self.reap_detailed(now);
-    }
-
-    /// Like [`InstancePool::reap`], but returns the removed instances in
-    /// id order, annotated with the instant each stopped being warm
-    /// (`idle_since + ttl`), so callers can bill keep-warm time exactly.
-    /// When nothing has expired this costs one comparison per memory
-    /// size.
+    /// Reaps instances idle past the keep-alive TTL as of `now` and
+    /// returns them in id order, annotated with the instant each stopped
+    /// being warm (`idle_since + ttl`), so callers can bill keep-warm
+    /// time exactly. When nothing has expired this costs one comparison
+    /// per memory size.
     pub fn reap_detailed(&mut self, now: SimTime) -> Vec<ReapedInstance> {
         let timeout = self.keep_alive.ttl_s(now);
         let gone = self.idle.pop_expired(now, timeout);
@@ -257,7 +254,9 @@ impl InstancePool {
     /// drained).
     pub fn drain_remaining(&mut self, horizon: SimTime) -> Vec<ReapedInstance> {
         let timeout = self.keep_alive.ttl_s(horizon);
-        self.idle.clear();
+        for (_, q) in &mut self.idle.sizes {
+            q.clear();
+        }
         let mut reaped = Vec::new();
         self.instances.retain(|inst| {
             if !inst.executing {
@@ -282,56 +281,23 @@ impl InstancePool {
         self.drain_remaining(now)
     }
 
-    /// Force-kills executing instances (a chaos crash, not idle expiry)
-    /// and returns them. Panics if an id is missing or not executing.
-    pub fn retire(&mut self, ids: &[FunctionId]) -> Vec<FunctionInstance> {
-        let mut out = Vec::with_capacity(ids.len());
-        for id in ids {
-            let idx = self.position(*id).expect("retired instance exists");
-            assert!(
-                self.instances[idx].executing,
-                "retire of idle instance {id:?}"
-            );
-            out.push(self.instances.remove(idx));
-        }
-        self.stats.retired += ids.len() as u64;
-        out
-    }
-
-    /// Acquires `n` instances of `memory_mb` at time `now`, reusing warm
-    /// ones first, most recently used first (Lambda's observed policy)
-    /// and the lowest id among ties. Returns the acquired ids and how
-    /// many cold-started.
-    pub fn acquire(&mut self, n: u32, memory_mb: u32, now: SimTime) -> (Vec<FunctionId>, u32) {
-        self.keep_alive.observe_arrival(now);
-        // After the reap every indexed instance is unexpired.
-        self.reap(now);
-        let q = self.idle.deque(memory_mb);
-        let warm = q.len().min(n as usize);
-        let mut ids = Vec::with_capacity(n as usize);
-        ids.extend(
-            q.drain(q.len() - warm..)
-                .rev()
-                .map(|(_, Reverse(id))| FunctionId(id)),
+    /// Force-kills the executing instance `id` (a chaos crash, not idle
+    /// expiry) and returns it. Panics if it is missing or not executing.
+    pub fn retire(&mut self, id: FunctionId) -> FunctionInstance {
+        let idx = self.position(id).expect("retired instance exists");
+        assert!(
+            self.instances[idx].executing,
+            "retire of idle instance {id:?}"
         );
-        let mut sorted = ids.clone();
-        sorted.sort_unstable_by_key(|id| id.0);
-        self.for_each_sorted(&sorted, |inst| inst.executing = true);
-        self.stats.warm_hits += warm as u64;
-        let cold = n - warm as u32;
-        for _ in 0..cold {
-            ids.push(self.provision(memory_mb, now, true));
-        }
-        self.stats.invocations += u64::from(n);
-        (ids, cold)
+        self.stats.retired += 1;
+        self.instances.remove(idx)
     }
 
-    /// Acquires a single instance for one request (the serving fast
-    /// path): reuses the most-recently-used unexpired warm instance at
-    /// `memory_mb`, the lowest id among ties, else cold-starts one.
-    /// Returns the id and whether it cold-started. Unlike
-    /// [`InstancePool::acquire`], this does not reap — serving loops
-    /// reap on their own cadence via [`InstancePool::reap_detailed`].
+    /// Acquires a single instance for one request: reuses the
+    /// most-recently-used unexpired warm instance at `memory_mb`, the
+    /// lowest id among ties, else cold-starts one. Returns the id and
+    /// whether it cold-started. This does not reap — serving loops reap
+    /// on their own cadence via [`InstancePool::reap_detailed`].
     pub fn acquire_one(&mut self, memory_mb: u32, now: SimTime) -> (FunctionId, bool) {
         self.keep_alive.observe_arrival(now);
         let ttl = self.keep_alive.ttl_s(now);
@@ -353,65 +319,35 @@ impl InstancePool {
         }
     }
 
-    /// Releases instances after an invocation of `busy_s` seconds ending
-    /// at `now`.
-    pub fn release(&mut self, ids: &[FunctionId], busy_s: f64, now: SimTime) {
-        if busy_s > self.max_execution_s {
-            self.stats.limit_breaches += ids.len() as u64;
+    /// Releases the executing instance `id` after an invocation of
+    /// `busy_s` seconds ending at `now`.
+    pub fn release(&mut self, id: FunctionId, busy_s: f64, now: SimTime) {
+        if busy_s > MAX_EXECUTION_S {
+            self.stats.limit_breaches += 1;
         }
-        let mut order = Vec::new();
-        let ids = if ids.len() > 1 {
-            order.extend_from_slice(ids);
-            order.sort_unstable_by_key(|id| id.0);
-            &order
-        } else {
-            ids
-        };
-        let (mut memory_mb, mut mixed) = (None, false);
-        self.for_each_sorted(ids, |inst| {
-            assert!(inst.executing, "double release of {:?}", inst.id);
-            inst.executing = false;
-            inst.invocations += 1;
-            inst.busy_s += busy_s;
-            inst.idle_since = now;
-            mixed |= memory_mb.is_some_and(|mb| mb != inst.memory_mb);
-            memory_mb = Some(inst.memory_mb);
-        });
-        // Descending ids give ascending keys at one instant.
-        let keys = ids.iter().rev().map(|id| (now, Reverse(id.0)));
-        match memory_mb {
-            Some(mb) if !mixed => IdleIndex::insert(self.idle.deque(mb), keys),
-            // A batch over several memory sizes: index each id on its own.
-            Some(_) => {
-                for id in ids.iter().rev() {
-                    let idx = self.position(*id).expect("released instance exists");
-                    let q = self.idle.deque(self.instances[idx].memory_mb);
-                    IdleIndex::insert(q, std::iter::once((now, Reverse(id.0))));
-                }
-            }
-            None => {}
-        }
+        let idx = self
+            .position(id)
+            .unwrap_or_else(|| panic!("instance {id:?} is not live"));
+        let inst = &mut self.instances[idx];
+        assert!(inst.executing, "double release of {id:?}");
+        inst.executing = false;
+        inst.invocations += 1;
+        inst.busy_s += busy_s;
+        inst.idle_since = now;
+        let q = self.idle.deque(inst.memory_mb);
+        BySize::insert(q, std::iter::once((now, Reverse(id.0))));
     }
 
     /// Provisions `n` warm instances at `memory_mb` without invoking
-    /// them (AWS "provisioned concurrency" / the planner's pre-warming
-    /// before a stage starts).
+    /// them (AWS "provisioned concurrency" / an autoscaler's pre-warming).
     pub fn prewarm(&mut self, n: u32, memory_mb: u32, now: SimTime) {
         let first = self.next_id;
         for _ in 0..n {
             self.provision(memory_mb, now, false);
         }
-        // Descending ids give ascending keys, as in `release`.
+        // Descending ids give ascending keys at one instant.
         let keys = (first..self.next_id).rev().map(|id| (now, Reverse(id)));
-        IdleIndex::insert(self.idle.deque(memory_mb), keys);
-    }
-
-    /// Drops every idle instance immediately (tenant-side teardown).
-    pub fn clear_idle(&mut self) {
-        let before = self.instances.len();
-        self.idle.clear();
-        self.instances.retain(|i| i.executing);
-        self.stats.expired += (before - self.instances.len()) as u64;
+        BySize::insert(self.idle.deque(memory_mb), keys);
     }
 
     /// Appends a new instance (a cold start, or a prewarm when not
@@ -431,28 +367,6 @@ impl InstancePool {
         });
         self.stats.created += 1;
         id
-    }
-
-    /// Applies `f` to the live instances `ids` (ascending), found by one
-    /// binary search each for a few ids or by one merge pass over the
-    /// store for a large batch. Panics if an id is not live.
-    fn for_each_sorted(&mut self, ids: &[FunctionId], mut f: impl FnMut(&mut FunctionInstance)) {
-        let few = ids.len() * 16 < self.instances.len();
-        let mut at = 0;
-        for id in ids {
-            let rest = &self.instances[at..];
-            at += if few {
-                rest.partition_point(|i| i.id.0 < id.0)
-            } else {
-                rest.iter()
-                    .position(|i| i.id.0 >= id.0)
-                    .unwrap_or(rest.len())
-            };
-            match self.instances.get_mut(at) {
-                Some(inst) if inst.id == *id => f(inst),
-                _ => panic!("instance {id:?} is not live"),
-            }
-        }
     }
 
     /// Removes the instances `ids` (ascending, live) from the store in
@@ -483,21 +397,135 @@ impl InstancePool {
     fn position(&self, id: FunctionId) -> Option<usize> {
         self.instances.binary_search_by_key(&id.0, |i| i.id.0).ok()
     }
-
-    /// Number of live (warm or executing) instances.
-    pub fn len(&self) -> usize {
-        self.instances.len()
-    }
-
-    /// Whether the pool holds no instances.
-    pub fn is_empty(&self) -> bool {
-        self.instances.is_empty()
-    }
 }
 
 impl Default for InstancePool {
     fn default() -> Self {
         Self::new()
+    }
+}
+
+/// A counted warm pool for BSP training waves.
+///
+/// Per memory size it keeps a deque of *cohorts*, `(idle_since, count)`:
+/// how many idle instances went idle at each instant, in strictly
+/// increasing `idle_since`. Instances in flight are not held at all;
+/// [`WavePool::release`] hands a wave back by its size. Idle expiry is
+/// the provider's fixed [`DEFAULT_TTL_S`] window and reads nothing but
+/// `idle_since`, so taking the newest cohorts first leaves the same
+/// multiset of `idle_since` values that an [`InstancePool`] reusing its
+/// most recently used instances leaves, and every count and
+/// [`PoolStats`] field matches it.
+#[derive(Debug, Clone, Default)]
+pub struct WavePool {
+    idle: BySize<(SimTime, u32)>,
+    stats: PoolStats,
+}
+
+impl WavePool {
+    /// An empty pool.
+    pub fn new() -> Self {
+        Self::default()
+    }
+
+    /// Pool counters (`retired` stays 0: a wave is never retired).
+    pub fn stats(&self) -> PoolStats {
+        self.stats
+    }
+
+    /// Currently warm (idle, unexpired as of `now`) instances at
+    /// `memory_mb`: the counts of its unexpired cohorts, a suffix.
+    pub fn warm_count(&self, memory_mb: u32, now: SimTime) -> u32 {
+        self.idle.get(memory_mb).map_or(0, |q| {
+            q.iter()
+                .rev()
+                .take_while(|&&(since, _)| !expired(now, since, DEFAULT_TTL_S))
+                .map(|&(_, n)| n)
+                .sum()
+        })
+    }
+
+    /// Acquires a wave of `n` instances of `memory_mb` at `now`: reaps
+    /// every expired cohort, reuses up to `n` warm instances, newest
+    /// first, and cold-starts the rest. Returns how many cold-started.
+    pub fn acquire(&mut self, n: u32, memory_mb: u32, now: SimTime) -> u32 {
+        for (_, q) in &mut self.idle.sizes {
+            while let Some(&(since, count)) = q.front() {
+                if !expired(now, since, DEFAULT_TTL_S) {
+                    break;
+                }
+                q.pop_front();
+                self.stats.expired += u64::from(count);
+            }
+        }
+        let q = self.idle.deque(memory_mb);
+        let mut warm = 0;
+        while warm < n {
+            let Some(back) = q.back_mut() else {
+                break;
+            };
+            let take = back.1.min(n - warm);
+            warm += take;
+            back.1 -= take;
+            if back.1 == 0 {
+                q.pop_back();
+            }
+        }
+        self.stats.invocations += u64::from(n);
+        self.stats.warm_hits += u64::from(warm);
+        self.stats.created += u64::from(n - warm);
+        n - warm
+    }
+
+    /// Returns a wave of `n` instances of `memory_mb` warm after an
+    /// invocation of `busy_s` seconds ending at `now`.
+    pub fn release(&mut self, n: u32, memory_mb: u32, busy_s: f64, now: SimTime) {
+        if busy_s > MAX_EXECUTION_S {
+            self.stats.limit_breaches += u64::from(n);
+        }
+        self.push(n, memory_mb, now);
+    }
+
+    /// Provisions `n` warm instances at `memory_mb` without invoking
+    /// them (the planner's pre-warming before a stage starts).
+    pub fn prewarm(&mut self, n: u32, memory_mb: u32, now: SimTime) {
+        self.stats.created += u64::from(n);
+        self.push(n, memory_mb, now);
+    }
+
+    /// Drops every idle instance immediately (tenant-side teardown).
+    pub fn cool_down(&mut self) {
+        for (_, q) in &mut self.idle.sizes {
+            self.stats.expired += q.drain(..).map(|(_, n)| u64::from(n)).sum::<u64>();
+        }
+    }
+
+    /// Number of idle instances held, expired or not.
+    pub fn len(&self) -> usize {
+        let counts = self.idle.sizes.iter().flat_map(|(_, q)| q);
+        counts.map(|&(_, n)| n as usize).sum()
+    }
+
+    /// Whether the pool holds no instances.
+    pub fn is_empty(&self) -> bool {
+        self.len() == 0
+    }
+
+    /// Adds `n` instances idle since `now`: a new back cohort, or more
+    /// of the back one when it went idle at the same instant. Time only
+    /// moves forward, so the deque stays sorted.
+    fn push(&mut self, n: u32, memory_mb: u32, now: SimTime) {
+        if n == 0 {
+            return;
+        }
+        let q = self.idle.deque(memory_mb);
+        match q.back_mut() {
+            Some((since, count)) if *since == now => *count += n,
+            back => {
+                debug_assert!(back.is_none_or(|(since, _)| *since < now), "time ran back");
+                q.push_back((now, n));
+            }
+        }
     }
 }
 
@@ -511,14 +539,14 @@ mod tests {
         SimTime::from_secs(secs)
     }
 
-    /// The reference answer: the pool as whole-store scans, with no idle
-    /// index. Every operation walks `instances` the way the pool did
-    /// before it kept one.
+    /// The reference answer for both pools: the pool as whole-store
+    /// scans over one record per instance, with no idle index and no
+    /// cohorts. Every operation walks `instances` the way the pool did
+    /// before it kept an index.
     struct ScanPool {
         instances: Vec<FunctionInstance>,
         next_id: u64,
         keep_alive: Box<dyn KeepAlive>,
-        max_execution_s: f64,
         stats: PoolStats,
     }
 
@@ -528,7 +556,6 @@ mod tests {
                 instances: Vec::new(),
                 next_id: 0,
                 keep_alive,
-                max_execution_s: 900.0,
                 stats: PoolStats::default(),
             }
         }
@@ -597,15 +624,11 @@ mod tests {
             self.drain_remaining(now)
         }
 
-        fn retire(&mut self, ids: &[FunctionId]) -> Vec<FunctionInstance> {
-            let mut out = Vec::with_capacity(ids.len());
-            for id in ids {
-                let idx = self.instances.iter().position(|i| i.id == *id).unwrap();
-                assert!(self.instances[idx].executing);
-                out.push(self.instances.remove(idx));
-            }
-            self.stats.retired += ids.len() as u64;
-            out
+        fn retire(&mut self, id: FunctionId) -> FunctionInstance {
+            let idx = self.instances.iter().position(|i| i.id == id).unwrap();
+            assert!(self.instances[idx].executing);
+            self.stats.retired += 1;
+            self.instances.remove(idx)
         }
 
         fn cold_start(&mut self, memory_mb: u32, now: SimTime, executing: bool) -> FunctionId {
@@ -673,7 +696,7 @@ mod tests {
         }
 
         fn release(&mut self, ids: &[FunctionId], busy_s: f64, now: SimTime) {
-            if busy_s > self.max_execution_s {
+            if busy_s > MAX_EXECUTION_S {
                 self.stats.limit_breaches += ids.len() as u64;
             }
             for id in ids {
@@ -767,96 +790,196 @@ mod tests {
         }
     }
 
+    /// Acquires `n` instances one request at a time at `now`.
+    fn acquire_each(pool: &mut InstancePool, n: u32, memory_mb: u32, now: SimTime) -> Vec<u64> {
+        (0..n)
+            .map(|_| pool.acquire_one(memory_mb, now).0 .0)
+            .collect()
+    }
+
     #[test]
     fn first_acquire_is_all_cold() {
-        let mut pool = InstancePool::new();
-        let (ids, cold) = pool.acquire(5, 1769, t(0.0));
-        assert_eq!(ids.len(), 5);
-        assert_eq!(cold, 5);
+        let mut pool = WavePool::new();
+        assert_eq!(pool.acquire(5, 1769, t(0.0)), 5);
         assert_eq!(pool.stats().created, 5);
         assert_eq!(pool.stats().warm_hits, 0);
+        assert!(pool.is_empty(), "a wave in flight is not held");
     }
 
     #[test]
     fn release_then_acquire_reuses_warm() {
-        let mut pool = InstancePool::new();
-        let (ids, _) = pool.acquire(5, 1769, t(0.0));
-        pool.release(&ids, 10.0, t(10.0));
-        let (ids2, cold) = pool.acquire(5, 1769, t(10.0));
-        assert_eq!(cold, 0);
+        let mut pool = WavePool::new();
+        pool.acquire(5, 1769, t(0.0));
+        pool.release(5, 1769, 10.0, t(10.0));
+        assert_eq!(pool.warm_count(1769, t(10.0)), 5);
+        assert_eq!(pool.acquire(5, 1769, t(10.0)), 0);
         assert_eq!(pool.stats().warm_hits, 5);
-        // Same instances, reused.
-        let mut a: Vec<u64> = ids.iter().map(|i| i.0).collect();
-        let mut b: Vec<u64> = ids2.iter().map(|i| i.0).collect();
-        a.sort_unstable();
-        b.sort_unstable();
-        assert_eq!(a, b);
+        // Same instances, reused: none created, none left idle.
+        assert_eq!(pool.stats().created, 5);
+        assert_eq!(pool.warm_count(1769, t(10.0)), 0);
     }
 
     #[test]
     fn memory_size_partitions_the_pool() {
-        let mut pool = InstancePool::new();
-        let (ids, _) = pool.acquire(3, 1769, t(0.0));
-        pool.release(&ids, 1.0, t(1.0));
+        let mut pool = WavePool::new();
+        pool.acquire(3, 1769, t(0.0));
+        pool.release(3, 1769, 1.0, t(1.0));
         // Different memory: all cold.
-        let (_, cold) = pool.acquire(3, 3538, t(1.0));
-        assert_eq!(cold, 3);
+        assert_eq!(pool.acquire(3, 3538, t(1.0)), 3);
         assert_eq!(pool.warm_count(1769, t(1.0)), 3);
     }
 
     #[test]
     fn idle_timeout_expires_instances() {
-        let mut pool = InstancePool::new();
-        let (ids, _) = pool.acquire(4, 1769, t(0.0));
-        pool.release(&ids, 1.0, t(1.0));
+        let mut pool = WavePool::new();
+        pool.acquire(4, 1769, t(0.0));
+        pool.release(4, 1769, 1.0, t(1.0));
         assert_eq!(pool.warm_count(1769, t(500.0)), 4);
         // Past the 600 s idle window: expired.
         assert_eq!(pool.warm_count(1769, t(700.0)), 0);
-        let (_, cold) = pool.acquire(4, 1769, t(700.0));
-        assert_eq!(cold, 4);
+        assert_eq!(pool.acquire(4, 1769, t(700.0)), 4);
         assert_eq!(pool.stats().expired, 4);
     }
 
     #[test]
     fn partial_warm_pool_cold_starts_the_rest() {
-        let mut pool = InstancePool::new();
-        let (ids, _) = pool.acquire(3, 1769, t(0.0));
-        pool.release(&ids, 1.0, t(1.0));
-        let (ids2, cold) = pool.acquire(8, 1769, t(1.0));
-        assert_eq!(ids2.len(), 8);
-        assert_eq!(cold, 5);
+        let mut pool = WavePool::new();
+        pool.acquire(3, 1769, t(0.0));
+        pool.release(3, 1769, 1.0, t(1.0));
+        assert_eq!(pool.acquire(8, 1769, t(1.0)), 5);
+        assert_eq!(pool.stats().invocations, 11);
     }
 
     #[test]
     fn execution_limit_breaches_are_counted() {
-        let mut pool = InstancePool::new();
-        let (ids, _) = pool.acquire(2, 1769, t(0.0));
-        pool.release(&ids, 1200.0, t(1200.0));
+        let mut pool = WavePool::new();
+        pool.acquire(2, 1769, t(0.0));
+        pool.release(2, 1769, 1200.0, t(1200.0));
         assert_eq!(pool.stats().limit_breaches, 2);
         // Within the limit: no breach.
-        let (ids, _) = pool.acquire(2, 1769, t(1200.0));
-        pool.release(&ids, 100.0, t(1300.0));
+        pool.acquire(2, 1769, t(1200.0));
+        pool.release(2, 1769, 100.0, t(1300.0));
         assert_eq!(pool.stats().limit_breaches, 2);
+    }
+
+    #[test]
+    fn cool_down_keeps_waves_in_flight() {
+        let mut pool = WavePool::new();
+        pool.acquire(2, 1769, t(0.0));
+        pool.release(2, 1769, 1.0, t(1.0));
+        pool.acquire(1, 1769, t(1.0));
+        pool.cool_down();
+        assert!(pool.is_empty());
+        assert_eq!(pool.stats().expired, 1, "only the idle instance is dropped");
+        // The wave in flight comes back warm.
+        pool.release(1, 1769, 1.0, t(2.0));
+        assert_eq!(pool.warm_count(1769, t(2.0)), 1);
+    }
+
+    #[test]
+    fn wave_reuse_takes_the_newest_cohorts_first() {
+        let mut pool = WavePool::new();
+        pool.prewarm(4, 1769, t(0.0));
+        pool.acquire(2, 1769, t(300.0));
+        pool.release(2, 1769, 1.0, t(300.0));
+        // A prewarm at the instant of a release joins its cohort.
+        pool.prewarm(1, 1769, t(300.0));
+        assert_eq!(pool.idle.get(1769).unwrap(), &[(t(0.0), 2), (t(300.0), 3)]);
+        // Four reuse the three idle since 300, then split the older
+        // cohort; the one left went idle at 0 and expires first.
+        assert_eq!(pool.acquire(4, 1769, t(300.0)), 0);
+        assert_eq!(pool.idle.get(1769).unwrap(), &[(t(0.0), 1)]);
+        pool.release(4, 1769, 1.0, t(301.0));
+        assert_eq!(pool.warm_count(1769, t(601.0)), 4);
+        assert_eq!(pool.len(), 5);
+        assert_eq!(pool.acquire(0, 1769, t(601.0)), 0);
+        assert_eq!((pool.stats().expired, pool.len()), (1, 4));
+    }
+
+    #[test]
+    fn wave_pool_matches_the_scanning_oracle() {
+        prop("wave-pool-vs-scan", 200, |rng| {
+            let mut pool = WavePool::new();
+            let mut oracle = ScanPool::new(Box::new(FixedTtl(DEFAULT_TTL_S)));
+            let sizes = [1769, 3008];
+            // Waves in flight: their memory size and the oracle's ids.
+            let mut waves: Vec<(u32, Vec<FunctionId>)> = Vec::new();
+            let mut now = 0.0;
+            for step in 0..300 {
+                // Runs of one instant merge cohorts; long steps cross the
+                // keep-alive window.
+                now += match rng.gen_index(10) {
+                    0..=3 => 0.0,
+                    4..=7 => rng.uniform_range(0.0, 120.0),
+                    _ => rng.uniform_range(500.0, 700.0),
+                };
+                let at = t(now);
+                let memory_mb = sizes[rng.gen_index(sizes.len())];
+                let ctx = format!("step {step} at {now}");
+                match rng.gen_index(9) {
+                    0..=2 => {
+                        let n = rng.gen_index(12) as u32;
+                        let (ids, cold) = oracle.acquire(n, memory_mb, at);
+                        assert_eq!(pool.acquire(n, memory_mb, at), cold, "cold, {ctx}");
+                        waves.push((memory_mb, ids));
+                    }
+                    3..=5 if !waves.is_empty() => {
+                        let (mb, ids) = waves.swap_remove(rng.gen_index(waves.len()));
+                        let busy_s = rng.uniform_range(0.0, 1_200.0);
+                        pool.release(ids.len() as u32, mb, busy_s, at);
+                        oracle.release(&ids, busy_s, at);
+                        // A re-plan prewarms at the instant of a release.
+                        if rng.bernoulli(0.3) {
+                            let n = rng.gen_index(6) as u32;
+                            pool.prewarm(n, mb, at);
+                            oracle.prewarm(n, mb, at);
+                        }
+                    }
+                    6 | 7 => {
+                        let n = rng.gen_index(6) as u32;
+                        pool.prewarm(n, memory_mb, at);
+                        oracle.prewarm(n, memory_mb, at);
+                    }
+                    8 if rng.bernoulli(0.3) => {
+                        pool.cool_down();
+                        oracle.clear_idle();
+                    }
+                    _ => {}
+                }
+                for mb in sizes {
+                    assert_eq!(
+                        pool.warm_count(mb, at),
+                        oracle.warm_count(mb, at),
+                        "warm_count({mb}), {ctx}"
+                    );
+                }
+                let idle = oracle.instances.iter().filter(|i| !i.executing).count();
+                assert_eq!(pool.len(), idle, "idle instances held, {ctx}");
+                assert_eq!(pool.stats(), oracle.stats, "stats, {ctx}");
+            }
+        });
     }
 
     #[test]
     fn busy_time_and_invocations_accumulate() {
         let mut pool = InstancePool::new();
-        let (ids, _) = pool.acquire(1, 1769, t(0.0));
-        pool.release(&ids, 5.0, t(5.0));
-        let (ids, _) = pool.acquire(1, 1769, t(5.0));
-        pool.release(&ids, 7.0, t(12.0));
+        let (id, _) = pool.acquire_one(1769, t(0.0));
+        pool.release(id, 5.0, t(5.0));
+        let (id, _) = pool.acquire_one(1769, t(5.0));
+        pool.release(id, 7.0, t(12.0));
         assert_eq!(pool.stats().invocations, 2);
-        assert_eq!(pool.len(), 1);
+        assert_eq!(pool.instances.len(), 1);
+        assert_eq!(pool.instances[0].invocations, 2);
+        assert_eq!(pool.instances[0].busy_s, 12.0);
     }
 
     #[test]
     #[should_panic(expected = "double release")]
     fn double_release_panics() {
         let mut pool = InstancePool::new();
-        let (ids, _) = pool.acquire(1, 1769, t(0.0));
-        pool.release(&ids, 1.0, t(1.0));
-        pool.release(&ids, 1.0, t(2.0));
+        let (id, _) = pool.acquire_one(1769, t(0.0));
+        pool.release(id, 1.0, t(1.0));
+        pool.release(id, 1.0, t(2.0));
     }
 
     #[test]
@@ -864,7 +987,7 @@ mod tests {
         let mut pool = InstancePool::new();
         let (a, cold) = pool.acquire_one(1769, t(0.0));
         assert!(cold);
-        pool.release(&[a], 1.0, t(1.0));
+        pool.release(a, 1.0, t(1.0));
         let (b, cold) = pool.acquire_one(1769, t(2.0));
         assert!(!cold);
         assert_eq!(a, b, "single warm instance is reused");
@@ -872,8 +995,8 @@ mod tests {
         let (c, cold) = pool.acquire_one(1769, t(2.5));
         assert!(cold);
         assert_ne!(b, c);
-        pool.release(&[b], 1.0, t(3.0));
-        pool.release(&[c], 1.0, t(3.5));
+        pool.release(b, 1.0, t(3.0));
+        pool.release(c, 1.0, t(3.5));
         // MRU: the most recently released (c) wins the next request.
         let (d, cold) = pool.acquire_one(1769, t(4.0));
         assert!(!cold);
@@ -886,7 +1009,7 @@ mod tests {
     fn acquire_one_respects_keep_alive_expiry() {
         let mut pool = InstancePool::new().with_keep_alive(Box::new(FixedTtl(30.0)));
         let (a, _) = pool.acquire_one(1769, t(0.0));
-        pool.release(&[a], 1.0, t(1.0));
+        pool.release(a, 1.0, t(1.0));
         let (_, cold) = pool.acquire_one(1769, t(100.0));
         assert!(cold, "past the 30 s TTL the warm instance is unusable");
     }
@@ -894,8 +1017,8 @@ mod tests {
     #[test]
     fn reap_detailed_reports_warm_lifetime() {
         let mut pool = InstancePool::new();
-        let (ids, _) = pool.acquire(1, 1769, t(0.0));
-        pool.release(&ids, 10.0, t(10.0));
+        let (id, _) = pool.acquire_one(1769, t(0.0));
+        pool.release(id, 10.0, t(10.0));
         let reaped = pool.reap_detailed(t(2000.0));
         assert_eq!(reaped.len(), 1);
         let r = &reaped[0];
@@ -904,14 +1027,14 @@ mod tests {
         assert_eq!(r.retained_until, t(610.0));
         assert!((r.warm_idle_s() - 600.0).abs() < 1e-9);
         assert_eq!(pool.stats().expired, 1);
-        assert!(pool.is_empty());
+        assert!(pool.instances.is_empty());
     }
 
     #[test]
     fn drain_remaining_caps_at_the_horizon() {
         let mut pool = InstancePool::new();
-        let (ids, _) = pool.acquire(1, 1769, t(0.0));
-        pool.release(&ids, 5.0, t(5.0));
+        let (id, _) = pool.acquire_one(1769, t(0.0));
+        pool.release(id, 5.0, t(5.0));
         // Horizon before the TTL would expire the instance.
         let reaped = pool.drain_remaining(t(100.0));
         assert_eq!(reaped.len(), 1);
@@ -922,23 +1045,22 @@ mod tests {
     #[test]
     fn retire_removes_executing_instances() {
         let mut pool = InstancePool::new();
-        let (ids, _) = pool.acquire(2, 1769, t(0.0));
-        let killed = pool.retire(&ids[..1]);
-        assert_eq!(killed.len(), 1);
-        assert_eq!(killed[0].id, ids[0]);
+        let (a, _) = pool.acquire_one(1769, t(0.0));
+        let (b, _) = pool.acquire_one(1769, t(0.0));
+        assert_eq!(pool.retire(a).id, a);
         assert_eq!(pool.stats().retired, 1);
-        assert_eq!(pool.len(), 1);
+        assert_eq!(pool.instances.len(), 1);
         // The survivor still releases normally.
-        pool.release(&ids[1..], 1.0, t(1.0));
+        pool.release(b, 1.0, t(1.0));
     }
 
     #[test]
     #[should_panic(expected = "retire of idle instance")]
     fn retire_of_idle_instance_panics() {
         let mut pool = InstancePool::new();
-        let (ids, _) = pool.acquire(1, 1769, t(0.0));
-        pool.release(&ids, 1.0, t(1.0));
-        pool.retire(&ids);
+        let (id, _) = pool.acquire_one(1769, t(0.0));
+        pool.release(id, 1.0, t(1.0));
+        pool.retire(id);
     }
 
     #[test]
@@ -950,26 +1072,15 @@ mod tests {
         let mut now = 0.0;
         for _ in 0..100 {
             let (id, _) = pool.acquire_one(1769, t(now));
-            pool.release(&[id], 1.0, t(now + 1.0));
+            pool.release(id, 1.0, t(now + 1.0));
             now += 5.0;
         }
         assert_eq!(pool.warm_count(1769, t(now)), 1);
         assert_eq!(pool.warm_count(1769, t(now + 60.0)), 0, "adaptive expiry");
         let mut fixed = InstancePool::new();
         let (id, _) = fixed.acquire_one(1769, t(0.0));
-        fixed.release(&[id], 1.0, t(1.0));
+        fixed.release(id, 1.0, t(1.0));
         assert_eq!(fixed.warm_count(1769, t(61.0)), 1, "fixed 600 s survives");
-    }
-
-    #[test]
-    fn clear_idle_keeps_executing_instances() {
-        let mut pool = InstancePool::new();
-        let (first, _) = pool.acquire(2, 1769, t(0.0));
-        pool.release(&first, 1.0, t(1.0));
-        let (_executing, _) = pool.acquire(1, 1769, t(1.0));
-        pool.clear_idle();
-        assert_eq!(pool.len(), 1);
-        assert!(!pool.is_empty());
     }
 
     #[test]
@@ -984,21 +1095,29 @@ mod tests {
             now += rng.uniform_range(0.0, 200.0);
             let memory_mb = [512, 1769][rng.gen_index(2)];
             match rng.gen_index(7) {
-                0 => executing.extend(pool.acquire(rng.gen_index(6) as u32, memory_mb, t(now)).0),
+                0 => {
+                    let n = rng.gen_index(6) as u32;
+                    let ids = acquire_each(&mut pool, n, memory_mb, t(now));
+                    executing.extend(ids.into_iter().map(FunctionId));
+                }
                 1 => executing.push(pool.acquire_one(memory_mb, t(now)).0),
                 2 => pool.prewarm(rng.gen_index(4) as u32, memory_mb, t(now)),
                 3 if !executing.is_empty() => {
                     let id = executing.swap_remove(rng.gen_index(executing.len()));
-                    assert_eq!(pool.retire(&[id])[0].id, id);
+                    assert_eq!(pool.retire(id).id, id);
                 }
                 4 => {
                     pool.reap_detailed(t(now));
                 }
-                5 if rng.bernoulli(0.1) => pool.clear_idle(),
+                5 if rng.bernoulli(0.1) => {
+                    pool.flush_idle(t(now));
+                }
                 _ => {
                     rng.shuffle(&mut executing);
                     let n = rng.gen_index(executing.len() + 1);
-                    pool.release(&executing.split_off(n), 1.0, t(now));
+                    for id in executing.split_off(n) {
+                        pool.release(id, 1.0, t(now));
+                    }
                 }
             }
             assert!(
@@ -1033,10 +1152,12 @@ mod tests {
                 let ctx = format!("step {step} at {now}");
                 match rng.gen_index(12) {
                     0 => {
-                        let n = rng.gen_index(8) as u32;
-                        let got = pool.acquire(n, memory_mb, at);
-                        assert_eq!(got, oracle.acquire(n, memory_mb, at), "acquire, {ctx}");
-                        executing.extend(got.0);
+                        // A burst of requests at one instant.
+                        for _ in 0..rng.gen_index(8) {
+                            let got = pool.acquire_one(memory_mb, at);
+                            assert_eq!(got, oracle.acquire_one(memory_mb, at), "burst, {ctx}");
+                            executing.push(got.0);
+                        }
                     }
                     1 | 2 => {
                         let got = pool.acquire_one(memory_mb, at);
@@ -1044,43 +1165,34 @@ mod tests {
                         executing.push(got.0);
                     }
                     3 | 4 => {
-                        // A batch at one instant, in random id order.
+                        // Releases at one instant, in random id order.
                         rng.shuffle(&mut executing);
                         let keep = rng.gen_index(executing.len() + 1);
-                        let batch = executing.split_off(keep);
-                        let busy_s = rng.uniform_range(0.0, 1_000.0);
-                        pool.release(&batch, busy_s, at);
-                        oracle.release(&batch, busy_s, at);
+                        for id in executing.split_off(keep) {
+                            let busy_s = rng.uniform_range(0.0, 1_000.0);
+                            pool.release(id, busy_s, at);
+                            oracle.release(&[id], busy_s, at);
+                        }
                     }
                     5 => {
                         let n = rng.gen_index(5) as u32;
                         pool.prewarm(n, memory_mb, at);
                         oracle.prewarm(n, memory_mb, at);
                     }
-                    6 => {
-                        pool.reap(at);
-                        oracle.reap(at);
-                    }
-                    7 | 8 => {
+                    6..=8 => {
                         let got = pool.reap_detailed(at);
                         assert_same_reaped(&got, &oracle.reap_detailed(at));
                     }
                     9 if !executing.is_empty() => {
-                        rng.shuffle(&mut executing);
-                        let n = 1 + rng.gen_index(executing.len().min(3));
-                        let gone = executing.split_off(executing.len() - n);
-                        assert_eq!(pool.retire(&gone), oracle.retire(&gone), "retire, {ctx}");
+                        let id = executing.swap_remove(rng.gen_index(executing.len()));
+                        assert_eq!(pool.retire(id), oracle.retire(id), "retire, {ctx}");
                     }
-                    10 => match rng.gen_index(6) {
+                    10 => match rng.gen_index(4) {
                         0 => assert_same_reaped(&pool.flush_idle(at), &oracle.flush_idle(at)),
                         1 => assert_same_reaped(
                             &pool.drain_remaining(at),
                             &oracle.drain_remaining(at),
                         ),
-                        2 => {
-                            pool.clear_idle();
-                            oracle.clear_idle();
-                        }
                         _ => {}
                     },
                     _ => {}
@@ -1102,39 +1214,50 @@ mod tests {
     #[test]
     fn warm_reuse_takes_the_lowest_id_among_the_latest() {
         let mut pool = InstancePool::new();
-        let (ids, _) = pool.acquire(6, 1769, t(0.0)); // ids 0..6
-        pool.release(&ids[..1], 1.0, t(4.0)); // 0 idle since 4
-        pool.release(&ids[3..4], 1.0, t(5.0)); // 3 idle since 5
-                                               // A release batch in shuffled order and a prewarm, both at 5.
-        pool.release(&[ids[5], ids[1], ids[4]], 1.0, t(5.0));
-        pool.prewarm(2, 1769, t(5.0)); // 6 and 7
+        assert_eq!(
+            acquire_each(&mut pool, 6, 1769, t(0.0)),
+            vec![0, 1, 2, 3, 4, 5]
+        );
+        // 0 goes idle at 4 and 3 at 5. Also at 5: releases in shuffled
+        // id order, and a prewarm of 6 and 7.
+        pool.release(FunctionId(0), 1.0, t(4.0));
+        pool.release(FunctionId(3), 1.0, t(5.0));
+        for id in [5, 1, 4] {
+            pool.release(FunctionId(id), 1.0, t(5.0));
+        }
+        pool.prewarm(2, 1769, t(5.0));
         assert_index_consistent(&pool);
         let (one, cold) = pool.acquire_one(1769, t(6.0));
         assert_eq!((one, cold), (FunctionId(1), false));
         // Most recent first, ascending ids among ties, then the older 0.
-        let (batch, cold) = pool.acquire(6, 1769, t(6.0));
-        let batch: Vec<u64> = batch.iter().map(|id| id.0).collect();
-        assert_eq!((batch, cold), (vec![3, 4, 5, 6, 7, 0], 0));
+        assert_eq!(
+            acquire_each(&mut pool, 6, 1769, t(6.0)),
+            vec![3, 4, 5, 6, 7, 0]
+        );
+        assert_eq!(pool.stats().created, 8);
     }
 
     #[test]
     fn reaped_and_drained_instances_come_out_in_id_order() {
         let mut pool = InstancePool::new().with_keep_alive(Box::new(FixedTtl(10.0)));
-        let (big, _) = pool.acquire(3, 3008, t(0.0)); // 0, 1, 2
-        let (small, _) = pool.acquire(3, 512, t(0.0)); // 3, 4, 5
-                                                       // Idle order interleaves the two sizes and runs against the ids.
-        pool.release(&[small[2], big[1]], 1.0, t(1.0));
-        pool.release(&[big[2], small[0]], 1.0, t(2.0));
-        pool.release(&[small[1], big[0]], 1.0, t(3.0));
+        assert_eq!(acquire_each(&mut pool, 3, 3008, t(0.0)), vec![0, 1, 2]);
+        assert_eq!(acquire_each(&mut pool, 3, 512, t(0.0)), vec![3, 4, 5]);
+        // Idle order interleaves the two sizes and runs against the ids.
+        for (id, at) in [(5, 1.0), (1, 1.0), (2, 2.0), (3, 2.0), (4, 3.0), (0, 3.0)] {
+            pool.release(FunctionId(id), 1.0, t(at));
+        }
         let ids = |r: &[ReapedInstance]| r.iter().map(|r| r.instance.id.0).collect::<Vec<_>>();
         let reaped = pool.reap_detailed(t(12.5));
         assert_eq!(ids(&reaped), vec![1, 2, 3, 5]);
         assert_eq!(reaped[0].retained_until, t(11.0));
-        let (more, _) = pool.acquire(2, 512, t(12.5)); // 4 warm, 6 cold
-        pool.release(&more, 1.0, t(12.5));
+        let more = acquire_each(&mut pool, 2, 512, t(12.5));
+        assert_eq!(more, vec![4, 6], "4 warm, 6 cold");
+        for id in more {
+            pool.release(FunctionId(id), 1.0, t(12.5));
+        }
         let drained = pool.drain_remaining(t(20.0));
         assert_eq!(ids(&drained), vec![0, 4, 6]);
-        assert!(pool.is_empty());
+        assert!(pool.instances.is_empty());
         assert_index_consistent(&pool);
     }
 }

@@ -20,14 +20,15 @@
 //! Modules:
 //!
 //! * [`platform`] — [`platform::FaasPlatform`], the stateful simulator
-//!   (warm pools, billing ledger, seeded RNG).
+//!   (warm pool, billing ledger, seeded RNG).
 //! * [`epoch`] — the BSP epoch executor (event-driven at iteration
 //!   granularity, plus a fast analytic+jitter path for large sweeps).
 //! * [`billing`] — the billing ledger and its conservation invariants.
 //! * [`restart`] — resource-adjustment (function restart) timing,
 //!   including the paper's *delayed restart* overlap optimization (Fig 8).
-//! * [`function`] — instance lifecycle: warm pools, idle expiry,
-//!   execution-limit accounting.
+//! * [`function`] — instance lifecycle: the per-instance serving pool
+//!   ([`function::InstancePool`]) and the counted pool of training waves
+//!   ([`function::WavePool`]), idle expiry, execution-limit accounting.
 //! * [`keepalive`] — pluggable idle-expiry policies ([`keepalive::FixedTtl`],
 //!   cost-aware [`keepalive::AdaptiveTtl`], Serverless-in-the-Wild-style
 //!   [`keepalive::HistogramTtl`]) behind the [`keepalive::KeepAlive`] trait.
@@ -61,7 +62,9 @@ pub mod restart;
 
 pub use billing::{lost_wave_bill, BillingLedger};
 pub use epoch::{ExecutionFidelity, MeasuredEpoch};
-pub use function::{FunctionId, FunctionInstance, InstancePool, PoolStats, ReapedInstance};
+pub use function::{
+    FunctionId, FunctionInstance, InstancePool, PoolStats, ReapedInstance, WavePool,
+};
 pub use keepalive::{
     keep_alive_by_name, parse_keep_alive, AdaptiveTtl, FixedTtl, HistogramTtl, KeepAlive,
     KeepAliveParseError,

@@ -1,12 +1,20 @@
 //! The stateful platform simulator.
+//!
+//! [`FaasPlatform`] runs one tenant's BSP training epochs: each epoch is
+//! one wave of `n` functions at one memory size (Algorithm 2), launched
+//! warm from the instances earlier waves left idle, or cold. The wave is
+//! acquired and released as a whole and nothing reads one instance of
+//! it, so the platform's warm pool is a counted [`WavePool`]: how many
+//! instances of each size went idle at each instant, expiring after the
+//! provider's fixed [`crate::keepalive::DEFAULT_TTL_S`] window.
 
 use crate::billing::{lost_wave_bill, BillingLedger};
 use crate::epoch::{self, ExecutionFidelity, MeasuredEpoch};
-use crate::function::{InstancePool, PoolStats};
+use crate::function::{PoolStats, WavePool};
 use crate::quota::QuotaExceeded;
 use ce_chaos::{CompiledSchedule, FaultSchedule};
 use ce_models::{Allocation, Environment, UnknownStorage, Workload};
-use ce_obs::Registry;
+use ce_obs::{Counter, Gauge, Histogram, Registry};
 use ce_sim_core::rng::SimRng;
 use ce_sim_core::time::SimTime;
 use ce_storage::{StorageCatalog, StorageKind};
@@ -95,6 +103,42 @@ struct ChaosState {
     fired_waves: Vec<bool>,
 }
 
+/// Handles of the `faas.*` metrics an executed epoch updates, looked up
+/// once per platform rather than by name on every epoch. They are made
+/// at the first executed epoch, where the by-name lookups registered
+/// them, so a platform that executes none exports nothing. The two
+/// histograms are registered at their first observation.
+#[derive(Debug, Clone)]
+struct EpochMetrics {
+    invocations: Counter,
+    cold_starts: Counter,
+    warm_starts: Counter,
+    failures: Counter,
+    retries: Counter,
+    limit_breaches: Counter,
+    billed_gb_s: Gauge,
+    dollars: Gauge,
+    cold_start_s: Option<Histogram>,
+    retry_stall_s: Option<Histogram>,
+}
+
+impl EpochMetrics {
+    fn new(obs: &Registry) -> Self {
+        EpochMetrics {
+            invocations: obs.counter("faas.invocations"),
+            cold_starts: obs.counter("faas.cold_starts"),
+            warm_starts: obs.counter("faas.warm_starts"),
+            failures: obs.counter("faas.failures"),
+            retries: obs.counter("faas.retries"),
+            limit_breaches: obs.counter("faas.limit_breaches"),
+            billed_gb_s: obs.gauge("faas.billed_gb_s"),
+            dollars: obs.gauge("faas.dollars"),
+            cold_start_s: None,
+            retry_stall_s: None,
+        }
+    }
+}
+
 /// Stochastic-behaviour knobs of the simulated platform.
 ///
 /// The jitter magnitudes are calibrated so the analytical models of
@@ -141,8 +185,8 @@ pub struct FaasPlatform {
     config: PlatformConfig,
     rng: SimRng,
     ledger: BillingLedger,
-    /// Function-instance pool (warm reuse, idle expiry, limits).
-    pool: InstancePool,
+    /// The warm pool the epoch waves reuse (idle expiry, limits).
+    pool: WavePool,
     /// The platform clock: advanced by every epoch's wall time, anchors
     /// warm-instance idle expiry.
     now: SimTime,
@@ -152,6 +196,8 @@ pub struct FaasPlatform {
     /// adds), so aggregation across forked trial platforms is
     /// order-insensitive.
     obs: Registry,
+    /// `obs`'s epoch metric handles, once an epoch has executed.
+    metrics: Option<EpochMetrics>,
     /// Optional fault injection; `None` (the default) is the clean
     /// platform, bit-identical to builds without chaos support.
     chaos: Option<ChaosState>,
@@ -170,10 +216,11 @@ impl FaasPlatform {
             config,
             rng: SimRng::new(seed).derive("faas-platform"),
             ledger: BillingLedger::new(),
-            pool: InstancePool::new(),
+            pool: WavePool::new(),
             now: SimTime::ZERO,
             epochs_run: 0,
             obs: Registry::new(),
+            metrics: None,
             chaos: None,
         }
     }
@@ -197,13 +244,7 @@ impl FaasPlatform {
     /// Sends platform metrics (`faas.*`) to a shared registry.
     pub fn with_registry(mut self, registry: &Registry) -> Self {
         self.obs = registry.clone();
-        self
-    }
-
-    /// Replaces the warm pool's idle-expiry policy (default:
-    /// [`crate::keepalive::FixedTtl`] at 600 s, the provider window).
-    pub fn with_keep_alive(mut self, policy: Box<dyn crate::keepalive::KeepAlive>) -> Self {
-        self.pool.set_keep_alive(policy);
+        self.metrics = None;
         self
     }
 
@@ -240,7 +281,7 @@ impl FaasPlatform {
 
     /// Drops all warm instances (tenant teardown between phases).
     pub fn cool_down(&mut self) {
-        self.pool.clear_idle();
+        self.pool.cool_down();
     }
 
     /// The platform clock (sum of executed epochs' wall time).
@@ -414,7 +455,7 @@ impl FaasPlatform {
         }
         let (config, env_override) = self.sample_chaos(w, alloc)?;
         let breaches_before = self.pool.stats().limit_breaches;
-        let (ids, cold) = self.pool.acquire(alloc.n, alloc.memory_mb, self.now);
+        let cold = self.pool.acquire(alloc.n, alloc.memory_mb, self.now);
 
         let mut epoch_rng = self.rng.derive_idx("epoch", self.epochs_run);
         self.epochs_run += 1;
@@ -431,12 +472,13 @@ impl FaasPlatform {
             Err(e) => {
                 // Unknown storage: the wave never launched. Return the
                 // instances untouched.
-                self.pool.release(&ids, 0.0, self.now);
+                self.pool.release(alloc.n, alloc.memory_mb, 0.0, self.now);
                 return Err(e.into());
             }
         };
         self.now += measured.wall_s;
-        self.pool.release(&ids, measured.wall_s, self.now);
+        self.pool
+            .release(alloc.n, alloc.memory_mb, measured.wall_s, self.now);
 
         self.ledger
             .record_invocations(alloc.n, self.env.pricing.per_invocation);
@@ -451,32 +493,26 @@ impl FaasPlatform {
             measured.cost.storage_runtime,
         );
 
-        self.obs.counter("faas.invocations").add(u64::from(alloc.n));
-        self.obs.counter("faas.cold_starts").add(u64::from(cold));
-        self.obs
-            .counter("faas.warm_starts")
-            .add(u64::from(alloc.n - cold));
-        self.obs
-            .counter("faas.failures")
-            .add(u64::from(measured.failures));
-        self.obs
-            .counter("faas.retries")
-            .add(u64::from(measured.failures));
-        self.obs
-            .gauge("faas.billed_gb_s")
+        let obs = &self.obs;
+        let m = self.metrics.get_or_insert_with(|| EpochMetrics::new(obs));
+        m.invocations.add(u64::from(alloc.n));
+        m.cold_starts.add(u64::from(cold));
+        m.warm_starts.add(u64::from(alloc.n - cold));
+        m.failures.add(u64::from(measured.failures));
+        m.retries.add(u64::from(measured.failures));
+        m.billed_gb_s
             .add(f64::from(alloc.n) * f64::from(alloc.memory_mb) / 1024.0 * measured.wall_s);
-        self.obs.gauge("faas.dollars").add(measured.cost.total());
-        self.obs
-            .counter("faas.limit_breaches")
+        m.dollars.add(measured.cost.total());
+        m.limit_breaches
             .add(self.pool.stats().limit_breaches - breaches_before);
         if cold > 0 {
-            self.obs
-                .histogram("faas.cold_start_s")
+            m.cold_start_s
+                .get_or_insert_with(|| obs.histogram("faas.cold_start_s"))
                 .observe(measured.cold_start_s);
         }
         if measured.failures > 0 {
-            self.obs
-                .histogram("faas.retry_stall_s")
+            m.retry_stall_s
+                .get_or_insert_with(|| obs.histogram("faas.retry_stall_s"))
                 .observe(measured.failure_s);
         }
         Ok(measured)
@@ -491,12 +527,13 @@ impl FaasPlatform {
             config: self.config,
             rng: self.rng.derive_idx(label, idx),
             ledger: BillingLedger::new(),
-            pool: InstancePool::new(),
+            pool: WavePool::new(),
             now: SimTime::ZERO,
             epochs_run: 0,
             // Forked trials share the sink: their counter adds commute,
             // so the aggregate is deterministic regardless of trial order.
             obs: self.obs.clone(),
+            metrics: self.metrics.clone(),
             // Forks run offline trials (profiling, tuning brackets); fault
             // schedules target the online training platform only.
             chaos: None,
@@ -596,6 +633,43 @@ mod tests {
         assert_eq!(p.registry().counter("faas.limit_breaches").get(), 1);
         assert_eq!(p.registry().counter("faas.quota_rejections").get(), 1);
         assert_eq!(p.ledger().invocations, 0, "a rejected epoch bills nothing");
+    }
+
+    #[test]
+    fn epoch_metrics_register_at_the_first_executed_epoch_and_forks_share_them() {
+        let registry = Registry::new();
+        let names = || -> Vec<String> {
+            let snapshot = registry.snapshot();
+            snapshot.as_object().unwrap().keys().cloned().collect()
+        };
+        let w = Workload::lr_higgs();
+        let mut p = FaasPlatform::new(Environment::aws_default(), 3)
+            .with_registry(&registry)
+            .with_chaos(&FaultSchedule::parse("throttle:1@0..10").unwrap());
+        assert!(names().is_empty(), "an idle platform exports nothing");
+        assert!(p
+            .run_epoch(&w, &lr_alloc(), ExecutionFidelity::Fast)
+            .is_err());
+        assert_eq!(names(), ["chaos.throttles"], "no faas.* without an epoch");
+        p.advance(20.0);
+        p.run_epoch(&w, &lr_alloc(), ExecutionFidelity::Fast)
+            .unwrap();
+        let after_one = names();
+        assert!(after_one.iter().any(|n| n == "faas.cold_start_s"));
+        assert!(
+            !after_one.iter().any(|n| n == "faas.retry_stall_s"),
+            "a histogram registers at its first observation"
+        );
+        // A fork's fresh pool starts cold, into the same registry.
+        let mut fork = p.fork("trial", 0);
+        fork.run_epoch(&w, &lr_alloc(), ExecutionFidelity::Fast)
+            .unwrap();
+        p.run_epoch(&w, &lr_alloc(), ExecutionFidelity::Fast)
+            .unwrap();
+        assert_eq!(registry.counter_value("faas.invocations"), 30);
+        assert_eq!(registry.counter_value("faas.cold_starts"), 20);
+        assert_eq!(registry.counter_value("faas.warm_starts"), 10);
+        assert_eq!(names().len(), after_one.len());
     }
 
     #[test]

@@ -986,14 +986,14 @@ impl<E: From<ReqEv>> Engine<E> {
         if a.outcome == AttemptOutcome::Crashed {
             // The instance died mid-request: remove it and bill its
             // keep-warm time up to the crash.
-            let inst = l.pool.retire(&[a.fid]).pop().expect("retired instance");
+            let inst = l.pool.retire(a.fid);
             let idle_s = ((now - inst.created_at) - inst.busy_s - a.busy_s).max(0.0);
             let idle_gb = idle_s * gb;
             s.tally.idle_gb_s += idle_gb;
             l.idle_gb_s += idle_gb;
         } else {
             // Ok and timeout-killed attempts hand back a warm instance.
-            l.pool.release(&[a.fid], a.busy_s, now);
+            l.pool.release(a.fid, a.busy_s, now);
         }
         if self.spec.resilience.enabled() {
             self.resolve_attempt(a);

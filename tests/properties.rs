@@ -303,26 +303,27 @@ fn compute_time_positive_and_monotone() {
     });
 }
 
-/// Instance-pool conservation: after any acquire/release sequence, warm
-/// hits plus creations equal invocations, and the pool never holds more
-/// instances than were created.
+/// Instance-pool conservation: after any acquire/release sequence of
+/// training waves, warm hits plus creations equal invocations, and the
+/// pool never holds more instances than were created.
 #[test]
 fn instance_pool_conservation() {
     prop("instance_pool", 128, |rng| {
-        use ce_scaling::faas::InstancePool;
+        use ce_scaling::faas::WavePool;
         use ce_scaling::sim::time::SimTime;
-        let mut pool = InstancePool::new();
+        let mut pool = WavePool::new();
         let mut now = 0.0f64;
         let ops = 1 + rng.gen_index(29);
         for _ in 0..ops {
             let n = 1 + rng.gen_index(19) as u32;
             let mem = [1024u32, 1769][rng.gen_index(2)];
             let busy = rng.uniform_range(1.0, 100.0);
-            let (ids, cold) = pool.acquire(n, mem, SimTime::from_secs(now));
-            assert_eq!(ids.len() as u32, n);
+            let before = pool.stats().invocations;
+            let cold = pool.acquire(n, mem, SimTime::from_secs(now));
+            assert_eq!(pool.stats().invocations - before, u64::from(n));
             assert!(cold <= n);
             now += busy;
-            pool.release(&ids, busy, SimTime::from_secs(now));
+            pool.release(n, mem, busy, SimTime::from_secs(now));
         }
         let stats = pool.stats();
         assert_eq!(stats.warm_hits + stats.created, stats.invocations);
