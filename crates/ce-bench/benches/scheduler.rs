@@ -1,5 +1,6 @@
 //! Adaptive-scheduler benchmarks (Fig. 21b): per-epoch decision latency
-//! with and without Pareto pruning, plus the online curve fit.
+//! with and without Pareto pruning, plus the online curve fit: a cold
+//! bare fit, and the refits of a whole run as the scheduler drives them.
 
 use ce_bench::Group;
 use ce_ml::curve::{CurveParams, LossCurve};
@@ -7,7 +8,9 @@ use ce_ml::model::ModelFamily;
 use ce_models::{Environment, Workload};
 use ce_pareto::ParetoProfiler;
 use ce_sim_core::rng::SimRng;
-use ce_training::{AdaptiveScheduler, LossCurveFitter, SchedulerConfig, TrainingObjective};
+use ce_training::{
+    AdaptiveScheduler, LossCurveFitter, OnlinePredictor, SchedulerConfig, TrainingObjective,
+};
 use std::hint::black_box;
 
 fn bench_epoch_decision() {
@@ -53,7 +56,29 @@ fn bench_curve_fit() {
     }
 }
 
+/// The production path: one run of `epochs` epochs through
+/// `OnlinePredictor::observe` and `predict` after every epoch, as
+/// `AdaptiveScheduler::on_epoch_end` drives it, so each refit reads the
+/// kept grid sums and is hinted by the previous fit. One iteration is
+/// the whole run: `epochs − 2` refits.
+fn bench_refit() {
+    let params = CurveParams::for_workload(ModelFamily::LogisticRegression, "Higgs");
+    let group = Group::new("scheduler/refit");
+    for epochs in [28usize, 250, 600] {
+        let mut run = LossCurve::sample_optimal(&params, SimRng::new(9));
+        let history: Vec<f64> = (0..epochs).map(|_| run.next_epoch()).collect();
+        group.bench(&epochs.to_string(), || {
+            let mut online = OnlinePredictor::new(params.initial);
+            for &loss in &history {
+                online.observe(black_box(loss));
+                black_box(online.predict(0.66));
+            }
+        });
+    }
+}
+
 fn main() {
     bench_epoch_decision();
     bench_curve_fit();
+    bench_refit();
 }

@@ -11,16 +11,19 @@
 //! ([`LossCurveFitter::fit_pruned`]), which returns the exhaustive
 //! sweep's exact bits at a fraction of its cost. For a fixed rate the
 //! SSE is a quadratic in the floor, whose coefficients come from a few
-//! running sums of the history. That closed form, less a proven
-//! rounding margin, is a lower bound on the SSE the exact sum would
-//! give, so it filters out nearly every candidate in O(1); a warm-start
-//! bound from the previous fit ([`LossCurveFitter::fit_hinted`])
-//! tightens the filter from the first cell. The shortcuts only skip
-//! candidates whose SSE provably cannot win the strict-`<`
-//! first-argmin, and every SSE that is compared is summed term by term
-//! in [`FittedCurve::sse`]'s order. The exhaustive sweep
-//! ([`LossCurveFitter::fit_exhaustive`]) is kept only as the oracle of
-//! the differential tests.
+//! running sums of the history. On the grid, that closed form, less a
+//! proven rounding margin, is a lower bound on the SSE the exact sum
+//! would give, so it filters out nearly every candidate in O(1); a
+//! warm-start bound from the previous fit
+//! ([`LossCurveFitter::fit_hinted`]) tightens the filter from the first
+//! cell. In the refinement, a *certificate* bounds each probe's SSE
+//! difference to the incumbent in O(1), from one vectorized pass of
+//! sums at the incumbent's rate: a probe whose bounds, widened by a
+//! proven margin, settle the strict-`<` comparison is lost or won
+//! without a sum, and only the rest are summed. Every shortcut makes
+//! the decision the term-by-term sum in [`FittedCurve::sse`]'s order
+//! would make. The exhaustive sweep ([`LossCurveFitter::fit_exhaustive`])
+//! is kept only as the oracle of the differential tests.
 
 use std::sync::OnceLock;
 
@@ -117,7 +120,8 @@ fn floor_cap(history: &[f64]) -> f64 {
 /// `n`, `Σl` and `Σl²`, and per rate `Σg`, `Σg²` and `Σg·l`.
 /// [`crate::OnlinePredictor`] grows them by one term per rate and epoch;
 /// a bare [`LossCurveFitter::fit`] builds them in one pass. They only
-/// feed the filter's lower bounds, never an accepted SSE.
+/// feed the filter's lower bounds and the refinement's certificate,
+/// never an accepted SSE.
 #[derive(Debug, Clone)]
 pub(crate) struct GridSums {
     n: usize,
@@ -126,6 +130,9 @@ pub(crate) struct GridSums {
     /// A loss below zero was observed: the bounds assume `|l| = l`, so
     /// the filter is off.
     signed: bool,
+    /// A loss is not [`tame`] (NaN and ±∞ included): the certificate is
+    /// off.
+    wild: bool,
     g: [f64; RATES],
     g2: [f64; RATES],
     gl: [f64; RATES],
@@ -139,6 +146,7 @@ impl GridSums {
             l: 0.0,
             l2: 0.0,
             signed: false,
+            wild: false,
             g: [0.0; RATES],
             g2: [0.0; RATES],
             gl: [0.0; RATES],
@@ -161,29 +169,13 @@ impl GridSums {
         self.l += loss;
         self.l2 += loss * loss;
         self.signed |= loss < 0.0;
+        self.wild |= !tame(loss);
         for (ri, &rate) in rate_grid().iter().enumerate() {
             let g = 1.0 / (1.0 + rate * e);
             self.g[ri] += g;
             self.g2[ri] += g * g;
             self.gl[ri] += g * loss;
         }
-    }
-
-    /// The lower-bound quadratic of `rate`, off the grid, for curves
-    /// anchored at `initial`: its rate sums are built in one pass over
-    /// `history`, whose other sums these are.
-    fn bound_at(&self, initial: f64, rate: f64, history: &[f64]) -> LowerBound {
-        if self.signed {
-            return LowerBound::NONE;
-        }
-        let mut rs = [0.0; 3];
-        for (i, &loss) in history.iter().enumerate() {
-            let g = 1.0 / (1.0 + rate * (i + 1) as f64);
-            rs[0] += g;
-            rs[1] += g * g;
-            rs[2] += g * loss;
-        }
-        LowerBound::new(initial, self.n as f64, [self.l, self.l2], rs)
     }
 
     /// The lower-bound quadratic of each grid rate for curves anchored
@@ -282,6 +274,490 @@ impl LowerBound {
     }
 }
 
+/// The smallest and largest magnitude of a loss, the initial loss or a
+/// floor the certificate accepts besides 0: 2⁻⁴⁰⁰ and 2³⁰⁰. In that
+/// range no sum the certificate or [`FittedCurve::sse_within`] forms
+/// overflows, and no column term or divisor underflows.
+const TAME_MIN: f64 = f64::from_bits((1023 - 400) << 52);
+const TAME_MAX: f64 = f64::from_bits((1023 + 300) << 52);
+/// The smallest rate a refinement probe takes.
+const RATE_FLOOR: f64 = 1e-6;
+/// The rates (the refinement's floor to 2⁴⁰) and the history lengths (to
+/// 2²⁰) the certificate accepts: with them every `q = 1 − g` is at least
+/// 2⁻²¹ and every `g = 1/(1 + rate·e)` at least 2⁻⁶¹.
+const CERT_RATES: std::ops::RangeInclusive<f64> = RATE_FLOOR..=f64::from_bits((1023 + 40) << 52);
+const CERT_MAX_LEN: usize = 1 << 20;
+
+/// Whether `x` is 0 or within the certificate's magnitudes.
+fn tame(x: f64) -> bool {
+    x == 0.0 || (TAME_MIN..=TAME_MAX).contains(&x.abs())
+}
+
+/// Sums over a history at one rate `r`, with `g = 1/(1 + r·e)`, `q = 1 −
+/// g` (formed as `r·e·g`, without cancellation) and `h = q·g`. On a
+/// non-negative history every term is non-negative, so each sum is
+/// within `γ_{n+30}` of its exact value in any order of summation, and
+/// the pass runs two epochs per SSE2 instruction.
+#[derive(Debug, Clone, Copy)]
+struct Column {
+    rate: f64,
+    /// `Σq`, `Σq²` and `Σq·l`: floor moves.
+    q: f64,
+    q2: f64,
+    ql: f64,
+    /// Rate moves: `Σh`, `Σh²`, `Σh·g`, `Σh·l`, `Σh²·q`, and with
+    /// `hq = h·q`, `Σhq`, `Σ(hq)²`, `Σhq·g`, `Σhq·l`.
+    h: f64,
+    h2: f64,
+    hg: f64,
+    hl: f64,
+    hq: f64,
+    h2q: f64,
+    h2q2: f64,
+    hqg: f64,
+    hql: f64,
+    /// `√Σ(h·q)²`.
+    root_h2q2: f64,
+    /// `1/rate`.
+    inv_rate: f64,
+}
+
+impl Column {
+    /// The column of `history` at `rate`, in one pass.
+    fn of(rate: f64, history: &[f64]) -> Column {
+        #[cfg(target_arch = "x86_64")]
+        // SAFETY: SSE2 is part of the x86-64 baseline, so every x86-64
+        // target has the feature `column_sums` enables.
+        let [q, q2, ql, h, h2, hg, hl, hq, h2q, h2q2, hqg, hql] =
+            unsafe { column_sums(rate, history) };
+        #[cfg(not(target_arch = "x86_64"))]
+        let [q, q2, ql, h, h2, hg, hl, hq, h2q, h2q2, hqg, hql] = column_sums(rate, history);
+        Column {
+            rate,
+            q,
+            q2,
+            ql,
+            h,
+            h2,
+            hg,
+            hl,
+            hq,
+            h2q,
+            h2q2,
+            hqg,
+            hql,
+            root_h2q2: h2q2.sqrt(),
+            inv_rate: 1.0 / rate,
+        }
+    }
+}
+
+/// The number of column sums.
+const SUMS: usize = 12;
+
+/// One epoch's column terms `[q, q², q·l, h, h², h·g, h·l, hq, h²·q,
+/// (hq)², hq·g, hq·l]`, with `hq = h·q`.
+fn column_terms(rate: f64, e: f64, l: f64) -> [f64; SUMS] {
+    let t = rate * e;
+    let g = 1.0 / (1.0 + t);
+    let q = t * g;
+    let h = q * g;
+    let (h2, hq) = (h * h, h * q);
+    [
+        q,
+        q * q,
+        q * l,
+        h,
+        h2,
+        h * g,
+        h * l,
+        hq,
+        h2 * q,
+        hq * hq,
+        hq * g,
+        hq * l,
+    ]
+}
+
+/// The column's sums, two epochs at a time in the two lanes of SSE2,
+/// with the same operations as [`column_terms`]. LLVM keeps the division
+/// scalar when it vectorizes the portable form on baseline x86-64, and
+/// that pass costs twice as much per epoch. Calling it is sound on any
+/// CPU with SSE2, which every x86-64 CPU has.
+#[cfg(target_arch = "x86_64")]
+#[target_feature(enable = "sse2")]
+fn column_sums(rate: f64, history: &[f64]) -> [f64; SUMS] {
+    use std::arch::x86_64::*;
+    let (r, one, two) = (_mm_set1_pd(rate), _mm_set1_pd(1.0), _mm_set1_pd(2.0));
+    let mut e = _mm_set_pd(2.0, 1.0);
+    let mut acc = [_mm_setzero_pd(); SUMS];
+    let mut pairs = history.chunks_exact(2);
+    for pair in &mut pairs {
+        let l = _mm_set_pd(pair[1], pair[0]);
+        let t = _mm_mul_pd(r, e);
+        let g = _mm_div_pd(one, _mm_add_pd(one, t));
+        let q = _mm_mul_pd(t, g);
+        let h = _mm_mul_pd(q, g);
+        let (h2, hq) = (_mm_mul_pd(h, h), _mm_mul_pd(h, q));
+        let terms = [
+            q,
+            _mm_mul_pd(q, q),
+            _mm_mul_pd(q, l),
+            h,
+            h2,
+            _mm_mul_pd(h, g),
+            _mm_mul_pd(h, l),
+            hq,
+            _mm_mul_pd(h2, q),
+            _mm_mul_pd(hq, hq),
+            _mm_mul_pd(hq, g),
+            _mm_mul_pd(hq, l),
+        ];
+        for (sum, term) in acc.iter_mut().zip(terms) {
+            *sum = _mm_add_pd(*sum, term);
+        }
+        e = _mm_add_pd(e, two);
+    }
+    let mut sums = acc.map(|v| _mm_cvtsd_f64(_mm_add_pd(v, _mm_unpackhi_pd(v, v))));
+    if let [l] = pairs.remainder() {
+        let last = column_terms(rate, history.len() as f64, *l);
+        for (sum, term) in sums.iter_mut().zip(last) {
+            *sum += term;
+        }
+    }
+    sums
+}
+
+/// The column's sums, one epoch at a time.
+#[cfg(not(target_arch = "x86_64"))]
+fn column_sums(rate: f64, history: &[f64]) -> [f64; SUMS] {
+    let mut sums = [0.0; SUMS];
+    for (i, &l) in history.iter().enumerate() {
+        for (sum, term) in sums.iter_mut().zip(column_terms(rate, (i + 1) as f64, l)) {
+            *sum += term;
+        }
+    }
+    sums
+}
+
+/// The refinement's incumbent, and what the certificate knows of it.
+#[derive(Debug, Clone, Copy)]
+struct Incumbent {
+    curve: FittedCurve,
+    /// Its SSE as [`FittedCurve::sse`] sums it, or `None` while it has
+    /// won by bound only. The grid's unsummed placeholder holds `∞`.
+    sse: Option<f64>,
+    /// An upper bound on `S*`, its SSE in exact arithmetic; `∞` for the
+    /// placeholder.
+    s_hi: f64,
+    /// `J = I − f`, rounded as [`FittedCurve::loss_at`] rounds it.
+    j: f64,
+    /// The margin for a probe whose `S*` is at most `s_hi`.
+    m0: f64,
+    /// The certificate may bound its probes: the history and the initial
+    /// loss meet its preconditions, and so do this floor, rate and a
+    /// finite `s_hi`.
+    tame: bool,
+}
+
+/// What the bounds read of the incumbent and its column, built once per
+/// incumbent.
+#[derive(Debug, Clone, Copy)]
+struct Frame {
+    /// The incumbent's floor and rate bits.
+    key: (u64, u64),
+    /// Floor moves: `Σq²`, and `B = Σq·res` with its magnitude.
+    q2: f64,
+    b: f64,
+    b_abs: f64,
+    /// Rate moves: `1/rate`; `Σw²`, `Σw²·q` and `Σw²·q²`; `Σw·res`
+    /// and `Σw·res·q` with their magnitudes; and the Cauchy–Schwarz
+    /// factor, at least `2·√Σw²q²·√s_hi`.
+    inv_rate: f64,
+    w2: f64,
+    w2q: f64,
+    w2q2: f64,
+    wr: f64,
+    wr_abs: f64,
+    wrq: f64,
+    wrq_abs: f64,
+    cs: f64,
+}
+
+impl Frame {
+    /// A frame no incumbent matches: NaN bits are never a tame key.
+    const NONE: Frame = Frame {
+        key: (u64::MAX, u64::MAX),
+        q2: 0.0,
+        b: 0.0,
+        b_abs: 0.0,
+        inv_rate: 0.0,
+        w2: 0.0,
+        w2q: 0.0,
+        w2q2: 0.0,
+        wr: 0.0,
+        wr_abs: 0.0,
+        wrq: 0.0,
+        wrq_abs: 0.0,
+        cs: 0.0,
+    };
+}
+
+/// How the refinement's probes were decided, counted per thread for the
+/// tests only.
+#[derive(Debug, Default, Clone, Copy)]
+#[cfg_attr(not(test), allow(dead_code))]
+pub(crate) struct Decisions {
+    /// Refits that reached the refinement.
+    pub(crate) refits: u64,
+    /// Probes summed by [`FittedCurve::sse_within`].
+    pub(crate) summed: u64,
+}
+
+#[cfg(test)]
+thread_local! {
+    static DECISIONS: std::cell::Cell<Decisions> = std::cell::Cell::new(Decisions::default());
+}
+
+/// This thread's decision counts so far.
+#[cfg(test)]
+pub(crate) fn decisions() -> Decisions {
+    DECISIONS.with(std::cell::Cell::get)
+}
+
+#[cfg(test)]
+fn tally(count: impl FnOnce(&mut Decisions)) {
+    DECISIONS.with(|cell| {
+        let mut d = cell.get();
+        count(&mut d);
+        cell.set(d);
+    });
+}
+
+#[cfg(not(test))]
+#[inline(always)]
+fn tally(_: impl FnOnce(&mut Decisions)) {}
+
+/// The certificate of one fit: bounds on `S(c) − S(b)`, the difference
+/// of two SSEs as [`FittedCurve::sse`] sums them, between a refinement
+/// probe `c` and the incumbent `b`, in O(1) from `b`'s column. DESIGN.md
+/// ("Pruned sweep") derives the bounds and proves their margin.
+struct Certificate<'a> {
+    initial: f64,
+    history: &'a [f64],
+    /// The top of the floor range, `m`.
+    cap: f64,
+    /// `Q = Σ(a + l)²` with `a = max(|I|, m + |I − m|)`: for every floor
+    /// `f` in `[0, m]`, `f + |I − f| ≤ a`, so `Q` bounds the squared
+    /// magnitudes `Σ(f + |J|·g + l)²` of any probe's residual terms.
+    q: f64,
+    /// The preconditions on the history and the initial loss hold.
+    on: bool,
+    /// `(n + 64)·ε`, the closed forms' rounding factor.
+    k: f64,
+    /// `(n + 64)·MIN_POSITIVE`, which covers every underflow.
+    tiny: f64,
+    /// `√S₀` and `1/√S₀`, with `S₀` the grid winner's `s_hi`: every
+    /// `√s ≤ (s/√S₀ + √S₀)/2`, tight at `s = S₀`.
+    root0: f64,
+    inv_root0: f64,
+    /// `|S − S*| ≤ α·S* + β` for every probe (see [`Self::new`]).
+    alpha: f64,
+    beta: f64,
+    /// The incumbent's column and frame, built when a probe first needs
+    /// them.
+    column: Option<Column>,
+    frame: Frame,
+}
+
+impl<'a> Certificate<'a> {
+    /// The certificate of a fit of `history`, whose grid sums are `sums`,
+    /// whose floors lie in `[0, min_loss]`, and whose grid winner summed
+    /// to `grid_sse`.
+    fn new(
+        initial: f64,
+        min_loss: f64,
+        history: &'a [f64],
+        sums: &GridSums,
+        grid_sse: f64,
+    ) -> Self {
+        const E: f64 = f64::EPSILON;
+        let n = history.len() as f64;
+        let a = initial.abs().max(min_loss + (initial - min_loss).abs());
+        let q = (n * a + 2.0 * sums.l) * a + sums.l2;
+        let mut cert = Certificate {
+            initial,
+            history,
+            cap: min_loss,
+            q,
+            on: !sums.signed && !sums.wild && tame(initial) && history.len() <= CERT_MAX_LEN,
+            k: (n + 64.0) * E,
+            tiny: (n + 64.0) * f64::MIN_POSITIVE,
+            root0: 0.0,
+            inv_root0: 0.0,
+            alpha: 0.0,
+            beta: 0.0,
+            column: None,
+            frame: Frame::NONE,
+        };
+        // |S − S*| ≤ n·ε·S* + 7ε·√(Q·S*) + 10ε²·Q, and 2√(Q·S*) ≤
+        // √Q·(S*/√S₀ + √S₀): so α = n·ε + 3.5ε·√Q/√S₀ and
+        // β = 3.5ε·√Q·√S₀ + 10ε²·Q.
+        let root_q = q.sqrt();
+        cert.root0 = cert.real_hi(grid_sse).sqrt();
+        cert.inv_root0 = 1.0 / cert.root0;
+        cert.alpha = n * E + 3.5 * E * root_q * cert.inv_root0;
+        cert.beta = 3.5 * E * root_q * cert.root0 + 10.0 * E * E * q;
+        cert
+    }
+
+    /// An incumbent whose `S*` is at most `s_hi`.
+    fn incumbent(&self, curve: FittedCurve, sse: Option<f64>, s_hi: f64) -> Incumbent {
+        Incumbent {
+            curve,
+            sse,
+            s_hi,
+            j: self.initial - curve.floor,
+            m0: 2.0 * (self.alpha * s_hi + self.beta) + self.tiny,
+            tame: self.on
+                && s_hi.is_finite()
+                && self.admits_floor(curve.floor)
+                && CERT_RATES.contains(&curve.rate),
+        }
+    }
+
+    /// Whether `floor` is tame and in `[0, m]`.
+    fn admits_floor(&self, floor: f64) -> bool {
+        tame(floor) && (0.0..=self.cap).contains(&floor)
+    }
+
+    /// An incumbent whose SSE `sse` was summed; `∞` is the placeholder.
+    fn summed(&self, curve: FittedCurve, sse: f64) -> Incumbent {
+        self.incumbent(curve, Some(sse), self.real_hi(sse))
+    }
+
+    /// An upper bound on `S*` from the summed `sse`:
+    /// `1.02·(sse + 700ε²·Q) + (n + 64)·MIN_POSITIVE`.
+    fn real_hi(&self, sse: f64) -> f64 {
+        const E: f64 = f64::EPSILON;
+        if !sse.is_finite() {
+            return f64::INFINITY;
+        }
+        1.02 * (sse + 700.0 * E * E * self.q) + self.tiny
+    }
+
+    /// The incumbent's SSE, summed now if it won by bound.
+    fn sum(&self, inc: &mut Incumbent) -> f64 {
+        if let Some(sse) = inc.sse {
+            return sse;
+        }
+        let sse = inc.curve.sse(self.history);
+        *inc = self.incumbent(inc.curve, Some(sse), inc.s_hi.min(self.real_hi(sse)));
+        sse
+    }
+
+    /// The incumbent's frame.
+    #[inline]
+    fn frame(&mut self, inc: &Incumbent) -> &Frame {
+        let key = (inc.curve.floor.to_bits(), inc.curve.rate.to_bits());
+        if self.frame.key != key {
+            self.build_frame(inc, key);
+        }
+        &self.frame
+    }
+
+    /// Builds the incumbent's frame, and its column if missing.
+    fn build_frame(&mut self, inc: &Incumbent, key: (u64, u64)) {
+        let b = inc.curve;
+        let c = match self.column {
+            Some(c) if c.rate.to_bits() == key.1 => c,
+            _ => *self.column.insert(Column::of(b.rate, self.history)),
+        };
+        let (f, j, ja) = (b.floor, inc.j, inc.j.abs());
+        let jj = j * j;
+        let root = 0.5 * (inc.s_hi * self.inv_root0 + self.root0);
+        self.frame = Frame {
+            key,
+            q2: c.q2,
+            b: f * c.q + j * c.h - c.ql,
+            b_abs: f * c.q + ja * c.h + c.ql,
+            inv_rate: c.inv_rate,
+            w2: jj * c.h2,
+            w2q: jj * c.h2q,
+            w2q2: jj * c.h2q2,
+            wr: j * (f * c.h + j * c.hg - c.hl),
+            wr_abs: ja * (f * c.h + ja * c.hg + c.hl),
+            wrq: j * (f * c.hq + j * c.hqg - c.hql),
+            wrq_abs: ja * (f * c.hq + ja * c.hqg + c.hql),
+            cs: 2.0 * (ja * c.root_h2q2) * root,
+        };
+    }
+
+    /// Bounds `(lo, hi)` on `S(cand) − S(inc)`, or `None` when the
+    /// preconditions fail or `cand` is not a floor move or a rate move
+    /// by a factor in `[1/2, 3/2]` of the incumbent.
+    fn bounds(&mut self, inc: &Incumbent, cand: &FittedCurve) -> Option<(f64, f64)> {
+        if !inc.tame {
+            return None;
+        }
+        let (b, k) = (inc.curve, self.k);
+        // Bounds on ΔS* = S*(c) − S*(b), each widened by its rounding.
+        let (lo, hi) = if cand.rate.to_bits() == b.rate.to_bits() {
+            // A floor move by δ: ΔS* = δ²·Σq² + 2δ·B.
+            if !self.admits_floor(cand.floor) {
+                return None;
+            }
+            let fr = self.frame(inc);
+            let d = cand.floor - b.floor;
+            let quad = d * d * fr.q2;
+            let mid = quad + 2.0 * d * fr.b;
+            let e = k * (quad + 2.0 * d.abs() * fr.b_abs);
+            (mid - e, mid + e)
+        } else if cand.floor == b.floor {
+            // A rate move by 1 + s: ΔS* = Σw²φ² − 2Σw·res·φ with
+            // φ = s/(1 + s·q), where φ² − s² + 2s³q lies in [0, c·s⁴q²]
+            // and φ − s + s²q in [−|s|³q²·t, |s|³q²·t].
+            if !CERT_RATES.contains(&cand.rate) {
+                return None;
+            }
+            let fr = self.frame(inc);
+            let s = (cand.rate - b.rate) * fr.inv_rate;
+            if !(-0.5..=0.5).contains(&s) {
+                return None;
+            }
+            let (s2, sa) = (s * s, s.abs());
+            let s3 = s2 * s;
+            // `t ≥ 1/min(1, 1 + s)` and `c ≥ (3 + 2x)/(1 + x)²` for x
+            // between 0 and s.
+            let (t, c) = if s > 0.0 {
+                (1.0, 3.0)
+            } else {
+                (1.0 - s + 2.0 * s2, 8.0)
+            };
+            let square = s2 * fr.w2;
+            let cube = 2.0 * s3 * fr.w2q;
+            let spread = c * (s2 * s2) * fr.w2q2;
+            let lin = 2.0 * s * fr.wr;
+            let quad = 2.0 * s2 * fr.wrq;
+            let cs = s3.abs() * t * fr.cs;
+            let mid = square - cube - lin + quad;
+            let e = k
+                * (square
+                    + cube.abs()
+                    + spread
+                    + 2.0 * sa * fr.wr_abs
+                    + 2.0 * s2 * fr.wrq_abs
+                    + cs);
+            (mid - cs - e, mid + spread + cs + e)
+        } else {
+            return None;
+        };
+        // The two sums' own rounding: S*(c) ≤ s_hi + max(hi, 0).
+        let m = inc.m0 + self.alpha * hi.max(0.0);
+        Some((lo - m, hi + m))
+    }
+}
+
 /// The online fitter.
 #[derive(Debug, Clone)]
 pub struct LossCurveFitter {
@@ -334,11 +810,14 @@ impl LossCurveFitter {
     ///   and a whole rate column when the bound's minimum over the floor
     ///   range is above `bound`. Survivors are summed by
     ///   [`FittedCurve::sse_within`].
-    /// * *Refinement.* A floor probe is filtered the same way against the
-    ///   incumbent, by its rate's bound (summed in one pass for a rate off
-    ///   the grid). A probe bit-equal to the last displaced incumbent or
-    ///   to one of the last two rate probes is skipped: its SSE already
-    ///   lost to an incumbent no better than today's.
+    /// * *Refinement.* Each probe is decided by its [`Certificate`]: it
+    ///   loses when its bounds are above zero and wins when they are
+    ///   below, with no sum. Otherwise the incumbent is summed (once, if
+    ///   it won by bound) and the probe by [`FittedCurve::sse_within`].
+    ///   A probe bit-equal to the incumbent, to the last displaced
+    ///   incumbent or to one of the last two rate probes is skipped: its
+    ///   SSE already lost to, or ties, an incumbent no better than
+    ///   today's.
     pub(crate) fn fit_summed(
         &self,
         history: &[f64],
@@ -370,9 +849,6 @@ impl LossCurveFitter {
             rate: 1.0,
         };
         let mut best_sse = f64::INFINITY;
-        // A rate and its lower bound: `best`'s after the grid, then the
-        // last floor probe's.
-        let mut column: Option<(f64, LowerBound)> = None;
         for fi in 0..=32 {
             let floor = min_loss * f64::from(fi) / 32.0;
             for &ri in &live[..n_live] {
@@ -387,12 +863,15 @@ impl LossCurveFitter {
                 };
                 let sse = cand.sse_within(history, cut);
                 if sse < best_sse && sse <= bound {
-                    (best, best_sse, column) = (cand, sse, Some((cand.rate, lower[ri])));
+                    (best, best_sse) = (cand, sse);
                 }
             }
         }
         // Local refinement: shrinking coordinate search around the best
         // grid cell.
+        tally(|d| d.refits += 1);
+        let mut cert = Certificate::new(self.initial, min_loss, history, sums, best_sse);
+        let mut inc = cert.summed(best, best_sse);
         let mut floor_step = min_loss / 32.0;
         let mut rate_factor = 10f64.powf(6.0 / 48.0);
         // Probes whose SSE already lost to an incumbent no better than
@@ -410,37 +889,38 @@ impl LossCurveFitter {
             ] {
                 let cand = FittedCurve {
                     initial: self.initial,
-                    floor: (best.floor + df).clamp(0.0, min_loss),
-                    rate: (best.rate * rf).max(1e-6),
+                    floor: (inc.curve.floor + df).clamp(0.0, min_loss),
+                    rate: (inc.curve.rate * rf).max(RATE_FLOOR),
                 };
-                if losers.iter().flatten().any(|p| p.same_bits(&cand)) {
+                // A clamped probe may be the incumbent itself: a tie.
+                if cand.same_bits(&inc.curve) || losers.iter().flatten().any(|p| p.same_bits(&cand))
+                {
                     continue;
                 }
-                if rf == 1.0 {
-                    // A floor probe: its rate's bound, summed once per
-                    // rate off the grid.
-                    let lb = match column {
-                        Some((rate, lb)) if rate.to_bits() == cand.rate.to_bits() => lb,
-                        _ => {
-                            let lb = sums.bound_at(self.initial, cand.rate, history);
-                            column = Some((cand.rate, lb));
-                            lb
-                        }
-                    };
-                    if lb.at(cand.floor) > best_sse {
-                        continue;
-                    }
-                } else {
+                if rf != 1.0 {
                     losers[2] = losers[1];
                     losers[1] = Some(cand);
                 }
-                let sse = cand.sse_within(history, best_sse);
-                if sse < best_sse {
-                    // The grid's placeholder was never summed.
-                    if best_sse.is_finite() {
-                        losers[0] = Some(best);
+                let next = match cert.bounds(&inc, &cand) {
+                    Some((lo, _)) if lo > 0.0 => None,
+                    Some((_, hi)) if hi < 0.0 => {
+                        // S*(c) ≤ S*(b) + hi, rounded up.
+                        let s_hi = (inc.s_hi + hi) * (1.0 + 2.0 * f64::EPSILON);
+                        Some(cert.incumbent(cand, None, s_hi))
                     }
-                    (best, best_sse) = (cand, sse);
+                    _ => {
+                        tally(|d| d.summed += 1);
+                        let best_sse = cert.sum(&mut inc);
+                        let sse = cand.sse_within(history, best_sse);
+                        (sse < best_sse).then(|| cert.summed(cand, sse))
+                    }
+                };
+                if let Some(next) = next {
+                    // The grid's placeholder was never summed.
+                    if inc.sse != Some(f64::INFINITY) {
+                        losers[0] = Some(inc.curve);
+                    }
+                    inc = next;
                     improved = true;
                 }
             }
@@ -449,7 +929,7 @@ impl LossCurveFitter {
                 rate_factor = rate_factor.sqrt();
             }
         }
-        Some(best)
+        Some(inc.curve)
     }
 
     /// The exact SSE of the grid cell nearest `hint`, or infinity (no
@@ -523,7 +1003,7 @@ impl LossCurveFitter {
                 let cand = FittedCurve {
                     initial: self.initial,
                     floor: (best.floor + df).clamp(0.0, min_loss),
-                    rate: (best.rate * rf).max(1e-6),
+                    rate: (best.rate * rf).max(RATE_FLOOR),
                 };
                 let sse = cand.sse(history);
                 if sse < best_sse {
@@ -718,9 +1198,10 @@ mod tests {
         }
     }
 
-    /// A noisy run as long as a run can train (`max_epochs`, 600).
-    fn long_noisy_run() -> (f64, Vec<f64>) {
-        let params = CurveParams::for_workload(ModelFamily::MobileNet, "Cifar10");
+    /// A noisy run of `family` on `dataset` as long as a run can train
+    /// (`max_epochs`, 600).
+    fn noisy_run(family: ModelFamily, dataset: &str) -> (f64, Vec<f64>) {
+        let params = CurveParams::for_workload(family, dataset);
         let mut run = LossCurve::sample_optimal(&params, SimRng::new(26));
         for _ in 0..600 {
             run.next_epoch();
@@ -728,10 +1209,32 @@ mod tests {
         (params.initial, run.history().to_vec())
     }
 
+    fn long_noisy_run() -> (f64, Vec<f64>) {
+        noisy_run(ModelFamily::MobileNet, "Cifar10")
+    }
+
+    /// `noisy`'s first 40 epochs, then flat at their lowest loss.
+    fn plateau(noisy: &[f64]) -> Vec<f64> {
+        let low = noisy[..40].iter().cloned().fold(f64::INFINITY, f64::min);
+        (0..noisy.len())
+            .map(|e| if e < 40 { noisy[e] } else { low })
+            .collect()
+    }
+
+    /// The three model families whose curves differ most: a fast LR
+    /// plateau, MobileNet's long decline, and BERT's few-epoch fine-tune.
+    const FAMILIES: [(ModelFamily, &str); 3] = [
+        (ModelFamily::LogisticRegression, "Higgs"),
+        (ModelFamily::MobileNet, "Cifar10"),
+        (ModelFamily::BertBase, "IMDb"),
+    ];
+
     #[test]
     fn pruned_fit_matches_exhaustive_at_every_length_to_the_epoch_cap() {
-        let (initial, history) = long_noisy_run();
-        assert_prefixes_match_exhaustive(initial, &history, 3..=600, "noisy");
+        for (family, dataset) in FAMILIES {
+            let (initial, history) = noisy_run(family, dataset);
+            assert_prefixes_match_exhaustive(initial, &history, 3..=600, &format!("{family:?}"));
+        }
     }
 
     #[test]
@@ -752,6 +1255,19 @@ mod tests {
         }
         // All-zero losses: the floor range is the single point 0.
         assert_prefixes_match_exhaustive(1.0, &[0.0; 600], lengths(), "zero");
+        // A plateau: a noisy decline that goes flat at its lowest loss, so
+        // floor probes clamp at `min_loss`. A near-linear decline, whose
+        // fit walks below the grid's slowest rate. The noisy run scaled
+        // by 1e-8 and by 1e6, initial loss included: the fit is
+        // scale-free, its roundings are not.
+        let (initial, noisy) = long_noisy_run();
+        assert_prefixes_match_exhaustive(initial, &plateau(&noisy), lengths(), "plateau");
+        let slow = exact_history(1.0, 0.0, 1e-4, 600);
+        assert_prefixes_match_exhaustive(1.0, &slow, lengths(), "slow");
+        for k in [1e-8, 1e6] {
+            let scaled: Vec<f64> = noisy.iter().map(|l| l * k).collect();
+            assert_prefixes_match_exhaustive(initial * k, &scaled, lengths(), &format!("x{k:e}"));
+        }
         // Hostile values in a noisy run: NaN, ±inf, negative and -0.0
         // losses, and magnitudes whose squares underflow or overflow.
         let (initial, history) = long_noisy_run();
@@ -777,7 +1293,7 @@ mod tests {
 
     #[test]
     fn grown_sums_equal_a_one_pass_build() {
-        let (initial, history) = long_noisy_run();
+        let (_, history) = long_noisy_run();
         let mut grown = GridSums::of(&history[..96]);
         grown.push(history[96]);
         let fresh = GridSums::of(&history[..97]);
@@ -791,20 +1307,13 @@ mod tests {
         ] {
             assert_eq!(a.map(f64::to_bits), b.map(f64::to_bits));
         }
-        // A grid rate summed on its own gives the grid's bound.
-        let alone = fresh.bound_at(initial, rate_grid()[7], &history[..97]);
-        assert_eq!(
-            alone.at(0.5).to_bits(),
-            fresh.bounds(initial)[7].at(0.5).to_bits()
-        );
     }
 
     #[test]
     fn closed_form_less_margin_never_exceeds_the_exact_sse() {
         // The filter's soundness: at every grid cell and at random
-        // (floor, rate) pairs, on grid and off it, the lower bound is at
-        // most the SSE `sse` sums, and so is its minimum over the floor
-        // range.
+        // floors of each grid rate, the lower bound is at most the SSE
+        // `sse` sums, and so is its minimum over the floor range.
         let (initial, noisy) = long_noisy_run();
         let cases = [
             (initial, noisy.clone()),
@@ -846,10 +1355,200 @@ mod tests {
                 }
                 for _ in 0..200 {
                     let floor = cap * rng.uniform_range(0.0, 1.5);
-                    let rate = 10f64.powf(rng.uniform_range(-6.0, 4.0));
-                    check(floor, rate, sums.bound_at(*initial, rate, h));
+                    let ri = rng.uniform_range(0.0, 48.999) as usize;
+                    check(floor, rate_grid()[ri], grid[ri]);
                 }
             }
+        }
+    }
+
+    /// The certificate's histories: noisy runs of three families, an
+    /// exact curve (zero residual at its parameters), a flat plateau at
+    /// the initial loss, one that falls and goes flat, and a noisy run
+    /// scaled by 1e-8 and by 1e6.
+    fn certificate_cases() -> Vec<(String, f64, Vec<f64>)> {
+        let mut cases: Vec<(String, f64, Vec<f64>)> = FAMILIES
+            .iter()
+            .map(|&(family, dataset)| {
+                let (initial, history) = noisy_run(family, dataset);
+                (format!("{family:?}"), initial, history)
+            })
+            .collect();
+        let (initial, noisy) = long_noisy_run();
+        cases.extend([
+            ("exact".to_string(), 2.3, exact_history(2.3, 0.15, 0.8, 600)),
+            ("flat".to_string(), 0.8, vec![0.8; 600]),
+            ("plateau".to_string(), initial, plateau(&noisy)),
+        ]);
+        for k in [1e-8, 1e6] {
+            let scaled = noisy.iter().map(|l| l * k).collect();
+            cases.push((format!("x{k:e}"), initial * k, scaled));
+        }
+        cases
+    }
+
+    #[test]
+    fn certificate_bounds_every_probe_of_every_step_size() {
+        // For random incumbents, near the fit and anywhere in the floor
+        // and rate ranges, and each of the refinement's step sizes (floor
+        // moves of ±min_loss/32·2⁻ᵏ, rate factors 10^(±1/8) square-rooted
+        // k times, clamped at 0, min_loss and the 1e-6 rate floor), the
+        // certified bounds hold the difference of the two summed SSEs.
+        let mut rng = SimRng::new(29);
+        let (mut probes, mut decided) = (0u64, 0u64);
+        for (what, initial, history) in certificate_cases() {
+            for n in [3, 4, 5, 7, 12, 28, 64, 150, 377, 600] {
+                let h = &history[..n];
+                let sums = GridSums::of(h);
+                let cap = floor_cap(h);
+                let fitted = LossCurveFitter::new(initial).fit(h).unwrap();
+                for i in 0..12 {
+                    let b = match i {
+                        // The fit, and curves near it.
+                        0 => fitted,
+                        1..=5 => FittedCurve {
+                            floor: (fitted.floor * rng.uniform_range(0.9, 1.1)).clamp(0.0, cap),
+                            rate: fitted.rate * rng.uniform_range(0.8, 1.25),
+                            ..fitted
+                        },
+                        // The clamps: floor 0, floor min_loss, rate floor.
+                        6 => FittedCurve {
+                            floor: 0.0,
+                            ..fitted
+                        },
+                        7 => FittedCurve {
+                            floor: cap,
+                            ..fitted
+                        },
+                        8 => FittedCurve {
+                            rate: 1.1e-6,
+                            ..fitted
+                        },
+                        _ => FittedCurve {
+                            floor: cap * rng.uniform_range(0.0, 1.0),
+                            rate: 10f64.powf(rng.uniform_range(-6.0, 4.0)),
+                            ..fitted
+                        },
+                    };
+                    let sse_b = b.sse(h);
+                    // The grid winner's SSE only anchors two tangent
+                    // bounds: any positive value is sound.
+                    let mut cert = Certificate::new(
+                        initial,
+                        cap,
+                        h,
+                        &sums,
+                        sse_b * rng.uniform_range(1.0, 4.0),
+                    );
+                    // A summed incumbent, and one that won by bound with a
+                    // loose `s_hi`.
+                    let summed = cert.summed(b, sse_b);
+                    let by_bound =
+                        cert.incumbent(b, None, summed.s_hi * rng.uniform_range(1.0, 2.0));
+                    let mut floor_step = cap / 32.0;
+                    let mut rate_factor = 10f64.powf(6.0 / 48.0);
+                    for k in 0..=24 {
+                        for (df, rf) in [
+                            (floor_step, 1.0),
+                            (-floor_step, 1.0),
+                            (0.0, rate_factor),
+                            (0.0, 1.0 / rate_factor),
+                        ] {
+                            let c = FittedCurve {
+                                floor: (b.floor + df).clamp(0.0, cap),
+                                rate: (b.rate * rf).max(RATE_FLOOR),
+                                ..b
+                            };
+                            let d = c.sse(h) - sse_b;
+                            for inc in [&summed, &by_bound] {
+                                let Some((lo, hi)) = cert.bounds(inc, &c) else {
+                                    continue;
+                                };
+                                assert!(
+                                    lo <= d && d <= hi,
+                                    "{what} n {n} incumbent {b:?} probe {c:?} k {k}: {lo:e} ≤ {d:e} ≤ {hi:e}"
+                                );
+                                probes += 1;
+                                decided += u64::from(lo > 0.0 || hi < 0.0);
+                            }
+                        }
+                        floor_step *= 0.5;
+                        rate_factor = rate_factor.sqrt();
+                    }
+                }
+                // Near-ties: an incumbent half a step below the best floor
+                // at its rate, probed a step up, lands half a step above
+                // it. ΔS is then ~0 while `B` is not, so the closed form's
+                // own rounding is what the bounds must cover.
+                let rate = fitted.rate;
+                let (mut num, mut den) = (0.0, 0.0);
+                for (i, &l) in h.iter().enumerate() {
+                    let g = 1.0 / (1.0 + rate * (i + 1) as f64);
+                    num += (1.0 - g) * (l - initial * g);
+                    den += (1.0 - g) * (1.0 - g);
+                }
+                let best_floor = num / den;
+                for k in 0..=24 {
+                    let step = cap / 32.0 * 0.5f64.powi(k);
+                    let b = FittedCurve {
+                        floor: best_floor - step / 2.0,
+                        ..fitted
+                    };
+                    let c = FittedCurve {
+                        floor: b.floor + step,
+                        ..b
+                    };
+                    if !(b.floor >= 0.0 && c.floor <= cap) {
+                        continue;
+                    }
+                    let sse_b = b.sse(h);
+                    let mut cert = Certificate::new(initial, cap, h, &sums, sse_b);
+                    let inc = cert.summed(b, sse_b);
+                    let d = c.sse(h) - sse_b;
+                    if let Some((lo, hi)) = cert.bounds(&inc, &c) {
+                        assert!(
+                            lo <= d && d <= hi,
+                            "{what} n {n} tie {k}: {lo:e} ≤ {d:e} ≤ {hi:e}"
+                        );
+                    }
+                }
+            }
+        }
+        // Sound bounds that decide nothing would pass the loop above; these
+        // decide about 90% of the probes.
+        assert!(
+            decided * 10 > probes * 8,
+            "decided {decided} of {probes} probes"
+        );
+    }
+
+    #[test]
+    fn refits_sum_few_probes() {
+        // The certificate decides nearly every refinement probe; only
+        // the few it cannot are summed. None of these refits sums one
+        // (fleet refits sum 0.2 on average), of 96 probe slots. A margin
+        // that quietly turned the certificate off would sum ~50.
+        const CEILING: f64 = 12.0;
+        let (initial, history) = long_noisy_run();
+        for n in [28, 250] {
+            let mut online = OnlinePredictor::new(initial);
+            for &loss in &history[..n - 8] {
+                online.observe(loss);
+            }
+            online.fitted();
+            let before = decisions();
+            for &loss in &history[n - 8..n] {
+                online.observe(loss);
+                online.fitted();
+            }
+            let after = decisions();
+            let refits = (after.refits - before.refits) as f64;
+            let summed = (after.summed - before.summed) as f64 / refits;
+            assert_eq!(refits, 8.0);
+            assert!(
+                summed <= CEILING,
+                "{n} epochs: {summed} probes summed per refit"
+            );
         }
     }
 
