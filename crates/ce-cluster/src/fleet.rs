@@ -44,7 +44,7 @@ use crate::ready::ReadySet;
 use crate::report::{FleetReport, JobOutcome, JobStatus};
 use crate::wave::{Dequeue, Finished, Landing, Launch, StallCause, Wave, Waves};
 use ce_chaos::FaultSchedule;
-use ce_obs::Registry;
+use ce_obs::{Counter, Histogram, Registry};
 use ce_sim_core::event::EventQueue;
 use ce_sim_core::rng::SimRng;
 use ce_sim_core::time::SimTime;
@@ -256,6 +256,21 @@ pub struct ClusterSim {
     active_by_kind: [u32; 4],
     running: usize,
     contention_extra_s: f64,
+    /// Handles of the metrics dispatch updates per epoch or per quota
+    /// stall.
+    metrics: DispatchMetrics,
+}
+
+/// `cluster.*` handles held by the simulation rather than looked up by
+/// name on every epoch or stall. Each is registered at its first use,
+/// exactly when a by-name lookup would have registered it.
+#[derive(Default)]
+struct DispatchMetrics {
+    epochs: Option<Counter>,
+    chaos_degraded_epochs: Option<Counter>,
+    quota_stalls: Option<Counter>,
+    queue_delay_s: Option<Histogram>,
+    cold_resumes: Option<Counter>,
 }
 
 impl ClusterSim {
@@ -297,6 +312,7 @@ impl ClusterSim {
             active_by_kind: [0; 4],
             running: 0,
             contention_extra_s: 0.0,
+            metrics: DispatchMetrics::default(),
         }
     }
 
@@ -532,7 +548,11 @@ impl ClusterSim {
             let slot = &self.slots[i];
             match self.waves.launch(slot.pool, exec, t, slot.queued_since) {
                 Launch::QuotaStall => {
-                    self.obs.counter("cluster.quota_stalls").inc();
+                    let obs = &self.obs;
+                    self.metrics
+                        .quota_stalls
+                        .get_or_insert_with(|| obs.counter("cluster.quota_stalls"))
+                        .inc();
                     return;
                 }
                 Launch::Stalled(stall) => {
@@ -584,7 +604,11 @@ impl ClusterSim {
                 Launch::Started { wave, dequeue } => {
                     self.remove_ready(i);
                     self.book_wait(i, dequeue);
-                    self.obs.counter("cluster.epochs").inc();
+                    let obs = &self.obs;
+                    self.metrics
+                        .epochs
+                        .get_or_insert_with(|| obs.counter("cluster.epochs"))
+                        .inc();
                     let ki = wave.storage as usize;
                     self.active_by_kind[ki] += 1;
                     let factor = self
@@ -594,7 +618,11 @@ impl ClusterSim {
                     // A degrade window stretches this epoch's sync on top
                     // of whatever the other tenants already cost it.
                     if wave.degrade > 1.0 {
-                        self.obs.counter("cluster.chaos_degraded_epochs").inc();
+                        let obs = &self.obs;
+                        self.metrics
+                            .chaos_degraded_epochs
+                            .get_or_insert_with(|| obs.counter("cluster.chaos_degraded_epochs"))
+                            .inc();
                     }
                     let extra = (factor - 1.0 + (wave.degrade - 1.0)) * wave.step.sync_s;
                     let exec = self.execs[i].as_mut().expect("queued job runs");
@@ -618,12 +646,15 @@ impl ClusterSim {
     fn book_wait(&mut self, i: usize, dequeue: Dequeue) {
         let slot = &mut self.slots[i];
         slot.queue_delay_s += dequeue.wait_s;
-        self.obs
-            .histogram("cluster.queue_delay_s")
+        let (obs, m) = (&self.obs, &mut self.metrics);
+        m.queue_delay_s
+            .get_or_insert_with(|| obs.histogram("cluster.queue_delay_s"))
             .observe(dequeue.wait_s);
         if dequeue.cold_resumed {
             slot.cold_resumes += 1;
-            self.obs.counter("cluster.cold_resumes").inc();
+            m.cold_resumes
+                .get_or_insert_with(|| obs.counter("cluster.cold_resumes"))
+                .inc();
         }
     }
 

@@ -119,6 +119,8 @@ pub enum Landing {
 
 /// One [`AccountQuota`] per topology pool, with the pool's classes and
 /// its time-weighted utilization, plus the fleet-clock fault timeline.
+/// The quotas have no other owner: a caller that leases workers outside
+/// a wave does so through [`Waves::quota_mut`].
 #[derive(Debug)]
 pub struct Waves {
     pools: Vec<NodePool>,
@@ -167,9 +169,15 @@ impl Waves {
         self.quotas.len() > 1
     }
 
-    /// Pool `pool`'s quota, for leases the caller manages itself.
+    /// Pool `pool`'s quota.
     pub fn quota(&self, pool: usize) -> &AccountQuota {
         &self.quotas[pool]
+    }
+
+    /// Pool `pool`'s quota, for leases the caller manages itself (a
+    /// co-located fleet's serving workers).
+    pub fn quota_mut(&mut self, pool: usize) -> &mut AccountQuota {
+        &mut self.quotas[pool]
     }
 
     /// Workers leased across every pool.
@@ -505,7 +513,7 @@ mod tests {
         let mut w = waves(8, None);
         let mut e = exec();
         // Leave one worker fewer free than the wave needs.
-        w.quota(0).try_acquire(9 - e.alloc().n).unwrap();
+        w.quota_mut(0).try_acquire(9 - e.alloc().n).unwrap();
         assert!(matches!(w.launch(0, &mut e, 0.0, 0.0), Launch::QuotaStall));
         assert_eq!((w.in_use(), e.report().epochs), (9 - e.alloc().n, 0));
     }
@@ -599,12 +607,12 @@ mod tests {
         let mut w = Waves::new(&Topology::edge_cloud(), 40, None, SimRng::new(1));
         assert!(w.multi_pool());
         assert_eq!((w.pool_count(), w.limit()), (2, 8 + 40));
-        w.quota(0).try_acquire(6).unwrap();
+        w.quota_mut(0).try_acquire(6).unwrap();
         let view = w.pool_view(0, 3, 7.0);
         assert_eq!((view.inflight, view.queued, view.capacity), (6, 3, 8));
         assert_eq!((view.bandwidth_mbps, view.quota), (7.0, Some(8)));
         w.advance(4.0);
-        w.quota(0).release(6);
+        w.quota_mut(0).release(6);
         w.advance(8.0);
         assert_eq!(w.utilization(8.0), 24.0 / (8.0 * 48.0));
         assert_eq!(w.utilization(0.0), 0.0);

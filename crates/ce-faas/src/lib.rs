@@ -32,8 +32,9 @@
 //! * [`keepalive`] — pluggable idle-expiry policies ([`keepalive::FixedTtl`],
 //!   cost-aware [`keepalive::AdaptiveTtl`], Serverless-in-the-Wild-style
 //!   [`keepalive::HistogramTtl`]) behind the [`keepalive::KeepAlive`] trait.
-//! * [`quota`] — the shared account-level concurrency pool
-//!   ([`quota::AccountQuota`]) and the typed overload signal
+//! * [`quota`] — the account-level concurrency pool
+//!   ([`quota::AccountQuota`], a plain value with one owner, leased
+//!   through `&mut`) and the typed overload signal
 //!   ([`quota::QuotaExceeded`]) multi-tenant schedulers react to.
 //!
 //! ```

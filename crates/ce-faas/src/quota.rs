@@ -1,17 +1,15 @@
-//! Account-level concurrency quota shared across platforms.
+//! Account-level concurrency quota.
 //!
 //! AWS enforces the Lambda concurrency quota per *account*, not per job:
-//! every function any tenant job invokes counts against one shared pool.
-//! [`AccountQuota`] models that pool as a cheaply clonable handle
-//! (`Arc`-backed, like [`ce_obs::Registry`]) that many [`FaasPlatform`]s
-//! — or a fleet scheduler sitting above them — acquire from and release
-//! to. Overload is a *typed, recoverable* outcome ([`QuotaExceeded`]),
-//! never a panic: an admission controller reacts to it by queueing or
-//! rejecting the job, which is exactly what `ce-cluster` does.
-//!
-//! [`FaasPlatform`]: crate::platform::FaasPlatform
-
-use std::sync::{Arc, Mutex};
+//! every function any tenant job invokes counts against one pool.
+//! [`AccountQuota`] models that pool as a plain value with one owner —
+//! the fleet's epoch-wave dispatcher (`ce_cluster::wave::Waves`) holds
+//! one per topology pool, and whoever leases from it (training waves,
+//! serving requests) goes through that owner by `&mut`. There is no
+//! shared handle and no lock. Overload is a *typed, recoverable* outcome
+//! ([`QuotaExceeded`]), never a panic: an admission controller reacts to
+//! it by queueing or rejecting the job, which is exactly what
+//! `ce-cluster` does.
 
 /// A concurrency request the shared quota could not satisfy.
 ///
@@ -49,25 +47,19 @@ impl std::fmt::Display for QuotaExceeded {
 
 impl std::error::Error for QuotaExceeded {}
 
-#[derive(Debug, Default)]
-struct QuotaState {
+/// The account-level concurrency pool.
+///
+/// Acquire/release are explicit — the owner decides how long a
+/// reservation spans (one atomic epoch for a lone platform, a whole
+/// in-flight epoch wave for a fleet scheduler that interleaves jobs in
+/// simulated time).
+#[derive(Debug)]
+pub struct AccountQuota {
+    limit: u32,
     in_use: u32,
     peak: u32,
     grants: u64,
     rejections: u64,
-}
-
-/// The shared, account-level concurrency pool.
-///
-/// Cloning shares the underlying counter (a handle, not a copy), so one
-/// quota can back many platforms. Acquire/release are explicit — the
-/// holder decides how long a reservation spans (one atomic epoch for a
-/// lone platform, a whole in-flight epoch wave for a fleet scheduler
-/// that interleaves jobs in simulated time).
-#[derive(Debug, Clone)]
-pub struct AccountQuota {
-    limit: u32,
-    state: Arc<Mutex<QuotaState>>,
 }
 
 impl AccountQuota {
@@ -75,7 +67,10 @@ impl AccountQuota {
     pub fn new(limit: u32) -> Self {
         AccountQuota {
             limit,
-            state: Arc::new(Mutex::new(QuotaState::default())),
+            in_use: 0,
+            peak: 0,
+            grants: 0,
+            rejections: 0,
         }
     }
 
@@ -86,12 +81,12 @@ impl AccountQuota {
 
     /// Functions currently reserved.
     pub fn in_use(&self) -> u32 {
-        self.state.lock().expect("quota lock").in_use
+        self.in_use
     }
 
     /// Functions still available.
     pub fn available(&self) -> u32 {
-        self.limit - self.in_use()
+        self.limit - self.in_use
     }
 
     /// Current utilization in `[0, 1]`.
@@ -99,39 +94,44 @@ impl AccountQuota {
         if self.limit == 0 {
             return 1.0;
         }
-        f64::from(self.in_use()) / f64::from(self.limit)
+        f64::from(self.in_use) / f64::from(self.limit)
     }
 
     /// Highest concurrent reservation ever observed.
     pub fn peak(&self) -> u32 {
-        self.state.lock().expect("quota lock").peak
+        self.peak
     }
 
     /// Successful acquisitions so far.
     pub fn grants(&self) -> u64 {
-        self.state.lock().expect("quota lock").grants
+        self.grants
     }
 
     /// Rejected acquisitions so far.
     pub fn rejections(&self) -> u64 {
-        self.state.lock().expect("quota lock").rejections
+        self.rejections
     }
 
-    /// Reserves `n` functions, or reports why it cannot.
-    pub fn try_acquire(&self, n: u32) -> Result<(), QuotaExceeded> {
-        let mut state = self.state.lock().expect("quota lock");
-        if state.in_use + n > self.limit {
-            state.rejections += 1;
-            return Err(QuotaExceeded {
-                requested: n,
-                in_use: state.in_use,
-                limit: self.limit,
-            });
+    /// Reserves `n` functions, or reports why it cannot. A request whose
+    /// sum with the reservation overflows `u32` is refused like any
+    /// other that exceeds the limit (it is structural: `n > limit`).
+    pub fn try_acquire(&mut self, n: u32) -> Result<(), QuotaExceeded> {
+        match self.in_use.checked_add(n) {
+            Some(in_use) if in_use <= self.limit => {
+                self.in_use = in_use;
+                self.peak = self.peak.max(in_use);
+                self.grants += 1;
+                Ok(())
+            }
+            _ => {
+                self.rejections += 1;
+                Err(QuotaExceeded {
+                    requested: n,
+                    in_use: self.in_use,
+                    limit: self.limit,
+                })
+            }
         }
-        state.in_use += n;
-        state.peak = state.peak.max(state.in_use);
-        state.grants += 1;
-        Ok(())
     }
 
     /// Returns `n` functions to the pool.
@@ -140,14 +140,13 @@ impl AccountQuota {
     /// Panics if `n` exceeds the outstanding reservation (a release
     /// without a matching acquire is a caller bug, not an overload
     /// condition).
-    pub fn release(&self, n: u32) {
-        let mut state = self.state.lock().expect("quota lock");
+    pub fn release(&mut self, n: u32) {
         assert!(
-            n <= state.in_use,
+            n <= self.in_use,
             "releasing {n} functions with only {} reserved",
-            state.in_use
+            self.in_use
         );
-        state.in_use -= n;
+        self.in_use -= n;
     }
 }
 
@@ -157,7 +156,7 @@ mod tests {
 
     #[test]
     fn acquire_release_roundtrip() {
-        let quota = AccountQuota::new(100);
+        let mut quota = AccountQuota::new(100);
         quota.try_acquire(60).unwrap();
         assert_eq!(quota.in_use(), 60);
         assert_eq!(quota.available(), 40);
@@ -172,7 +171,7 @@ mod tests {
 
     #[test]
     fn overflow_is_a_typed_error() {
-        let quota = AccountQuota::new(50);
+        let mut quota = AccountQuota::new(50);
         quota.try_acquire(30).unwrap();
         let err = quota.try_acquire(30).unwrap_err();
         assert_eq!(
@@ -191,27 +190,41 @@ mod tests {
 
     #[test]
     fn structural_overload_detected() {
-        let quota = AccountQuota::new(50);
+        let mut quota = AccountQuota::new(50);
         let err = quota.try_acquire(80).unwrap_err();
         assert!(err.is_structural());
         assert!(err.to_string().contains("quota exceeded"));
     }
 
     #[test]
-    fn clones_share_the_pool() {
-        let quota = AccountQuota::new(10);
-        let other = quota.clone();
-        quota.try_acquire(7).unwrap();
-        assert_eq!(other.available(), 3);
-        assert!(other.try_acquire(4).is_err());
-        other.release(7);
-        assert_eq!(quota.in_use(), 0);
+    fn a_request_that_overflows_the_count_is_refused() {
+        let mut quota = AccountQuota::new(10);
+        quota.try_acquire(1).unwrap();
+        let err = quota.try_acquire(u32::MAX).unwrap_err();
+        assert_eq!(
+            err,
+            QuotaExceeded {
+                requested: u32::MAX,
+                in_use: 1,
+                limit: 10
+            }
+        );
+        assert!(err.is_structural());
+        assert_eq!(
+            (
+                quota.in_use(),
+                quota.peak(),
+                quota.grants(),
+                quota.rejections()
+            ),
+            (1, 1, 1, 1)
+        );
     }
 
     #[test]
     #[should_panic(expected = "releasing")]
     fn unbalanced_release_panics() {
-        let quota = AccountQuota::new(10);
+        let mut quota = AccountQuota::new(10);
         quota.try_acquire(2).unwrap();
         quota.release(3);
     }

@@ -2,15 +2,15 @@
 //!
 //! One `ce_sim_core` event heap drives, per tenant, a request-level
 //! serving loop *and* a stepwise training loop, all leasing workers from
-//! one shared `AccountQuota`: a dispatched request holds one worker
-//! until it completes, a dispatched epoch holds its wave width. Training
-//! runs queue FIFO and launch head-of-line through the epoch-wave
-//! dispatcher shared with ce-cluster ([`ce_cluster::wave`]), which also
-//! rules what a fault does to a wave: the queue clock a stalled run
-//! re-queues with, and the `degrade:` stretch of its epoch. The
-//! [`PriorityPolicy`] arbitrates contention (see `priority`), and a
-//! completed training run publishes a model version that redeploys into
-//! the serve stage.
+//! one `AccountQuota`, which the epoch-wave dispatcher owns: a
+//! dispatched request holds one worker until it completes, a dispatched
+//! epoch holds its wave width. Training runs queue FIFO and launch
+//! head-of-line through that dispatcher, shared with ce-cluster
+//! ([`ce_cluster::wave`]), which also rules what a fault does to a
+//! wave: the queue clock a stalled run re-queues with, and the
+//! `degrade:` stretch of its epoch. The [`PriorityPolicy`] arbitrates
+//! contention (see `priority`), and a completed training run publishes
+//! a model version that redeploys into the serve stage.
 //!
 //! Serving runs on the request engine shared with ce-serve
 //! ([`ce_serve::engine`]): each tenant is one arrival schedule pinned to
@@ -56,7 +56,7 @@ use crate::report::{LifecycleReport, TenantOutcome};
 use crate::spec::{LifecycleSpec, TenantSpec};
 use ce_cluster::wave::{Finished, Landing, Launch, StallCause, Waves};
 use ce_faas::{parse_keep_alive, InstancePool};
-use ce_obs::Registry;
+use ce_obs::{Counter, Registry};
 use ce_serve::engine::{Capacity, Engine, Lane, Lease, ReqEv, Schedule, StreamKeys};
 use ce_serve::{autoscaler_by_name, ArrivalModel, ServeSpec};
 use ce_sim_core::event::EventQueue;
@@ -192,6 +192,15 @@ struct Fleet {
     serve_held: u32,
     train_held: u32,
     quota_stalls: u64,
+    /// The preemption candidates handed to the policy, rebuilt in place
+    /// for every request that finds its pool full.
+    victims: Vec<VictimView>,
+    /// `lifecycle.epochs` and `lifecycle.chaos_degraded_epochs`, held
+    /// rather than looked up by name on every epoch; each is registered
+    /// at its first use, where a by-name lookup would have registered
+    /// it.
+    epochs_counter: Option<Counter>,
+    degraded_counter: Option<Counter>,
 }
 
 /// The lifecycle fleet simulator (see the module docs).
@@ -316,6 +325,9 @@ impl LifecycleSim {
                 serve_held: 0,
                 train_held: 0,
                 quota_stalls: 0,
+                victims: Vec::new(),
+                epochs_counter: None,
+                degraded_counter: None,
                 spec,
                 policy,
             },
@@ -639,7 +651,9 @@ impl Capacity<Ev> for Fleet {
     }
 
     fn release(&mut self, lane: usize) {
-        self.waves.quota(self.tenants[lane].serve_pool).release(1);
+        self.waves
+            .quota_mut(self.tenants[lane].serve_pool)
+            .release(1);
         self.serve_held -= 1;
     }
 }
@@ -647,7 +661,7 @@ impl Capacity<Ev> for Fleet {
 impl Fleet {
     /// Takes a spare worker in `pool` for a request, if there is one.
     fn take_serve_worker(&mut self, pool: usize) -> bool {
-        let granted = self.waves.quota(pool).try_acquire(1).is_ok();
+        let granted = self.waves.quota_mut(pool).try_acquire(1).is_ok();
         self.serve_held += u32::from(granted);
         granted
     }
@@ -697,32 +711,31 @@ impl Fleet {
         if self.take_serve_worker(pool) {
             return true;
         }
-        let victims: Vec<VictimView> = self
-            .tenants
-            .iter()
-            .enumerate()
-            .filter_map(|(i, st)| match st.train {
-                // A run's last in-flight epoch is excluded: its run is
-                // done whatever the rollback, and would be launched again.
-                TrainState::Running {
-                    workers,
-                    last: false,
-                    ..
-                } if st.train_pool == pool => Some(VictimView {
-                    tenant: i as u32,
-                    workers,
-                    slack_s: st.deadline_abs_s - t,
-                }),
-                _ => None,
-            })
-            .collect();
-        if victims.is_empty() {
+        self.victims.clear();
+        self.victims
+            .extend(self.tenants.iter().enumerate().filter_map(|(i, st)| {
+                match st.train {
+                    // A run's last in-flight epoch is excluded: its run is
+                    // done whatever the rollback, and would be launched again.
+                    TrainState::Running {
+                        workers,
+                        last: false,
+                        ..
+                    } if st.train_pool == pool => Some(VictimView {
+                        tenant: i as u32,
+                        workers,
+                        slack_s: st.deadline_abs_s - t,
+                    }),
+                    _ => None,
+                }
+            }));
+        if self.victims.is_empty() {
             return false;
         }
-        let Some(vi) = self.policy.preempt_victim(&victims, &self.view(t)) else {
+        let Some(vi) = self.policy.preempt_victim(&self.victims, &self.view(t)) else {
             return false;
         };
-        self.preempt(victims[vi].tenant as usize, t, events);
+        self.preempt(self.victims[vi].tenant as usize, t, events);
         self.take_serve_worker(pool)
     }
 
@@ -743,7 +756,7 @@ impl Fleet {
         else {
             unreachable!("preemption targets a running epoch");
         };
-        self.waves.quota(st.train_pool).release(workers);
+        self.waves.quota_mut(st.train_pool).release(workers);
         self.train_held -= workers;
         st.attempt += 1;
         let at_fraction = if wall_s > 0.0 {
@@ -878,9 +891,12 @@ impl Fleet {
                 Launch::Started { wave, dequeue } => {
                     self.train_ready.pop_front();
                     st.tally.cold_resumes += u64::from(dequeue.cold_resumed);
+                    let obs = &self.obs;
                     // A degrade window stretches the epoch's sync.
                     if wave.degrade > 1.0 {
-                        self.obs.counter("lifecycle.chaos_degraded_epochs").inc();
+                        self.degraded_counter
+                            .get_or_insert_with(|| obs.counter("lifecycle.chaos_degraded_epochs"))
+                            .inc();
                     }
                     let extra = (wave.degrade - 1.0) * wave.step.sync_s;
                     exec.charge_contention(extra);
@@ -894,7 +910,9 @@ impl Fleet {
                     };
                     st.tally.epochs += 1;
                     self.train_held += wave.workers;
-                    self.obs.counter("lifecycle.epochs").inc();
+                    self.epochs_counter
+                        .get_or_insert_with(|| obs.counter("lifecycle.epochs"))
+                        .inc();
                     events.schedule_at(
                         SimTime::from_secs(t + wall_s),
                         Ev::EpochDone {

@@ -11,10 +11,13 @@
 //!    events in append order. Same seed ⇒ byte-identical JSONL.
 //!
 //! Handles are cheap `Arc` clones, so instrumented components keep their
-//! own handle and the registry can be snapshotted at any time. Every
-//! library component writes to an injected registry, a private
-//! [`Registry::new`] unless the caller passes one; only binaries (the
-//! CLIs and the figure harness) pass [`global()`].
+//! own handle and the registry can be snapshotted at any time. A
+//! component that owns a distribution outright observes into a
+//! lock-free [`LocalHistogram`] and publishes it once with
+//! [`Histogram::merge_local`]. Every library component writes to an
+//! injected registry, a private [`Registry::new`] unless the caller
+//! passes one; only binaries (the CLIs and the figure harness) pass
+//! [`global()`].
 //!
 //! # JSONL schema
 //!
@@ -111,7 +114,7 @@ impl Gauge {
 /// log-bucket tallies for quantile extraction (see
 /// [`Histogram::enable_quantiles`]).
 #[derive(Clone, Debug, Default)]
-pub struct Histogram(Arc<Mutex<HistogramState>>);
+pub struct Histogram(Arc<Mutex<LocalHistogram>>);
 
 /// Geometric bucket tallies with a rank cursor: ce-obs's quantile
 /// histograms and `ce_faas`'s histogram keep-alive both keep one.
@@ -275,8 +278,14 @@ impl LogBuckets {
     }
 }
 
+/// A histogram with one owner: count / sum / min / max, plus optional
+/// [`LogBuckets`] for quantiles. It observes without a lock; a
+/// simulation keeps one per metric it observes on every event and
+/// publishes it into a registry [`Histogram`] once, with
+/// [`Histogram::merge_local`]. The registry's [`Histogram`] is this
+/// state behind a lock, so both forms answer every read alike.
 #[derive(Debug, Default, Clone)]
-struct HistogramState {
+pub struct LocalHistogram {
     count: u64,
     sum: f64,
     min: f64,
@@ -286,22 +295,114 @@ struct HistogramState {
     buckets: Option<LogBuckets>,
 }
 
+impl LocalHistogram {
+    /// An empty histogram that tracks quantiles.
+    pub fn with_quantiles() -> Self {
+        LocalHistogram {
+            buckets: Some(LogBuckets::default()),
+            ..LocalHistogram::default()
+        }
+    }
+
+    /// Records one observation.
+    pub fn observe(&mut self, value: f64) {
+        if self.count == 0 {
+            self.min = value;
+            self.max = value;
+        } else {
+            self.min = self.min.min(value);
+            self.max = self.max.max(value);
+        }
+        self.count += 1;
+        self.sum += value;
+        if let Some(buckets) = self.buckets.as_mut() {
+            buckets.observe(value);
+        }
+    }
+
+    /// Turns on log-bucket quantile tracking (idempotent); see
+    /// [`Histogram::enable_quantiles`].
+    fn enable_quantiles(&mut self) {
+        self.buckets.get_or_insert_with(LogBuckets::default);
+    }
+
+    /// Whether quantile tracking is on.
+    fn quantiles_enabled(&self) -> bool {
+        self.buckets.is_some()
+    }
+
+    /// The `q`-quantile; see [`Histogram::quantile`].
+    pub fn quantile(&mut self, q: f64) -> Option<f64> {
+        let buckets = self.buckets.as_mut()?;
+        if buckets.total() == 0 {
+            return None;
+        }
+        // Nearest-rank: the smallest bucket whose cumulative count covers
+        // rank = ceil(q * total), with rank at least 1.
+        let rank = buckets.rank(q);
+        if rank == buckets.total() {
+            return Some(self.max);
+        }
+        Some(match buckets.value_at(rank) {
+            Some(value) => value.clamp(self.min, self.max),
+            None => self.min.min(0.0),
+        })
+    }
+
+    /// Folds every observation of `other` into this histogram; see
+    /// [`Histogram::merge_from`].
+    fn merge_from(&mut self, other: &LocalHistogram) {
+        if other.count > 0 {
+            if self.count == 0 {
+                self.min = other.min;
+                self.max = other.max;
+            } else {
+                self.min = self.min.min(other.min);
+                self.max = self.max.max(other.max);
+            }
+            self.count += other.count;
+            self.sum += other.sum;
+        }
+        if let Some(their_buckets) = &other.buckets {
+            self.buckets
+                .get_or_insert_with(LogBuckets::default)
+                .merge_from(their_buckets);
+        }
+    }
+
+    /// Empties the histogram, keeping quantile tracking as it was.
+    fn reset(&mut self) {
+        let quantiles = self.quantiles_enabled();
+        *self = LocalHistogram::default();
+        if quantiles {
+            self.enable_quantiles();
+        }
+    }
+
+    /// Number of observations.
+    pub fn count(&self) -> u64 {
+        self.count
+    }
+
+    /// Sum of observations.
+    pub fn sum(&self) -> f64 {
+        self.sum
+    }
+
+    /// Mean of observations (0 when empty).
+    pub fn mean(&self) -> f64 {
+        if self.count == 0 {
+            0.0
+        } else {
+            self.sum / self.count as f64
+        }
+    }
+}
+
 impl Histogram {
     /// Records one observation.
     pub fn observe(&self, value: f64) {
-        let mut state = self.0.lock().expect("histogram lock");
-        if state.count == 0 {
-            state.min = value;
-            state.max = value;
-        } else {
-            state.min = state.min.min(value);
-            state.max = state.max.max(value);
-        }
-        state.count += 1;
-        state.sum += value;
-        if let Some(buckets) = state.buckets.as_mut() {
-            buckets.observe(value);
-        }
+        self.0.lock().expect("histogram lock").observe(value);
     }
 
     /// Turns on log-bucket quantile tracking (idempotent). Only
@@ -309,15 +410,12 @@ impl Histogram {
     /// right after creating the histogram. Quantile-enabled histograms
     /// additionally export a `summary` JSONL record.
     pub fn enable_quantiles(&self) {
-        let mut state = self.0.lock().expect("histogram lock");
-        if state.buckets.is_none() {
-            state.buckets = Some(LogBuckets::default());
-        }
+        self.0.lock().expect("histogram lock").enable_quantiles();
     }
 
     /// Whether [`Histogram::enable_quantiles`] was called.
     pub fn quantiles_enabled(&self) -> bool {
-        self.0.lock().expect("histogram lock").buckets.is_some()
+        self.0.lock().expect("histogram lock").quantiles_enabled()
     }
 
     /// The `q`-quantile (`0.0 ..= 1.0`) by nearest-rank over the log
@@ -327,22 +425,7 @@ impl Histogram {
     /// O(1), and no `exp` while the answer's bucket stays put (see
     /// [`LogBuckets`]).
     pub fn quantile(&self, q: f64) -> Option<f64> {
-        let mut guard = self.0.lock().expect("histogram lock");
-        let state = &mut *guard;
-        let buckets = state.buckets.as_mut()?;
-        if buckets.total() == 0 {
-            return None;
-        }
-        // Nearest-rank: the smallest bucket whose cumulative count covers
-        // rank = ceil(q * total), with rank at least 1.
-        let rank = buckets.rank(q);
-        if rank == buckets.total() {
-            return Some(state.max);
-        }
-        Some(match buckets.value_at(rank) {
-            Some(value) => value.clamp(state.min, state.max),
-            None => state.min.min(0.0),
-        })
+        self.0.lock().expect("histogram lock").quantile(q)
     }
 
     /// Folds every observation of `other` into this histogram:
@@ -351,24 +434,15 @@ impl Histogram {
     /// histogram reproduces `other`'s state bit for bit.
     pub fn merge_from(&self, other: &Histogram) {
         let theirs = other.0.lock().expect("histogram lock").clone();
-        let mut state = self.0.lock().expect("histogram lock");
-        if theirs.count > 0 {
-            if state.count == 0 {
-                state.min = theirs.min;
-                state.max = theirs.max;
-            } else {
-                state.min = state.min.min(theirs.min);
-                state.max = state.max.max(theirs.max);
-            }
-            state.count += theirs.count;
-            state.sum += theirs.sum;
-        }
-        if let Some(their_buckets) = theirs.buckets {
-            state
-                .buckets
-                .get_or_insert_with(LogBuckets::default)
-                .merge_from(&their_buckets);
-        }
+        self.merge_local(&theirs);
+    }
+
+    /// Folds an owned histogram into this one, as
+    /// [`Histogram::merge_from`] does: publishing a [`LocalHistogram`]
+    /// into a histogram nothing else observed gives the bytes observing
+    /// each value here would have.
+    pub fn merge_local(&self, other: &LocalHistogram) {
+        self.0.lock().expect("histogram lock").merge_from(other);
     }
 
     /// Median (see [`Histogram::quantile`]).
@@ -398,12 +472,7 @@ impl Histogram {
 
     /// Mean of observations (0 when empty).
     pub fn mean(&self) -> f64 {
-        let state = self.0.lock().expect("histogram lock");
-        if state.count == 0 {
-            0.0
-        } else {
-            state.sum / state.count as f64
-        }
+        self.0.lock().expect("histogram lock").mean()
     }
 }
 
@@ -545,12 +614,7 @@ impl Registry {
             .expect("histograms lock")
             .values()
         {
-            let mut state = histogram.0.lock().expect("histogram lock");
-            let quantiles = state.buckets.is_some();
-            *state = HistogramState::default();
-            if quantiles {
-                state.buckets = Some(LogBuckets::default());
-            }
+            histogram.0.lock().expect("histogram lock").reset();
         }
         self.inner.events.lock().expect("events lock").clear();
     }
@@ -582,7 +646,7 @@ impl Registry {
                     "sum": state.sum,
                     "min": state.min,
                     "max": state.max,
-                    "mean": if state.count == 0 { 0.0 } else { state.sum / state.count as f64 },
+                    "mean": state.mean(),
                 })
                 .to_string(),
             );
@@ -1154,6 +1218,77 @@ mod tests {
                         window_len(h)
                     );
                 }
+            }
+        }
+    }
+
+    #[test]
+    fn a_published_local_histogram_matches_one_observed_in_the_registry() {
+        let qs = [0.0, 0.01, 0.25, 0.5, 0.75, 0.95, 0.99, 1.0];
+        for seed in 0..60 {
+            let mut rng = SimRng::new(seed);
+            let scale = 10f64.powi(rng.gen_index(41) as i32 * 5 - 100);
+            let edge_odds = [4, 30, usize::MAX][rng.gen_index(3)];
+            let quantiles = rng.gen_index(4) != 0;
+            let len = [0, 1, 2, 50, 400][rng.gen_index(5)];
+            let ctx = format!("seed {seed}, {len} values, quantiles {quantiles}");
+            let open = |registry: &Registry| {
+                let h = registry.histogram("h");
+                if quantiles {
+                    h.enable_quantiles();
+                }
+                h
+            };
+            let direct_registry = Registry::new();
+            let direct = open(&direct_registry);
+            let mut local = if quantiles {
+                LocalHistogram::with_quantiles()
+            } else {
+                LocalHistogram::default()
+            };
+            for step in 0..len {
+                let v = any_value(&mut rng, scale, edge_odds);
+                direct.observe(v);
+                local.observe(v);
+                // Live reads, as the request engine's hedge delay makes.
+                if rng.gen_index(4) == 0 {
+                    let q = rng.uniform();
+                    assert_eq!(
+                        local.quantile(q).map(f64::to_bits),
+                        direct.quantile(q).map(f64::to_bits),
+                        "live quantile({q}) at step {step}, {ctx}"
+                    );
+                }
+            }
+            let published_registry = Registry::new();
+            let published = open(&published_registry);
+            published.merge_local(&local);
+            assert_eq!(
+                published_registry.export_jsonl(),
+                direct_registry.export_jsonl(),
+                "{ctx}"
+            );
+            assert_eq!(
+                (local.count(), local.sum().to_bits(), local.mean().to_bits()),
+                (
+                    direct.count(),
+                    direct.sum().to_bits(),
+                    direct.mean().to_bits()
+                ),
+                "{ctx}"
+            );
+            for q in qs.into_iter().chain((0..8).map(|_| rng.uniform())) {
+                let want = direct.quantile(q).map(f64::to_bits);
+                assert_eq!(
+                    published.quantile(q).map(f64::to_bits),
+                    want,
+                    "quantile({q}), {ctx}"
+                );
+                assert_eq!(
+                    local.quantile(q).map(f64::to_bits),
+                    want,
+                    "local quantile({q}), {ctx}"
+                );
             }
         }
     }

@@ -59,19 +59,23 @@
 //!
 //! # Metrics
 //!
-//! The engine only writes to its registry. The end-to-end latency
-//! distribution that the P95 hedge delay and the report's quantiles read
-//! is the engine's own histogram, published to `{prefix}.latency_ms`
-//! once per run by [`Engine::flush_verdicts`], so a run's outcome never
-//! depends on what else wrote to a shared registry. The engine keeps the
-//! histogram's handle, and the P95 hedge read before every primary
-//! attempt is an amortized O(1) step of the histogram's rank cursor.
+//! The engine only writes to its registry, and touches its histograms
+//! there only twice: [`Engine::start`] registers them, and
+//! [`Engine::flush_verdicts`] publishes them once per run. In between,
+//! the engine observes into its own [`LocalHistogram`]s, without a lock:
+//! `{prefix}.latency_ms`, `{prefix}.queue_wait_ms`,
+//! `{prefix}.cold_start_ms` and `resilience.attempts`. The end-to-end
+//! latency distribution that the P95 hedge delay and the report's
+//! quantiles read is the engine's own, so a run's outcome never depends
+//! on what else wrote to a shared registry, and the P95 hedge read
+//! before every primary attempt is an amortized O(1) step of its rank
+//! cursor.
 
 use crate::autoscale::{Autoscaler, LoadObservation, ScaleDecision};
 use crate::sim::ServeSpec;
 use ce_chaos::{ActiveFaults, CompiledSchedule};
 use ce_faas::{FunctionId, InstancePool, ReapedInstance};
-use ce_obs::{Histogram, Registry};
+use ce_obs::{LocalHistogram, Registry};
 use ce_resilience::{
     AttemptOutcome, BreakerState, CircuitBreaker, HedgePolicy, ResilienceSpec, RetryBudget,
 };
@@ -413,10 +417,10 @@ pub struct Engine<E> {
     chaos: Option<CompiledSchedule>,
     outage_end_pending: bool,
     /// The run's end-to-end latency distribution (see "Metrics").
-    latency: Histogram,
-    queue_wait_h: Option<Histogram>,
-    cold_start_h: Option<Histogram>,
-    attempts_h: Option<Histogram>,
+    latency: LocalHistogram,
+    queue_wait_h: Option<LocalHistogram>,
+    cold_start_h: Option<LocalHistogram>,
+    attempts_h: Option<LocalHistogram>,
 }
 
 impl<E: From<ReqEv>> Engine<E> {
@@ -435,36 +439,34 @@ impl<E: From<ReqEv>> Engine<E> {
             events: EventQueue::with_capacity(1024),
             chaos,
             outage_end_pending: false,
-            latency: Histogram::default(),
+            latency: LocalHistogram::with_quantiles(),
             queue_wait_h: None,
             cold_start_h: None,
             attempts_h: None,
         }
     }
 
-    /// Readies a run: opens the `{prefix}.latency_ms` and
+    /// Readies a run: registers the `{prefix}.latency_ms` and
     /// `{prefix}.queue_wait_ms` histograms (plus `{prefix}.cold_start_ms`
     /// with `cold_starts`), allocates resilience state when enabled, and
     /// applies every lane autoscaler's initial decision.
     pub fn start(&mut self, prefix: &str, cold_starts: bool) {
-        self.latency.enable_quantiles();
+        // Registered now, so a run without observations still exports
+        // them; `flush_verdicts` fills them from the engine's own.
         let open = |name: &str| {
-            let h = self.obs.histogram(name);
-            h.enable_quantiles();
-            h
+            self.obs.histogram(name).enable_quantiles();
+            Some(LocalHistogram::with_quantiles())
         };
-        // Registered now, so a run without completions still exports it;
-        // `flush_verdicts` fills it from `self.latency`.
         open(&format!("{prefix}.latency_ms"));
-        self.queue_wait_h = Some(open(&format!("{prefix}.queue_wait_ms")));
+        self.queue_wait_h = open(&format!("{prefix}.queue_wait_ms"));
         if cold_starts {
-            self.cold_start_h = Some(open(&format!("{prefix}.cold_start_ms")));
+            self.cold_start_h = open(&format!("{prefix}.cold_start_ms"));
         }
         if self.spec.resilience.enabled() {
             for s in &mut self.schedules {
                 s.rstate = vec![ReqState::default(); s.arrivals.len()];
             }
-            self.attempts_h = Some(open("resilience.attempts"));
+            self.attempts_h = open("resilience.attempts");
         }
         for li in 0..self.lanes.len() {
             let init = self.lanes[li].autoscaler.initial();
@@ -648,7 +650,7 @@ impl<E: From<ReqEv>> Engine<E> {
     /// Seconds after a primary dispatch at which its hedge launches:
     /// the live p95 of completed end-to-end latency (the SLO before any
     /// completions exist), or the fixed configured delay.
-    fn hedge_delay_s(&self, policy: HedgePolicy) -> f64 {
+    fn hedge_delay_s(&mut self, policy: HedgePolicy) -> f64 {
         match policy {
             HedgePolicy::FixedMs(ms) => ms / 1e3,
             HedgePolicy::P95 => {
@@ -696,8 +698,8 @@ impl<E: From<ReqEv>> Engine<E> {
     }
 
     /// Records a settled request's attempt count.
-    fn observe_attempts(&self, attempts: u32) {
-        if let Some(h) = &self.attempts_h {
+    fn observe_attempts(&mut self, attempts: u32) {
+        if let Some(h) = &mut self.attempts_h {
             h.observe(f64::from(attempts));
         }
     }
@@ -847,7 +849,7 @@ impl<E: From<ReqEv>> Engine<E> {
             l.cold_starts += 1;
             let spike = active.cold_start_factor.max(1.0);
             let cold_s = spec.cold_start_s * s.cold_factor * l.node.cold_factor * spike * cold_jit;
-            if let Some(h) = &self.cold_start_h {
+            if let Some(h) = &mut self.cold_start_h {
                 h.observe(cold_s * 1e3);
             }
             cold_s
@@ -894,7 +896,7 @@ impl<E: From<ReqEv>> Engine<E> {
             }
         }
         if attempt == 0 {
-            if let Some(h) = &self.queue_wait_h {
+            if let Some(h) = &mut self.queue_wait_h {
                 h.observe((now - arrival) * 1e3);
             }
         }
@@ -1166,7 +1168,7 @@ impl<E: From<ReqEv>> Engine<E> {
     }
 
     /// Latency quantile `q` in milliseconds (0 before any completion).
-    pub fn latency_quantile(&self, q: f64) -> f64 {
+    pub fn latency_quantile(&mut self, q: f64) -> f64 {
         self.latency.quantile(q).unwrap_or(0.0)
     }
 
@@ -1174,12 +1176,25 @@ impl<E: From<ReqEv>> Engine<E> {
     /// `{prefix}.requests` and each verdict and start counter, plus —
     /// whenever resilience is on, so resilient runs export a stable
     /// metric set — the `resilience.*` group and breaker gauges. Also
-    /// publishes the run's latency distribution to `{prefix}.latency_ms`;
-    /// call it once per run.
+    /// publishes the engine's histograms to the names [`Engine::start`]
+    /// registered; call it once per run.
     pub fn flush_verdicts(&self, prefix: &str) {
         let obs = &self.obs;
-        obs.histogram(&format!("{prefix}.latency_ms"))
-            .merge_from(&self.latency);
+        let publish = |name: &str, h: Option<&LocalHistogram>| {
+            if let Some(h) = h {
+                obs.histogram(name).merge_local(h);
+            }
+        };
+        publish(&format!("{prefix}.latency_ms"), Some(&self.latency));
+        publish(
+            &format!("{prefix}.queue_wait_ms"),
+            self.queue_wait_h.as_ref(),
+        );
+        publish(
+            &format!("{prefix}.cold_start_ms"),
+            self.cold_start_h.as_ref(),
+        );
+        publish("resilience.attempts", self.attempts_h.as_ref());
         let sum =
             |f: fn(&Tally) -> u64| -> u64 { self.schedules.iter().map(|s| f(&s.tally)).sum() };
         let count = |name: &str, n: u64| obs.counter(&format!("{prefix}.{name}")).add(n);

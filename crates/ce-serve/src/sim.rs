@@ -188,6 +188,9 @@ pub struct ServeSim {
     placement: Box<dyn PlacementPolicy>,
     /// The forked `"topo"` stream handed to the placement policy.
     topo_rng: SimRng,
+    /// The pool views handed to the placement policy, rebuilt in place
+    /// for every placed request.
+    views: Vec<PoolView>,
 }
 
 impl ServeSim {
@@ -242,6 +245,7 @@ impl ServeSim {
             engine: Engine::new(spec, chaos, vec![schedule], lanes),
             placement,
             topo_rng: rng.derive("topo"),
+            views: Vec::new(),
         }
     }
 
@@ -271,11 +275,9 @@ impl ServeSim {
             return;
         }
         let (spec, now) = (&self.engine.spec, self.engine.events.now());
-        let views: Vec<PoolView> = self
-            .engine
-            .lanes
-            .iter()
-            .map(|l| PoolView {
+        self.views.clear();
+        self.views
+            .extend(self.engine.lanes.iter().map(|l| PoolView {
                 rtt_ms: l.node.rtt_ms,
                 price_factor: l.node.price_factor,
                 compute_factor: l.node.compute_factor,
@@ -288,15 +290,14 @@ impl ServeSim {
                 capacity: l.capacity,
                 warm_idle: l.pool.warm_count(spec.memory_mb, now),
                 quota: l.node.quota,
-            })
-            .collect();
+            }));
         let preq = PlacementRequest {
             compute_s: spec.service_s,
             transfer_mb: 0.0,
             cold_ms: spec.cold_start_s * 1e3,
         };
-        let want = self.placement.place(&views, &preq, &mut self.topo_rng);
-        self.engine.place(0, req, want.min(views.len() - 1));
+        let want = self.placement.place(&self.views, &preq, &mut self.topo_rng);
+        self.engine.place(0, req, want.min(self.views.len() - 1));
     }
 
     /// Runs the simulation to completion and returns the aggregate
@@ -357,6 +358,7 @@ impl ServeSim {
     /// assembles the report.
     fn finalize(mut self, horizon: SimTime) -> ServeReport {
         self.engine.drain_pools(horizon);
+        let [p50_ms, p95_ms, p99_ms] = [0.50, 0.95, 0.99].map(|q| self.engine.latency_quantile(q));
         let e = &self.engine;
         let t = &e.schedules[0].tally;
         let expired: u64 = e.lanes.iter().map(|l| l.pool.stats().expired).sum();
@@ -405,9 +407,9 @@ impl ServeSim {
             hedges: t.hedges,
             hedge_wins: t.hedge_wins,
             degraded: t.degraded,
-            p50_ms: e.latency_quantile(0.50),
-            p95_ms: e.latency_quantile(0.95),
-            p99_ms: e.latency_quantile(0.99),
+            p50_ms,
+            p95_ms,
+            p99_ms,
             busy_gb_s: t.busy_gb_s,
             idle_gb_s: t.idle_gb_s,
             dollars,
