@@ -3,12 +3,13 @@
 //! One shared substrate — an account-level concurrency quota and four
 //! storage services — and many tenant jobs interleaved on it in
 //! simulated time. Each job is a [`ce_workflow::TrainingExecution`]
-//! stepped one epoch at a time: [`Waves`] reserves the wave's workers
-//! from the account quota for the epoch's duration, the fleet inflates
-//! its sync time by the storage service's current load, and requeues
-//! the job when the epoch completes. Everything is deterministic per
-//! seed: the event queue breaks ties FIFO, policies break ties on job
-//! id, and every job's own RNG streams are derived from its spec.
+//! stepped one epoch at a time through the shared [`TrainQueue`]: the
+//! wave's workers are reserved from the account quota for the epoch's
+//! duration, its sync time stretches by the storage service's current
+//! load, and the job re-queues when the epoch completes. Everything is
+//! deterministic per seed: the event queue breaks ties FIFO, policies
+//! break ties on job id, and every job's own RNG streams are derived
+//! from its spec.
 //!
 //! Cross-tenant effects modeled:
 //!
@@ -23,26 +24,18 @@
 //! # Topology
 //!
 //! Under a multi-pool [`Topology`] each admitted job is placed once, at
-//! admission, by the spec's placement policy (fed per-pool quota
-//! occupancy and live job counts). The job's waves then draw from that
-//! pool's own account quota, its allocation grid is capped below the
-//! pool limit, its epoch wall time stretches by the pool's compute
-//! class, and its bill scales by the pool's price class. Training data
-//! is co-located with the job (batches ship with the wave), so no
-//! inter-pool transfers are billed here — that cost appears in
-//! `ce-lifecycle`, where a published model may cross the link to its
-//! serving pool. The default [`Topology::single`] pool is neutral
-//! (factors `1.0`, quota deferring to the spec), placement is a pure
-//! function of its forked `"topo"` stream, and the built-in policies
-//! draw nothing from it — so single-pool runs are byte-identical to the
-//! pre-topology simulator.
+//! admission, by the spec's placement policy; its waves then draw from
+//! that pool's quota, and its wall time and bill scale by the pool's
+//! classes (DESIGN §5k). The default [`Topology::single`] pool is
+//! neutral and skips placement, so single-pool runs are byte-identical
+//! to the pre-topology simulator.
 
 use crate::arrival::{check_jobs, training_job, FleetSpec, JobSpec, FLEET_METHOD};
 use crate::contention::ContentionModel;
 use crate::policy::{Admission, AdmissionPolicy, ClusterView, ReadyJob};
 use crate::ready::ReadySet;
 use crate::report::{FleetReport, JobOutcome, JobStatus};
-use crate::wave::{Dequeue, Finished, Landing, Launch, StallCause, Wave, Waves};
+use crate::wave::{Dequeue, Dispatch, Finished, Landing, PickRule, Stall, TrainQueue};
 use ce_chaos::FaultSchedule;
 use ce_obs::{Counter, Histogram, Registry};
 use ce_sim_core::event::EventQueue;
@@ -50,7 +43,7 @@ use ce_sim_core::rng::SimRng;
 use ce_sim_core::time::SimTime;
 use ce_sim_core::SpecError;
 use ce_topo::{PlacementRequest, PoolView, Topology};
-use ce_workflow::{RecoveryPolicy, TrainingExecution};
+use ce_workflow::{RecoveryPolicy, TrainingExecution, TrainingReport};
 use serde_json::json;
 
 /// Which dispatch core drives the fleet.
@@ -189,45 +182,113 @@ impl ClusterSpec {
 
 #[derive(Debug, Clone, Copy)]
 enum FleetEvent {
-    Arrival {
-        job: usize,
-    },
-    EpochDone {
-        job: usize,
-    },
+    /// `job` arrives.
+    Arrival { job: usize },
+    /// `job`'s wave tagged `attempt` lands.
+    EpochDone { job: usize, attempt: u64 },
     /// A chaos-stalled job is ready to queue again.
-    Resume {
-        job: usize,
-    },
+    Resume { job: usize },
 }
 
 /// The ready queue in the active engine's representation: the naive
-/// engine keeps job indices in the order they became ready and scans;
-/// the heap engine keeps them ordered by `(dispatch key, job id)`.
+/// engine keeps `(job, workers, queued since)` in the order the jobs
+/// became ready and scans; the heap engine keeps job indices ordered by
+/// `(dispatch key, job id)`. Both read a queue clock and an allocation
+/// that stay fixed while the job waits.
 #[derive(Debug)]
 enum ReadyQueue {
-    Naive(Vec<usize>),
+    Naive(Vec<(usize, u32, f64)>),
     Indexed(ReadySet),
 }
 
-impl ReadyQueue {
-    fn len(&self) -> usize {
-        match self {
-            ReadyQueue::Naive(queue) => queue.len(),
-            ReadyQueue::Indexed(set) => set.len(),
+/// The cluster's pick rule, its admission policy through the engine's
+/// ready queue, with what the policy reads of the fleet.
+struct PolicyOrder {
+    policy: Box<dyn AdmissionPolicy>,
+    jobs: Vec<JobSpec>,
+    /// Epochs in flight.
+    running: usize,
+}
+
+impl PickRule for PolicyOrder {
+    type Ready = ReadyQueue;
+
+    fn push(&self, ready: &mut ReadyQueue, run: usize, workers: u32, queued_since_s: f64) {
+        match ready {
+            ReadyQueue::Naive(queue) => queue.push((run, workers, queued_since_s)),
+            ReadyQueue::Indexed(set) => {
+                let job = ReadyJob {
+                    spec: &self.jobs[run],
+                    workers,
+                    queued_since_s,
+                };
+                let key = self.policy.dispatch_key(&job);
+                set.push(key.expect("indexed engine requires a keyed policy"), run);
+            }
+        }
+    }
+
+    fn head(&self, queue: &TrainQueue<ReadyQueue>, t: f64) -> Option<usize> {
+        match queue.ready() {
+            ReadyQueue::Naive(ready) => {
+                if ready.is_empty() {
+                    return None;
+                }
+                let jobs: Vec<ReadyJob<'_>> = ready
+                    .iter()
+                    .map(|&(i, workers, queued_since_s)| ReadyJob {
+                        spec: &self.jobs[i],
+                        workers,
+                        queued_since_s,
+                    })
+                    .collect();
+                let pick = self.policy.pick(&jobs, &self.view(queue, t))?;
+                Some(ready[pick].0)
+            }
+            ReadyQueue::Indexed(set) => set.peek_min(),
+        }
+    }
+
+    /// Every removal targets the job the policy just picked, so the
+    /// indexed engine pops its minimum.
+    fn remove(&self, ready: &mut ReadyQueue, run: usize) {
+        match ready {
+            ReadyQueue::Naive(queue) => {
+                let pos = queue
+                    .iter()
+                    .position(|j| j.0 == run)
+                    .expect("job is queued");
+                queue.remove(pos);
+            }
+            ReadyQueue::Indexed(set) => {
+                let popped = set.pop_min();
+                debug_assert_eq!(popped, Some(run), "removal must target the set minimum");
+            }
+        }
+    }
+}
+
+impl PolicyOrder {
+    /// What the admission policy sees at `now_s`.
+    fn view(&self, trains: &TrainQueue<ReadyQueue>, now_s: f64) -> ClusterView {
+        ClusterView {
+            now_s,
+            quota_in_use: trains.in_use(),
+            quota_limit: trains.limit(),
+            queue_len: match trains.ready() {
+                ReadyQueue::Naive(queue) => queue.len(),
+                ReadyQueue::Indexed(set) => set.len(),
+            },
+            running: self.running,
         }
     }
 }
 
 #[derive(Debug, Clone, Copy, Default)]
 struct Slot {
-    queued_since: f64,
     queue_delay_s: f64,
     cold_resumes: u32,
-    in_flight: Option<Wave>,
     epochs: u32,
-    /// The pool the job was placed on at admission.
-    pool: usize,
 }
 
 /// The multi-tenant cluster simulation.
@@ -235,16 +296,19 @@ pub struct ClusterSim {
     spec: ClusterSpec,
     policy: Box<dyn AdmissionPolicy>,
     obs: Registry,
-    // --- run state ---
-    jobs: Vec<JobSpec>,
-    execs: Vec<Option<TrainingExecution>>,
+}
+
+/// A fleet run's state, built when the run starts.
+struct Fleet {
+    spec: ClusterSpec,
+    /// The policy and the jobs.
+    order: PolicyOrder,
+    obs: Registry,
     slots: Vec<Slot>,
     outcomes: Vec<Option<JobOutcome>>,
-    /// The ready queue, in the engine's representation.
-    ready: ReadyQueue,
-    /// One quota per topology pool (a single neutral pool by default)
-    /// and the fleet-clock fault timeline.
-    waves: Waves,
+    /// The head-of-line queue, its ready order in the engine's
+    /// representation; a single neutral pool by default.
+    trains: TrainQueue<ReadyQueue>,
     placement: Box<dyn ce_topo::PlacementPolicy>,
     topo_rng: SimRng,
     /// Live (admitted, non-terminal) jobs per pool — the placement
@@ -254,16 +318,12 @@ pub struct ClusterSim {
     placed_by_pool: Vec<u64>,
     /// Epochs in flight per storage service (`StorageKind as usize`).
     active_by_kind: [u32; 4],
-    running: usize,
     contention_extra_s: f64,
-    /// Handles of the metrics dispatch updates per epoch or per quota
-    /// stall.
     metrics: DispatchMetrics,
 }
 
-/// `cluster.*` handles held by the simulation rather than looked up by
-/// name on every epoch or stall. Each is registered at its first use,
-/// exactly when a by-name lookup would have registered it.
+/// The `cluster.*` handles dispatch updates per epoch or quota stall,
+/// each registered at its first use (see [`Registry::inc_held`]).
 #[derive(Default)]
 struct DispatchMetrics {
     epochs: Option<Counter>,
@@ -284,35 +344,10 @@ impl ClusterSim {
         if let Err(e) = spec.validate() {
             panic!("{e}");
         }
-        // Pool quotas default to the shared account limit. Crash draws
-        // fork a `"fleet-chaos"` stream of the fleet seed, so adding or
-        // removing jobs never shifts any job's own draws.
-        let chaos_rng = SimRng::new(spec.fleet.seed).derive("fleet-chaos");
-        let waves = Waves::new(&spec.topology, spec.quota, spec.chaos.as_ref(), chaos_rng);
-        let pool_count = waves.pool_count();
-        // Placement draws (if a policy ever makes any) come from a fork
-        // of the fleet's root stream, so adding pools never shifts job
-        // draws.
-        let placement = ce_topo::parse_placement(&spec.placement).expect("validated placement");
-        let topo_rng = SimRng::new(spec.fleet.seed).derive("topo");
         ClusterSim {
             spec,
             policy,
             obs: Registry::new(),
-            jobs: Vec::new(),
-            execs: Vec::new(),
-            slots: Vec::new(),
-            outcomes: Vec::new(),
-            ready: ReadyQueue::Naive(Vec::new()),
-            waves,
-            placement,
-            topo_rng,
-            live_by_pool: vec![0; pool_count],
-            placed_by_pool: vec![0; pool_count],
-            active_by_kind: [0; 4],
-            running: 0,
-            contention_extra_s: 0.0,
-            metrics: DispatchMetrics::default(),
         }
     }
 
@@ -322,13 +357,58 @@ impl ClusterSim {
         self
     }
 
-    fn view(&self, now_s: f64) -> ClusterView {
-        ClusterView {
-            now_s,
-            quota_in_use: self.waves.in_use(),
-            quota_limit: self.waves.limit(),
-            queue_len: self.ready.len(),
-            running: self.running,
+    /// Runs the fleet to completion and reports the frontier point.
+    pub fn run(self) -> FleetReport {
+        Fleet::new(self).run()
+    }
+}
+
+impl Fleet {
+    /// Generates the jobs and picks the engine: the indexed ready-set
+    /// needs a keyed policy; anything else runs the naive scan.
+    fn new(ClusterSim { spec, policy, obs }: ClusterSim) -> Self {
+        let jobs = spec.fleet.generate();
+        let keyed = jobs.first().is_none_or(|spec| {
+            let probe = ReadyJob {
+                spec,
+                workers: 1,
+                queued_since_s: 0.0,
+            };
+            policy.dispatch_key(&probe).is_some()
+        });
+        let ready = if spec.engine == FleetEngine::Heap && keyed {
+            ReadyQueue::Indexed(ReadySet::default())
+        } else {
+            ReadyQueue::Naive(Vec::new())
+        };
+        // Pool quotas default to the shared account limit. Crash draws fork
+        // the fleet seed, so adding jobs never shifts any job's own draws.
+        let chaos_rng = SimRng::new(spec.fleet.seed).derive("fleet-chaos");
+        let chaos = spec.chaos.as_ref();
+        let trains = TrainQueue::new(&spec.topology, spec.quota, chaos, chaos_rng, ready);
+        let pool_count = trains.pool_count();
+        // Placement draws (if a policy makes any) fork the fleet's root
+        // stream, so adding pools never shifts job draws.
+        let placement = ce_topo::parse_placement(&spec.placement).expect("validated placement");
+        let topo_rng = SimRng::new(spec.fleet.seed).derive("topo");
+        Fleet {
+            slots: vec![Slot::default(); jobs.len()],
+            outcomes: vec![None; jobs.len()],
+            order: PolicyOrder {
+                policy,
+                jobs,
+                running: 0,
+            },
+            obs,
+            trains,
+            placement,
+            topo_rng,
+            live_by_pool: vec![0; pool_count],
+            placed_by_pool: vec![0; pool_count],
+            active_by_kind: [0; 4],
+            contention_extra_s: 0.0,
+            metrics: DispatchMetrics::default(),
+            spec,
         }
     }
 
@@ -336,16 +416,17 @@ impl ClusterSim {
     /// the policy entirely (index 0 is forced), preserving the
     /// pre-topology byte stream.
     fn place_job(&mut self, i: usize) -> usize {
-        if !self.waves.multi_pool() {
+        let trains = &self.trains;
+        if !trains.multi_pool() {
             self.live_by_pool[0] += 1;
             self.placed_by_pool[0] += 1;
             return 0;
         }
         // Batches ship with the wave: nothing crosses a link.
-        let views: Vec<PoolView> = (0..self.waves.pool_count())
-            .map(|p| self.waves.pool_view(p, self.live_by_pool[p], f64::INFINITY))
+        let views: Vec<PoolView> = (0..trains.pool_count())
+            .map(|p| trains.pool_view(p, self.live_by_pool[p], f64::INFINITY))
             .collect();
-        let job = &self.jobs[i];
+        let job = &self.order.jobs[i];
         let req = PlacementRequest {
             // The deadline bounds the job's compute demand on a
             // neutral pool: long-deadline jobs read as heavy.
@@ -357,41 +438,15 @@ impl ClusterSim {
             .placement
             .place(&views, &req, &mut self.topo_rng)
             .min(views.len() - 1);
-        self.slots[i].pool = pool;
         self.live_by_pool[pool] += 1;
         self.placed_by_pool[pool] += 1;
         pool
     }
 
-    /// Runs the fleet to completion and reports the frontier point.
-    pub fn run(mut self) -> FleetReport {
-        self.jobs = self.spec.fleet.generate();
-        let n = self.jobs.len();
-        self.execs = (0..n).map(|_| None).collect();
-        self.slots = vec![Slot::default(); n];
-        self.outcomes = vec![None; n];
-
-        // Resolve the engine: the indexed ready-set needs a keyed
-        // policy; anything else runs the naive scan.
-        let keyed = match self.jobs.first() {
-            Some(spec) => {
-                let probe = ReadyJob {
-                    spec,
-                    workers: 1,
-                    queued_since_s: 0.0,
-                };
-                self.policy.dispatch_key(&probe).is_some()
-            }
-            None => true,
-        };
-        self.ready = if self.spec.engine == FleetEngine::Heap && keyed {
-            ReadyQueue::Indexed(ReadySet::default())
-        } else {
-            ReadyQueue::Naive(Vec::new())
-        };
-
-        let mut events: EventQueue<FleetEvent> = EventQueue::with_capacity(n + 1);
-        for (i, job) in self.jobs.iter().enumerate() {
+    fn run(mut self) -> FleetReport {
+        let n = self.order.jobs.len();
+        let mut events = EventQueue::with_capacity(n + 1);
+        for (i, job) in self.order.jobs.iter().enumerate() {
             events.schedule_at(
                 SimTime::from_secs(job.arrival_s),
                 FleetEvent::Arrival { job: i },
@@ -403,13 +458,13 @@ impl ClusterSim {
             let t = at.as_secs();
             // Time-weighted quota utilization: integrate reservations
             // over the interval that just elapsed.
-            self.waves.advance(t);
+            self.trains.advance(t);
             makespan_s = makespan_s.max(t);
             match event {
                 FleetEvent::Arrival { job } => self.on_arrival(job, t),
-                FleetEvent::EpochDone { job } => self.on_epoch_done(job, t),
+                FleetEvent::EpochDone { job, attempt } => self.on_epoch_done(job, attempt, t),
                 // A chaos-stalled job becomes ready again.
-                FleetEvent::Resume { job } => self.enqueue(job),
+                FleetEvent::Resume { job } => self.trains.resume(&self.order, job),
             }
             self.dispatch(t, &mut events);
         }
@@ -418,7 +473,7 @@ impl ClusterSim {
     }
 
     fn on_arrival(&mut self, i: usize, t: f64) {
-        let job = &self.jobs[i];
+        let job = &self.order.jobs[i];
         self.obs.counter("cluster.arrivals").inc();
         self.obs.event(
             t,
@@ -430,140 +485,51 @@ impl ClusterSim {
                 ("deadline_s", json!(job.deadline_s)),
             ],
         );
-        let view = self.view(t);
-        if self.policy.admit(job, &view) == Admission::Reject {
-            self.obs.counter("cluster.rejected").inc();
-            self.obs.counter("cluster.qos_violations").inc();
-            self.obs
-                .event(t, "cluster.job_rejected", &[("job", json!(job.id))]);
-            self.outcomes[i] = Some(JobOutcome {
-                id: job.id,
-                tenant: job.tenant,
-                status: JobStatus::Rejected,
-                arrival_s: job.arrival_s,
-                finish_s: t,
-                queue_delay_s: 0.0,
-                epochs: 0,
-                cost_usd: 0.0,
-                qos_violated: true,
-                budget_violated: false,
-                cold_resumes: 0,
-            });
+        let view = self.order.view(&self.trains, t);
+        if self.order.policy.admit(job, &view) == Admission::Reject {
+            self.settle(i, t, JobStatus::Rejected, 0.0, None);
             return;
         }
         self.obs.counter("cluster.admitted").inc();
         let pool = self.place_job(i);
-        let job = &self.jobs[i];
+        let job = &self.order.jobs[i];
         // Cap the allocation grid below the *pool's* limit so placed
         // waves never structurally overflow their pool.
-        let mut tj = training_job(
-            job,
-            &self.spec.fleet.env,
-            self.spec.job_cap.min(self.waves.quota(pool).limit()),
-        )
-        .with_obs(&self.obs)
-        .with_recovery(self.spec.recovery);
+        let cap = self.spec.job_cap.min(self.trains.quota(pool).limit());
+        let mut tj = training_job(job, &self.spec.fleet.env, cap)
+            .with_obs(&self.obs)
+            .with_recovery(self.spec.recovery);
         if let Some(k) = self.spec.checkpoint_every {
             tj = tj.with_checkpoint_every(k);
         }
         match TrainingExecution::start(tj, FLEET_METHOD) {
-            Ok(exec) => {
-                self.execs[i] = Some(exec);
-                self.slots[i].queued_since = t;
-                self.enqueue(i);
-            }
-            Err(_) => self.fail_job(i, t, 0.0),
+            Ok(exec) => self.trains.start(&self.order, i, pool, exec, t),
+            Err(_) => self.fail_job(i, pool, t, 0.0),
         }
     }
 
-    /// Adds job `i` to the ready queue. Its `queued_since` stamp and
-    /// allocation must already be final: the indexed engine's dispatch
-    /// key is computed here and must not change while the job waits.
-    fn enqueue(&mut self, i: usize) {
-        let key = match &self.ready {
-            ReadyQueue::Naive(_) => 0.0,
-            ReadyQueue::Indexed(_) => {
-                let job = ReadyJob {
-                    spec: &self.jobs[i],
-                    workers: self.execs[i].as_ref().expect("queued job runs").alloc().n,
-                    queued_since_s: self.slots[i].queued_since,
-                };
-                self.policy
-                    .dispatch_key(&job)
-                    .expect("indexed engine requires a keyed policy")
-            }
-        };
-        match &mut self.ready {
-            ReadyQueue::Naive(queue) => queue.push(i),
-            ReadyQueue::Indexed(set) => set.push(key, i),
-        }
-    }
-
-    /// The job the policy dispatches next. `None` idles the cluster
-    /// until the next event.
-    fn pick_next(&self, t: f64) -> Option<usize> {
-        match &self.ready {
-            ReadyQueue::Naive(queue) => {
-                if queue.is_empty() {
-                    return None;
-                }
-                let ready: Vec<ReadyJob<'_>> = queue
-                    .iter()
-                    .map(|&i| ReadyJob {
-                        spec: &self.jobs[i],
-                        workers: self.execs[i].as_ref().expect("queued job runs").alloc().n,
-                        queued_since_s: self.slots[i].queued_since,
-                    })
-                    .collect();
-                let view = self.view(t);
-                let pick = self.policy.pick(&ready, &view)?;
-                Some(queue[pick])
-            }
-            ReadyQueue::Indexed(set) => set.peek_min(),
-        }
-    }
-
-    /// Removes the picked job `i` from the ready queue. Every removal
-    /// targets the job the policy just picked, so the indexed engine
-    /// pops its minimum.
-    fn remove_ready(&mut self, i: usize) {
-        match &mut self.ready {
-            ReadyQueue::Naive(queue) => {
-                let pos = queue.iter().position(|&j| j == i).expect("job is queued");
-                queue.remove(pos);
-            }
-            ReadyQueue::Indexed(set) => {
-                let popped = set.pop_min();
-                debug_assert_eq!(popped, Some(i), "removal must target the set minimum");
-            }
-        }
-    }
-
-    /// Launches ready epochs while the policy picks one that fits; a
-    /// quota stall idles the queue until the next event (see
-    /// [`Waves::launch`]).
+    /// Launches ready epochs until the policy picks none or one stalls
+    /// on the quota (see [`TrainQueue::next`]).
     fn dispatch(&mut self, t: f64, events: &mut EventQueue<FleetEvent>) {
-        while let Some(i) = self.pick_next(t) {
-            let exec = self.execs[i].as_mut().expect("queued job runs");
-            let slot = &self.slots[i];
-            match self.waves.launch(slot.pool, exec, t, slot.queued_since) {
-                Launch::QuotaStall => {
-                    let obs = &self.obs;
-                    self.metrics
-                        .quota_stalls
-                        .get_or_insert_with(|| obs.counter("cluster.quota_stalls"))
-                        .inc();
+        loop {
+            let (active, model) = (&mut self.active_by_kind, &self.spec.contention);
+            let next = self.trains.next(&self.order, t, |storage| {
+                active[storage as usize] += 1;
+                model.sync_slowdown(storage, active[storage as usize])
+            });
+            let Some((i, next)) = next else { return };
+            match next {
+                Dispatch::QuotaStall => {
+                    let stalls = &mut self.metrics.quota_stalls;
+                    self.obs.inc_held(stalls, "cluster.quota_stalls");
                     return;
                 }
-                Launch::Stalled(stall) => {
-                    // The job waits out the stall off the queue; its queue
-                    // clock is the stall's (see `ce_cluster::wave`).
-                    self.remove_ready(i);
-                    self.slots[i].queued_since = stall.queued_since;
+                Dispatch::Resume(stall) => {
+                    // The job waits out the stall off the queue.
                     self.obs.counter("cluster.chaos_stalls").inc();
-                    let job = ("job", json!(self.jobs[i].id));
-                    match stall.cause {
-                        StallCause::Outage { storage, until_s } => self.obs.event(
+                    let job = ("job", json!(self.order.jobs[i].id));
+                    match stall {
+                        Stall::Outage { storage, until_s } => self.obs.event(
                             t,
                             "cluster.chaos_outage_stall",
                             &[
@@ -572,7 +538,7 @@ impl ClusterSim {
                                 ("until_s", json!(until_s)),
                             ],
                         ),
-                        StallCause::WorkerLoss {
+                        Stall::WorkerLoss {
                             at_fraction,
                             stall_s,
                         } => {
@@ -588,54 +554,32 @@ impl ClusterSim {
                             );
                         }
                     }
-                    events.schedule_at(
-                        SimTime::from_secs(stall.resume_s),
-                        FleetEvent::Resume { job: i },
-                    );
+                    let at = SimTime::from_secs(stall.resume_s(t));
+                    events.schedule_at(at, FleetEvent::Resume { job: i });
                 }
-                Launch::Failed { usd, dequeue } => {
-                    self.remove_ready(i);
+                Dispatch::Failed { usd, dequeue } => {
                     if let Some(dequeue) = dequeue {
                         self.book_wait(i, dequeue);
                     }
-                    self.execs[i] = None;
-                    self.fail_job(i, t, usd);
+                    self.fail_job(i, self.trains.pool(i), t, usd);
                 }
-                Launch::Started { wave, dequeue } => {
-                    self.remove_ready(i);
-                    self.book_wait(i, dequeue);
-                    let obs = &self.obs;
-                    self.metrics
-                        .epochs
-                        .get_or_insert_with(|| obs.counter("cluster.epochs"))
-                        .inc();
-                    let ki = wave.storage as usize;
-                    self.active_by_kind[ki] += 1;
-                    let factor = self
-                        .spec
-                        .contention
-                        .sync_slowdown(wave.storage, self.active_by_kind[ki]);
+                Dispatch::Land { attempt, wave } => {
+                    self.book_wait(i, wave.dequeue);
+                    let (obs, m) = (&self.obs, &mut self.metrics);
+                    obs.inc_held(&mut m.epochs, "cluster.epochs");
                     // A degrade window stretches this epoch's sync on top
                     // of whatever the other tenants already cost it.
                     if wave.degrade > 1.0 {
-                        let obs = &self.obs;
-                        self.metrics
-                            .chaos_degraded_epochs
-                            .get_or_insert_with(|| obs.counter("cluster.chaos_degraded_epochs"))
-                            .inc();
+                        let name = "cluster.chaos_degraded_epochs";
+                        obs.inc_held(&mut m.chaos_degraded_epochs, name);
                     }
-                    let extra = (factor - 1.0 + (wave.degrade - 1.0)) * wave.step.sync_s;
-                    let exec = self.execs[i].as_mut().expect("queued job runs");
-                    exec.charge_contention(extra);
-                    self.contention_extra_s += extra;
-                    let slot = &mut self.slots[i];
-                    slot.in_flight = Some(wave);
-                    slot.epochs = wave.step.epoch;
-                    self.running += 1;
-                    events.schedule_at(
-                        SimTime::from_secs(t + wave.wall_s + extra),
-                        FleetEvent::EpochDone { job: i },
-                    );
+                    self.contention_extra_s += wave.stretch_s;
+                    self.slots[i].epochs = wave.step.epoch;
+                    self.order.running += 1;
+                    // Summed left to right, as this fleet always has: the
+                    // landing instant keeps its bits.
+                    let at = SimTime::from_secs(t + wave.wall_s + wave.stretch_s);
+                    events.schedule_at(at, FleetEvent::EpochDone { job: i, attempt });
                 }
             }
         }
@@ -652,85 +596,79 @@ impl ClusterSim {
             .observe(dequeue.wait_s);
         if dequeue.cold_resumed {
             slot.cold_resumes += 1;
-            m.cold_resumes
-                .get_or_insert_with(|| obs.counter("cluster.cold_resumes"))
-                .inc();
+            obs.inc_held(&mut m.cold_resumes, "cluster.cold_resumes");
         }
     }
 
-    fn on_epoch_done(&mut self, i: usize, t: f64) {
-        let slot = &mut self.slots[i];
-        let wave = slot.in_flight.take().expect("epoch was in flight");
+    fn on_epoch_done(&mut self, i: usize, attempt: u64, t: f64) {
+        let landed = self.trains.land(&self.order, i, attempt, t);
+        let (wave, landing) = landed.expect("a fleet wave is never rolled back");
         self.active_by_kind[wave.storage as usize] -= 1;
-        self.running -= 1;
-        match self.waves.land(slot.pool, wave.workers, &mut self.execs[i]) {
-            Landing::Next => {
-                self.slots[i].queued_since = t;
-                self.enqueue(i);
-            }
+        self.order.running -= 1;
+        match landing {
+            Landing::Next => {}
             Landing::Finished(Finished { report, usd, .. }) => {
-                let job = &self.jobs[i];
-                let qos_violated = t - job.arrival_s > job.deadline_s;
-                self.obs.counter("cluster.completed").inc();
-                if qos_violated {
-                    self.obs.counter("cluster.qos_violations").inc();
-                }
-                if report.budget_violated {
-                    self.obs.counter("cluster.budget_violations").inc();
-                }
-                self.obs.event(
-                    t,
-                    "cluster.job_done",
-                    &[
-                        ("job", json!(job.id)),
-                        ("epochs", json!(report.epochs)),
-                        ("cost_usd", json!(usd)),
-                        ("qos_violated", json!(qos_violated)),
-                    ],
-                );
-                self.outcomes[i] = Some(JobOutcome {
-                    id: job.id,
-                    tenant: job.tenant,
-                    status: JobStatus::Completed,
-                    arrival_s: job.arrival_s,
-                    finish_s: t,
-                    queue_delay_s: self.slots[i].queue_delay_s,
-                    epochs: report.epochs,
-                    cost_usd: usd,
-                    qos_violated,
-                    budget_violated: report.budget_violated,
-                    cold_resumes: self.slots[i].cold_resumes,
-                });
-                self.live_by_pool[self.slots[i].pool] -= 1;
+                self.settle(i, t, JobStatus::Completed, usd, Some(&report));
+                self.live_by_pool[self.trains.pool(i)] -= 1;
             }
-            Landing::Failed { usd } => self.fail_job(i, t, usd),
+            Landing::Failed { usd } => self.fail_job(i, self.trains.pool(i), t, usd),
         }
     }
 
-    /// Marks a job failed (admission-time infeasibility, structural
-    /// quota overflow, or non-convergence). Fleet dollars still count
-    /// `cost_usd`, what it billed before failing, already scaled by its
-    /// pool's price class. Every caller runs after placement, so the
-    /// pool is final.
-    fn fail_job(&mut self, i: usize, t: f64, cost_usd: f64) {
-        self.live_by_pool[self.slots[i].pool] -= 1;
-        let job = &self.jobs[i];
-        let slot = &self.slots[i];
-        self.obs.counter("cluster.failed").inc();
-        self.obs.counter("cluster.qos_violations").inc();
-        self.obs
-            .event(t, "cluster.job_failed", &[("job", json!(job.id))]);
+    /// Marks a job on `pool` failed (infeasible at admission, structural
+    /// quota overflow, or non-convergence), its bill `cost_usd` counted.
+    fn fail_job(&mut self, i: usize, pool: usize, t: f64, cost_usd: f64) {
+        self.live_by_pool[pool] -= 1;
+        self.settle(i, t, JobStatus::Failed, cost_usd, None);
+    }
+
+    /// Ends job `i` at `t` with `status`, having billed `cost_usd`: its
+    /// counters, its event and its outcome. Only a job that completed
+    /// (with `report`) by its deadline kept its QoS. A rejected job has
+    /// nothing in its slot; a failed one keeps its last wave's epoch.
+    fn settle(
+        &mut self,
+        i: usize,
+        t: f64,
+        status: JobStatus,
+        cost_usd: f64,
+        report: Option<&TrainingReport>,
+    ) {
+        let (job, slot) = (&self.order.jobs[i], &self.slots[i]);
+        let qos_violated = status != JobStatus::Completed || t - job.arrival_s > job.deadline_s;
+        let budget_violated = report.is_some_and(|r| r.budget_violated);
+        let (counter, event) = match status {
+            JobStatus::Completed => ("cluster.completed", "cluster.job_done"),
+            JobStatus::Rejected => ("cluster.rejected", "cluster.job_rejected"),
+            JobStatus::Failed => ("cluster.failed", "cluster.job_failed"),
+        };
+        self.obs.counter(counter).inc();
+        if qos_violated {
+            self.obs.counter("cluster.qos_violations").inc();
+        }
+        if budget_violated {
+            self.obs.counter("cluster.budget_violations").inc();
+        }
+        let mut fields = vec![("job", json!(job.id))];
+        if let Some(report) = report {
+            fields.extend([
+                ("epochs", json!(report.epochs)),
+                ("cost_usd", json!(cost_usd)),
+                ("qos_violated", json!(qos_violated)),
+            ]);
+        }
+        self.obs.event(t, event, &fields);
         self.outcomes[i] = Some(JobOutcome {
             id: job.id,
             tenant: job.tenant,
-            status: JobStatus::Failed,
+            status,
             arrival_s: job.arrival_s,
             finish_s: t,
             queue_delay_s: slot.queue_delay_s,
-            epochs: slot.epochs,
+            epochs: report.map_or(slot.epochs, |r| r.epochs),
             cost_usd,
-            qos_violated: true,
-            budget_violated: false,
+            qos_violated,
+            budget_violated,
             cold_resumes: slot.cold_resumes,
         });
     }
@@ -742,31 +680,26 @@ impl ClusterSim {
             .map(|o| o.expect("every job reaches a terminal state"))
             .collect();
         let fleet_dollars: f64 = jobs.iter().map(|j| j.cost_usd).sum();
-        let quota_utilization = self.waves.utilization(makespan_s);
-        let quota_peak = self.waves.peak();
-        self.obs.gauge("cluster.makespan_s").set(makespan_s);
-        self.obs.gauge("cluster.fleet_dollars").set(fleet_dollars);
-        self.obs
-            .gauge("cluster.quota_peak")
-            .set(f64::from(quota_peak));
-        self.obs
-            .gauge("cluster.quota_utilization")
+        let (trains, obs) = (&self.trains, &self.obs);
+        let quota_utilization = trains.utilization(makespan_s);
+        let quota_peak = trains.peak();
+        obs.gauge("cluster.makespan_s").set(makespan_s);
+        obs.gauge("cluster.fleet_dollars").set(fleet_dollars);
+        obs.gauge("cluster.quota_peak").set(f64::from(quota_peak));
+        obs.gauge("cluster.quota_utilization")
             .set(quota_utilization);
-        self.obs
-            .gauge("cluster.contention_extra_s")
+        obs.gauge("cluster.contention_extra_s")
             .set(self.contention_extra_s);
-        if self.waves.multi_pool() {
-            self.obs
-                .gauge("topo.pools")
-                .set(self.spec.topology.pools.len() as f64);
-            for (p, pool) in self.spec.topology.pools.iter().enumerate() {
-                self.obs
-                    .counter(&format!("topo.jobs.{}", pool.name))
+        if trains.multi_pool() {
+            let pools = &self.spec.topology.pools;
+            obs.gauge("topo.pools").set(pools.len() as f64);
+            for (p, pool) in pools.iter().enumerate() {
+                obs.counter(&format!("topo.jobs.{}", pool.name))
                     .add(self.placed_by_pool[p]);
             }
         }
         FleetReport {
-            policy: self.policy.name().to_string(),
+            policy: self.order.policy.name().to_string(),
             topology: self.spec.topology.name.clone(),
             placement: self.placement.name().to_string(),
             jobs,

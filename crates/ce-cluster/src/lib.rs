@@ -22,9 +22,9 @@
 //!   for their simulated duration, queue waits can idle-expire warm
 //!   pools, contention stretches sync time. Deterministic per seed —
 //!   same seed ⇒ byte-identical `cluster.*` JSONL.
-//! * [`wave`] — how one queued training run is launched as an epoch
-//!   wave against its pool's quota and the fleet-clock fault timeline
-//!   ([`wave::Waves`]); ce-lifecycle's fleet launches its waves here too.
+//! * [`wave`] — the head-of-line training queue both fleets share
+//!   ([`wave::TrainQueue`]): how a queued run's epoch wave is launched
+//!   against its pool's quota and the fleet-clock fault timeline.
 //! * [`report`] — per-job verdicts and the fleet's point on the
 //!   QoS-violation-vs-cost frontier ([`FleetReport`]).
 //!

@@ -1,28 +1,30 @@
-//! How one queued training run is launched as an epoch wave, and what a
-//! fault on the fleet clock does to it.
+//! Both fleets' one head-of-line training queue, and what a fault on the
+//! fleet clock does to the epoch waves it launches.
 //!
 //! The paper's Algorithm 2 re-plans a training job one epoch at a time;
 //! both fleet simulators ([`ClusterSim`](crate::ClusterSim) and
-//! ce-lifecycle's co-located fleet) step a [`TrainingExecution`] wave by
-//! wave against per-pool [`AccountQuota`]s through [`Waves`]. Launching
-//! the run at the head of a queue goes: (1) in a non-quiet instant of
-//! the fleet-clock fault timeline, an outage on the wave's storage
-//! stalls the run, else a crash draw keyed by a monotone attempt counter
-//! may kill the wave; (2) a wave that can never fit its pool fails the
-//! run, one that does not fit yet stalls the queue (head-of-line, so
-//! wide waves are not starved); (3) a queue wait past the platform
-//! keep-alive ([`DEFAULT_TTL_S`]) cold-starts the wave; (4) the epoch
-//! steps, and the workers go back if the platform refuses.
+//! ce-lifecycle's co-located fleet) queue their runs in a [`TrainQueue`],
+//! which steps each [`TrainingExecution`] wave by wave against one
+//! [`AccountQuota`] per topology pool, hands the fleet's event loop typed
+//! [`Dispatch`] instructions, and rolls back a wave killed in flight.
+//! The fleets differ only in their [`PickRule`]; metric names, events
+//! and outcomes stay with each fleet. Launching the run at the head of
+//! the queue goes: (1) in a non-quiet instant of the fleet-clock fault
+//! timeline, an outage on the wave's storage stalls the run, else a
+//! crash draw keyed by a monotone attempt counter may kill the wave;
+//! (2) a wave that can never fit its pool fails the run, one that does
+//! not fit yet stalls the queue (head-of-line, so wide waves are not
+//! starved); (3) a queue wait past the platform keep-alive
+//! ([`DEFAULT_TTL_S`]) cold-starts the wave; (4) the epoch steps, and
+//! the workers go back if the platform refuses.
 //!
 //! Every fault rule lives here. A [`Stall`] names the instant the run
-//! re-queues and the queue clock it re-queues with: a worker loss has
-//! already charged its wasted work, restore and backoff to the run's
-//! JCT, so its clock restarts at the resume; an outage charges nothing,
-//! so the clock keeps running through it, and an outage longer than the
-//! keep-alive resumes cold (idle time expires an instance whatever made
-//! it idle). A started [`Wave`] carries the `degrade:` factor of its
-//! storage at launch, by which the caller stretches the epoch's sync.
-//! The queue discipline and the metric names stay with the caller.
+//! re-queues: a worker loss has already charged its wasted work, restore
+//! and backoff to the run's JCT, so its queue clock restarts at the
+//! resume; an outage charges nothing, so the clock keeps running through
+//! it, and an outage longer than the keep-alive resumes cold (idle time
+//! expires an instance whatever made it idle). A started [`Wave`]'s sync
+//! stretches by the `degrade:` factor of its storage at launch.
 
 use ce_chaos::{CompiledSchedule, FaultSchedule};
 use ce_faas::keepalive::DEFAULT_TTL_S;
@@ -31,6 +33,7 @@ use ce_sim_core::rng::SimRng;
 use ce_storage::StorageKind;
 use ce_topo::{NodePool, PoolView, Topology};
 use ce_workflow::{EpochStep, TrainingExecution, TrainingReport};
+use std::collections::VecDeque;
 
 /// How a run left the queue holding its wave's workers.
 #[derive(Debug, Clone, Copy)]
@@ -54,11 +57,17 @@ pub struct Wave {
     pub wall_s: f64,
     /// The `degrade:` factor of `storage` at launch (`1.0` = healthy).
     pub degrade: f64,
+    /// The sync stretch charged to the run (see [`TrainQueue::next`]).
+    pub stretch_s: f64,
+    /// When the wave started.
+    pub started_s: f64,
+    /// How the run left the queue to start it.
+    pub dequeue: Dequeue,
 }
 
-/// Why a fault took a run off the queue.
+/// Why a fault took a run off the queue (see the module docs).
 #[derive(Debug, Clone, Copy)]
-pub enum StallCause {
+pub enum Stall {
     /// `storage` is dark until `until_s`.
     Outage { storage: StorageKind, until_s: f64 },
     /// A crash killed the wave at `at_fraction` of its epoch; the run
@@ -67,30 +76,32 @@ pub enum StallCause {
     WorkerLoss { at_fraction: f64, stall_s: f64 },
 }
 
-/// A run a fault took off the queue (see the module docs).
-#[derive(Debug, Clone, Copy)]
-pub struct Stall {
-    /// What stalled the run.
-    pub cause: StallCause,
-    /// When the run re-queues.
-    pub resume_s: f64,
-    /// The queue clock the run re-queues with.
-    pub queued_since: f64,
+impl Stall {
+    /// When a run this stall took off the queue at `t` re-queues.
+    pub fn resume_s(&self, t: f64) -> f64 {
+        match *self {
+            Stall::Outage { until_s, .. } => until_s.max(t),
+            Stall::WorkerLoss { stall_s, .. } => t + stall_s,
+        }
+    }
 }
 
-/// What became of the run at the head of the queue. Dollars are scaled
-/// by the pool's price class.
+/// What the fleet's event loop does after one launch of the queue's
+/// head. Dollars are scaled by the pool's price class.
 #[derive(Debug, Clone, Copy)]
-pub enum Launch {
-    /// The wave does not fit its pool yet; the run keeps its place.
+pub enum Dispatch {
+    /// The head's wave does not fit its pool yet: it keeps its place,
+    /// and the queue idles until the next event.
     QuotaStall,
-    /// A fault stalls the run off the queue.
-    Stalled(Stall),
-    /// The run fails having billed `usd`: its wave can never fit its
+    /// A fault took the run off the queue: schedule its resume at
+    /// [`Stall::resume_s`].
+    Resume(Stall),
+    /// The run's wave started: schedule its landing, tagged `attempt`,
+    /// `wave.wall_s + wave.stretch_s` after `wave.started_s`.
+    Land { attempt: u64, wave: Wave },
+    /// The run failed having billed `usd`: its wave can never fit its
     /// pool (`dequeue` is `None`), or the platform refused it.
     Failed { usd: f64, dequeue: Option<Dequeue> },
-    /// The wave runs.
-    Started { wave: Wave, dequeue: Dequeue },
 }
 
 /// A run that finished.
@@ -107,7 +118,7 @@ pub struct Finished {
 /// What became of a run whose wave completed.
 #[derive(Debug, Clone)]
 pub enum Landing {
-    /// The run needs more epochs.
+    /// The run needs more epochs; it is queued again.
     Next,
     Finished(Finished),
     /// The run ran out of epochs without converging, having billed `usd`
@@ -117,35 +128,155 @@ pub enum Landing {
     },
 }
 
-/// One [`AccountQuota`] per topology pool, with the pool's classes and
-/// its time-weighted utilization, plus the fleet-clock fault timeline.
-/// The quotas have no other owner: a caller that leases workers outside
-/// a wave does so through [`Waves::quota_mut`].
-#[derive(Debug)]
-pub struct Waves {
-    pools: Vec<NodePool>,
-    quotas: Vec<AccountQuota>,
-    /// Leased workers integrated over time, up to `last_s`.
-    util_integral: f64,
-    last_s: f64,
-    faults: Option<CompiledSchedule>,
+/// A wave killed in flight (see [`TrainQueue::rollback`]).
+#[derive(Debug, Clone, Copy)]
+pub struct Rollback {
+    /// The wave, its workers given back.
+    pub wave: Wave,
+    /// How far into its wall clock the wave was killed.
+    pub at_fraction: f64,
+    /// The stall charged to the run's JCT, after which it re-queues.
+    pub stall_s: f64,
+}
+
+/// How a fleet orders its ready runs: the one rule in which the two
+/// fleets differ. Generic, so the per-event path makes no `dyn` call.
+pub trait PickRule {
+    /// The ready order the rule keeps inside the [`TrainQueue`].
+    type Ready;
+    /// Adds `run`, its next wave `workers` wide, queued since
+    /// `queued_since`.
+    fn push(&self, ready: &mut Self::Ready, run: usize, workers: u32, queued_since: f64);
+    /// The ready run to launch at `t`, or `None` to idle until the next
+    /// event.
+    fn head(&self, queue: &TrainQueue<Self::Ready>, t: f64) -> Option<usize>;
+    /// Takes `run`, which [`Self::head`] just named, out of the order.
+    fn remove(&self, ready: &mut Self::Ready, run: usize);
+}
+
+/// First in, first out: runs launch in the order they became ready.
+#[derive(Debug, Clone, Copy, Default)]
+pub struct FifoOrder;
+
+impl PickRule for FifoOrder {
+    type Ready = VecDeque<usize>;
+
+    fn push(&self, ready: &mut VecDeque<usize>, run: usize, _: u32, _: f64) {
+        ready.push_back(run);
+    }
+
+    fn head(&self, queue: &TrainQueue<VecDeque<usize>>, _: f64) -> Option<usize> {
+        queue.ready.front().copied()
+    }
+
+    fn remove(&self, ready: &mut VecDeque<usize>, run: usize) {
+        let head = ready.pop_front();
+        debug_assert_eq!(head, Some(run), "only the head leaves a FIFO");
+    }
+}
+
+/// Where a run of a [`TrainQueue`] stands.
+#[derive(Debug, Clone, Copy, Default)]
+enum RunState {
+    /// No run, or it finished or failed.
+    #[default]
+    Idle,
+    /// In the ready order.
+    Ready,
+    /// Its wave is in flight.
+    Running(Wave),
+    /// Off the queue until its resume.
+    Stalled,
+}
+
+#[derive(Default)]
+struct Run {
+    exec: Option<TrainingExecution>,
+    pool: usize,
+    queued_since: f64,
+    attempt: u64,
+    state: RunState,
+}
+
+impl Run {
+    /// Drops the run, its bill scaled by `pool`'s price class.
+    fn fail(&mut self, pool: &NodePool, dequeue: Option<Dequeue>) -> Dispatch {
+        let exec = self.exec.take().expect("a failing run has an execution");
+        self.state = RunState::Idle;
+        let usd = exec.report().cost_usd * pool.price_factor;
+        Dispatch::Failed { usd, dequeue }
+    }
+}
+
+/// The fleet-clock fault timeline and the crash draws against it.
+struct Faults {
+    schedule: Option<CompiledSchedule>,
     /// Parent of the crash draws, one fork per attempt.
     rng: SimRng,
     attempts: u64,
 }
 
-impl Waves {
-    /// Each pool of `topology` gets its own ceiling or `default_quota`;
-    /// `chaos` is compiled against `rng`, which parents the crash draws.
-    /// The caller's spec `validate()` has checked the pool count.
+impl Faults {
+    /// The stall when a fault at `t` takes `exec`'s run off the queue,
+    /// else the `degrade:` factor of the wave's storage.
+    fn check(&mut self, exec: &mut TrainingExecution, t: f64) -> Result<f64, Stall> {
+        let Some(schedule) = self.schedule.as_ref() else {
+            return Ok(1.0);
+        };
+        let active = schedule.active_at(t);
+        if active.is_quiet() {
+            return Ok(1.0);
+        }
+        let storage = exec.alloc().storage;
+        if let Some(until_s) = active.outage_until(storage) {
+            return Err(Stall::Outage { storage, until_s });
+        }
+        if active.crash_rate > 0.0 {
+            let mut draw = self.rng.derive_idx("attempt", self.attempts);
+            self.attempts += 1;
+            if draw.bernoulli(active.crash_rate) {
+                let at_fraction = draw.uniform();
+                let stall_s = exec.inject_worker_loss(at_fraction);
+                return Err(Stall::WorkerLoss {
+                    at_fraction,
+                    stall_s,
+                });
+            }
+        }
+        Ok(active.degrade_factor(storage))
+    }
+}
+
+/// Both fleets' head-of-line training queue (see the module docs): the
+/// runs, which the fleet numbers (job or tenant index), their ready
+/// order `R`, one [`AccountQuota`] per topology pool and the fault
+/// timeline. The quotas have no other owner: a fleet leases workers
+/// outside a wave through [`Self::quota_mut`].
+pub struct TrainQueue<R> {
+    pools: Vec<NodePool>,
+    quotas: Vec<AccountQuota>,
+    /// Leased workers integrated over time, up to `last_s`.
+    util_integral: f64,
+    last_s: f64,
+    faults: Faults,
+    runs: Vec<Run>,
+    ready: R,
+}
+
+impl<R> TrainQueue<R> {
+    /// An empty queue keeping its ready runs in `ready`. Each pool of
+    /// `topology` (as validated by the caller's spec) gets its own ceiling
+    /// or `default_quota`; `chaos` is compiled against `rng`, which
+    /// parents the crash draws.
     pub fn new(
         topology: &Topology,
         default_quota: u32,
         chaos: Option<&FaultSchedule>,
         rng: SimRng,
+        ready: R,
     ) -> Self {
         let pools = &topology.pools;
-        Waves {
+        TrainQueue {
             quotas: pools
                 .iter()
                 .map(|p| AccountQuota::new(p.quota.unwrap_or(default_quota)))
@@ -153,9 +284,13 @@ impl Waves {
             pools: pools.clone(),
             util_integral: 0.0,
             last_s: 0.0,
-            faults: chaos.map(|s| s.compile(&rng)),
-            rng,
-            attempts: 0,
+            faults: Faults {
+                schedule: chaos.map(|s| s.compile(&rng)),
+                rng,
+                attempts: 0,
+            },
+            runs: Vec::new(),
+            ready,
         }
     }
 
@@ -174,7 +309,7 @@ impl Waves {
         &self.quotas[pool]
     }
 
-    /// Pool `pool`'s quota, for leases the caller manages itself (a
+    /// Pool `pool`'s quota, for leases the fleet manages itself (a
     /// co-located fleet's serving workers).
     pub fn quota_mut(&mut self, pool: usize) -> &mut AccountQuota {
         &mut self.quotas[pool]
@@ -232,31 +367,115 @@ impl Waves {
 
     /// The compiled fault timeline, if any.
     pub fn faults(&self) -> Option<&CompiledSchedule> {
-        self.faults.as_ref()
+        self.faults.schedule.as_ref()
     }
 
-    /// Tries to launch `exec`'s next wave on `pool` at `t`, the run
-    /// queued since `queued_since` (see the module docs).
-    pub fn launch(
-        &mut self,
-        pool: usize,
-        exec: &mut TrainingExecution,
-        t: f64,
-        queued_since: f64,
-    ) -> Launch {
-        let degrade = match self.fault_check(exec, t, queued_since) {
-            Ok(degrade) => degrade,
-            Err(stall) => return Launch::Stalled(stall),
-        };
-        let workers = exec.alloc().n;
-        if let Err(e) = self.quotas[pool].try_acquire(workers) {
-            if !e.is_structural() {
-                return Launch::QuotaStall;
-            }
-            let usd = exec.report().cost_usd * self.pools[pool].price_factor;
-            return Launch::Failed { usd, dequeue: None };
+    /// The ready order.
+    pub fn ready(&self) -> &R {
+        &self.ready
+    }
+
+    /// Runs in the ready order, per pool.
+    pub fn queued_by_pool(&self) -> Vec<u32> {
+        let mut queued = vec![0; self.pool_count()];
+        for run in &self.runs {
+            queued[run.pool] += u32::from(matches!(run.state, RunState::Ready));
         }
-        let wait_s = t - queued_since;
+        queued
+    }
+
+    /// `run`'s execution, while it is queued, stalled or in flight.
+    pub fn exec(&self, run: usize) -> Option<&TrainingExecution> {
+        self.runs.get(run)?.exec.as_ref()
+    }
+
+    /// The pool `run` last started on.
+    pub fn pool(&self, run: usize) -> usize {
+        self.runs[run].pool
+    }
+
+    /// `run`'s wave in flight, if it has one.
+    pub fn in_flight(&self, run: usize) -> Option<&Wave> {
+        match &self.runs.get(run)?.state {
+            RunState::Running(wave) => Some(wave),
+            _ => None,
+        }
+    }
+
+    /// Queues `exec` as `run` on `pool` at `t`.
+    pub fn start<P: PickRule<Ready = R>>(
+        &mut self,
+        pick: &P,
+        run: usize,
+        pool: usize,
+        exec: TrainingExecution,
+        t: f64,
+    ) {
+        if run >= self.runs.len() {
+            self.runs.resize_with(run + 1, Run::default);
+        }
+        let r = &mut self.runs[run];
+        (r.exec, r.pool, r.queued_since) = (Some(exec), pool, t);
+        self.enqueue(pick, run);
+    }
+
+    /// `run`'s stall is over: it re-queues with the queue clock the
+    /// stall left it.
+    pub fn resume<P: PickRule<Ready = R>>(&mut self, pick: &P, run: usize) {
+        if let RunState::Stalled = self.runs[run].state {
+            self.enqueue(pick, run);
+        }
+    }
+
+    fn enqueue<P: PickRule<Ready = R>>(&mut self, pick: &P, run: usize) {
+        let r = &mut self.runs[run];
+        r.state = RunState::Ready;
+        let exec = r.exec.as_ref().expect("a queued run has an execution");
+        pick.push(&mut self.ready, run, exec.alloc().n, r.queued_since);
+    }
+
+    /// Launches the run `pick` names at `t`, if it names one (see the
+    /// module docs), and returns it with what the fleet does next. A
+    /// started wave's sync stretches by
+    /// `(contention − 1 + (degrade − 1)) × sync_s`, where `contention`
+    /// is the fleet's factor for the wave's storage.
+    pub fn next<P: PickRule<Ready = R>>(
+        &mut self,
+        pick: &P,
+        t: f64,
+        contention: impl FnOnce(StorageKind) -> f64,
+    ) -> Option<(usize, Dispatch)> {
+        let i = pick.head(self, t)?;
+        let dispatch = self.launch(i, t, contention);
+        if !matches!(dispatch, Dispatch::QuotaStall) {
+            pick.remove(&mut self.ready, i);
+        }
+        Some((i, dispatch))
+    }
+
+    fn launch(&mut self, i: usize, t: f64, factor: impl FnOnce(StorageKind) -> f64) -> Dispatch {
+        let run = &mut self.runs[i];
+        let exec = run.exec.as_mut().expect("a queued run has an execution");
+        debug_assert!(!exec.is_done(), "a run that is done is launched again");
+        let degrade = match self.faults.check(exec, t) {
+            Ok(degrade) => degrade,
+            Err(stall) => {
+                if let Stall::WorkerLoss { .. } = stall {
+                    run.queued_since = stall.resume_s(t);
+                }
+                run.state = RunState::Stalled;
+                return Dispatch::Resume(stall);
+            }
+        };
+        let (quota, pool) = (&mut self.quotas[run.pool], &self.pools[run.pool]);
+        let workers = exec.alloc().n;
+        if let Err(e) = quota.try_acquire(workers) {
+            if !e.is_structural() {
+                return Dispatch::QuotaStall;
+            }
+            return run.fail(pool, None);
+        }
+        let wait_s = t - run.queued_since;
         let dequeue = Dequeue {
             wait_s,
             cold_resumed: wait_s > DEFAULT_TTL_S,
@@ -266,85 +485,56 @@ impl Waves {
         }
         let storage = exec.alloc().storage;
         let Ok(step) = exec.step_epoch() else {
-            self.quotas[pool].release(workers);
-            let usd = exec.report().cost_usd * self.pools[pool].price_factor;
-            return Launch::Failed {
-                usd,
-                dequeue: Some(dequeue),
-            };
+            quota.release(workers);
+            return run.fail(pool, Some(dequeue));
         };
-        let wall_s = step.wall_s * self.pools[pool].compute_factor;
-        Launch::Started {
-            wave: Wave {
-                step,
-                workers,
-                storage,
-                wall_s,
-                degrade,
-            },
+        let stretch_s = (factor(storage) - 1.0 + (degrade - 1.0)) * step.sync_s;
+        exec.charge_contention(stretch_s);
+        let wave = Wave {
+            step,
+            workers,
+            storage,
+            wall_s: step.wall_s * pool.compute_factor,
+            degrade,
+            stretch_s,
+            started_s: t,
             dequeue,
+        };
+        run.attempt += 1;
+        run.state = RunState::Running(wave);
+        Dispatch::Land {
+            attempt: run.attempt,
+            wave,
         }
     }
 
-    /// The fleet-clock fault check for a run queued since
-    /// `queued_since`: the stall when a fault takes the run off the
-    /// queue, else the `degrade:` factor of the wave's storage.
-    fn fault_check(
+    /// `run`'s wave tagged `attempt` lands at `t`; `None` if a rollback
+    /// killed it after its landing was scheduled. The workers go back,
+    /// and a run that is done finishes; one that is not re-queues, its
+    /// queue clock at `t`.
+    pub fn land<P: PickRule<Ready = R>>(
         &mut self,
-        exec: &mut TrainingExecution,
+        pick: &P,
+        run: usize,
+        attempt: u64,
         t: f64,
-        queued_since: f64,
-    ) -> Result<f64, Stall> {
-        let Some(faults) = self.faults.as_ref() else {
-            return Ok(1.0);
+    ) -> Option<(Wave, Landing)> {
+        let r = &mut self.runs[run];
+        if attempt != r.attempt {
+            return None;
+        }
+        let RunState::Running(wave) = std::mem::take(&mut r.state) else {
+            unreachable!("the current attempt has a wave in flight");
         };
-        let active = faults.active_at(t);
-        if active.is_quiet() {
-            return Ok(1.0);
-        }
-        let storage = exec.alloc().storage;
-        if let Some(until_s) = active.outage_until(storage) {
-            return Err(Stall {
-                cause: StallCause::Outage { storage, until_s },
-                resume_s: until_s.max(t),
-                queued_since,
-            });
-        }
-        if active.crash_rate > 0.0 {
-            let mut draw = self.rng.derive_idx("attempt", self.attempts);
-            self.attempts += 1;
-            if draw.bernoulli(active.crash_rate) {
-                let at_fraction = draw.uniform();
-                let stall_s = exec.inject_worker_loss(at_fraction);
-                return Err(Stall {
-                    cause: StallCause::WorkerLoss {
-                        at_fraction,
-                        stall_s,
-                    },
-                    resume_s: t + stall_s,
-                    queued_since: t + stall_s,
-                });
-            }
-        }
-        Ok(active.degrade_factor(storage))
-    }
-
-    /// A wave of `workers` on `pool` completed: the workers go back, and
-    /// a run that is done is taken out of `exec` and finished.
-    pub fn land(
-        &mut self,
-        pool: usize,
-        workers: u32,
-        exec: &mut Option<TrainingExecution>,
-    ) -> Landing {
-        self.quotas[pool].release(workers);
-        let Some(run) = exec.take_if(|e| e.is_done()) else {
-            return Landing::Next;
+        self.quotas[r.pool].release(wave.workers);
+        let price = self.pools[r.pool].price_factor;
+        let Some(done) = r.exec.take_if(|e| e.is_done()) else {
+            r.queued_since = t;
+            self.enqueue(pick, run);
+            return Some((wave, Landing::Next));
         };
-        let price = self.pools[pool].price_factor;
-        let storage = run.alloc().storage;
-        let billed = run.report().cost_usd;
-        match run.finish_quiet() {
+        let (storage, billed) = (done.alloc().storage, done.report().cost_usd);
+        let landing = match done.finish_quiet() {
             Ok(report) => Landing::Finished(Finished {
                 usd: report.cost_usd * price,
                 report,
@@ -353,6 +543,35 @@ impl Waves {
             Err(_) => Landing::Failed {
                 usd: billed * price,
             },
+        };
+        Some((wave, landing))
+    }
+
+    /// Kills `run`'s wave in flight at `t`: the workers go back, the
+    /// attempt moves on so the wave's landing is ignored, and the run
+    /// rolls back as for a worker loss
+    /// ([`TrainingExecution::inject_worker_loss`]), to re-queue at
+    /// `t + stall_s` with its queue clock restarted there.
+    pub fn rollback(&mut self, run: usize, t: f64) -> Rollback {
+        let r = &mut self.runs[run];
+        let RunState::Running(wave) = r.state else {
+            unreachable!("a rollback kills a wave in flight");
+        };
+        self.quotas[r.pool].release(wave.workers);
+        r.attempt += 1;
+        let wall_s = wave.wall_s + wave.stretch_s;
+        let at_fraction = if wall_s > 0.0 {
+            ((t - wave.started_s) / wall_s).clamp(0.0, 1.0)
+        } else {
+            1.0
+        };
+        let exec = r.exec.as_mut().expect("a wave in flight has an execution");
+        let stall_s = exec.inject_worker_loss(at_fraction);
+        (r.queued_since, r.state) = (t + stall_s, RunState::Stalled);
+        Rollback {
+            wave,
+            at_fraction,
+            stall_s,
         }
     }
 }
@@ -364,6 +583,8 @@ mod tests {
     use ce_faas::PlatformConfig;
     use ce_workflow::TrainingJob;
 
+    type Fifo = TrainQueue<VecDeque<usize>>;
+
     /// `clause` (with `{}` for the service) on every storage service.
     fn every_service(clause: &str) -> String {
         StorageKind::ALL
@@ -371,163 +592,234 @@ mod tests {
             .join(";")
     }
 
-    /// The first job of a small fleet, its allocation grid capped at 8.
-    fn job() -> TrainingJob {
+    /// The first job of a small fleet, its allocation grid capped at `cap`.
+    fn job(cap: u32) -> TrainingJob {
         let fleet = FleetSpec::poisson(1, 1.0, 7);
-        training_job(&fleet.generate()[0], &fleet.env, 8)
+        training_job(&fleet.generate()[0], &fleet.env, cap)
     }
 
     fn exec() -> TrainingExecution {
-        TrainingExecution::start(job(), FLEET_METHOD).expect("job starts")
+        TrainingExecution::start(job(8), FLEET_METHOD).expect("job starts")
     }
 
-    /// One pool of `quota` workers under `chaos`.
-    fn waves(quota: u32, chaos: Option<&str>) -> Waves {
+    /// An empty FIFO queue over one pool of `quota` workers under
+    /// `chaos`.
+    fn one_pool(quota: u32, chaos: Option<&str>) -> Fifo {
         let schedule = chaos.map(|s| FaultSchedule::parse(s).expect("valid schedule"));
         let rng = SimRng::new(1).derive("chaos");
-        Waves::new(&Topology::single(), quota, schedule.as_ref(), rng)
+        TrainQueue::new(
+            &Topology::single(),
+            quota,
+            schedule.as_ref(),
+            rng,
+            VecDeque::new(),
+        )
+    }
+
+    /// An empty FIFO queue over `topology`'s pools, each of `quota`
+    /// workers unless it has its own.
+    fn pools(topology: &Topology, quota: u32) -> Fifo {
+        TrainQueue::new(topology, quota, None, SimRng::new(1), VecDeque::new())
+    }
+
+    /// `q` holding `exec` as run 0 on pool 0, queued since `t`.
+    fn queue(mut q: Fifo, exec: TrainingExecution, t: f64) -> Fifo {
+        q.start(&FifoOrder, 0, 0, exec, t);
+        q
+    }
+
+    /// Launches the head at `t` with no storage contention.
+    fn next(q: &mut Fifo, t: f64) -> Option<(usize, Dispatch)> {
+        q.next(&FifoOrder, t, |_| 1.0)
+    }
+
+    /// Launches the head at `t` and expects its wave to start.
+    fn started(q: &mut Fifo, t: f64) -> (u64, Wave, Dequeue) {
+        match next(q, t) {
+            Some((0, Dispatch::Land { attempt, wave })) => (attempt, wave, wave.dequeue),
+            other => panic!("the wave should start: {other:?}"),
+        }
+    }
+
+    /// Launches the head at `t` and expects a fault to stall it.
+    fn stalled(q: &mut Fifo, t: f64) -> Stall {
+        match next(q, t) {
+            Some((0, Dispatch::Resume(stall))) => stall,
+            other => panic!("a fault should stall the run: {other:?}"),
+        }
     }
 
     #[test]
     fn a_wave_that_fits_starts_and_holds_its_workers() {
-        let mut w = waves(64, None);
-        let mut e = exec();
-        let n = e.alloc().n;
-        let storage = e.alloc().storage;
-        let Launch::Started { wave, dequeue } = w.launch(0, &mut e, 10.0, 4.0) else {
-            panic!("an idle pool starts the wave");
-        };
+        let e = exec();
+        let (n, storage) = (e.alloc().n, e.alloc().storage);
+        let mut q = queue(one_pool(64, None), e, 4.0);
+        let (attempt, wave, dequeue) = started(&mut q, 10.0);
         assert_eq!(
             (wave.workers, wave.storage, wave.step.epoch),
             (n, storage, 1)
         );
-        assert_eq!(wave.wall_s, wave.step.wall_s);
+        assert_eq!((wave.wall_s, wave.started_s), (wave.step.wall_s, 10.0));
+        assert_eq!((attempt, wave.degrade, wave.stretch_s), (1, 1.0, 0.0));
         assert_eq!(dequeue.wait_s, 6.0);
         assert!(!dequeue.cold_resumed);
-        assert_eq!(w.in_use(), n);
+        assert_eq!((q.in_use(), q.ready().len()), (n, 0));
+        assert!(matches!(q.runs[0].state, RunState::Running(w) if w.workers == n));
     }
 
     #[test]
     fn quiet_instants_and_zero_crash_rates_draw_nothing() {
         // Quiet at t = 10: the crash window opens later.
-        let mut w = waves(64, Some("crash:1@100..200"));
-        assert!(matches!(
-            w.launch(0, &mut exec(), 10.0, 10.0),
-            Launch::Started { .. }
-        ));
-        assert_eq!(w.attempts, 0);
+        let mut q = queue(one_pool(64, Some("crash:1@100..200")), exec(), 10.0);
+        started(&mut q, 10.0);
+        assert_eq!(q.faults.attempts, 0);
         // Not quiet (every service degrades), but no crash rate.
-        let mut w = waves(64, Some(&every_service("degrade:{}:x2@0..inf")));
-        assert!(!w.faults().expect("compiled").active_at(10.0).is_quiet());
-        assert!(matches!(
-            w.launch(0, &mut exec(), 10.0, 10.0),
-            Launch::Started { .. }
-        ));
-        assert_eq!(w.attempts, 0);
+        let degrade = every_service("degrade:{}:x2@0..inf");
+        let mut q = queue(one_pool(64, Some(&degrade)), exec(), 10.0);
+        assert!(!q.faults().expect("compiled").active_at(10.0).is_quiet());
+        started(&mut q, 10.0);
+        assert_eq!(q.faults.attempts, 0);
     }
 
     #[test]
     fn an_outage_on_the_wave_storage_stalls_it_without_a_draw() {
         let dark = every_service("outage:{}@0..100");
-        let mut w = waves(64, Some(&format!("{dark};crash:1@0..inf")));
-        let mut e = exec();
-        let Launch::Stalled(Stall {
-            cause: StallCause::Outage { storage, until_s },
-            resume_s,
-            ..
-        }) = w.launch(0, &mut e, 10.0, 0.0)
+        let e = exec();
+        let storage = e.alloc().storage;
+        let mut q = queue(
+            one_pool(64, Some(&format!("{dark};crash:1@0..inf"))),
+            e,
+            0.0,
+        );
+        let stall = stalled(&mut q, 10.0);
+        let Stall::Outage {
+            storage: s,
+            until_s,
+        } = stall
         else {
             panic!("every service is dark");
         };
-        assert_eq!((storage, until_s), (e.alloc().storage, 100.0));
-        assert_eq!(resume_s, 100.0);
-        assert_eq!((w.attempts, w.in_use(), e.report().epochs), (0, 0, 0));
+        assert_eq!((s, until_s, stall.resume_s(10.0)), (storage, 100.0, 100.0));
+        let epochs = q.exec(0).expect("stalled").report().epochs;
+        assert_eq!((q.faults.attempts, q.in_use(), epochs), (0, 0, 0));
+    }
+
+    #[test]
+    fn a_fault_stall_takes_the_run_off_the_queue_until_its_resume() {
+        let mut q = queue(
+            one_pool(64, Some(&every_service("outage:{}@0..100"))),
+            exec(),
+            3.0,
+        );
+        let stall = stalled(&mut q, 10.0);
+        assert_eq!(stall.resume_s(10.0), 100.0);
+        assert!(matches!(q.runs[0].state, RunState::Stalled));
+        assert!(q.ready().is_empty());
+        assert!(
+            next(&mut q, 10.0).is_none(),
+            "a stalled run is off the queue"
+        );
+        q.resume(&FifoOrder, 0);
+        assert!(matches!(q.runs[0].state, RunState::Ready));
+        // The outage charged nothing: the queue clock kept running.
+        assert_eq!(q.runs[0].queued_since, 3.0);
+        assert_eq!(started(&mut q, 100.0).2.wait_s, 97.0);
     }
 
     #[test]
     fn an_outage_stall_keeps_the_queue_clock_running() {
-        let mut w = waves(64, Some(&every_service("outage:{}@0..100")));
-        let Launch::Stalled(stall) = w.launch(0, &mut exec(), 10.0, 3.0) else {
-            panic!("every service is dark");
-        };
-        assert_eq!(stall.queued_since, 3.0);
-        // Waiting out the outage expires the warm pool: the queue wait
-        // at the resume counts from the original stamp.
-        let mut w = waves(64, Some(&every_service("outage:{}@0..700")));
-        let mut e = exec();
-        let Launch::Stalled(stall) = w.launch(0, &mut e, 0.0, 0.0) else {
-            panic!("every service is dark");
-        };
-        let Launch::Started { dequeue, .. } =
-            w.launch(0, &mut e, stall.resume_s, stall.queued_since)
-        else {
-            panic!("the outage has lifted");
-        };
+        let mut q = queue(
+            one_pool(64, Some(&every_service("outage:{}@0..700"))),
+            exec(),
+            0.0,
+        );
+        let resume_s = stalled(&mut q, 0.0).resume_s(0.0);
+        q.resume(&FifoOrder, 0);
+        let (_, _, dequeue) = started(&mut q, resume_s);
         assert_eq!(dequeue.wait_s, 700.0);
         assert!(dequeue.cold_resumed);
     }
 
     #[test]
     fn a_crash_draw_kills_the_wave_and_advances_the_attempt_counter() {
-        let mut w = waves(64, Some("crash:1@0..inf"));
-        let mut e = exec();
+        let mut q = queue(one_pool(64, Some("crash:1@0..inf")), exec(), 0.0);
         for attempt in 1..=2 {
-            let Launch::Stalled(Stall {
-                cause:
-                    StallCause::WorkerLoss {
-                        at_fraction,
-                        stall_s,
-                    },
-                resume_s,
-                queued_since,
-            }) = w.launch(0, &mut e, 10.0, 0.0)
+            let stall = stalled(&mut q, 10.0);
+            let Stall::WorkerLoss {
+                at_fraction,
+                stall_s,
+            } = stall
             else {
                 panic!("a certain crash kills every wave");
             };
             assert!((0.0..1.0).contains(&at_fraction));
             assert!(stall_s > 0.0);
             // The stall is charged to JCT: the clock restarts at the resume.
-            assert_eq!((resume_s, queued_since), (10.0 + stall_s, 10.0 + stall_s));
-            assert_eq!((w.attempts, w.in_use()), (attempt, 0));
+            let resume_s = stall.resume_s(10.0);
+            assert_eq!(
+                (resume_s, q.runs[0].queued_since),
+                (10.0 + stall_s, 10.0 + stall_s)
+            );
+            assert_eq!((q.faults.attempts, q.in_use()), (attempt, 0));
+            q.resume(&FifoOrder, 0);
         }
     }
 
     #[test]
-    fn a_started_wave_carries_its_storage_degrade_factor() {
+    fn a_started_wave_stretches_by_its_contention_and_storage_degrade() {
         let degrade = every_service("degrade:{}:x3@0..100");
-        let mut w = waves(64, Some(&degrade));
-        let Launch::Started { wave, .. } = w.launch(0, &mut exec(), 10.0, 10.0) else {
-            panic!("a degrade window does not stall the wave");
-        };
+        let mut q = queue(one_pool(64, Some(&degrade)), exec(), 10.0);
+        let (_, wave, _) = started(&mut q, 10.0);
         assert_eq!(wave.degrade, 3.0);
-        // Quiet once the window closes.
-        let mut w = waves(64, Some(&degrade));
-        let Launch::Started { wave, .. } = w.launch(0, &mut exec(), 150.0, 150.0) else {
+        assert_eq!(wave.stretch_s, 2.0 * wave.step.sync_s);
+        // Quiet once the window closes; the fleet's contention alone
+        // stretches the wave.
+        let mut q = queue(one_pool(64, Some(&degrade)), exec(), 150.0);
+        let Some((_, Dispatch::Land { wave, .. })) = q.next(&FifoOrder, 150.0, |_| 1.5) else {
             panic!("an idle pool starts the wave");
         };
         assert_eq!(wave.degrade, 1.0);
+        assert_eq!(wave.stretch_s, 0.5 * wave.step.sync_s);
     }
 
     #[test]
-    fn a_wave_that_does_not_fit_yet_keeps_its_place() {
-        let mut w = waves(8, None);
-        let mut e = exec();
-        // Leave one worker fewer free than the wave needs.
-        w.quota_mut(0).try_acquire(9 - e.alloc().n).unwrap();
-        assert!(matches!(w.launch(0, &mut e, 0.0, 0.0), Launch::QuotaStall));
-        assert_eq!((w.in_use(), e.report().epochs), (9 - e.alloc().n, 0));
+    fn a_quota_stalled_head_keeps_its_place_and_blocks_the_runs_behind_it() {
+        let narrow = TrainingExecution::start(job(1), FLEET_METHOD).expect("job starts");
+        let mut q = queue(one_pool(9, None), exec(), 0.0);
+        q.start(&FifoOrder, 1, 0, narrow, 1.0);
+        let wide = q.exec(0).expect("queued").alloc().n;
+        assert!(wide > 1, "the head is wider than the run behind it");
+        // One worker fewer free than the head needs: the narrow run
+        // behind it would fit, but waits its turn.
+        q.quota_mut(0).try_acquire(10 - wide).unwrap();
+        for _ in 0..2 {
+            assert!(matches!(next(&mut q, 5.0), Some((0, Dispatch::QuotaStall))));
+            assert_eq!(q.ready(), &VecDeque::from([0, 1]));
+            assert!(matches!(q.runs[0].state, RunState::Ready));
+        }
+        let epochs = q.exec(0).expect("queued").report().epochs;
+        assert_eq!((q.in_use(), epochs), (10 - wide, 0));
+        q.quota_mut(0).release(10 - wide);
+        assert_eq!(started(&mut q, 6.0).2.wait_s, 6.0);
+        assert!(matches!(
+            next(&mut q, 6.0),
+            Some((1, Dispatch::Land { .. }))
+        ));
+        assert!(next(&mut q, 6.0).is_none());
     }
 
     #[test]
     fn a_wave_that_can_never_fit_fails_with_the_price_scaled_bill() {
         let mut topology = Topology::single();
         topology.pools[0].price_factor = 0.5;
-        let mut w = Waves::new(&topology, 0, None, SimRng::new(1));
-        let mut e = exec();
-        let Launch::Failed { usd, dequeue: None } = w.launch(0, &mut e, 0.0, 0.0) else {
+        let e = exec();
+        let billed = e.report().cost_usd;
+        let mut q = queue(pools(&topology, 0), e, 0.0);
+        let Some((0, Dispatch::Failed { usd, dequeue: None })) = next(&mut q, 0.0) else {
             panic!("a zero quota never fits");
         };
-        assert_eq!(usd, e.report().cost_usd * 0.5);
+        assert_eq!(usd, billed * 0.5);
+        assert!(q.exec(0).is_none() && matches!(q.runs[0].state, RunState::Idle));
     }
 
     #[test]
@@ -536,19 +828,31 @@ mod tests {
             max_concurrency: 0,
             ..PlatformConfig::default()
         };
-        let mut e = TrainingExecution::start(job().with_platform_config(platform), FLEET_METHOD)
-            .expect("job starts");
-        let mut w = waves(64, None);
-        let Launch::Failed {
-            usd,
-            dequeue: Some(dequeue),
-        } = w.launch(0, &mut e, 700.0, 0.0)
+        let refused = || {
+            let job = job(8).with_platform_config(platform);
+            TrainingExecution::start(job, FLEET_METHOD).expect("job starts")
+        };
+        // What the refused run has billed, stepped by hand.
+        let mut twin = refused();
+        twin.cool_down();
+        assert!(
+            twin.step_epoch().is_err(),
+            "the platform refuses every wave"
+        );
+        let mut q = queue(one_pool(64, None), refused(), 0.0);
+        let Some((
+            0,
+            Dispatch::Failed {
+                usd,
+                dequeue: Some(dequeue),
+            },
+        )) = next(&mut q, 700.0)
         else {
             panic!("the platform refuses every wave");
         };
-        assert_eq!(usd, e.report().cost_usd);
+        assert_eq!(usd, twin.report().cost_usd);
         assert!(dequeue.cold_resumed);
-        assert_eq!(w.in_use(), 0);
+        assert_eq!(q.in_use(), 0);
     }
 
     #[test]
@@ -556,17 +860,11 @@ mod tests {
         // The second wave after a wait of `wait_s`: the first one leaves
         // the run's pool warm.
         let second = |wait_s: f64| {
-            let mut w = waves(64, None);
-            let mut run = Some(exec());
-            let e = run.as_mut().expect("fresh run");
-            let Launch::Started { wave, .. } = w.launch(0, e, 0.0, 0.0) else {
-                panic!("an idle pool starts the wave");
-            };
-            assert!(matches!(w.land(0, wave.workers, &mut run), Landing::Next));
-            let e = run.as_mut().expect("the run continues");
-            let Launch::Started { wave, dequeue } = w.launch(0, e, 1000.0, 1000.0 - wait_s) else {
-                panic!("an idle pool starts the wave");
-            };
+            let mut q = queue(one_pool(64, None), exec(), 0.0);
+            let (attempt, _, _) = started(&mut q, 0.0);
+            let landed = q.land(&FifoOrder, 0, attempt, 1000.0 - wait_s);
+            assert!(matches!(landed, Some((_, Landing::Next))));
+            let (_, wave, dequeue) = started(&mut q, 1000.0);
             (dequeue.cold_resumed, wave.step.cold_starts)
         };
         let (warm, warm_starts) = second(DEFAULT_TTL_S);
@@ -580,22 +878,20 @@ mod tests {
         let mut topology = Topology::single();
         topology.pools[0].price_factor = 0.5;
         topology.pools[0].compute_factor = 2.0;
-        let mut w = Waves::new(&topology, 64, None, SimRng::new(1));
-        let mut run = Some(exec());
+        let mut q = queue(pools(&topology, 64), exec(), 0.0);
         let landing = loop {
-            let e = run.as_mut().expect("the run continues");
-            let Launch::Started { wave, .. } = w.launch(0, e, 0.0, 0.0) else {
-                panic!("an idle pool starts the wave");
-            };
+            let (attempt, wave, _) = started(&mut q, 0.0);
             assert_eq!(wave.wall_s, wave.step.wall_s * 2.0);
-            match w.land(0, wave.workers, &mut run) {
-                Landing::Next => assert!(run.is_some()),
+            let (landed, landing) = q.land(&FifoOrder, 0, attempt, 0.0).expect("current");
+            assert_eq!(landed.workers, wave.workers);
+            assert_eq!(q.in_use(), 0);
+            match landing {
+                Landing::Next => assert!(matches!(q.runs[0].state, RunState::Ready)),
                 done => break done,
             }
-            assert_eq!(w.in_use(), 0);
         };
-        assert!(run.is_none(), "a finished run leaves its slot");
-        assert_eq!(w.in_use(), 0);
+        assert!(q.exec(0).is_none(), "a finished run leaves its slot");
+        assert!(matches!(q.runs[0].state, RunState::Idle));
         let Landing::Finished(done) = landing else {
             panic!("the job converges: {landing:?}");
         };
@@ -603,8 +899,59 @@ mod tests {
     }
 
     #[test]
+    fn a_landing_scheduled_before_a_rollback_is_ignored() {
+        let mut q = queue(one_pool(64, None), exec(), 0.0);
+        let (attempt, wave, _) = started(&mut q, 0.0);
+        let wall_s = wave.wall_s + wave.stretch_s;
+        let kill = q.rollback(0, wall_s / 2.0);
+        assert_eq!((kill.wave.workers, q.in_use()), (wave.workers, 0));
+        assert_eq!(kill.at_fraction, 0.5);
+        let resume_s = wall_s / 2.0 + kill.stall_s;
+        assert!(matches!(q.runs[0].state, RunState::Stalled));
+        assert!(q.land(&FifoOrder, 0, attempt, wall_s).is_none());
+        assert!(
+            matches!(q.runs[0].state, RunState::Stalled),
+            "the stale landing is ignored"
+        );
+        q.resume(&FifoOrder, 0);
+        // As for a worker loss, the clock restarts at the resume.
+        assert_eq!(q.runs[0].queued_since, resume_s);
+        let (again, wave, _) = started(&mut q, resume_s);
+        assert_eq!((again, wave.started_s), (attempt + 2, resume_s));
+        let (_, landing) = q.land(&FifoOrder, 0, again, 900.0).expect("current");
+        assert!(matches!(landing, Landing::Next));
+        assert_eq!(q.runs[0].queued_since, 900.0);
+    }
+
+    #[test]
+    fn queued_counts_per_pool_match_the_queue() {
+        let mut q = queue(pools(&Topology::edge_cloud(), 40), exec(), 0.0);
+        q.start(&FifoOrder, 1, 1, exec(), 0.0);
+        q.start(&FifoOrder, 2, 1, exec(), 0.0);
+        assert_eq!((q.queued_by_pool(), q.ready().len()), (vec![1, 2], 3));
+        assert!(matches!(
+            next(&mut q, 0.0),
+            Some((0, Dispatch::Land { .. }))
+        ));
+        assert_eq!((q.queued_by_pool(), q.ready().len()), (vec![0, 2], 2));
+        while next(&mut q, 0.0).is_some() {}
+        assert_eq!((q.queued_by_pool(), q.ready().len()), (vec![0, 0], 0));
+    }
+
+    #[test]
+    #[cfg(debug_assertions)]
+    #[should_panic(expected = "a run that is done is launched again")]
+    fn launching_a_run_that_is_done_is_a_bug() {
+        let mut e = exec();
+        while !e.is_done() {
+            e.step_epoch().expect("the platform takes the wave");
+        }
+        next(&mut queue(one_pool(64, None), e, 0.0), 0.0);
+    }
+
+    #[test]
     fn pools_report_views_totals_and_utilization() {
-        let mut w = Waves::new(&Topology::edge_cloud(), 40, None, SimRng::new(1));
+        let mut w = pools(&Topology::edge_cloud(), 40);
         assert!(w.multi_pool());
         assert_eq!((w.pool_count(), w.limit()), (2, 8 + 40));
         w.quota_mut(0).try_acquire(6).unwrap();

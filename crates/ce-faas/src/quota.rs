@@ -3,7 +3,7 @@
 //! AWS enforces the Lambda concurrency quota per *account*, not per job:
 //! every function any tenant job invokes counts against one pool.
 //! [`AccountQuota`] models that pool as a plain value with one owner —
-//! the fleet's epoch-wave dispatcher (`ce_cluster::wave::Waves`) holds
+//! the fleets' training queue (`ce_cluster::wave::TrainQueue`) holds
 //! one per topology pool, and whoever leases from it (training waves,
 //! serving requests) goes through that owner by `&mut`. There is no
 //! shared handle and no lock. Overload is a *typed, recoverable* outcome

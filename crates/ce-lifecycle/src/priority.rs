@@ -23,8 +23,8 @@ pub struct QuotaView {
     pub serve_held: u32,
     /// Workers held by in-flight epochs.
     pub train_held: u32,
-    /// Smallest deadline slack (seconds) among *queued* training runs,
-    /// if any is queued. Negative slack means the deadline has passed.
+    /// Smallest deadline slack (s, negative once late) among *queued*
+    /// training runs, if any is queued and [read](PriorityPolicy::reads_train_slack).
     pub ready_train_slack_s: Option<f64>,
 }
 
@@ -55,6 +55,13 @@ pub trait PriorityPolicy: Send + Sync {
         let _ = view;
         true
     }
+
+    /// Whether the policy reads [`QuotaView::ready_train_slack_s`], which
+    /// the fleet computes only then. `true` by default, so a wrapper that
+    /// does not forward this still sees the slack.
+    fn reads_train_slack(&self) -> bool {
+        true
+    }
 }
 
 /// Index of the widest victim; ties break on the earlier index (lower
@@ -83,6 +90,10 @@ impl PriorityPolicy for ServeFirst {
     fn preempt_victim(&self, victims: &[VictimView], _view: &QuotaView) -> Option<usize> {
         widest(victims)
     }
+
+    fn reads_train_slack(&self) -> bool {
+        false
+    }
 }
 
 /// Training always wins: epochs are never preempted, and queued epochs
@@ -100,6 +111,10 @@ impl PriorityPolicy for TrainFirst {
     }
 
     fn serve_drains_first(&self, _view: &QuotaView) -> bool {
+        false
+    }
+
+    fn reads_train_slack(&self) -> bool {
         false
     }
 }
@@ -136,6 +151,10 @@ impl PriorityPolicy for FairShare {
 
     fn serve_drains_first(&self, view: &QuotaView) -> bool {
         f64::from(view.serve_held) < f64::from(view.limit) * self.serve_share
+    }
+
+    fn reads_train_slack(&self) -> bool {
+        false
     }
 }
 

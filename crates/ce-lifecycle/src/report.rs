@@ -6,7 +6,7 @@ use ce_serve::engine::Verdicts;
 use serde::Serialize;
 
 /// One tenant's lifecycle, tallied over the whole run.
-#[derive(Debug, Clone, PartialEq, Serialize)]
+#[derive(Debug, Clone, Default, PartialEq, Serialize)]
 pub struct TenantOutcome {
     /// The tenant id.
     pub tenant: u32,

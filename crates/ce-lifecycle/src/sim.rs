@@ -1,14 +1,13 @@
-//! The lifecycle fleet simulator.
+//! The lifecycle fleet simulator (DESIGN §5h).
 //!
 //! One `ce_sim_core` event heap drives, per tenant, a request-level
 //! serving loop *and* a stepwise training loop, all leasing workers from
-//! one `AccountQuota`, which the epoch-wave dispatcher owns: a
+//! one `AccountQuota` per pool, which the training queue owns: a
 //! dispatched request holds one worker until it completes, a dispatched
-//! epoch holds its wave width. Training runs queue FIFO and launch
-//! head-of-line through that dispatcher, shared with ce-cluster
-//! ([`ce_cluster::wave`]), which also rules what a fault does to a
-//! wave: the queue clock a stalled run re-queues with, and the
-//! `degrade:` stretch of its epoch. The [`PriorityPolicy`] arbitrates
+//! epoch holds its wave width. Training runs wait in the head-of-line
+//! queue shared with ce-cluster ([`ce_cluster::wave::TrainQueue`]),
+//! picked FIFO; it launches, lands and rolls back their waves and rules
+//! what a fault does to them. The [`PriorityPolicy`] arbitrates
 //! contention (see `priority`), and a completed training run publishes
 //! a model version that redeploys into the serve stage.
 //!
@@ -26,35 +25,24 @@
 //! Same spec + same seed ⇒ byte-identical metrics: the whole run is one
 //! sequential event loop, and no simulation reads the thread count
 //! (DESIGN §5g). Per-request jitter streams are keyed by tenant and
-//! request *index*, so no draw depends on event order. Request chaos
-//! draws fork the `"lifecycle-chaos"` stream per tenant, training crash
-//! draws fork it per dispatch attempt, and both happen only in
-//! non-quiet instants with a non-zero rate, so a zero-fault schedule is
-//! bit-identical to no schedule. Model-version profiles are keyed by
-//! version index on the tenant's `model_seed`, so *when* a retrain
-//! finishes never changes *what* it deploys.
+//! request *index*, request chaos draws fork the `"lifecycle-chaos"`
+//! stream per tenant and training crash draws per dispatch attempt, and
+//! model-version profiles are keyed by version index, so no draw depends
+//! on event order. A zero-fault schedule draws nothing: it is
+//! bit-identical to no schedule.
 //!
 //! # Topology
 //!
-//! The fleet runs on a [`ce_topo::Topology`]: each pool owns its own
-//! `AccountQuota` (the pool's ceiling, falling back to the spec's
-//! shared quota), every tenant's serving is pinned to one pool at
-//! build time, and each training run is placed independently when it
-//! starts — so a retrain can land off-pool from the replicas it will
-//! redeploy, in which case the publish pays the link's transfer time
-//! and egress dollars on top of the Table-I snapshot cost. Pool
-//! classes scale service time, cold starts, epoch walls, and $/GB-s;
-//! the pool RTT rides on observed request latency. Preemption is
-//! pool-local: a request can only evict an epoch holding workers in
-//! *its* pool. The default single neutral pool multiplies by exactly
-//! `1.0` and adds exactly `0.0` everywhere, and placement runs on a
-//! forked `"topo"` stream the built-in policies never draw from, so
-//! default runs are byte-identical to pre-topology builds.
+//! Each pool owns its own `AccountQuota`; every tenant's serving is
+//! pinned to one pool at build time, and each training run is placed
+//! when it starts, so an off-pool retrain's publish pays the link's
+//! transfer time and egress (DESIGN §5k). Preemption is pool-local. The
+//! default single neutral pool is byte-identical to pre-topology builds.
 
 use crate::priority::{PriorityPolicy, QuotaView, VictimView};
 use crate::report::{LifecycleReport, TenantOutcome};
 use crate::spec::{LifecycleSpec, TenantSpec};
-use ce_cluster::wave::{Finished, Landing, Launch, StallCause, Waves};
+use ce_cluster::wave::{Dispatch, FifoOrder, Finished, Landing, Stall, TrainQueue};
 use ce_faas::{parse_keep_alive, InstancePool};
 use ce_obs::{Counter, Registry};
 use ce_serve::engine::{Capacity, Engine, Lane, Lease, ReqEv, Schedule, StreamKeys};
@@ -101,46 +89,6 @@ impl From<ReqEv> for Ev {
     }
 }
 
-/// Where a tenant's training currently stands.
-#[derive(Debug, Clone, Copy, PartialEq)]
-enum TrainState {
-    /// No run in flight (none yet, done, or failed). Drift can start a
-    /// retrain from here.
-    Idle,
-    /// Queued for epoch dispatch.
-    Ready,
-    /// An epoch wave is executing. `last` marks the wave that finishes
-    /// its run (converged or at the epoch cap).
-    Running {
-        workers: u32,
-        started_s: f64,
-        wall_s: f64,
-        last: bool,
-    },
-    /// Rolling back / waiting out a stall; a `TrainResume` is pending,
-    /// and the run re-queues with the queue clock `queued_since`.
-    Stalled { queued_since: f64 },
-    /// Converged; the publish transfer is in flight (`Redeploy`
-    /// pending).
-    Publishing,
-}
-
-/// Per-tenant training counters accumulated inline and flushed once.
-#[derive(Debug, Default, Clone)]
-struct TrainTally {
-    jobs_started: u64,
-    jobs_completed: u64,
-    jobs_failed: u64,
-    deadline_misses: u64,
-    preemptions: u64,
-    epochs: u64,
-    cold_resumes: u64,
-    train_dollars: f64,
-    drift_events: u64,
-    drift_skipped: u64,
-    redeploys: u64,
-}
-
 /// One tenant's training loop and deployed model version (its serving
 /// lives in the request engine, schedule and lane = tenant index).
 struct TenantState {
@@ -148,15 +96,14 @@ struct TenantState {
     version: u32,
     /// The pool the tenant's replicas live in (pinned at build time).
     serve_pool: usize,
-    /// The pool the current/latest training run was placed on.
-    train_pool: usize,
-    exec: Option<TrainingExecution>,
-    train: TrainState,
-    attempt: u64,
+    /// A finished run's publish transfer is in flight (`Redeploy`
+    /// pending).
+    publishing: bool,
     runs: u32,
     deadline_abs_s: f64,
-    queued_since: f64,
-    tally: TrainTally,
+    /// The training and lifecycle fields of the tenant's outcome,
+    /// tallied inline; the rest is filled in once, at the end.
+    tally: TenantOutcome,
 }
 
 /// The serving profile model version `version` deploys with: version 0
@@ -175,9 +122,8 @@ fn version_profile(spec: &TenantSpec, version: u32) -> (f64, f64) {
 struct Fleet {
     spec: LifecycleSpec,
     policy: Box<dyn PriorityPolicy>,
-    /// One quota per topology pool, in pool-index order, and the
-    /// training side's fault timeline.
-    waves: Waves,
+    /// Every tenant's training run (run index = tenant index).
+    trains: TrainQueue<VecDeque<usize>>,
     placement: Box<dyn ce_topo::PlacementPolicy>,
     topo_rng: SimRng,
     /// Training runs placed per pool (reported multi-pool only).
@@ -188,17 +134,13 @@ struct Fleet {
     transfer_dollars: f64,
     obs: Registry,
     tenants: Vec<TenantState>,
-    train_ready: VecDeque<u32>,
     serve_held: u32,
     train_held: u32,
     quota_stalls: u64,
     /// The preemption candidates handed to the policy, rebuilt in place
     /// for every request that finds its pool full.
     victims: Vec<VictimView>,
-    /// `lifecycle.epochs` and `lifecycle.chaos_degraded_epochs`, held
-    /// rather than looked up by name on every epoch; each is registered
-    /// at its first use, where a by-name lookup would have registered
-    /// it.
+    /// `lifecycle.epochs` and `lifecycle.chaos_degraded_epochs` handles.
     epochs_counter: Option<Counter>,
     degraded_counter: Option<Counter>,
 }
@@ -225,8 +167,9 @@ impl LifecycleSim {
         let rng = SimRng::new(spec.seed).derive("lifecycle-sim");
         let chaos_rng = rng.derive("lifecycle-chaos");
         let chaos = spec.chaos.as_ref();
-        let waves = Waves::new(&spec.topology, spec.quota, chaos, chaos_rng.clone());
-        let pool_count = waves.pool_count();
+        let ready = VecDeque::new();
+        let trains = TrainQueue::new(&spec.topology, spec.quota, chaos, chaos_rng.clone(), ready);
+        let pool_count = trains.pool_count();
         // A pure fork: deriving consumes no parent draws, so default
         // runs keep their exact bytes.
         let mut topo_rng = rng.derive("topo");
@@ -255,7 +198,7 @@ impl LifecycleSim {
                 let views: Vec<PoolView> = (0..pool_count)
                     .map(|p| PoolView {
                         inflight: pinned[p],
-                        ..waves.pool_view(p, 0, f64::INFINITY)
+                        ..trains.pool_view(p, 0, f64::INFINITY)
                     })
                     .collect();
                 let idx = placement
@@ -298,22 +241,18 @@ impl LifecycleSim {
             tenants.push(TenantState {
                 version: 0,
                 serve_pool,
-                train_pool: serve_pool,
-                exec: None,
-                train: TrainState::Idle,
-                attempt: 0,
+                publishing: false,
                 runs: 0,
                 deadline_abs_s: f64::INFINITY,
-                queued_since: 0.0,
-                tally: TrainTally::default(),
+                tally: TenantOutcome::default(),
                 spec: t,
             });
         }
-        let engine = Engine::new(pipeline, waves.faults().cloned(), schedules, lanes);
+        let engine = Engine::new(pipeline, trains.faults().cloned(), schedules, lanes);
         LifecycleSim {
             engine,
             fleet: Fleet {
-                waves,
+                trains,
                 placement,
                 topo_rng,
                 train_runs_by_pool: vec![0; pool_count],
@@ -321,7 +260,6 @@ impl LifecycleSim {
                 transfer_dollars: 0.0,
                 obs: Registry::new(),
                 tenants,
-                train_ready: VecDeque::new(),
                 serve_held: 0,
                 train_held: 0,
                 quota_stalls: 0,
@@ -385,7 +323,7 @@ impl LifecycleSim {
         while let Some((now, ev)) = self.engine.events.pop() {
             let t = now.as_secs();
             let (engine, fleet) = (&mut self.engine, &mut self.fleet);
-            fleet.waves.advance(t);
+            fleet.trains.advance(t);
             match ev {
                 Ev::Req(ReqEv::Arrival { sched, req }) => {
                     // Arrivals queue; the drain below dispatches in the
@@ -415,29 +353,20 @@ impl LifecycleSim {
                 Ev::TrainArrival { tenant } => fleet.start_training_run(tenant as usize, t),
                 Ev::EpochDone { tenant, attempt } => {
                     let tenant = tenant as usize;
-                    let st = &mut fleet.tenants[tenant];
-                    if attempt != st.attempt {
-                        // Preempted after this completion was scheduled;
-                        // the wave's lease was already returned.
+                    let landed = fleet.trains.land(&FifoOrder, tenant, attempt, t);
+                    // `None`: preempted after this completion was
+                    // scheduled; the wave's lease was already returned.
+                    let Some((wave, landing)) = landed else {
                         continue;
-                    }
-                    let TrainState::Running { workers, .. } = st.train else {
-                        unreachable!("current attempt implies a running epoch");
                     };
-                    fleet.train_held -= workers;
-                    match fleet.waves.land(st.train_pool, workers, &mut st.exec) {
-                        Landing::Next => fleet.requeue(tenant, t),
+                    fleet.train_held -= wave.workers;
+                    match landing {
+                        Landing::Next => {}
                         Landing::Finished(run) => fleet.publish(tenant, t, run, &mut engine.events),
                         Landing::Failed { usd } => fleet.fail_train(tenant, t, usd),
                     }
                 }
-                Ev::TrainResume { tenant } => {
-                    let tenant = tenant as usize;
-                    let st = &fleet.tenants[tenant];
-                    if let (TrainState::Stalled { queued_since }, Some(_)) = (st.train, &st.exec) {
-                        fleet.requeue(tenant, queued_since);
-                    }
-                }
+                Ev::TrainResume { tenant } => fleet.trains.resume(&FifoOrder, tenant as usize),
                 Ev::Redeploy { tenant, version } => {
                     let tenant = tenant as usize;
                     let st = &mut fleet.tenants[tenant];
@@ -450,7 +379,7 @@ impl LifecycleSim {
                     // The old version's warm sandboxes cannot serve the
                     // new model: flush them, billing their idle time.
                     engine.flush_lane(tenant);
-                    st.train = TrainState::Idle;
+                    st.publishing = false;
                     st.tally.redeploys += 1;
                     fleet.obs.counter("lifecycle.redeploys").inc();
                     fleet.obs.event(
@@ -467,7 +396,8 @@ impl LifecycleSim {
                 Ev::Drift { tenant } => {
                     let tenant = tenant as usize;
                     let st = &mut fleet.tenants[tenant];
-                    if st.train == TrainState::Idle && st.version >= 1 && st.exec.is_none() {
+                    let idle = !st.publishing && fleet.trains.exec(tenant).is_none();
+                    if idle && st.version >= 1 {
                         let schedule = &mut engine.schedules[tenant];
                         schedule.drifted = true;
                         let (service_factor, _) = version_profile(&st.spec, st.version);
@@ -508,15 +438,15 @@ impl LifecycleSim {
         for (i, st) in fleet.tenants.iter_mut().enumerate() {
             // A run still in flight at the horizon: its spend counts,
             // and it is a miss if its deadline already passed.
-            if let Some(exec) = st.exec.take() {
-                st.tally.train_dollars +=
-                    exec.report().cost_usd * fleet.spec.topology.pools[st.train_pool].price_factor;
+            if let Some(exec) = fleet.trains.exec(i) {
+                let price = fleet.spec.topology.pools[fleet.trains.pool(i)].price_factor;
+                st.tally.train_dollars += exec.report().cost_usd * price;
                 if horizon_s > st.deadline_abs_s {
                     st.tally.deadline_misses += 1;
                 }
             }
             let schedule = &self.engine.schedules[i];
-            let (sa, ta) = (&schedule.tally, &st.tally);
+            let sa = &schedule.tally;
             outcomes.push(TenantOutcome {
                 tenant: st.spec.id,
                 workload: st.spec.workload.label(),
@@ -541,25 +471,16 @@ impl LifecycleSim {
                 // Every attempt — hedge losers and failed retries
                 // included — pays the invocation fee.
                 serve_dollars: self.engine.dollars(i),
-                jobs_started: ta.jobs_started,
-                jobs_completed: ta.jobs_completed,
-                jobs_failed: ta.jobs_failed,
-                deadline_misses: ta.deadline_misses,
-                preemptions: ta.preemptions,
-                epochs: ta.epochs,
-                cold_resumes: ta.cold_resumes,
-                train_dollars: ta.train_dollars,
-                drift_events: ta.drift_events,
-                drift_skipped: ta.drift_skipped,
-                redeploys: ta.redeploys,
                 model_version: st.version,
+                ..std::mem::take(&mut st.tally)
             });
         }
         for outcome in &outcomes {
             debug_assert_eq!(outcome.verdicts().check(), Ok(()));
         }
-        let quota_utilization = fleet.waves.utilization(horizon_s);
-        let quota_peak = fleet.waves.peak();
+        let trains = &fleet.trains;
+        let quota_utilization = trains.utilization(horizon_s);
+        let quota_peak = trains.peak();
         let report = LifecycleReport {
             policy: fleet.policy.name().to_string(),
             topology: fleet.spec.topology.name.clone(),
@@ -605,8 +526,8 @@ impl LifecycleSim {
                 .set(report.train_miss_rate());
             // Substrate breakdown — emitted only when a real topology
             // is modeled, so single-pool goldens keep their bytes.
-            if fleet.waves.multi_pool() {
-                let pool_count = fleet.waves.pool_count();
+            if trains.multi_pool() {
+                let pool_count = trains.pool_count();
                 obs.gauge("topo.pools").set(pool_count as f64);
                 let mut tenants_by_pool = vec![0u64; pool_count];
                 for st in &fleet.tenants {
@@ -629,13 +550,11 @@ impl LifecycleSim {
 }
 
 impl Capacity<Ev> for Fleet {
-    /// Leases one worker in the tenant's serve pool, preempting a
-    /// running epoch *in that pool* if the policy allows (evicting
-    /// workers elsewhere could not free this pool's quota).
+    /// See [`Fleet::acquire_serve_worker`].
     fn lease(&mut self, lane: usize, q: &mut EventQueue<Ev>) -> Lease {
         if self.acquire_serve_worker(lane, q.now().as_secs(), q) {
             Lease::Granted
-        } else if self.waves.multi_pool() {
+        } else if self.trains.multi_pool() {
             // Only this tenant's pool is exhausted; tenants pinned
             // elsewhere may still drain.
             Lease::Busy
@@ -651,9 +570,8 @@ impl Capacity<Ev> for Fleet {
     }
 
     fn release(&mut self, lane: usize) {
-        self.waves
-            .quota_mut(self.tenants[lane].serve_pool)
-            .release(1);
+        let pool = self.tenants[lane].serve_pool;
+        self.trains.quota_mut(pool).release(1);
         self.serve_held -= 1;
     }
 }
@@ -661,7 +579,7 @@ impl Capacity<Ev> for Fleet {
 impl Fleet {
     /// Takes a spare worker in `pool` for a request, if there is one.
     fn take_serve_worker(&mut self, pool: usize) -> bool {
-        let granted = self.waves.quota_mut(pool).try_acquire(1).is_ok();
+        let granted = self.trains.quota_mut(pool).try_acquire(1).is_ok();
         self.serve_held += u32::from(granted);
         granted
     }
@@ -670,32 +588,24 @@ impl Fleet {
     /// is placed: live lease counts, queued-train depth, and the link
     /// bandwidth back to `serve_pool` (where the publish must land).
     fn train_views(&self, serve_pool: usize) -> Vec<PoolView> {
-        let mut queued = vec![0u32; self.waves.pool_count()];
-        for &tid in &self.train_ready {
-            queued[self.tenants[tid as usize].train_pool] += 1;
-        }
-        let topo = &self.spec.topology;
+        let (trains, topo) = (&self.trains, &self.spec.topology);
+        let queued = trains.queued_by_pool();
         (0..queued.len())
-            .map(|p| {
-                self.waves
-                    .pool_view(p, queued[p], topo.bandwidth_mbps(p, serve_pool))
-            })
+            .map(|p| trains.pool_view(p, queued[p], topo.bandwidth_mbps(p, serve_pool)))
             .collect()
     }
 
-    /// What the priority policy sees at `t`.
+    /// What the priority policy sees at `t`. Only a policy that reads
+    /// the queued runs' slack pays for the fold over them.
     fn view(&self, t: f64) -> QuotaView {
-        let ready_train_slack_s = self
-            .train_ready
-            .iter()
-            .map(|&tid| self.tenants[tid as usize].deadline_abs_s - t)
-            .fold(None, |acc: Option<f64>, s| {
-                Some(acc.map_or(s, |a| a.min(s)))
-            });
+        let slack = |&tid: &usize| self.tenants[tid].deadline_abs_s - t;
+        let ready_train_slack_s = (self.policy.reads_train_slack())
+            .then(|| self.trains.ready().iter().map(slack).reduce(f64::min))
+            .flatten();
         QuotaView {
             now_s: t,
-            in_use: self.waves.in_use(),
-            limit: self.waves.limit(),
+            in_use: self.trains.in_use(),
+            limit: self.trains.limit(),
             serve_held: self.serve_held,
             train_held: self.train_held,
             ready_train_slack_s,
@@ -712,22 +622,18 @@ impl Fleet {
             return true;
         }
         self.victims.clear();
+        let trains = &self.trains;
         self.victims
             .extend(self.tenants.iter().enumerate().filter_map(|(i, st)| {
-                match st.train {
-                    // A run's last in-flight epoch is excluded: its run is
-                    // done whatever the rollback, and would be launched again.
-                    TrainState::Running {
-                        workers,
-                        last: false,
-                        ..
-                    } if st.train_pool == pool => Some(VictimView {
-                        tenant: i as u32,
-                        workers,
-                        slack_s: st.deadline_abs_s - t,
-                    }),
-                    _ => None,
-                }
+                let wave = trains.in_flight(i)?;
+                // A run's last in-flight epoch is excluded: its run is
+                // done whatever the rollback, and would be launched again.
+                let last = trains.exec(i)?.is_done();
+                (trains.pool(i) == pool && !last).then_some(VictimView {
+                    tenant: i as u32,
+                    workers: wave.workers,
+                    slack_s: st.deadline_abs_s - t,
+                })
             }));
         if self.victims.is_empty() {
             return false;
@@ -739,85 +645,48 @@ impl Fleet {
         self.take_serve_worker(pool)
     }
 
-    /// Kills `tenant`'s in-flight epoch: the wave's workers return to
-    /// the quota, the run rolls back to its latest checkpoint (partial
-    /// epoch, restore transfer, and backoff stall all billed by
-    /// [`TrainingExecution::inject_worker_loss`]), and a `TrainResume`
-    /// fires once the stall elapses.
+    /// Kills `tenant`'s in-flight epoch (see [`TrainQueue::rollback`]);
+    /// a `TrainResume` fires once the stall elapses.
     fn preempt(&mut self, tenant: usize, t: f64, events: &mut EventQueue<Ev>) {
-        let obs = self.obs.clone();
+        let kill = self.trains.rollback(tenant, t);
+        self.train_held -= kill.wave.workers;
         let st = &mut self.tenants[tenant];
-        let TrainState::Running {
-            workers,
-            started_s,
-            wall_s,
-            ..
-        } = st.train
-        else {
-            unreachable!("preemption targets a running epoch");
-        };
-        self.waves.quota_mut(st.train_pool).release(workers);
-        self.train_held -= workers;
-        st.attempt += 1;
-        let at_fraction = if wall_s > 0.0 {
-            ((t - started_s) / wall_s).clamp(0.0, 1.0)
-        } else {
-            1.0
-        };
-        let stall = st
-            .exec
-            .as_mut()
-            .expect("running epoch has an execution")
-            .inject_worker_loss(at_fraction);
-        // Like a worker loss, the stall is charged to JCT: the queue
-        // clock restarts at the resume.
-        st.train = TrainState::Stalled {
-            queued_since: t + stall,
-        };
         st.tally.preemptions += 1;
-        obs.counter("lifecycle.preemptions").inc();
-        obs.event(
+        self.obs.counter("lifecycle.preemptions").inc();
+        self.obs.event(
             t,
             "lifecycle.preemption",
             &[
                 ("tenant", json!(st.spec.id)),
-                ("workers", json!(workers)),
-                ("at_fraction", json!(at_fraction)),
-                ("stall_s", json!(stall)),
+                ("workers", json!(kill.wave.workers)),
+                ("at_fraction", json!(kill.at_fraction)),
+                ("stall_s", json!(kill.stall_s)),
             ],
         );
-        events.schedule_at(
-            SimTime::from_secs(t + stall),
-            Ev::TrainResume {
-                tenant: tenant as u32,
-            },
-        );
+        let (at, tenant) = (SimTime::from_secs(t + kill.stall_s), tenant as u32);
+        events.schedule_at(at, Ev::TrainResume { tenant });
     }
 
-    /// Starts training run number `st.runs` for `tenant` (the initial
-    /// job or a drift retrain): places it on a pool, sizes its
-    /// allocation grid to that pool's ceiling, and queues it for
-    /// dispatch.
+    /// Starts `tenant`'s next training run (the initial job or a drift
+    /// retrain): places it on a pool, caps its allocation grid at that
+    /// pool's ceiling, and queues it.
     fn start_training_run(&mut self, tenant: usize, t: f64) {
-        if self.waves.multi_pool() {
-            let serve_pool = self.tenants[tenant].serve_pool;
+        let serve_pool = self.tenants[tenant].serve_pool;
+        let mut pool = serve_pool;
+        if self.trains.multi_pool() {
             let views = self.train_views(serve_pool);
             let req = PlacementRequest {
                 compute_s: self.tenants[tenant].spec.deadline_span_s,
                 transfer_mb: self.tenants[tenant].spec.workload.model.model_mb,
                 cold_ms: 0.0,
             };
-            let idx = self
+            pool = self
                 .placement
                 .place(&views, &req, &mut self.topo_rng)
-                .min(self.waves.pool_count() - 1);
-            self.tenants[tenant].train_pool = idx;
-            self.train_runs_by_pool[idx] += 1;
+                .min(views.len() - 1);
+            self.train_runs_by_pool[pool] += 1;
         }
-        let cap = self
-            .spec
-            .job_cap
-            .min(self.waves.quota(self.tenants[tenant].train_pool).limit());
+        let cap = self.spec.job_cap.min(self.trains.quota(pool).limit());
         let (job, deadline_abs_s) = {
             let st = &mut self.tenants[tenant];
             let run = st.runs;
@@ -837,12 +706,8 @@ impl Fleet {
         };
         match TrainingExecution::start(job, Method::CeScaling) {
             Ok(exec) => {
-                let st = &mut self.tenants[tenant];
-                st.exec = Some(exec);
-                st.train = TrainState::Ready;
-                st.deadline_abs_s = deadline_abs_s;
-                st.queued_since = t;
-                self.train_ready.push_back(tenant as u32);
+                self.tenants[tenant].deadline_abs_s = deadline_abs_s;
+                self.trains.start(&FifoOrder, tenant, pool, exec, t);
             }
             Err(_) => self.fail_train(tenant, t, 0.0),
         }
@@ -854,8 +719,6 @@ impl Fleet {
     fn fail_train(&mut self, tenant: usize, t: f64, cost_usd: f64) {
         let obs = self.obs.clone();
         let st = &mut self.tenants[tenant];
-        st.exec = None;
-        st.train = TrainState::Idle;
         st.tally.jobs_failed += 1;
         st.tally.deadline_misses += 1;
         st.tally.train_dollars += cost_usd;
@@ -867,74 +730,47 @@ impl Fleet {
         );
     }
 
-    /// Launches queued epochs head-of-line, in FIFO order, until one
-    /// stalls on the quota (see [`Waves::launch`]). A chaos-stalled run
-    /// leaves the queue and re-queues on its `TrainResume` with the
-    /// stall's queue clock.
+    /// Launches queued epochs in FIFO order until one stalls on the quota
+    /// (see [`TrainQueue::next`]). Training pays no storage contention
+    /// here: only a degrade window stretches an epoch.
     fn dispatch_trains(&mut self, t: f64, events: &mut EventQueue<Ev>) {
-        while let Some(&tid) = self.train_ready.front() {
-            let tenant = tid as usize;
-            let st = &mut self.tenants[tenant];
-            let exec = st.exec.as_mut().expect("queued run has an execution");
-            let stall = match self.waves.launch(st.train_pool, exec, t, st.queued_since) {
-                Launch::QuotaStall => {
+        while let Some((run, next)) = self.trains.next(&FifoOrder, t, |_| 1.0) {
+            match next {
+                Dispatch::QuotaStall => {
                     self.quota_stalls += 1;
                     return;
                 }
-                Launch::Stalled(stall) => stall,
-                Launch::Failed { usd, dequeue } => {
-                    self.train_ready.pop_front();
-                    st.tally.cold_resumes += u64::from(dequeue.is_some_and(|d| d.cold_resumed));
-                    self.fail_train(tenant, t, usd);
-                    continue;
-                }
-                Launch::Started { wave, dequeue } => {
-                    self.train_ready.pop_front();
-                    st.tally.cold_resumes += u64::from(dequeue.cold_resumed);
-                    let obs = &self.obs;
-                    // A degrade window stretches the epoch's sync.
-                    if wave.degrade > 1.0 {
-                        self.degraded_counter
-                            .get_or_insert_with(|| obs.counter("lifecycle.chaos_degraded_epochs"))
-                            .inc();
+                Dispatch::Resume(stall) => {
+                    if let Stall::WorkerLoss { .. } = stall {
+                        self.obs.counter("lifecycle.chaos_worker_losses").inc();
                     }
-                    let extra = (wave.degrade - 1.0) * wave.step.sync_s;
-                    exec.charge_contention(extra);
-                    let wall_s = wave.wall_s + extra;
-                    st.attempt += 1;
-                    st.train = TrainState::Running {
-                        workers: wave.workers,
-                        started_s: t,
-                        wall_s,
-                        last: exec.is_done(),
-                    };
-                    st.tally.epochs += 1;
-                    self.train_held += wave.workers;
-                    self.epochs_counter
-                        .get_or_insert_with(|| obs.counter("lifecycle.epochs"))
-                        .inc();
-                    events.schedule_at(
-                        SimTime::from_secs(t + wall_s),
-                        Ev::EpochDone {
-                            tenant: tid,
-                            attempt: st.attempt,
-                        },
-                    );
-                    continue;
+                    self.obs.counter("lifecycle.chaos_stalls").inc();
+                    let (at, tenant) = (SimTime::from_secs(stall.resume_s(t)), run as u32);
+                    events.schedule_at(at, Ev::TrainResume { tenant });
                 }
-            };
-            if let StallCause::WorkerLoss { .. } = stall.cause {
-                self.obs.counter("lifecycle.chaos_worker_losses").inc();
+                Dispatch::Failed { usd, dequeue } => {
+                    let cold = dequeue.is_some_and(|d| d.cold_resumed);
+                    self.tenants[run].tally.cold_resumes += u64::from(cold);
+                    self.fail_train(run, t, usd);
+                }
+                Dispatch::Land { attempt, wave } => {
+                    let tally = &mut self.tenants[run].tally;
+                    tally.cold_resumes += u64::from(wave.dequeue.cold_resumed);
+                    tally.epochs += 1;
+                    let obs = &self.obs;
+                    if wave.degrade > 1.0 {
+                        let name = "lifecycle.chaos_degraded_epochs";
+                        obs.inc_held(&mut self.degraded_counter, name);
+                    }
+                    self.train_held += wave.workers;
+                    obs.inc_held(&mut self.epochs_counter, "lifecycle.epochs");
+                    // The stretched wall first, as this fleet always has:
+                    // the landing instant keeps its bits.
+                    let at = SimTime::from_secs(t + (wave.wall_s + wave.stretch_s));
+                    let tenant = run as u32;
+                    events.schedule_at(at, Ev::EpochDone { tenant, attempt });
+                }
             }
-            self.train_ready.pop_front();
-            st.train = TrainState::Stalled {
-                queued_since: stall.queued_since,
-            };
-            self.obs.counter("lifecycle.chaos_stalls").inc();
-            events.schedule_at(
-                SimTime::from_secs(stall.resume_s),
-                Ev::TrainResume { tenant: tid },
-            );
         }
     }
 
@@ -945,7 +781,7 @@ impl Fleet {
     /// time and egress dollars.
     fn publish(&mut self, tenant: usize, t: f64, run: Finished, events: &mut EventQueue<Ev>) {
         let obs = self.obs.clone();
-        let train_pool = self.tenants[tenant].train_pool;
+        let train_pool = self.trains.pool(tenant);
         let serve_pool = self.tenants[tenant].serve_pool;
         let st = &mut self.tenants[tenant];
         st.tally.jobs_completed += 1;
@@ -973,7 +809,7 @@ impl Fleet {
             self.publish_transfers += 1;
             self.transfer_dollars += xfer_usd;
         }
-        st.train = TrainState::Publishing;
+        st.publishing = true;
         let version = st.version + 1;
         obs.counter("lifecycle.train_completed").inc();
         obs.event(
@@ -995,21 +831,12 @@ impl Fleet {
             },
         );
     }
-
-    /// Queues `tenant`'s run for its next epoch dispatch with the queue
-    /// clock `queued_since`.
-    fn requeue(&mut self, tenant: usize, queued_since: f64) {
-        let st = &mut self.tenants[tenant];
-        st.train = TrainState::Ready;
-        st.queued_since = queued_since;
-        self.train_ready.push_back(tenant as u32);
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::priority::{all_priorities, priority_by_name};
+    use crate::priority::{all_priorities, priority_by_name, DeadlineAware};
     use ce_chaos::FaultSchedule;
     use ce_resilience::{BreakerSpec, ResilienceSpec, RetryPolicy};
 
@@ -1392,5 +1219,47 @@ mod tests {
             LifecycleSpec::new(0, 100.0, 1),
             priority_by_name("serve-first").expect("known"),
         );
+    }
+
+    /// Forwards only what a policy must implement, leaving every other
+    /// method at its trait default.
+    struct Forwarding(Box<dyn PriorityPolicy>);
+
+    impl PriorityPolicy for Forwarding {
+        fn name(&self) -> &'static str {
+            self.0.name()
+        }
+
+        fn preempt_victim(&self, victims: &[VictimView], view: &QuotaView) -> Option<usize> {
+            self.0.preempt_victim(victims, view)
+        }
+
+        fn serve_drains_first(&self, view: &QuotaView) -> bool {
+            self.0.serve_drains_first(view)
+        }
+    }
+
+    #[test]
+    fn a_wrapper_on_the_trait_defaults_runs_the_same_fleet() {
+        // The built-in policies, and a deadline policy for which every
+        // queued run is urgent, so its drain order turns on the slack.
+        let policies = || {
+            let mut all = all_priorities();
+            all.push(Box::new(DeadlineAware {
+                min_slack_s: f64::INFINITY,
+            }));
+            all
+        };
+        let run = |policy: Box<dyn PriorityPolicy>| {
+            let registry = Registry::new();
+            let r = LifecycleSim::new(tight_spec(42), policy)
+                .with_obs(&registry)
+                .run();
+            (r, registry.export_jsonl())
+        };
+        for (plain, wrapped) in policies().into_iter().zip(policies()) {
+            let name = plain.name();
+            assert_eq!(run(plain), run(Box::new(Forwarding(wrapped))), "{name}");
+        }
     }
 }

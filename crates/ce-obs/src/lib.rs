@@ -547,6 +547,12 @@ impl Registry {
         get_or_create(&self.inner.counters, name)
     }
 
+    /// Increments the counter held in `slot`, getting or creating `name`
+    /// there first: a held handle registers where a lookup would have.
+    pub fn inc_held(&self, slot: &mut Option<Counter>, name: &str) {
+        slot.get_or_insert_with(|| self.counter(name)).inc();
+    }
+
     /// Gets or creates the gauge `name`.
     pub fn gauge(&self, name: &str) -> Gauge {
         get_or_create(&self.inner.gauges, name)

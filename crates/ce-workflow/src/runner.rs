@@ -1153,13 +1153,6 @@ impl TrainingExecution {
         self.report.epochs
     }
 
-    /// The offline mean estimate of epochs-to-target, fixed at planning
-    /// time. Fleet schedulers use it to derive deadlines and slack
-    /// without peeking at the sampled loss curve.
-    pub fn estimated_epochs(&self) -> f64 {
-        self.mean_estimate
-    }
-
     /// The allocation the *next* epoch will run under.
     pub fn alloc(&self) -> Allocation {
         self.alloc
